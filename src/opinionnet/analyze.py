@@ -22,10 +22,8 @@ import numpy as np
 
 from .errors import NoGiantComponentError, ValidationError
 from .normalize import SignMatrix
-from .project import PairWeights, ProjectionGraph, DEFAULT_BLOCK_ROWS
+from .project import PairWeights, ProjectionGraph
 from .rational import as_fraction, format_fraction
-
-DEFAULT_PAIR_BUDGET = 2_000_000
 
 
 class UnionFind:
@@ -136,8 +134,7 @@ class ThresholdSelection:
 
 
 def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
-                     min_level=None, block_rows: int = DEFAULT_BLOCK_ROWS,
-                     pair_budget: int = DEFAULT_PAIR_BUDGET) -> ThresholdSelection:
+                     min_level=None) -> ThresholdSelection:
     """Highest weight level whose edge set reaches the target giant component.
 
     Descends through the distinct weight values present, adding all edges at
@@ -145,6 +142,13 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     component covers at least target_fraction of the participants. Levels are
     distinct values, so ties cannot occur. min_level bounds the descent; if
     the target is never reached the sweep so far is raised with the error.
+
+    One pass of Prim's algorithm over the complete weighted graph builds a
+    maximum spanning tree and the histogram of all pair weights: each added
+    vertex's numerator row is binned against the vertices still outside the
+    tree, so every pair is counted once. The components of the edges at or
+    above any level are those of the tree edges at or above it (single
+    linkage; Gower & Ross 1969), so the sweep unions tree edges only.
     """
     target = as_fraction(target_fraction)
     if not (0 < target <= 1):
@@ -156,67 +160,43 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     d = weights.denominator
     off = weights.numerator_offset
 
-    hist = weights.level_histogram(block_rows=block_rows)
-    present = np.nonzero(hist)[0]
-    numerators = (present - off)[::-1].astype(np.int64)  # descending weight levels
-    counts = hist[present][::-1]
+    hist = np.zeros(off + weights.n_items * d + 1, dtype=np.int64)
+    lowest = np.iinfo(np.int64).min
+    best = np.full(n, lowest, dtype=np.int64)  # heaviest link to the tree; lowest once inside
+    link = np.zeros(n, dtype=np.int64)
+    outside = np.ones(n, dtype=bool)
+    tree = []  # (numerator, u, v) per spanning-tree edge
+    v = 0
+    outside[v] = False
+    for _ in range(n - 1):
+        row = weights.block_numerators(v, v + 1, 0, n)[0][0]
+        hist += np.bincount(row[outside] + off, minlength=hist.size)
+        closer = outside & (row > best)
+        best[closer] = row[closer]
+        link[closer] = v
+        v = int(np.argmax(best))
+        tree.append((int(best[v]), int(link[v]), v))
+        best[v] = lowest
+        outside[v] = False
+    tree.sort(reverse=True)
+
+    numerators = np.nonzero(hist)[0][::-1] - off  # descending weight levels
     if min_level is not None:
         floor = as_fraction(min_level)
-        keep = numerators * floor.denominator >= floor.numerator * d
-        numerators = numerators[keep]
-        counts = counts[keep]
+        numerators = numerators[numerators * floor.denominator >= floor.numerator * d]
 
     uf = UnionFind(n)
     sweep: list[tuple[Fraction, Fraction]] = []
-
-    def reached() -> bool:
-        return uf.largest * target.denominator >= target.numerator * n
-
-    idx = 0
-    while idx < len(numerators):
-        # batch as many levels as fit the pair budget; a single oversized
-        # level is streamed without materializing its pairs
-        batch_end = idx
-        total = 0
-        while batch_end < len(numerators) and (batch_end == idx or total + counts[batch_end] <= pair_budget):
-            total += counts[batch_end]
-            batch_end += 1
-        lo = int(numerators[batch_end - 1])
-        hi = int(numerators[idx])
-        if batch_end == idx + 1 and counts[idx] > pair_budget:
-            # oversized single level: union streaming, never materialized
-            for _, ii, jj in weights.collect_pairs_in_range(lo, hi, block_rows):
-                for a, b in zip(ii.tolist(), jj.tolist()):
-                    uf.union(a, b)
-            level = Fraction(int(numerators[idx]), d)
-            frac = Fraction(uf.largest, n)
-            sweep.append((level, frac))
-            if reached():
-                return ThresholdSelection(level, frac, sweep, target)
-            idx = batch_end
-            continue
-        chunks = list(weights.collect_pairs_in_range(lo, hi, block_rows))
-        if chunks:
-            vals = np.concatenate([c[0] for c in chunks])
-            iis = np.concatenate([c[1] for c in chunks])
-            jjs = np.concatenate([c[2] for c in chunks])
-        else:
-            vals = iis = jjs = np.empty(0, dtype=np.int64)
-        order = np.argsort(-vals, kind="stable")
-        vals, iis, jjs = vals[order], iis[order], jjs[order]
-        neg_sorted = -vals
-        for pos in range(idx, batch_end):
-            level_numer = int(numerators[pos])
-            a = int(np.searchsorted(neg_sorted, -level_numer, side="left"))
-            b = int(np.searchsorted(neg_sorted, -level_numer, side="right"))
-            for x, y in zip(iis[a:b].tolist(), jjs[a:b].tolist()):
-                uf.union(x, y)
-            level = Fraction(level_numer, d)
-            frac = Fraction(uf.largest, n)
-            sweep.append((level, frac))
-            if reached():
-                return ThresholdSelection(level, frac, sweep, target)
-        idx = batch_end
+    joined = 0
+    for level_numer in numerators.tolist():
+        while joined < len(tree) and tree[joined][0] >= level_numer:
+            uf.union(tree[joined][1], tree[joined][2])
+            joined += 1
+        level = Fraction(level_numer, d)
+        frac = Fraction(uf.largest, n)
+        sweep.append((level, frac))
+        if uf.largest * target.denominator >= target.numerator * n:
+            return ThresholdSelection(level, frac, sweep, target)
 
     raise NoGiantComponentError(
         f"no weight level reached a giant component of {format_fraction(target)} "
@@ -375,7 +355,8 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     """Split the positive subgraph by repeated highest-betweenness removal.
 
     Each iteration recomputes betweenness on the current graph and removes
-    the single highest-betweenness edge; ties break to the lexicographically
+    the single highest-betweenness edge; ties (values within 1e-9 of the
+    maximum, the float engine's accuracy) break to the lexicographically
     smallest (u, v). Stops once the component count reaches the target or the
     removal budget (a fraction of the original edge count) is exhausted, in
     which case the partial history is returned with status budget_exhausted.
@@ -410,7 +391,9 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     status = "budget_exhausted"
     while len(removed) < budget:
         bet = _betweenness_fast(n, us, vs)
-        k = int(np.argmax(bet))  # first max = lexicographically smallest edge
+        # values within the float engine's 1e-9 accuracy of the maximum are
+        # ties; the first of them is the lexicographically smallest edge
+        k = int(np.flatnonzero(bet >= bet.max() - 1e-9)[0])
         removed.append(edge_ids[k])
         value = float(bet[k])
         del edge_ids[k]

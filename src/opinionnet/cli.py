@@ -166,7 +166,6 @@ def cmd_project(args) -> int:
         threshold,
         negative_threshold=negative,
         node_attrs=matrix.node_attributes(),
-        threads=args.threads,
     )
     graphml_path = prefix.with_name(prefix.name + ".graphml")
     edges_path = prefix.with_name(prefix.name + ".edges.csv")
@@ -351,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "full range (weight * m / co_answered)")
     p.add_argument("--exclude-neutral-pairs", dest="exclude_neutral_pairs", action="store_true",
                    help="binarized mode: do not count two neutral answers as agreement")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the pair scan (wall time only; "
-                        "defaults to OPINIONNET_THREADS or 1)")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(func=cmd_project)
 

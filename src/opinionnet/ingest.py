@@ -252,7 +252,9 @@ def load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_part
     if not path.exists():
         raise ValidationError(f"survey file not found: {path}")
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise stick to
+    # the first column name
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -260,6 +262,8 @@ def load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_part
             raise ValidationError(f"survey file {path} is empty (no header row)") from None
         except csv.Error as exc:
             raise ValidationError(f"malformed CSV header in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"survey file {path} is not UTF-8 text: {exc}") from exc
 
         positions: dict[str, int] = {}
         duplicates = set()
@@ -324,6 +328,8 @@ def load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_part
                     attr_vals[k].append(row[pos])
         except csv.Error as exc:
             raise ValidationError(f"malformed CSV near data row {row_no + 1} in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"survey file {path} is not UTF-8 text: {exc}") from exc
 
     rows_read = len(rows)
     if rows_read == 0:

@@ -9,16 +9,20 @@ Three weight modes over participant pairs:
   scale midpoint (integer, 0..m).
 
 Weights are exact rationals held as integer numerators over one shared
-denominator, computed blockwise with numpy so that surveys in the tens of
-thousands of participants stay tractable. Thresholding compares exact
+denominator. All three modes share one kernel: each row is encoded once as a
+one-hot over (item, value) and as that one-hot times a per-item table of
+numerator contributions, so a block of numerators is a single matrix
+product (see PairWeights). The product runs in float64 whenever every sum
+is an integer below 2**53, so it is exact whatever the BLAS blocking or
+thread count, and in int64 otherwise. Thresholding compares exact
 rationals; positive edges need w >= threshold, negative edges (disagreement
-ties) need w <= negative_threshold.
+ties) need w <= negative_threshold. Exact-agreement projections at
+thresholds m and m-1 on complete data skip the pair scan and group rows by
+hashing instead.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,16 +47,6 @@ DOTTED = "dotted"
 DEFAULT_BLOCK_ROWS = 512
 
 
-def _thread_count(threads) -> int:
-    if threads is None:
-        threads = os.environ.get("OPINIONNET_THREADS", "1")
-    try:
-        threads = int(threads)
-    except (TypeError, ValueError):
-        raise ValidationError(f"invalid thread count {threads!r}") from None
-    return max(1, threads)
-
-
 def _block_ranges(n: int, block: int):
     block = max(1, int(block))
     for r0 in range(0, n, block):
@@ -62,8 +56,16 @@ def _block_ranges(n: int, block: int):
 class PairWeights:
     """Symmetric pairwise weights over participants, derived from row features.
 
-    Weights are never materialized for all pairs up front; consumers either
-    ask for single pairs (exact Fractions) or stream numerator blocks.
+    Each row is encoded once as a one-hot X over (item, value present in that
+    column), all zero where the answer is missing, and as Y = X @ T with T
+    block-diagonal: one table per item giving the numerator one co-answered
+    item contributes to a pair. The table is the identity for the agreement
+    modes (the neutral-neutral cell zeroed when neutral pairs do not count)
+    and D - |a - b| for score mode. A block of weight numerators is then one
+    matrix product Y[rows] @ X[cols].T, and co-answered counts are M @ M.T
+    over the answer mask M. Weights are never materialized for all pairs up
+    front; consumers either ask for single pairs (exact Fractions) or stream
+    numerator blocks.
     """
 
     def __init__(self, mode, participant_ids, features, mask, n_items, denominator,
@@ -79,7 +81,28 @@ class PairWeights:
         self.count_neutral_pairs = bool(count_neutral_pairs)
         self._features = np.ascontiguousarray(features, dtype=np.int64)
         self._mask = np.ascontiguousarray(mask, dtype=bool)
-        self._complete = bool(self._mask.all())
+        # every sum below is an integer of magnitude <= n_items * denominator,
+        # so float64 products are exact whatever the BLAS blocking or thread count
+        dtype = np.float64 if self.n_items * self.denominator < 2**53 else np.int64
+        onehots, tables = [], []
+        for j in range(self.n_items):
+            column = self._features[:, j]
+            values = np.unique(column[self._mask[:, j]])
+            onehots.append((column[:, None] == values[None, :]) & self._mask[:, j, None])
+            tables.append(self._item_table(values))
+        self._x = np.hstack(onehots).astype(dtype)
+        self._y = np.hstack([x @ t for x, t in zip(onehots, tables)]).astype(dtype)
+        self._m = None if self._mask.all() else self._mask.astype(dtype)
+
+    def _item_table(self, values: np.ndarray) -> np.ndarray:
+        """Numerator contributed by one co-answered item, per pair of values."""
+        if self.mode == SCORE:
+            return self.denominator - np.abs(values[:, None] - values[None, :])
+        table = np.eye(len(values), dtype=np.int64)
+        if self.mode == BINARIZED_AGREEMENT and not self.count_neutral_pairs:
+            neutral = values == 0
+            table[neutral, neutral] = 0
+        return table
 
     @property
     def n_participants(self) -> int:
@@ -87,7 +110,7 @@ class PairWeights:
 
     @property
     def has_missing(self) -> bool:
-        return not self._complete
+        return self._m is not None
 
     @property
     def numerator_offset(self) -> int:
@@ -110,21 +133,8 @@ class PairWeights:
     def weight(self, u: int, v: int) -> Fraction:
         """Exact weight of one unordered pair."""
         self._check_pair(u, v)
-        both = self._mask[u] & self._mask[v]
-        co = int(both.sum())
-        fu, fv = self._features[u], self._features[v]
-        if self.mode == SCORE:
-            diff = int(np.abs(fu - fv)[both].sum())
-            numer = co * self.denominator - diff
-            if self.rescale:
-                if co == 0:
-                    return Fraction(0)
-                return Fraction(self.n_items * numer, co * self.denominator)
-            return Fraction(numer, self.denominator)
-        eq = (fu == fv) & both
-        if self.mode == BINARIZED_AGREEMENT and not self.count_neutral_pairs:
-            eq &= ~((fu == 0) & (fv == 0))
-        return Fraction(int(eq.sum()))
+        numer, co = self.block_numerators(u, u + 1, v, v + 1)
+        return _pair_weight_fraction(self, numer[0, 0], None if co is None else co[0, 0])
 
     def _check_pair(self, u: int, v: int) -> None:
         n = self.n_participants
@@ -136,82 +146,14 @@ class PairWeights:
     def block_numerators(self, r0: int, r1: int, c0: int, c1: int):
         """Weight numerators (and co-answered counts) for rows x cols.
 
-        Returns (numer, co); co is None for complete matrices. For score mode
-        numer/denominator is the weight (numer = co*D - total difference);
+        Returns int64 (numer, co); co is None for complete matrices. For score
+        mode numer/denominator is the weight (numer = co*D - total difference);
         for the agreement modes the numerator is the integer weight itself.
         """
-        fu = self._features[r0:r1]
-        fv = self._features[c0:c1]
-        rows, cols = r1 - r0, c1 - c0
-        tmp = np.empty((rows, cols), dtype=np.int64)
-        if self.mode == SCORE:
-            acc = np.zeros((rows, cols), dtype=np.int64)
-            if self._complete:
-                for j in range(self.n_items):
-                    np.subtract(fu[:, j, None], fv[None, :, j], out=tmp)
-                    np.abs(tmp, out=tmp)
-                    acc += tmp
-                return self.n_items * self.denominator - acc, None
-            mu = self._mask[r0:r1]
-            mv = self._mask[c0:c1]
-            co = np.zeros((rows, cols), dtype=np.int64)
-            for j in range(self.n_items):
-                both = mu[:, j, None] & mv[None, :, j]
-                co += both
-                np.subtract(fu[:, j, None], fv[None, :, j], out=tmp)
-                np.abs(tmp, out=tmp)
-                tmp *= both
-                acc += tmp
-            return co * self.denominator - acc, co
-
-        acc = np.zeros((rows, cols), dtype=np.int64)
-        mu = self._mask[r0:r1]
-        mv = self._mask[c0:c1]
-        co = None if self._complete else np.zeros((rows, cols), dtype=np.int64)
-        drop_neutral = self.mode == BINARIZED_AGREEMENT and not self.count_neutral_pairs
-        for j in range(self.n_items):
-            eq = fu[:, j, None] == fv[None, :, j]
-            if not self._complete:
-                both = mu[:, j, None] & mv[None, :, j]
-                co += both
-                eq &= both
-            if drop_neutral:
-                eq &= ~((fu[:, j, None] == 0) & (fv[None, :, j] == 0))
-            acc += eq
-        return acc, co
-
-    def _upper_mask(self, r0: int, r1: int, c0: int, c1: int):
-        # True where the column's global index exceeds the row's (each pair once)
-        return np.arange(c0, c1)[None, :] > np.arange(r0, r1)[:, None]
-
-    def level_histogram(self, block_rows: int = DEFAULT_BLOCK_ROWS) -> np.ndarray:
-        """Pair counts per weight numerator, indexed by numerator + offset."""
-        if self.rescale:
-            raise ValidationError("level histogram is undefined for rescaled pairwise weights")
-        off = self.numerator_offset
-        if self.mode == SCORE:
-            size = 2 * self.n_items * self.denominator + 1
-        else:
-            size = self.n_items + 1
-        hist = np.zeros(size, dtype=np.int64)
-        n = self.n_participants
-        for r0, r1 in _block_ranges(n, block_rows):
-            numer, _ = self.block_numerators(r0, r1, r0, n)
-            sel = numer[self._upper_mask(r0, r1, r0, n)]
-            hist += np.bincount(sel + off, minlength=size)
-        return hist
-
-    def collect_pairs_in_range(self, lo_numer: int, hi_numer: int,
-                               block_rows: int = DEFAULT_BLOCK_ROWS):
-        """Yield (numerators, i, j) arrays for pairs with numerator in [lo, hi]."""
-        n = self.n_participants
-        for r0, r1 in _block_ranges(n, block_rows):
-            numer, _ = self.block_numerators(r0, r1, r0, n)
-            sel = (numer >= lo_numer) & (numer <= hi_numer)
-            sel &= self._upper_mask(r0, r1, r0, n)
-            ii, jj = np.nonzero(sel)
-            if ii.size:
-                yield numer[sel], ii + r0, jj + r0
+        numer = (self._y[r0:r1] @ self._x[c0:c1].T).astype(np.int64)
+        if self._m is None:
+            return numer, None
+        return numer, (self._m[r0:r1] @ self._m[c0:c1].T).astype(np.int64)
 
 
 def exact_agreement_weights(matrix: ResponseMatrix) -> PairWeights:
@@ -400,43 +342,25 @@ def _check_threshold_precision(threshold: Fraction, weights: PairWeights) -> Non
         raise ValidationError(f"threshold {threshold} is too fine-grained for exact comparison")
 
 
-def _scan_edges(weights: PairWeights, threshold, negative_threshold,
-                block_rows: int, threads: int):
-    """Blocked (optionally threaded) scan returning positive/negative pair lists.
-
-    Blocks are processed independently and assembled in block order, so the
-    result is identical for any thread count.
-    """
+def _scan_edges(weights: PairWeights, threshold, negative_threshold, block_rows: int) -> list:
+    """Edges of every pair past either threshold, from a blocked upper-triangle scan."""
+    ids = weights.participant_ids
     n = weights.n_participants
-    ranges = list(_block_ranges(n, block_rows))
-
-    def scan(block):
-        r0, r1 = block
+    edges = []
+    for r0, r1 in _block_ranges(n, block_rows):
         numer, co = weights.block_numerators(r0, r1, r0, n)
-        upper = weights._upper_mask(r0, r1, r0, n)
-        out = []
-        for negative, thr in ((False, threshold), (True, negative_threshold)):
+        upper = np.arange(r0, n)[None, :] > np.arange(r0, r1)[:, None]  # each pair once
+        for sign, thr in ((POSITIVE, threshold), (NEGATIVE, negative_threshold)):
             if thr is None:
-                out.append(None)
                 continue
-            sel = _select_block(numer, co, thr, weights, negative=negative) & upper
+            sel = _select_block(numer, co, thr, weights, negative=sign == NEGATIVE) & upper
             ii, jj = np.nonzero(sel)
-            out.append((ii + r0, jj + r0, numer[sel], None if co is None else co[sel]))
-        return out
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, ranges))
-    else:
-        results = [scan(b) for b in ranges]
-
-    pos, neg = [], []
-    for res in results:
-        if res[0] is not None:
-            pos.append(res[0])
-        if res[1] is not None:
-            neg.append(res[1])
-    return pos, neg
+            cos = [None] * len(ii) if co is None else co[sel].tolist()
+            for i, j, num, c in zip((ii + r0).tolist(), (jj + r0).tolist(),
+                                    numer[sel].tolist(), cos):
+                edges.append(Edge(ids[i], ids[j], _pair_weight_fraction(weights, num, c),
+                                  sign, SOLID))
+    return edges
 
 
 def _within_group_pairs(grouped: dict) -> list:
@@ -485,9 +409,8 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
 
 
 def project_participants(weights: PairWeights, threshold, negative_threshold=None,
-                         node_attrs=None, *, threads=None,
-                         block_rows: int = DEFAULT_BLOCK_ROWS,
-                         use_bucketing=None) -> ProjectionGraph:
+                         node_attrs=None, *,
+                         block_rows: int = DEFAULT_BLOCK_ROWS) -> ProjectionGraph:
     """Threshold pairwise weights into a participant graph.
 
     Positive edges link pairs with weight >= threshold; when a negative
@@ -516,38 +439,15 @@ def project_participants(weights: PairWeights, threshold, negative_threshold=Non
 
     ids = weights.participant_ids
     m = weights.n_items
-    edges: list[Edge] = []
-
-    bucketing_applicable = (
-        weights.mode == EXACT_AGREEMENT
-        and not weights.has_missing
-        and neg is None
-        and threshold.denominator == 1
-        and int(threshold) in (m, m - 1)
-    )
-    if use_bucketing is None:
-        use_bucketing = bucketing_applicable
-    elif use_bucketing and not bucketing_applicable:
-        raise ValidationError("bucketed projection applies only to complete exact-agreement "
-                              "data at threshold m or m-1 without a negative threshold")
-
-    if use_bucketing:
+    if (weights.mode == EXACT_AGREEMENT and not weights.has_missing and neg is None
+            and threshold.denominator == 1 and int(threshold) in (m, m - 1)):
         ii, jj, agree = _bucketed_agreement_pairs(weights, int(threshold))
         edges = [
             Edge(ids[i], ids[j], Fraction(w), POSITIVE, SOLID)
             for i, j, w in zip(ii.tolist(), jj.tolist(), agree.tolist())
         ]
     else:
-        pos_chunks, neg_chunks = _scan_edges(weights, threshold, neg, block_rows,
-                                             _thread_count(threads))
-        for ii, jj, numers, cos in pos_chunks:
-            for k in range(len(ii)):
-                w = _pair_weight_fraction(weights, numers[k], None if cos is None else cos[k])
-                edges.append(Edge(ids[ii[k]], ids[jj[k]], w, POSITIVE, SOLID))
-        for ii, jj, numers, cos in neg_chunks:
-            for k in range(len(ii)):
-                w = _pair_weight_fraction(weights, numers[k], None if cos is None else cos[k])
-                edges.append(Edge(ids[ii[k]], ids[jj[k]], w, NEGATIVE, SOLID))
+        edges = _scan_edges(weights, threshold, neg, block_rows)
 
     return ProjectionGraph(
         kind="participant",

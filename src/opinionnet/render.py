@@ -61,6 +61,8 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
     """
     if negative_mode not in ("ignore", "repel"):
         raise ValidationError(f"unknown negative edge mode {negative_mode!r}")
+    if iterations < 0:
+        raise ValidationError(f"layout iterations must be at least 0, got {iterations}")
     n = graph.n_nodes
     if n < 1:
         raise ValidationError("layout needs at least one node")

@@ -17,9 +17,12 @@ from opinionnet import (
     select_threshold,
 )
 
+from opinionnet.analyze import _betweenness_exact
+
 from helpers import barbell_graph, graph_from_edges, make_matrix, weights_from_rows
 from oracles import (
     all_pair_weights,
+    components_from_edges,
     edge_betweenness_by_path_enumeration,
     random_rows,
     sweep_oracle,
@@ -141,15 +144,24 @@ def test_sweep_fraction_is_monotone():
     assert levels == sorted(levels, reverse=True)
 
 
-def test_small_pair_budget_does_not_change_result():
+def test_spanning_tree_sweep_matches_oracle():
     rng = random.Random(37)
-    ks = [4, 4, 5]
-    rows = random_rows(rng, 18, ks)
-    w = weights_from_rows(rows, ks, "score")
-    default = select_threshold(w, F(3, 4))
-    tiny = select_threshold(w, F(3, 4), pair_budget=1)
-    assert default.chosen_threshold == tiny.chosen_threshold
-    assert default.sweep == tiny.sweep
+    ks = [4, 4, 5, 3]
+    n = 40
+    target = F(3, 4)
+    for mode in ("exact_agreement", "score", "binarized_agreement"):
+        for missing_rate in (0.0, 0.2):
+            rows = random_rows(rng, n, ks, missing_rate=missing_rate)
+            w = weights_from_rows(rows, ks, mode)
+            level, frac, sweep = sweep_oracle(all_pair_weights(rows, ks, mode), n, target)
+            selection = select_threshold(w, target)
+            assert selection.chosen_threshold == level
+            assert selection.giant_fraction_at_chosen == frac
+            assert selection.sweep == sweep
+            # a floor just above the chosen level stops the descent one level short
+            with pytest.raises(NoGiantComponentError) as excinfo:
+                select_threshold(w, target, min_level=level + F(1, 1000))
+            assert excinfo.value.sweep == sweep[:-1]
 
 
 def test_min_level_floor_triggers_explicit_failure():
@@ -300,6 +312,52 @@ def test_gn_tie_break_is_lexicographic():
     assert report.removed_edges[0] == ("a", "b")
     assert report.removed_edges == [("a", "b"), ("c", "d")]
     assert sorted(len(c) for c in report.final_components) == [2, 2]
+
+
+def _exact_gn_removals(graph, target_components):
+    """Removal order with exact betweenness and the lexicographic tie-break."""
+    edges = [(e.u, e.v) for e in graph.positive_edges()]
+    index = {u: i for i, u in enumerate(graph.nodes)}
+    removed = []
+    while len(components_from_edges(graph.n_nodes, [(index[u], index[v]) for u, v in edges])) \
+            < target_components:
+        bet = _betweenness_exact(graph.n_nodes, [index[u] for u, _ in edges],
+                                 [index[v] for _, v in edges])
+        removed.append(edges.pop(bet.index(max(bet))))
+    return removed
+
+
+def _hypercube_q4():
+    nodes = [f"{i:02d}" for i in range(16)]
+    pairs = [(nodes[i], nodes[i | 1 << b]) for i in range(16) for b in range(4) if not i & 1 << b]
+    return graph_from_edges(nodes, pairs)
+
+
+def _grid_4x4():
+    nodes = [f"r{r}c{c}" for r in range(4) for c in range(4)]
+    pairs = [(f"r{r}c{c}", f"r{r}c{c + 1}") for r in range(4) for c in range(3)]
+    pairs += [(f"r{r}c{c}", f"r{r + 1}c{c}") for r in range(3) for c in range(4)]
+    return graph_from_edges(nodes, pairs)
+
+
+def _cycle_c8():
+    nodes = [f"c{i}" for i in range(8)]
+    return graph_from_edges(nodes, [(nodes[i], nodes[(i + 1) % 8]) for i in range(8)])
+
+
+@pytest.mark.parametrize("build", [_hypercube_q4, _grid_4x4, _cycle_c8],
+                         ids=["q4", "grid4x4", "c8"])
+def test_gn_tie_break_holds_against_exact_betweenness(build):
+    graph = build()
+    report = girvan_newman(graph, target_components=2)
+    assert report.removed_edges == _exact_gn_removals(graph, 2)
+
+
+def test_gn_hypercube_removes_smallest_tied_edge_first():
+    # all 32 edges of Q4 tie at exact betweenness 8; float rounding must not
+    # pick another one
+    report = girvan_newman(_hypercube_q4(), target_components=2)
+    assert report.removed_edges[0] == ("00", "01")
 
 
 def test_gn_disconnected_input_returns_immediately():

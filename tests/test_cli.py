@@ -1,8 +1,12 @@
 import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from opinionnet import export_graphml
 from opinionnet.cli import main
@@ -332,18 +336,57 @@ def test_inspect_dump_normalized(tmp_path, capsys):
     assert lines[2] == "p001,0,-1/3"
 
 
-def test_thread_env_var_does_not_change_output(tmp_path, monkeypatch):
-    survey, schema = two_block_inputs(tmp_path)
-    monkeypatch.setenv("OPINIONNET_THREADS", "3")
-    assert main(["project", "--survey", str(survey), "--schema", str(schema),
-                 "--mode", "score", "--threshold", "4",
-                 "--out-prefix", str(tmp_path / "t3" / "run")]) == 0
-    monkeypatch.setenv("OPINIONNET_THREADS", "1")
-    assert main(["project", "--survey", str(survey), "--schema", str(schema),
-                 "--mode", "score", "--threshold", "4",
-                 "--out-prefix", str(tmp_path / "t1" / "run")]) == 0
+def test_thread_env_var_does_not_change_output(tmp_path):
+    # the pair kernel runs on BLAS; its thread count must not reach the outputs
+    ks = [4] * 10 + [5] * 3
+    schema = write_schema(tmp_path / "schema.json", ks)
+    rng = random.Random(11)
+    rows = [[rng.randrange(k) if rng.random() > 0.03 else "NA" for k in ks] for _ in range(700)]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows)
+    src = Path(__file__).resolve().parents[1] / "src"
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "opinionnet.cli", "project", "--survey", str(survey),
+             "--schema", str(schema), "--missing-policy", "keep_pairwise", "--mode", "score",
+             "--threshold", "17/2", "--out-prefix", str(tmp_path / f"t{threads}" / "run")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
     for suffix in ("run.graphml", "run.edges.csv", "run.manifest.json"):
-        assert (tmp_path / "t3" / suffix).read_bytes() == (tmp_path / "t1" / suffix).read_bytes()
+        assert (tmp_path / "t2" / suffix).read_bytes() == (tmp_path / "t1" / suffix).read_bytes()
+
+
+def test_survey_with_byte_order_mark_loads(tmp_path, capsys):
+    schema = write_schema(tmp_path / "schema.json", [4, 4])
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(b"\xef\xbb\xbfpid,q00,q01\na,1,2\nb,0,3\n")
+    code = main(["inspect", "--survey", str(survey), "--schema", str(schema), "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["n_participants"] == 2
+
+
+def test_non_utf8_survey_is_validation_error(tmp_path, capsys):
+    schema = write_schema(tmp_path / "schema.json", [4, 4])
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes("pid,q00,q01\nRen\u00e9,1,2\n".encode("latin-1"))
+    code = main(["inspect", "--survey", str(survey), "--schema", str(schema)])
+    assert code == 2
+    block = json.loads(capsys.readouterr().err)
+    assert block["error"]["type"] == "ValidationError"
+    assert "not UTF-8" in block["error"]["message"]
+
+
+def test_render_rejects_negative_iterations(tmp_path, capsys):
+    graph_path = tmp_path / "b.graphml"
+    export_graphml(barbell_graph(), graph_path)
+    code = main(["render", "--graph", str(graph_path), "--iterations", "-5",
+                 "--out-prefix", str(tmp_path / "x")])
+    assert code == 2
+    block = json.loads(capsys.readouterr().err)
+    assert "iterations" in block["error"]["message"]
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_keep_pairwise_policy_via_cli(tmp_path, capsys):

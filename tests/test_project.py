@@ -327,33 +327,39 @@ def test_node_attributes_flow_to_graph():
 
 
 def test_bucketed_projection_matches_scan():
-    rng = random.Random(71)
+    # thresholds m and m-1 on complete exact-agreement data take the hash-bucket
+    # path; its edges must be exactly the oracle's qualifying pairs
     ks = [3] * 6
     rows = [random.Random(i % 9).choices(range(3), k=6) for i in range(60)]
     rows += [list(rows[0]), list(rows[1])]
     w = weights_from_rows(rows, ks, "exact_agreement")
+    oracle = all_pair_weights(rows, ks, "exact_agreement")
     for threshold in (6, 5):
-        fast = project_participants(w, threshold, use_bucketing=True)
-        slow = project_participants(w, threshold, use_bucketing=False)
-        assert [(e.u, e.v, e.weight) for e in fast.edges] == [
-            (e.u, e.v, e.weight) for e in slow.edges
-        ]
+        graph = project_participants(w, threshold)
+        expected = sorted((f"p{i:03d}", f"p{j:03d}", weight)
+                          for (i, j), (weight, _) in oracle.items() if weight >= threshold)
+        assert [(e.u, e.v, e.weight) for e in graph.edges] == expected
+        assert expected
 
 
-def test_bucketing_rejected_when_inapplicable():
-    w = weights_from_rows([[0, 0], [1, 1]], [4, 4], "score")
-    with pytest.raises(ValidationError, match="bucketed projection"):
-        project_participants(w, 1, use_bucketing=True)
-
-
-def test_thread_count_does_not_change_output():
-    rng = random.Random(83)
-    ks = [4, 5, 4]
-    rows = random_rows(rng, 40, ks)
+def test_int64_kernel_matches_oracle_on_huge_denominator():
+    # the scale steps are distinct primes, so the shared denominator is their
+    # product (about 1.3e16) and m * D passes 2**53: the kernel multiplies in int64
+    ks = [3, 4, 6, 8, 12, 14, 18, 20, 24, 30, 32, 38, 42, 44]
+    rng = random.Random(107)
+    rows = random_rows(rng, 24, ks, missing_rate=0.1)
     w = weights_from_rows(rows, ks, "score")
-    one = project_participants(w, F(1), threads=1, block_rows=7)
-    four = project_participants(w, F(1), threads=4, block_rows=7)
-    assert [(e.u, e.v, e.weight) for e in one.edges] == [(e.u, e.v, e.weight) for e in four.edges]
+    assert w.n_items * w.denominator >= 2**53
+    oracle = all_pair_weights(rows, ks, "score")
+    for (i, j), (expected, _) in oracle.items():
+        assert w.weight(i, j) == expected
+    graph = project_participants(w, 0, negative_threshold=-1, block_rows=5)
+    got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
+    want = {}
+    for (i, j), (weight, _) in oracle.items():
+        if weight >= 0 or weight <= -1:
+            want[(f"p{i:03d}", f"p{j:03d}")] = (weight, "positive" if weight >= 0 else "negative")
+    assert got == want
 
 
 def test_block_size_does_not_change_output():
