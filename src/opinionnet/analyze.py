@@ -26,6 +26,9 @@ from .project import PairWeights, ProjectionGraph
 from .rational import as_fraction, format_fraction
 
 
+MAX_SWEEP_LEVELS = 2**24  # level flags select_threshold may allocate (16 MiB)
+
+
 class UnionFind:
     """Disjoint sets over 0..n-1 with union by size and path compression."""
 
@@ -55,12 +58,6 @@ class UnionFind:
         if self.size[ra] > self.largest:
             self.largest = self.size[ra]
 
-    def groups(self) -> dict:
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
 
 @dataclass
 class ComponentReport:
@@ -80,13 +77,22 @@ class ComponentReport:
         }
 
 
-def _grouped_components(n_nodes, nodes, us, vs):
-    uf = UnionFind(n_nodes)
-    for a, b in zip(us, vs):
-        uf.union(int(a), int(b))
-    comps = [sorted(nodes[i] for i in members) for members in uf.groups().values()]
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+def _grouped_components(nodes, us, vs):
+    """Components of the edges (us, vs): members in id order, largest first, then by first id."""
+    root = np.arange(len(nodes))
+    while True:
+        lo = np.minimum(root[us], root[vs])
+        hi = np.maximum(root[us], root[vs])
+        if np.array_equal(lo, hi):
+            break
+        np.minimum.at(root, hi, lo)  # hook each root onto the smallest root it touches
+        while not np.array_equal(root[root], root):  # then point every node at its root
+            root = root[root]
+    groups: dict[int, list] = {}
+    root = root.tolist()
+    for i in sorted(range(len(nodes)), key=nodes.__getitem__):
+        groups.setdefault(root[i], []).append(nodes[i])
+    return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
 
 
 def connected_components(graph: ProjectionGraph, edge_filter: str = "positive_only") -> ComponentReport:
@@ -97,12 +103,11 @@ def connected_components(graph: ProjectionGraph, edge_filter: str = "positive_on
     """
     if edge_filter not in ("positive_only", "all"):
         raise ValidationError(f"unknown edge filter {edge_filter!r}")
+    us, vs = graph.us, graph.vs
     if edge_filter == "positive_only":
-        us, vs = graph.edge_index_arrays("positive")
-    else:
-        us = [graph.node_index(e.u) for e in graph.edges]
-        vs = [graph.node_index(e.v) for e in graph.edges]
-    comps = _grouped_components(graph.n_nodes, graph.nodes, us, vs)
+        positive = graph.positive_mask()
+        us, vs = us[positive], vs[positive]
+    comps = _grouped_components(graph.nodes, us, vs)
     n = graph.n_nodes
     giant = Fraction(len(comps[0]), n) if comps else Fraction(0)
     return ComponentReport(components=comps, giant_fraction=giant, n_nodes=n)
@@ -149,6 +154,12 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     tree, so every pair is counted once. The components of the edges at or
     above any level are those of the tree edges at or above it (single
     linkage; Gower & Ross 1969), so the sweep unions tree edges only.
+
+    The histogram is an array with one flag per representable weight level
+    (2*m*D + 1 for score weights, m + 1 otherwise). Surveys whose scale steps
+    have a huge least common multiple D would need more than
+    MAX_SWEEP_LEVELS of them; they are a ValidationError, and such surveys
+    need an explicit threshold.
     """
     target = as_fraction(target_fraction)
     if not (0 < target <= 1):
@@ -159,8 +170,13 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     n = weights.n_participants
     d = weights.denominator
     off = weights.numerator_offset
+    levels = off + weights.n_items * d + 1
+    if levels > MAX_SWEEP_LEVELS:
+        raise ValidationError(
+            f"the threshold sweep would track {levels} weight levels, more than "
+            f"{MAX_SWEEP_LEVELS}; give an explicit threshold instead")
 
-    hist = np.zeros(off + weights.n_items * d + 1, dtype=np.int64)
+    present = np.zeros(levels, dtype=bool)  # weight level present among the pairs
     lowest = np.iinfo(np.int64).min
     best = np.full(n, lowest, dtype=np.int64)  # heaviest link to the tree; lowest once inside
     link = np.zeros(n, dtype=np.int64)
@@ -170,7 +186,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     outside[v] = False
     for _ in range(n - 1):
         row = weights.block_numerators(v, v + 1, 0, n)[0][0]
-        hist += np.bincount(row[outside] + off, minlength=hist.size)
+        present[row[outside] + off] = True
         closer = outside & (row > best)
         best[closer] = row[closer]
         link[closer] = v
@@ -180,7 +196,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
         outside[v] = False
     tree.sort(reverse=True)
 
-    numerators = np.nonzero(hist)[0][::-1] - off  # descending weight levels
+    numerators = np.nonzero(present)[0][::-1] - off  # descending weight levels
     if min_level is not None:
         floor = as_fraction(min_level)
         numerators = numerators[numerators * floor.denominator >= floor.numerator * d]
@@ -300,15 +316,14 @@ def edge_betweenness(graph: ProjectionGraph, *, exact: bool = False) -> dict:
     Each unordered node pair contributes once, split equally among its
     shortest paths. Float64 by default; exact=True returns Fractions.
     """
-    us, vs = graph.edge_index_arrays("positive")
+    positive = graph.positive_mask()
+    us, vs = graph.us[positive], graph.vs[positive]
     if exact:
         values = _betweenness_exact(graph.n_nodes, us, vs)
     else:
-        values = _betweenness_fast(graph.n_nodes, us, vs)
-    out = {}
-    for e, value in zip(graph.positive_edges(), values):
-        out[(e.u, e.v)] = value if exact else float(value)
-    return out
+        values = _betweenness_fast(graph.n_nodes, us, vs).tolist()
+    nodes = graph.nodes
+    return {(nodes[a], nodes[b]): value for a, b, value in zip(us.tolist(), vs.tolist(), values)}
 
 
 @dataclass
@@ -367,14 +382,12 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     if not (0 <= budget_fraction <= 1):
         raise ValidationError("max removed fraction must lie in [0, 1]")
 
-    pos_edges = graph.positive_edges()  # canonical (u, v) order
     n = graph.n_nodes
-    edge_ids = [(e.u, e.v) for e in pos_edges]
-    us = np.array([graph.node_index(u) for u, _ in edge_ids], dtype=np.int64)
-    vs = np.array([graph.node_index(v) for _, v in edge_ids], dtype=np.int64)
-    original_count = len(edge_ids)
+    positive = graph.positive_mask()  # canonical (u, v) order
+    us, vs = graph.us[positive], graph.vs[positive]
+    original_count = len(us)
 
-    comps = _grouped_components(n, graph.nodes, us, vs)
+    comps = _grouped_components(graph.nodes, us, vs)
     if len(comps) >= target_components:
         return CommunityReport(
             removed_edges=[],
@@ -394,12 +407,11 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
         # values within the float engine's 1e-9 accuracy of the maximum are
         # ties; the first of them is the lexicographically smallest edge
         k = int(np.flatnonzero(bet >= bet.max() - 1e-9)[0])
-        removed.append(edge_ids[k])
+        removed.append((graph.nodes[us[k]], graph.nodes[vs[k]]))
         value = float(bet[k])
-        del edge_ids[k]
         us = np.delete(us, k)
         vs = np.delete(vs, k)
-        comps = _grouped_components(n, graph.nodes, us, vs)
+        comps = _grouped_components(graph.nodes, us, vs)
         history.append(RemovalStep(removed[-1], value, [len(c) for c in comps]))
         if len(comps) >= target_components:
             status = "split"

@@ -70,6 +70,11 @@ def _write_manifest(prefix: Path, command: str, parameters: dict,
     return path
 
 
+def _sign_counts(graph) -> str:
+    positive = int(graph.positive_mask().sum())
+    return f"{positive} positive / {graph.n_edges - positive} negative edges"
+
+
 def _load_inputs(args):
     schema = SurveySchema.from_json(args.schema)
     matrix = load_survey(args.survey, schema, missing_policy=args.missing_policy)
@@ -176,8 +181,8 @@ def cmd_project(args) -> int:
     manifest = _write_manifest(prefix, "project", parameters,
                                {"survey": args.survey, "schema": args.schema}, outputs)
     components = connected_components(graph)
-    print(f"projected {graph.n_nodes} participants: {len(graph.positive_edges())} positive / "
-          f"{len(graph.negative_edges())} negative edges at threshold {format_fraction(threshold)}")
+    print(f"projected {graph.n_nodes} participants: {_sign_counts(graph)} "
+          f"at threshold {format_fraction(threshold)}")
     print(f"largest component: {format_fraction(components.giant_fraction)} of nodes")
     print(f"wrote {graphml_path}, {edges_path}, {manifest}")
     return 0
@@ -199,8 +204,7 @@ def cmd_attitudes(args) -> int:
         {"survey": args.survey, "schema": args.schema},
         {"graphml": graphml_path, "edges": edges_path},
     )
-    print(f"attitude graph over {graph.n_nodes} items: {len(graph.positive_edges())} positive / "
-          f"{len(graph.negative_edges())} negative edges")
+    print(f"attitude graph over {graph.n_nodes} items: {_sign_counts(graph)}")
     print(f"wrote {graphml_path}, {edges_path}, {manifest}")
     return 0
 
@@ -401,7 +405,11 @@ def main(argv=None) -> int:
     if getattr(args, "default_color", None) == "":
         args.default_color = None
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except OSError as exc:  # e.g. an output prefix under a regular file, or a full disk
+            raise ValidationError(f"cannot access {exc.filename or 'a file'}: "
+                                  f"{exc.strerror or exc}") from exc
     except OpinionNetError as exc:
         block = {"error": {"type": type(exc).__name__, "message": str(exc),
                            "exit_code": exc.exit_code}}

@@ -23,6 +23,7 @@ hashing instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -218,62 +219,160 @@ class Edge:
     style: str = SOLID
 
 
+SIGNS = (NEGATIVE, POSITIVE)  # sign codes 0 and 1, in the canonical edge order
+STYLES = (SOLID, DASHED, DOTTED)  # style codes 0, 1 and 2
+
+
+def _distinct_codes(values) -> tuple[list, np.ndarray]:
+    """Distinct values in first-seen order, and each value's int32 index among them."""
+    distinct = list(dict.fromkeys(values))
+    code = {x: i for i, x in enumerate(distinct)}
+    return distinct, np.fromiter(map(code.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _label_codes(values, labels: tuple, what: str) -> np.ndarray:
+    distinct, codes = _distinct_codes(values)
+    for x in distinct:
+        if x not in labels:
+            raise ValidationError(f"edge {what} {x!r} is not one of {', '.join(labels)}")
+    return np.array([labels.index(x) for x in distinct], dtype=np.int8)[codes]
+
+
+def edge_columns(nodes, sources, targets, weights, signs, styles) -> tuple:
+    """Columns for ProjectionGraph.from_arrays from per-edge node ids, weights
+    (Fractions or rational strings) and sign and style names.
+
+    Each distinct weight, sign and style is parsed or checked once.
+    """
+    index = {str(u): i for i, u in enumerate(nodes)}
+    try:
+        us, vs = (np.fromiter(map(index.__getitem__, map(str, ends)), dtype=np.int64,
+                              count=len(ends)) for ends in (sources, targets))
+    except KeyError as exc:
+        raise ValidationError(f"an edge references unknown node {exc.args[0]!r}") from None
+    table, codes = _distinct_codes(weights)
+    return (us, vs, [as_fraction(w) for w in table], codes, _label_codes(signs, SIGNS, "sign"),
+            _label_codes(styles, STYLES, "style"))
+
+
 class ProjectionGraph:
     """Weighted undirected graph over participants or attitudes.
 
     Simple graph with canonical ordering: endpoints sorted within each edge
-    and the edge list sorted by (u, v, sign), both lexicographically by node
-    id. Participant graphs carry one relation per pair; attitude graphs may
-    carry a positive and a negative relation for the same pair.
+    and the edges sorted by (u, v, sign), both lexicographically by node id
+    ("negative" before "positive"). Participant graphs carry one relation per
+    pair; attitude graphs may carry a positive and a negative relation for
+    the same pair.
+
+    Edges are stored as columns in canonical order: int32 endpoint indices
+    ``us`` and ``vs`` into ``nodes`` (``nodes[us[k]] < nodes[vs[k]]``), int8
+    ``signs`` into SIGNS and ``styles`` into STYLES, and int32
+    ``weight_codes`` into ``weight_table``, the sorted distinct exact
+    weights. ``edges`` is the same data as a list of Edge objects, built on
+    first use. The constructor takes Edge-like objects; ``from_arrays`` takes
+    the columns directly.
     """
 
-    __slots__ = ("kind", "nodes", "node_attrs", "edges", "threshold_used",
-                 "negative_threshold_used", "extra", "_index")
+    __slots__ = ("kind", "nodes", "node_attrs", "threshold_used", "negative_threshold_used",
+                 "extra", "us", "vs", "signs", "styles", "weight_codes", "weight_table",
+                 "_edges")
 
     def __init__(self, kind, nodes, edges, node_attrs=None, threshold_used=None,
                  negative_threshold_used=None, extra=None):
+        edges = list(edges)
+        columns = edge_columns(nodes, *([getattr(e, name) for e in edges]
+                                        for name in ("u", "v", "weight", "sign", "style")))
+        self._init(kind, nodes, *columns, node_attrs, threshold_used, negative_threshold_used,
+                   extra)
+
+    @classmethod
+    def from_arrays(cls, kind, nodes, us, vs, weight_table, weight_codes, signs, styles, *,
+                    node_attrs=None, threshold_used=None, negative_threshold_used=None,
+                    extra=None) -> "ProjectionGraph":
+        """Build from edge columns in any order: endpoint indices into nodes,
+        codes into a table of weights (repeats allowed), and sign and style
+        codes into SIGNS and STYLES."""
+        graph = cls.__new__(cls)
+        graph._init(kind, nodes, us, vs, weight_table, weight_codes, signs, styles, node_attrs,
+                    threshold_used, negative_threshold_used, extra)
+        return graph
+
+    def _init(self, kind, nodes, us, vs, weight_table, weight_codes, signs, styles, node_attrs,
+              threshold_used, negative_threshold_used, extra) -> None:
         self.kind = kind
-        self.nodes = [str(u) for u in nodes]
-        if len(set(self.nodes)) != len(self.nodes):
+        self.nodes = nodes = [str(u) for u in nodes]
+        n = len(nodes)
+        if len(set(nodes)) != n:
             raise ValidationError("node ids must be unique")
-        self._index = {u: i for i, u in enumerate(self.nodes)}
-        canonical = []
-        seen = set()
-        for e in edges:
-            u, v = str(e.u), str(e.v)
-            if u == v:
-                raise ValidationError(f"self-loop on node {u!r}")
-            if u not in self._index or v not in self._index:
-                raise ValidationError(f"edge ({u!r}, {v!r}) references an unknown node")
-            if v < u:
-                u, v = v, u
-            key = (u, v, e.sign)
-            if key in seen:
-                raise ValidationError(f"duplicate {e.sign} edge ({u!r}, {v!r})")
-            seen.add(key)
-            canonical.append(Edge(u, v, as_fraction(e.weight), e.sign, e.style))
-        canonical.sort(key=lambda e: (e.u, e.v, e.sign))
-        self.edges = canonical
         attrs = dict(node_attrs) if node_attrs else {}
-        self.node_attrs = {u: dict(attrs.get(u, {})) for u in self.nodes}
+        self.node_attrs = {u: dict(attrs.get(u, {})) for u in nodes}
+        self.extra = dict(extra) if extra else {}
         self.threshold_used = None if threshold_used is None else as_fraction(threshold_used)
         self.negative_threshold_used = (
             None if negative_threshold_used is None else as_fraction(negative_threshold_used)
         )
-        for e in self.edges:
-            if e.sign == POSITIVE and self.threshold_used is not None:
-                if e.weight < self.threshold_used:
-                    raise ValidationError(
-                        f"positive edge ({e.u!r}, {e.v!r}) has weight {e.weight} "
-                        f"below the threshold {self.threshold_used}"
-                    )
-            elif e.sign == NEGATIVE and self.negative_threshold_used is not None:
-                if e.weight > self.negative_threshold_used:
-                    raise ValidationError(
-                        f"negative edge ({e.u!r}, {e.v!r}) has weight {e.weight} "
-                        f"above the negative threshold {self.negative_threshold_used}"
-                    )
-        self.extra = dict(extra) if extra else {}
+        self._edges = None
+
+        us = np.asarray(us, dtype=np.int64).reshape(-1)
+        vs = np.asarray(vs, dtype=np.int64).reshape(-1)
+        signs = np.asarray(signs, dtype=np.int8).reshape(-1)
+        styles = np.asarray(styles, dtype=np.int8).reshape(-1)
+        table = [as_fraction(w) for w in weight_table]
+        distinct = sorted(set(table))
+        where = {w: i for i, w in enumerate(distinct)}
+        codes = np.array([where[w] for w in table], dtype=np.int32)[
+            np.asarray(weight_codes, dtype=np.intp).reshape(-1)]
+        if len(us) and not (0 <= min(us.min(), vs.min()) and max(us.max(), vs.max()) < n):
+            raise ValidationError("an edge references an unknown node index")
+        loops = np.flatnonzero(us == vs)
+        if len(loops):
+            raise ValidationError(f"self-loop on node {nodes[us[loops[0]]]!r}")
+
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=nodes.__getitem__)] = np.arange(n)
+        flip = rank[us] > rank[vs]
+        us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
+        order = np.lexsort((signs, rank[vs], rank[us]))
+        us, vs, signs, styles, codes = us[order], vs[order], signs[order], styles[order], codes[order]
+        repeat = np.flatnonzero((us[1:] == us[:-1]) & (vs[1:] == vs[:-1])
+                                & (signs[1:] == signs[:-1]))
+        if len(repeat):
+            k = repeat[0] + 1
+            raise ValidationError(
+                f"duplicate {SIGNS[signs[k]]} edge ({nodes[us[k]]!r}, {nodes[vs[k]]!r})")
+
+        for sign, thr, beyond, side in (
+                (POSITIVE, self.threshold_used, operator.lt, "below the threshold"),
+                (NEGATIVE, self.negative_threshold_used, operator.gt, "above the negative threshold")):
+            if thr is None:
+                continue
+            outside = np.array([beyond(w, thr) for w in distinct], dtype=bool)  # once per weight
+            bad = np.flatnonzero(outside[codes] & (signs == SIGNS.index(sign)))
+            if len(bad):
+                k = bad[0]
+                raise ValidationError(f"{sign} edge ({nodes[us[k]]!r}, {nodes[vs[k]]!r}) has "
+                                      f"weight {distinct[codes[k]]} {side} {thr}")
+        self.us = us.astype(np.int32)
+        self.vs = vs.astype(np.int32)
+        self.signs = signs
+        self.styles = styles
+        self.weight_codes = codes
+        self.weight_table = tuple(distinct)
+        for column in (self.us, self.vs, self.signs, self.styles, self.weight_codes):
+            column.flags.writeable = False
+
+    @property
+    def edges(self) -> list:
+        """The edges as Edge objects in canonical order (built once, then cached)."""
+        if self._edges is None:
+            nodes, table = self.nodes, self.weight_table
+            self._edges = [
+                Edge(nodes[a], nodes[b], table[c], SIGNS[s], STYLES[t])
+                for a, b, c, s, t in zip(self.us.tolist(), self.vs.tolist(),
+                                         self.weight_codes.tolist(), self.signs.tolist(),
+                                         self.styles.tolist())
+            ]
+        return self._edges
 
     @property
     def n_nodes(self) -> int:
@@ -281,29 +380,17 @@ class ProjectionGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
-    def node_index(self, node_id: str) -> int:
-        try:
-            return self._index[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown node id {node_id!r}") from None
+    def positive_mask(self) -> np.ndarray:
+        """Boolean mask of the positive edges over the edge columns."""
+        return self.signs == SIGNS.index(POSITIVE)
 
     def positive_edges(self) -> list:
         return [e for e in self.edges if e.sign == POSITIVE]
 
     def negative_edges(self) -> list:
         return [e for e in self.edges if e.sign == NEGATIVE]
-
-    def edge_index_arrays(self, sign: str = POSITIVE):
-        """Endpoint index arrays (us, vs) for edges of one sign."""
-        us = []
-        vs = []
-        for e in self.edges:
-            if e.sign == sign:
-                us.append(self._index[e.u])
-                vs.append(self._index[e.v])
-        return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
 
     def attribute_names(self) -> list:
         names = set()
@@ -342,11 +429,15 @@ def _check_threshold_precision(threshold: Fraction, weights: PairWeights) -> Non
         raise ValidationError(f"threshold {threshold} is too fine-grained for exact comparison")
 
 
-def _scan_edges(weights: PairWeights, threshold, negative_threshold, block_rows: int) -> list:
-    """Edges of every pair past either threshold, from a blocked upper-triangle scan."""
-    ids = weights.participant_ids
+def _scan_edges(weights: PairWeights, threshold, negative_threshold, block_rows: int):
+    """Pairs past either threshold, from a blocked upper-triangle scan.
+
+    Returns index arrays (i, j), their sign codes, numerators and, for
+    rescaled weights on incomplete data, co-answered counts (else None).
+    """
     n = weights.n_participants
-    edges = []
+    rescaled = weights.rescale and weights.has_missing
+    parts = []
     for r0, r1 in _block_ranges(n, block_rows):
         numer, co = weights.block_numerators(r0, r1, r0, n)
         upper = np.arange(r0, n)[None, :] > np.arange(r0, r1)[:, None]  # each pair once
@@ -355,12 +446,20 @@ def _scan_edges(weights: PairWeights, threshold, negative_threshold, block_rows:
                 continue
             sel = _select_block(numer, co, thr, weights, negative=sign == NEGATIVE) & upper
             ii, jj = np.nonzero(sel)
-            cos = [None] * len(ii) if co is None else co[sel].tolist()
-            for i, j, num, c in zip((ii + r0).tolist(), (jj + r0).tolist(),
-                                    numer[sel].tolist(), cos):
-                edges.append(Edge(ids[i], ids[j], _pair_weight_fraction(weights, num, c),
-                                  sign, SOLID))
-    return edges
+            parts.append((ii + r0, jj + r0, np.full(len(ii), SIGNS.index(sign), dtype=np.int8),
+                          numer[sel], co[sel] if rescaled else None))
+    return tuple(None if column[0] is None else np.concatenate(column) for column in zip(*parts))
+
+
+def _weight_table(weights: PairWeights, numer: np.ndarray, co) -> tuple[list, np.ndarray]:
+    """Distinct exact weights of a numerator (and co-answered) array, and each entry's code."""
+    if co is None:
+        keys, codes = np.unique(numer, return_inverse=True)
+        table = [_pair_weight_fraction(weights, k, None) for k in keys.tolist()]
+    else:
+        keys, codes = np.unique(np.column_stack([numer, co]), axis=0, return_inverse=True)
+        table = [_pair_weight_fraction(weights, k, c) for k, c in keys.tolist()]
+    return table, codes.reshape(-1)
 
 
 def _within_group_pairs(grouped: dict) -> list:
@@ -441,18 +540,14 @@ def project_participants(weights: PairWeights, threshold, negative_threshold=Non
     m = weights.n_items
     if (weights.mode == EXACT_AGREEMENT and not weights.has_missing and neg is None
             and threshold.denominator == 1 and int(threshold) in (m, m - 1)):
-        ii, jj, agree = _bucketed_agreement_pairs(weights, int(threshold))
-        edges = [
-            Edge(ids[i], ids[j], Fraction(w), POSITIVE, SOLID)
-            for i, j, w in zip(ii.tolist(), jj.tolist(), agree.tolist())
-        ]
+        ii, jj, numer = _bucketed_agreement_pairs(weights, int(threshold))
+        signs, co = np.full(len(ii), SIGNS.index(POSITIVE), dtype=np.int8), None
     else:
-        edges = _scan_edges(weights, threshold, neg, block_rows)
+        ii, jj, signs, numer, co = _scan_edges(weights, threshold, neg, block_rows)
+    table, codes = _weight_table(weights, numer, co)
 
-    return ProjectionGraph(
-        kind="participant",
-        nodes=ids,
-        edges=edges,
+    return ProjectionGraph.from_arrays(
+        "participant", ids, ii, jj, table, codes, signs, np.zeros(len(ii), dtype=np.int8),
         node_attrs=node_attrs,
         threshold_used=threshold,
         negative_threshold_used=neg,
@@ -527,14 +622,10 @@ def _restyle_projection(graph: ProjectionGraph) -> ProjectionGraph:
         total = graph.extra.get("n_items")
         if total is None:
             raise ValidationError("participant graph lacks its item count; cannot style")
-    styled = []
-    for e in graph.edges:
-        style = thirds_style(abs(e.weight), total)
-        styled.append(Edge(e.u, e.v, e.weight, e.sign, style or DOTTED))
-    return ProjectionGraph(
-        kind=graph.kind,
-        nodes=graph.nodes,
-        edges=styled,
+    by_weight = [STYLES.index(thirds_style(abs(w), total) or DOTTED) for w in graph.weight_table]
+    return ProjectionGraph.from_arrays(
+        graph.kind, graph.nodes, graph.us, graph.vs, graph.weight_table, graph.weight_codes,
+        graph.signs, np.array(by_weight, dtype=np.int8)[graph.weight_codes],
         node_attrs=graph.node_attrs,
         threshold_used=graph.threshold_used,
         negative_threshold_used=graph.negative_threshold_used,

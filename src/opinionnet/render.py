@@ -8,22 +8,32 @@ byte-identical files.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
+from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
 from .errors import ValidationError
 from .normalize import NormalizedMatrix
-from .project import DASHED, DOTTED, Edge, NEGATIVE, POSITIVE, ProjectionGraph, SOLID
+from .project import (
+    DASHED,
+    DOTTED,
+    NEGATIVE,
+    POSITIVE,
+    SIGNS,
+    SOLID,
+    STYLES,
+    ProjectionGraph,
+    edge_columns,
+)
 from .rational import as_fraction, format_fraction
 
 POSITIVE_COLOR = "#1f77b4"  # blue
 NEGATIVE_COLOR = "#d62728"  # red
 NEUTRAL_COLOR = "#ffcc00"  # yellow
+_COLORS = {POSITIVE: POSITIVE_COLOR, NEGATIVE: NEGATIVE_COLOR}
 
 _DASH_PATTERNS = {SOLID: None, DASHED: "6,4", DOTTED: "1.5,3"}
 
@@ -34,6 +44,20 @@ def _fmt6(x: float) -> str:
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _edge_lines(graph: ProjectionGraph, head, tail) -> list:
+    """One line per edge in canonical order: head(u, v) + tail(weight, sign, style).
+
+    head gets node indices; tail is called once per distinct (weight, sign,
+    style) combination, so no per-edge Fraction is built or formatted.
+    """
+    combo = (graph.weight_codes.astype(np.int64) * 2 + graph.signs) * 3 + graph.styles
+    combos, which = np.unique(combo, return_inverse=True)
+    tails = [tail(graph.weight_table[c // 6], SIGNS[c // 3 % 2], STYLES[c % 3])
+             for c in combos.tolist()]
+    return [head(a, b) + tails[t]
+            for a, b, t in zip(graph.us.tolist(), graph.vs.tolist(), which.reshape(-1).tolist())]
 
 
 @dataclass
@@ -76,8 +100,9 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
     pos = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
 
     k = np.sqrt(1.0 / n)
-    us, vs = graph.edge_index_arrays(POSITIVE)
-    nus, nvs = graph.edge_index_arrays(NEGATIVE)
+    positive = graph.positive_mask()
+    us, vs = graph.us[positive], graph.vs[positive]
+    nus, nvs = graph.us[~positive], graph.vs[~positive]
     t0 = 0.1
     for it in range(iterations):
         t = t0 * (1.0 - it / iterations)
@@ -181,102 +206,130 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
             lines.append(f'    <node id={quoteattr(u)}>{"".join(data)}</node>')
         else:
             lines.append(f'    <node id={quoteattr(u)}/>')
-    for e in graph.edges:
-        lines.append(
-            f'    <edge source={quoteattr(e.u)} target={quoteattr(e.v)}>'
-            f'<data key="e_weight">{escape(format_fraction(e.weight))}</data>'
-            f'<data key="e_weight_decimal">{_fmt17(float(e.weight))}</data>'
-            f'<data key="e_sign">{e.sign}</data>'
-            f'<data key="e_style">{e.style}</data>'
+    quoted = [quoteattr(u) for u in graph.nodes]
+    lines += _edge_lines(
+        graph,
+        lambda a, b: f'    <edge source={quoted[a]} target={quoted[b]}>',
+        lambda w, sign, style: (
+            f'<data key="e_weight">{escape(format_fraction(w))}</data>'
+            f'<data key="e_weight_decimal">{_fmt17(float(w))}</data>'
+            f'<data key="e_sign">{sign}</data>'
+            f'<data key="e_style">{style}</data>'
             f'</edge>'
-        )
+        ),
+    )
     lines.append("  </graph>")
     lines.append("</graphml>")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
 
 
 def import_graphml(path) -> ProjectionGraph:
     """Rebuild a ProjectionGraph from a GraphML file written by export_graphml.
 
     Embedded layout positions, if any, are ignored; everything else (node set,
-    attributes, exact weights, sign, style, thresholds) round-trips.
+    attributes, exact weights, sign, style, thresholds) round-trips. Keys must
+    be declared before the graph that uses them, as GraphML requires.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"graph file not found: {path}")
+    reader = _GraphMLReader(path)
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+    parser.StartElementHandler = reader.start
+    parser.CharacterDataHandler = reader.chars
+    parser.EndElementHandler = reader.end
     try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
+        with open(path, "rb") as fh:
+            parser.ParseFile(fh)
+    except expat.ExpatError as exc:
         raise ValidationError(f"not a parseable GraphML file: {path}: {exc}") from exc
-    root = tree.getroot()
+    return reader.graph()
 
-    key_names = {}
-    for child in root:
-        if _local_name(child.tag) == "key":
-            key_names[child.get("id")] = (child.get("for"), child.get("attr.name"))
-    graph_el = None
-    for child in root:
-        if _local_name(child.tag) == "graph":
-            graph_el = child
-            break
-    if graph_el is None:
-        raise ValidationError(f"no <graph> element in {path}")
 
-    def data_of(element, domain):
-        out = {}
-        for child in element:
-            if _local_name(child.tag) != "data":
-                continue
-            dom, name = key_names.get(child.get("key"), (None, None))
-            if dom == domain and name is not None:
-                out[name] = child.text or ""
-        return out
+class _GraphMLReader:
+    """expat handlers that collect a GraphML file's keys, graph data, nodes
+    and edge columns: each edge appends its endpoint ids and its weight, sign
+    and style strings to lists."""
 
-    graph_data = data_of(graph_el, "graph")
-    kind = graph_data.pop("kind", "participant")
-    threshold = graph_data.pop("threshold", None)
-    negative_threshold = graph_data.pop("negative_threshold", None)
-    extra = {}
-    for name, value in graph_data.items():
-        extra[name] = int(value) if name in ("n_items", "n_participants") else value
+    def __init__(self, path: Path):
+        self.path = path
+        self.keys = {}  # key id -> (domain, attribute name)
+        self.graph_data, self.nodes, self.node_attrs = {}, [], {}
+        self.columns = ([], [], [], [], [])  # sources, targets, weights, signs, styles
+        self.depth = 0
+        self.in_graph = self.seen_graph = False
+        self.element = None  # (tag, attributes, data) of the open node or edge
+        self.data = self.name = None  # where the open <data> element's text goes
 
-    nodes = []
-    node_attrs = {}
-    edges = []
-    for child in graph_el:
-        tag = _local_name(child.tag)
-        if tag == "node":
-            node_id = child.get("id")
-            nodes.append(node_id)
-            attrs = data_of(child, "node")
-            attrs.pop("x", None)
-            attrs.pop("y", None)
-            if attrs:
-                node_attrs[node_id] = attrs
-        elif tag == "edge":
-            data = data_of(child, "edge")
-            if "weight" not in data:
-                raise ValidationError(f"edge in {path} lacks a weight")
-            edges.append(Edge(
-                child.get("source"),
-                child.get("target"),
-                Fraction(data["weight"]),
-                data.get("sign", POSITIVE),
-                data.get("style", SOLID),
-            ))
-    return ProjectionGraph(
-        kind=kind,
-        nodes=nodes,
-        edges=edges,
-        node_attrs=node_attrs,
-        threshold_used=None if threshold is None else as_fraction(threshold),
-        negative_threshold_used=None if negative_threshold is None else as_fraction(negative_threshold),
-        extra=extra,
-    )
+    def start(self, tag, attrs):
+        self.name = None  # like ElementTree, data text stops at a child element
+        self.depth += 1
+        depth, tag = self.depth, tag.rpartition("}")[2]
+        if not self.in_graph:
+            if depth == 2 and tag == "key":
+                self.keys[attrs.get("id")] = (attrs.get("for"), attrs.get("attr.name"))
+            elif depth == 2 and tag == "graph" and not self.seen_graph:
+                self.in_graph = self.seen_graph = True
+        elif tag == "data" and (depth == 3 or (depth == 4 and self.element is not None)):
+            domain, name = self.keys.get(attrs.get("key"), (None, None))
+            data = self.graph_data if depth == 3 else self.element[2]
+            if name is not None and domain == ("graph" if depth == 3 else self.element[0]):
+                self.data, self.name = data, name
+                data[name] = ""
+        elif depth == 3 and tag in ("node", "edge"):
+            self.element = (tag, attrs, {})
+
+    def chars(self, text):
+        if self.name is not None:
+            self.data[self.name] += text
+
+    def end(self, tag):
+        self.name = None
+        if self.depth == 2:
+            self.in_graph = False
+        elif self.depth == 3 and self.element is not None:
+            tag, attrs, data = self.element
+            self.element = None
+            if tag == "node":
+                if attrs.get("id") is None:
+                    raise ValidationError(f"a node in {self.path} has no id")
+                self.nodes.append(attrs["id"])
+                data.pop("x", None)
+                data.pop("y", None)
+                if data:
+                    self.node_attrs[attrs["id"]] = data
+            elif attrs.get("source") is None or attrs.get("target") is None:
+                raise ValidationError(f"an edge in {self.path} lacks a source or target")
+            elif "weight" not in data:
+                raise ValidationError(f"an edge in {self.path} lacks a weight")
+            else:
+                for column, value in zip(self.columns, (
+                        attrs["source"], attrs["target"], data["weight"],
+                        data.get("sign", POSITIVE), data.get("style", SOLID))):
+                    column.append(value)
+        self.depth -= 1
+
+    def graph(self) -> ProjectionGraph:
+        if not self.seen_graph:
+            raise ValidationError(f"no <graph> element in {self.path}")
+        extra = dict(self.graph_data)
+        kind = extra.pop("kind", "participant")
+        thresholds = [extra.pop(name, None) for name in ("threshold", "negative_threshold")]
+        for name in ("n_items", "n_participants"):
+            if name in extra:
+                try:
+                    extra[name] = int(extra[name])
+                except ValueError:
+                    raise ValidationError(f"graph {name} {extra[name]!r} in {self.path} "
+                                          f"is not an integer") from None
+        return ProjectionGraph.from_arrays(
+            kind, self.nodes, *edge_columns(self.nodes, *self.columns),
+            node_attrs=self.node_attrs,
+            threshold_used=None if thresholds[0] is None else as_fraction(thresholds[0]),
+            negative_threshold_used=None if thresholds[1] is None else as_fraction(thresholds[1]),
+            extra=extra,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +354,15 @@ def export_dot(graph: ProjectionGraph, path, layout: LayoutResult | None = None)
             lines.append(f"  {_dot_quote(u)} [{', '.join(parts)}];")
         else:
             lines.append(f"  {_dot_quote(u)};")
-    for e in graph.edges:
-        color = POSITIVE_COLOR if e.sign == POSITIVE else NEGATIVE_COLOR
-        lines.append(
-            f"  {_dot_quote(e.u)} -- {_dot_quote(e.v)} "
-            f'[weight={_dot_quote(format_fraction(e.weight))}, sign="{e.sign}", '
-            f'style="{e.style}", color="{color}"];'
-        )
+    quoted = [_dot_quote(u) for u in graph.nodes]
+    lines += _edge_lines(
+        graph,
+        lambda a, b: f"  {quoted[a]} -- {quoted[b]} ",
+        lambda w, sign, style: (
+            f'[weight={_dot_quote(format_fraction(w))}, sign="{sign}", '
+            f'style="{style}", color="{_COLORS[sign]}"];'
+        ),
+    )
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -321,15 +376,12 @@ def export_edgelist(graph: ProjectionGraph, path) -> None:
             return '"' + value.replace('"', '""') + '"'
         return value
 
-    for e in graph.edges:
-        lines.append(",".join([
-            cell(e.u),
-            cell(e.v),
-            format_fraction(e.weight),
-            repr(float(e.weight)),
-            e.sign,
-            e.style,
-        ]))
+    cells = [cell(u) for u in graph.nodes]
+    lines += _edge_lines(
+        graph,
+        lambda a, b: f"{cells[a]},{cells[b]},",
+        lambda w, sign, style: f"{format_fraction(w)},{float(w)!r},{sign},{style}",
+    )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -398,17 +450,20 @@ def _svg_scale(positions, nodes, width, height, pad):
     return to_screen
 
 
-def _edge_svg(x1, y1, x2, y2, color, style, stroke_width=1.5, opacity=None) -> str:
+def _stroke(color, style, stroke_width=1.5, opacity=None) -> str:
+    """The attributes after a <line>'s coordinates, through the closing "/>"."""
+    parts = [f'stroke="{color}" stroke-width="{_fmt6(stroke_width)}"']
     dash = _DASH_PATTERNS[style]
-    parts = [
-        f'<line x1="{_fmt6(x1)}" y1="{_fmt6(y1)}" x2="{_fmt6(x2)}" y2="{_fmt6(y2)}"',
-        f'stroke="{color}" stroke-width="{_fmt6(stroke_width)}"',
-    ]
     if dash:
         parts.append(f'stroke-dasharray="{dash}"')
     if opacity is not None:
         parts.append(f'stroke-opacity="{_fmt6(opacity)}"')
-    return " ".join(parts) + "/>"
+    return " " + " ".join(parts) + "/>"
+
+
+def _edge_svg(x1, y1, x2, y2, color, style, stroke_width=1.5, opacity=None) -> str:
+    return (f'<line x1="{_fmt6(x1)}" y1="{_fmt6(y1)}" x2="{_fmt6(x2)}" y2="{_fmt6(y2)}"'
+            + _stroke(color, style, stroke_width, opacity))
 
 
 def render_svg(graph: ProjectionGraph, layout: LayoutResult, color_scheme: ColorScheme | None,
@@ -431,13 +486,15 @@ def render_svg(graph: ProjectionGraph, layout: LayoutResult, color_scheme: Color
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for e in graph.edges:
-        x1, y1 = to_screen(e.u)
-        x2, y2 = to_screen(e.v)
-        color = POSITIVE_COLOR if e.sign == POSITIVE else NEGATIVE_COLOR
-        lines.append(_edge_svg(x1, y1, x2, y2, color, e.style, opacity=0.7))
-    for u in graph.nodes:
-        x, y = to_screen(u)
+    screen = [to_screen(u) for u in graph.nodes]
+    xs = [_fmt6(x) for x, _ in screen]
+    ys = [_fmt6(y) for _, y in screen]
+    lines += _edge_lines(
+        graph,
+        lambda a, b: f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}"',
+        lambda w, sign, style: _stroke(_COLORS[sign], style, opacity=0.7),
+    )
+    for u, (x, y) in zip(graph.nodes, screen):
         lines.append(
             f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '
             f'fill="{fills[u]}" stroke="#333333" stroke-width="0.5"/>'

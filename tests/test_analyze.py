@@ -17,7 +17,7 @@ from opinionnet import (
     select_threshold,
 )
 
-from opinionnet.analyze import _betweenness_exact
+from opinionnet.analyze import MAX_SWEEP_LEVELS, _betweenness_exact
 
 from helpers import barbell_graph, graph_from_edges, make_matrix, weights_from_rows
 from oracles import (
@@ -191,6 +191,17 @@ def test_target_fraction_validation():
 def test_rescaled_weights_refuse_auto_selection():
     w = weights_from_rows([[0, None], [0, 1]], [4, 4], "score", rescale=True)
     with pytest.raises(ValidationError, match="rescaled"):
+        select_threshold(w)
+
+
+def test_auto_threshold_refuses_more_levels_than_it_can_track():
+    # the scales of the int64 kernel test: D is about 1.3e16, so 2*m*D + 1
+    # score levels would need exbibytes of level flags
+    ks = [3, 4, 6, 8, 12, 14, 18, 20, 24, 30, 32, 38, 42, 44]
+    w = weights_from_rows(random_rows(random.Random(107), 24, ks), ks, "score")
+    levels = 2 * w.n_items * w.denominator + 1
+    assert levels > MAX_SWEEP_LEVELS
+    with pytest.raises(ValidationError, match=f"{levels} weight levels"):
         select_threshold(w)
 
 

@@ -8,7 +8,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from opinionnet import export_graphml
+import pytest
+
+from opinionnet import Edge, ProjectionGraph, export_graphml
 from opinionnet.cli import main
 
 from helpers import barbell_graph
@@ -400,3 +402,65 @@ def test_keep_pairwise_policy_via_cli(tmp_path, capsys):
     edges = (tmp_path / "kp.edges.csv").read_text().splitlines()[1:]
     pairs = {tuple(line.split(",")[:2]) for line in edges}
     assert ("a", "b") in pairs and ("b", "c") in pairs
+
+
+def test_auto_threshold_with_too_many_levels_exits_2(tmp_path, capsys):
+    ks = [3, 4, 6, 8, 12, 14, 18, 20, 24, 30, 32, 38, 42, 44]
+    schema = write_schema(tmp_path / "schema.json", ks)
+    rng = random.Random(107)
+    survey = write_survey(tmp_path / "survey.csv", ks,
+                          [[rng.randrange(k) for k in ks] for _ in range(24)])
+    code = main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", "score",
+                 "--threshold", "auto", "--out-prefix", str(tmp_path / "run")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"]["type"] == "ValidationError"
+    assert "weight levels" in block["error"]["message"]
+
+
+MALFORMED_GRAPHML = {
+    "non_numeric_weight": (">47/6<", ">x47/6<"),
+    "missing_weight": ('<data key="e_weight">47/6</data>', ""),
+    "sign_outside_positive_negative": (">positive<", ">neutral<"),
+    "style_outside_solid_dashed_dotted": (">solid<", ">wavy<"),
+    "edge_without_source": (' source="a"', ""),
+    "edge_to_undeclared_node": (' target="b"', ' target="zz"'),
+    "non_integer_item_count": (">13<", ">thirteen<"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHML))
+def test_malformed_graphml_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "g.graphml"
+    export_graphml(ProjectionGraph("participant", ["a", "b"], [Edge("a", "b", Fraction(47, 6))],
+                                   extra={"n_items": 13}), path)
+    old, new = MALFORMED_GRAPHML[case]
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    code = main(["communities", "--graph", str(path), "--out-prefix", str(tmp_path / "c")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"]["type"] == "ValidationError"
+    assert block["error"]["exit_code"] == 2
+
+
+@pytest.mark.parametrize("command", ["project", "attitudes", "census", "communities", "render"])
+def test_unwritable_out_prefix_exits_2(tmp_path, capsys, command):
+    survey, schema = two_block_inputs(tmp_path)
+    graph = tmp_path / "barbell.graphml"
+    export_graphml(barbell_graph(), graph)
+    inputs = {
+        "project": ["--survey", str(survey), "--schema", str(schema), "--mode", "exact",
+                    "--threshold", "4"],
+        "attitudes": ["--survey", str(survey), "--schema", str(schema)],
+        "census": ["--survey", str(survey), "--schema", str(schema)],
+        "communities": ["--graph", str(graph)],
+        "render": ["--graph", str(graph), "--iterations", "5"],
+    }
+    (tmp_path / "afile").write_text("a regular file\n")
+    code = main([command, *inputs[command], "--out-prefix", str(tmp_path / "afile" / "x")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"]["type"] == "ValidationError"
+    assert "afile" in block["error"]["message"]

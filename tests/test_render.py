@@ -215,6 +215,21 @@ def test_import_rejects_garbage(tmp_path):
         import_graphml(tmp_path / "missing.graphml")
 
 
+def test_import_reads_data_text_up_to_the_first_child_element(tmp_path):
+    path = tmp_path / "nested.graphml"
+    path.write_text(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<g:graphml xmlns:g="http://graphml.graphdrawing.org/xmlns">'
+        '<g:key id="k" for="node" attr.name="party" attr.type="string"/>'
+        '<g:graph id="G" edgedefault="undirected">'
+        '<g:node id="a"><g:data key="k">left<g:b>inner</g:b>tail</g:data></g:node>'
+        '<g:node id="b"/></g:graph></g:graphml>\n'
+    )
+    back = import_graphml(path)  # the same attributes as ElementTree's element.text
+    assert back.nodes == ["a", "b"]
+    assert back.node_attrs == {"a": {"party": "left"}, "b": {}}
+
+
 def test_empty_edge_graph_round_trips(tmp_path):
     graph = ProjectionGraph(kind="participant", nodes=["a", "b"], edges=[])
     path = tmp_path / "empty.graphml"
