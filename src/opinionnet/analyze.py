@@ -7,9 +7,11 @@ Conventions used throughout:
 * Node ids are compared lexicographically wherever a deterministic order or
   tie-break is needed.
 * Edge betweenness counts each unordered node pair once, splitting equally
-  among all shortest paths. The default engine accumulates in float64
-  (deterministic, within 1e-9 of exact values); exact=True switches to
-  Fraction arithmetic.
+  among all shortest paths. The default engine is a source-blocked Brandes
+  pass over a CSR index in float64, within 1e-9 of exact values. Its
+  summation order is fixed, so its results are identical bit for bit on
+  every run and machine, and equal to those of a plain per-source Brandes
+  pass. exact=True switches to Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .rational import as_fraction, format_fraction
 
 
 MAX_SWEEP_LEVELS = 2**24  # level flags select_threshold may allocate (16 MiB)
+BETWEENNESS_BLOCK_BYTES = 2 * 2**20  # working set of one block of BFS sources
+# 8-byte words per (source, node): dist, sigma, delta, per-level sums; and per
+# (source, edge): its contribution, the stored DAG entries, level temporaries
+_NODE_WORDS = 6
+_EDGE_WORDS = 8
 
 
 class UnionFind:
@@ -77,17 +84,22 @@ class ComponentReport:
         }
 
 
-def _grouped_components(nodes, us, vs):
-    """Components of the edges (us, vs): members in id order, largest first, then by first id."""
-    root = np.arange(len(nodes))
+def _component_roots(n_nodes, us, vs):
+    """Smallest node index of each node's component over the edges (us, vs)."""
+    root = np.arange(n_nodes)
     while True:
         lo = np.minimum(root[us], root[vs])
         hi = np.maximum(root[us], root[vs])
         if np.array_equal(lo, hi):
-            break
+            return root
         np.minimum.at(root, hi, lo)  # hook each root onto the smallest root it touches
         while not np.array_equal(root[root], root):  # then point every node at its root
             root = root[root]
+
+
+def _grouped_components(nodes, us, vs):
+    """Components of the edges (us, vs): members in id order, largest first, then by first id."""
+    root = _component_roots(len(nodes), us, vs)
     groups: dict[int, list] = {}
     root = root.tolist()
     for i in sorted(range(len(nodes)), key=nodes.__getitem__):
@@ -224,54 +236,94 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
 def _betweenness_fast(n_nodes: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Float64 edge betweenness over unweighted shortest paths (Brandes).
 
-    Level-synchronous BFS vectorized over the directed edge arrays; all
-    accumulation happens in a fixed order, so results are run-to-run
-    identical.
+    Directed edge i < E runs us[i] -> vs[i] and E + i runs back. A CSR
+    index, built once per call, lists each node's out-edges in directed-edge
+    index order. BFS sources run in blocks of as many as fit a working set
+    of BETWEENNESS_BLOCK_BYTES; the block's state lives on flat
+    (source, node) keys. Each level expands only the frontier's out-edges,
+    and a source stops once it has reached its whole component, so the
+    edge work per source is O(E) (Brandes 2001; the edge variant, Brandes
+    2008), plus O(n) bookkeeping per level.
+
+    The summation order is that of a plain per-source pass, so the result
+    equals it bit for bit: sigma[w] and delta[u] add their DAG edges in
+    directed-edge index order (sigma sums of integers below 2**53 are exact
+    in any order; larger ones are added in that order explicitly), and
+    bet[e] adds the sources in ascending order. No BLAS call and no pairwise
+    reduction touches these sums.
     """
     n_edges = len(us)
     bet = np.zeros(n_edges)
     if n_edges == 0 or n_nodes == 0:
         return bet
-    src = np.concatenate([us, vs]).astype(np.int64)
-    dst = np.concatenate([vs, us]).astype(np.int64)
-    eid = np.concatenate([np.arange(n_edges), np.arange(n_edges)])
-    for s in range(n_nodes):
-        dist = np.full(n_nodes, -1, dtype=np.int64)
-        sigma = np.zeros(n_nodes)
-        dist[s] = 0
-        sigma[s] = 1.0
-        depth = 0
-        while True:
-            on = dist[src] == depth
-            if not on.any():
-                break
-            tails = dst[on]
-            fresh = tails[dist[tails] < 0]
-            if fresh.size:
-                dist[fresh] = depth + 1
-            dag_local = dist[tails] == depth + 1
-            if dag_local.any():
-                sigma += np.bincount(tails[dag_local],
-                                     weights=sigma[src[on][dag_local]],
-                                     minlength=n_nodes)
-            depth += 1
-        max_depth = depth - 1
-        if max_depth < 1:
-            continue
-        delta = np.zeros(n_nodes)
-        dsrc = dist[src]
-        ddst = dist[dst]
-        dag = (dsrc >= 0) & (ddst == dsrc + 1)
-        for level in range(max_depth, 0, -1):
-            m = dag & (ddst == level)
-            if not m.any():
-                continue
-            u = src[m]
-            w = dst[m]
-            contrib = sigma[u] / sigma[w] * (1.0 + delta[w])
-            bet += np.bincount(eid[m], weights=contrib, minlength=n_edges)
-            delta += np.bincount(u, weights=contrib, minlength=n_nodes)
+    tails = np.concatenate([us, vs]).astype(np.int64)
+    heads = np.concatenate([vs, us]).astype(np.int64)
+    out_edges = np.argsort(tails, kind="stable")  # directed ids by tail, index order within
+    out_step = heads[out_edges] - tails[out_edges]  # head key minus tail key
+    first_out = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n_nodes), out=first_out[1:])
+    root = _component_roots(n_nodes, us, vs)
+    reach = np.bincount(root, minlength=n_nodes)[root]  # component size of each source
+    per_source = 8 * (_NODE_WORDS * n_nodes + _EDGE_WORDS * n_edges)
+    block = max(1, BETWEENNESS_BLOCK_BYTES // per_source)
+    for s0 in range(0, n_nodes, block):
+        s1 = min(s0 + block, n_nodes)
+        contrib = _brandes_block(s0, s1, reach[s0:s1] - 1, n_nodes, n_edges,
+                                 out_edges, out_step, first_out)
+        for row in contrib:  # one source at a time, ascending
+            bet += row
     return bet / 2.0
+
+
+def _brandes_block(s0: int, s1: int, unreached: np.ndarray, n_nodes: int, n_edges: int,
+                   out_edges: np.ndarray, out_step: np.ndarray,
+                   first_out: np.ndarray) -> np.ndarray:
+    """Edge contributions of sources s0..s1-1, one row of n_edges per source.
+
+    unreached[r] counts the nodes source s0 + r still has to reach; a row
+    stops expanding once it reaches its whole component.
+    """
+    size = (s1 - s0) * n_nodes  # key = row * n_nodes + node
+    dist = np.full(size, -1, dtype=np.int64)
+    sigma = np.zeros(size)
+    frontier = np.arange(s1 - s0) * (n_nodes + 1) + s0
+    dist[frontier] = 0
+    sigma[frontier] = 1.0
+    levels = []  # per depth: the DAG edges as (ukey, wkey, CSR position)
+    depth = 0
+    while frontier.size:
+        node = frontier % n_nodes
+        first = first_out[node]
+        deg = first_out[node + 1] - first
+        pos = np.repeat(first - (np.cumsum(deg) - deg), deg)
+        pos += np.arange(len(pos))  # the frontier's out-edges, grouped by tail
+        wkey = np.repeat(frontier, deg)
+        wkey += out_step[pos]
+        dag = np.flatnonzero(dist[wkey] < 0)  # heads not reached before this depth
+        wkey, pos = wkey[dag], pos[dag]
+        ukey = wkey - out_step[pos]
+        depth += 1
+        dist[wkey] = depth
+        sums = np.bincount(wkey, weights=sigma[ukey], minlength=size)
+        if sums.max() >= 2.0**53:
+            # sums of integers below 2**53 are exact in any order; above, add
+            # each head's terms in directed-edge index order
+            order = np.argsort(wkey * (2 * n_edges) + out_edges[pos])
+            sums = np.bincount(wkey[order], weights=sigma[ukey[order]], minlength=size)
+        sigma += sums
+        levels.append((ukey, wkey, pos))
+        frontier = np.flatnonzero(sums)
+        rows = frontier // n_nodes
+        unreached -= np.bincount(rows, minlength=s1 - s0)
+        frontier = frontier[unreached[rows] > 0]
+
+    delta = np.zeros(size)
+    contrib = np.zeros((s1 - s0) * n_edges)
+    for ukey, wkey, pos in reversed(levels):
+        c = sigma[ukey] / sigma[wkey] * (1.0 + delta[wkey])
+        contrib[ukey // n_nodes * n_edges + out_edges[pos] % n_edges] = c
+        delta += np.bincount(ukey, weights=c, minlength=size)  # each tail in index order
+    return contrib.reshape(s1 - s0, n_edges)
 
 
 def _betweenness_exact(n_nodes: int, us, vs) -> list:

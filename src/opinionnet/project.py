@@ -17,8 +17,8 @@ is an integer below 2**53, so it is exact whatever the BLAS blocking or
 thread count, and in int64 otherwise. Thresholding compares exact
 rationals; positive edges need w >= threshold, negative edges (disagreement
 ties) need w <= negative_threshold. Exact-agreement projections at
-thresholds m and m-1 on complete data skip the pair scan and group rows by
-hashing instead.
+thresholds m and m-1 on complete data skip the pair scan and group equal
+rows by sorting them instead.
 """
 
 from __future__ import annotations
@@ -462,16 +462,19 @@ def _weight_table(weights: PairWeights, numer: np.ndarray, co) -> tuple[list, np
     return table, codes.reshape(-1)
 
 
-def _within_group_pairs(grouped: dict) -> list:
-    chunks = []
-    for members in grouped.values():
-        g = len(members)
-        if g < 2:
-            continue
-        members = np.asarray(members, dtype=np.int64)
-        ii, jj = np.triu_indices(g, k=1)
-        chunks.append((members[ii], members[jj]))
-    return chunks
+def _within_group_pairs(rows: np.ndarray) -> tuple:
+    """Index pairs (i, j), i < j, of identical rows."""
+    n = len(rows)
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(n)  # stable: equal rows by index
+    ranked = rows[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, n))
+    at = np.arange(n)
+    later = np.repeat(starts + sizes, sizes) - at - 1  # group members after each position
+    partner = np.repeat(at + 1 - (np.cumsum(later) - later), later) + np.arange(later.sum())
+    return order[np.repeat(at, later)], order[partner]
 
 
 def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
@@ -479,26 +482,15 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
 
     Rows are grouped by their full response vector (weight m) and, for the
     m-1 level, by each leave-one-item-out sub-vector; only groups share
-    qualifying pairs, so the cost is hashing plus output size. Returns
-    (i, j, weight) index arrays sorted by (i, j).
+    qualifying pairs, so the cost is m + 1 row sorts plus output size.
+    Returns (i, j, weight) index arrays sorted by (i, j).
     """
     features = weights._features
     n, m = features.shape
-    packed = np.ascontiguousarray(features, dtype=np.int16)
-    groups: dict[bytes, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(packed[i].tobytes(), []).append(i)
-    chunks = _within_group_pairs(groups)
+    packed = features.astype(np.int16)  # response codes; narrow keys sort faster
+    chunks = [_within_group_pairs(packed)]
     if threshold_int == m - 1:
-        for j in range(m):
-            sub = np.ascontiguousarray(np.delete(packed, j, axis=1))
-            loo: dict[bytes, list[int]] = {}
-            for i in range(n):
-                loo.setdefault(sub[i].tobytes(), []).append(i)
-            chunks.extend(_within_group_pairs(loo))
-    if not chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+        chunks += [_within_group_pairs(np.delete(packed, j, axis=1)) for j in range(m)]
     ii = np.concatenate([c[0] for c in chunks])
     jj = np.concatenate([c[1] for c in chunks])
     encoded = np.unique(ii * n + jj)  # dedup; identical rows hit every bucket

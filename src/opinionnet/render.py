@@ -73,6 +73,13 @@ class LayoutResult:
         return all(u in self.positions for u in graph.nodes)
 
 
+def _spring(pos: np.ndarray, us: np.ndarray, vs: np.ndarray, k: float) -> np.ndarray:
+    """Force along each edge (us, vs): the vector u - v scaled by |u - v| / k."""
+    dvec = pos[us] - pos[vs]
+    dlen = np.maximum(np.sqrt((dvec**2).sum(axis=1)), 1e-9)
+    return dvec * (dlen / k)[:, None]
+
+
 def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
               negative_mode: str = "ignore") -> LayoutResult:
     """Force-directed layout: all-pairs repulsion, attraction on positive edges.
@@ -103,6 +110,11 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
     positive = graph.positive_mask()
     us, vs = graph.us[positive], graph.vs[positive]
     nus, nvs = graph.us[~positive], graph.vs[~positive]
+    if negative_mode == "ignore":
+        nus, nvs = nus[:0], nvs[:0]
+    # each node's displacement, then the edge forces on it in edge order, as
+    # one bincount per coordinate
+    ends = np.concatenate([np.arange(n), vs, us, nus, nvs])
     t0 = 0.1
     for it in range(iterations):
         t = t0 * (1.0 - it / iterations)
@@ -111,18 +123,11 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
         np.fill_diagonal(dist2, 1.0)
         dist2 = np.maximum(dist2, 1e-12)
         disp = (delta * (k * k / dist2)[:, :, None]).sum(axis=1)
-        if len(us):
-            dvec = pos[us] - pos[vs]
-            dlen = np.maximum(np.sqrt((dvec**2).sum(axis=1)), 1e-9)
-            pull = dvec * (dlen / k)[:, None]
-            np.add.at(disp, vs, pull)
-            np.subtract.at(disp, us, pull)
-        if negative_mode == "repel" and len(nus):
-            dvec = pos[nus] - pos[nvs]
-            dlen = np.maximum(np.sqrt((dvec**2).sum(axis=1)), 1e-9)
-            push = dvec * (dlen / k)[:, None]
-            np.add.at(disp, nus, push)
-            np.subtract.at(disp, nvs, push)
+        pull = _spring(pos, us, vs, k)
+        push = _spring(pos, nus, nvs, k)
+        force = np.concatenate([disp, pull, -pull, push, -push])
+        disp = np.column_stack([np.bincount(ends, weights=force[:, c], minlength=n)
+                                for c in (0, 1)])
         length = np.maximum(np.sqrt((disp**2).sum(axis=1)), 1e-12)
         pos += disp * (np.minimum(length, t) / length)[:, None]
 

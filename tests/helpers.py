@@ -76,3 +76,22 @@ def index_labels(components, nodes):
         for u in comp:
             where[u] = ci
     return [where[u] for u in nodes]
+
+
+def planted_two_block_graph(rng):
+    """Two blocks of 100 nodes, edge density 0.3 within and 0.01 across."""
+    nodes = [f"p{i:03d}" for i in range(200)]
+    pairs = []
+    for block in (range(0, 100), range(100, 200)):
+        block = list(block)
+        for i in range(len(block)):
+            for j in range(i + 1, len(block)):
+                if rng.random() < 0.3:
+                    pairs.append((nodes[block[i]], nodes[block[j]]))
+    cross = 0
+    for i in range(100):
+        for j in range(100, 200):
+            if rng.random() < 0.01:
+                pairs.append((nodes[i], nodes[j]))
+                cross += 1
+    return graph_from_edges(nodes, pairs), nodes, cross

@@ -2,11 +2,15 @@
 
 Everything here is written against plain Python data (lists, Fractions) and
 stays independent of the package's numpy code paths, so it can serve as an
-oracle for them.
+oracle for them. The exceptions are betweenness_per_source and
+fr_positions_add_at, earlier numpy versions of package code kept as the
+bitwise references for their replacements.
 """
 
 from collections import deque
 from fractions import Fraction
+
+import numpy as np
 
 
 def normalized_value(code: int, scale_size: int) -> Fraction:
@@ -129,6 +133,100 @@ def edge_betweenness_by_path_enumeration(n, edges):
                 for a, b in path:
                     bet[edge_index[(min(a, b), max(a, b))]] += share
     return bet
+
+
+def betweenness_per_source(n_nodes: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Float64 edge betweenness, one BFS per source over all directed edges.
+
+    The package's earlier engine, kept verbatim as the bitwise reference for
+    the blocked engine (analyze._betweenness_fast): each delta[u] adds its
+    children in directed-edge index order, and each bet[e] adds sources in
+    ascending order. O(depth * E) per source.
+    """
+    n_edges = len(us)
+    bet = np.zeros(n_edges)
+    if n_edges == 0 or n_nodes == 0:
+        return bet
+    src = np.concatenate([us, vs]).astype(np.int64)
+    dst = np.concatenate([vs, us]).astype(np.int64)
+    eid = np.concatenate([np.arange(n_edges), np.arange(n_edges)])
+    for s in range(n_nodes):
+        dist = np.full(n_nodes, -1, dtype=np.int64)
+        sigma = np.zeros(n_nodes)
+        dist[s] = 0
+        sigma[s] = 1.0
+        depth = 0
+        while True:
+            on = dist[src] == depth
+            if not on.any():
+                break
+            tails = dst[on]
+            fresh = tails[dist[tails] < 0]
+            if fresh.size:
+                dist[fresh] = depth + 1
+            dag_local = dist[tails] == depth + 1
+            if dag_local.any():
+                sigma += np.bincount(tails[dag_local],
+                                     weights=sigma[src[on][dag_local]],
+                                     minlength=n_nodes)
+            depth += 1
+        max_depth = depth - 1
+        if max_depth < 1:
+            continue
+        delta = np.zeros(n_nodes)
+        dsrc = dist[src]
+        ddst = dist[dst]
+        dag = (dsrc >= 0) & (ddst == dsrc + 1)
+        for level in range(max_depth, 0, -1):
+            m = dag & (ddst == level)
+            if not m.any():
+                continue
+            u = src[m]
+            w = dst[m]
+            contrib = sigma[u] / sigma[w] * (1.0 + delta[w])
+            bet += np.bincount(eid[m], weights=contrib, minlength=n_edges)
+            delta += np.bincount(u, weights=contrib, minlength=n_nodes)
+    return bet / 2.0
+
+
+def fr_positions_add_at(graph, seed, iterations, negative_mode="ignore"):
+    """Force-directed positions with the edge forces scattered by np.add.at.
+
+    The package's earlier layout loop, kept as the reference for the
+    bincount scatter in render.fr_layout; returns the (n, 2) positions.
+    """
+    n = graph.n_nodes
+    rng = np.random.default_rng(seed)
+    radius = np.sqrt(rng.random(n))
+    angle = rng.random(n) * (2.0 * np.pi)
+    pos = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    k = np.sqrt(1.0 / n)
+    positive = graph.positive_mask()
+    us, vs = graph.us[positive], graph.vs[positive]
+    nus, nvs = graph.us[~positive], graph.vs[~positive]
+    t0 = 0.1
+    for it in range(iterations):
+        t = t0 * (1.0 - it / iterations)
+        delta = pos[:, None, :] - pos[None, :, :]
+        dist2 = (delta**2).sum(axis=2)
+        np.fill_diagonal(dist2, 1.0)
+        dist2 = np.maximum(dist2, 1e-12)
+        disp = (delta * (k * k / dist2)[:, :, None]).sum(axis=1)
+        if len(us):
+            dvec = pos[us] - pos[vs]
+            dlen = np.maximum(np.sqrt((dvec**2).sum(axis=1)), 1e-9)
+            pull = dvec * (dlen / k)[:, None]
+            np.add.at(disp, vs, pull)
+            np.subtract.at(disp, us, pull)
+        if negative_mode == "repel" and len(nus):
+            dvec = pos[nus] - pos[nvs]
+            dlen = np.maximum(np.sqrt((dvec**2).sum(axis=1)), 1e-9)
+            push = dvec * (dlen / k)[:, None]
+            np.add.at(disp, nus, push)
+            np.subtract.at(disp, nvs, push)
+        length = np.maximum(np.sqrt((disp**2).sum(axis=1)), 1e-12)
+        pos += disp * (np.minimum(length, t) / length)[:, None]
+    return pos
 
 
 def rand_index(labels_a, labels_b) -> Fraction:

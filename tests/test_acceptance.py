@@ -32,7 +32,14 @@ from opinionnet import (
 )
 from opinionnet.cli import main
 
-from helpers import barbell_graph, graph_from_edges, index_labels, make_matrix, weights_from_rows
+from helpers import (
+    barbell_graph,
+    graph_from_edges,
+    index_labels,
+    make_matrix,
+    planted_two_block_graph,
+    weights_from_rows,
+)
 from oracles import (
     all_pair_weights,
     edge_betweenness_by_path_enumeration,
@@ -252,24 +259,6 @@ def test_criterion_betweenness_matches_path_enumeration():
 # ---------------------------------------------------------------------------
 
 
-def _planted_two_block_graph(rng):
-    nodes = [f"p{i:03d}" for i in range(200)]
-    pairs = []
-    for block in (range(0, 100), range(100, 200)):
-        block = list(block)
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                if rng.random() < 0.3:
-                    pairs.append((nodes[block[i]], nodes[block[j]]))
-    cross = 0
-    for i in range(100):
-        for j in range(100, 200):
-            if rng.random() < 0.01:
-                pairs.append((nodes[i], nodes[j]))
-                cross += 1
-    return graph_from_edges(nodes, pairs), nodes, cross
-
-
 def test_criterion_girvan_newman_structural():
     t0 = time.perf_counter()
     # barbell: one removal (the bridge) splits the graph
@@ -282,7 +271,7 @@ def test_criterion_girvan_newman_structural():
 
     # planted partition: two blocks of 100, ~1% cross edges
     rng = random.Random(991)
-    graph, nodes, cross = _planted_two_block_graph(rng)
+    graph, nodes, cross = planted_two_block_graph(rng)
     assert 70 <= cross <= 130  # about 1% of the 10,000 cross pairs
     planted = [0] * 100 + [1] * 100
     result = girvan_newman(graph, target_components=2)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from opinionnet import (
@@ -17,11 +18,19 @@ from opinionnet import (
     select_threshold,
 )
 
-from opinionnet.analyze import MAX_SWEEP_LEVELS, _betweenness_exact
+from opinionnet import analyze
+from opinionnet.analyze import MAX_SWEEP_LEVELS, _betweenness_exact, _betweenness_fast
 
-from helpers import barbell_graph, graph_from_edges, make_matrix, weights_from_rows
+from helpers import (
+    barbell_graph,
+    graph_from_edges,
+    make_matrix,
+    planted_two_block_graph,
+    weights_from_rows,
+)
 from oracles import (
     all_pair_weights,
+    betweenness_per_source,
     components_from_edges,
     edge_betweenness_by_path_enumeration,
     random_rows,
@@ -272,6 +281,62 @@ def test_betweenness_oracle_on_random_graphs():
             assert abs(fast[key] - float(value)) < 1e-9
 
 
+def _random_edge_arrays(rng, n, n_pairs, n_blocks=1):
+    """Distinct edges inside n_blocks node ranges, in shuffled order and orientation."""
+    bounds = np.linspace(0, n, n_blocks + 1).astype(int)
+    pairs = set()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for _ in range(n_pairs // n_blocks):
+            a, b = sorted(rng.choice(np.arange(lo, hi), size=2, replace=False))
+            pairs.add((int(a), int(b)))
+    pairs = np.array(sorted(pairs), dtype=np.int32)[rng.permutation(len(pairs))]
+    flip = rng.random(len(pairs)) < 0.5
+    return np.where(flip, pairs[:, 1], pairs[:, 0]), np.where(flip, pairs[:, 0], pairs[:, 1])
+
+
+def _bitwise_cases():
+    rng = np.random.default_rng(61)
+    cases = [(5, np.zeros(0, np.int32), np.zeros(0, np.int32))]  # no edges
+    cases.append((0, np.zeros(0, np.int32), np.zeros(0, np.int32)))
+    for n, n_pairs, n_blocks in [(30, 45, 1), (30, 120, 3), (47, 60, 4), (60, 400, 2),
+                                 (80, 90, 1), (120, 1100, 2)]:
+        us, vs = _random_edge_arrays(rng, n, n_pairs, n_blocks)
+        cases.append((n + 5, us, vs))  # five isolated nodes at the end
+    return cases
+
+
+def test_blocked_betweenness_is_bitwise_per_source():
+    # several components, isolated nodes, no edges, edges in a permuted,
+    # non-canonical order and orientation
+    for n, us, vs in _bitwise_cases():
+        assert np.array_equal(_betweenness_fast(n, us, vs), betweenness_per_source(n, us, vs))
+
+
+@pytest.mark.parametrize("sources_per_block", [1, 3])
+def test_blocked_betweenness_is_bitwise_for_any_block_size(monkeypatch, sources_per_block):
+    for n, us, vs in _bitwise_cases():
+        per_source = 8 * (analyze._NODE_WORDS * n + analyze._EDGE_WORDS * len(us))
+        monkeypatch.setattr(analyze, "BETWEENNESS_BLOCK_BYTES", sources_per_block * per_source)
+        if sources_per_block == 3 and n:
+            assert n % 3  # the last block is short
+        assert np.array_equal(_betweenness_fast(n, us, vs), betweenness_per_source(n, us, vs))
+
+
+def test_blocked_betweenness_is_bitwise_past_exact_path_counts():
+    # 50 layers of 6 nodes, each node linked to 3 of the layer before: shortest
+    # path counts pass 2**53, where the order of each sum changes its rounding
+    rng = np.random.default_rng(67)
+    width, depth = 6, 50
+    pairs = [((layer - 1) * width + int(i), layer * width + j)
+             for layer in range(1, depth) for j in range(width)
+             for i in rng.choice(width, size=3, replace=False)]
+    order = rng.permutation(len(pairs))
+    us = np.array([pairs[i][i % 2] for i in order])
+    vs = np.array([pairs[i][1 - i % 2] for i in order])
+    n = width * depth
+    assert np.array_equal(_betweenness_fast(n, us, vs), betweenness_per_source(n, us, vs))
+
+
 def test_betweenness_ignores_negative_edges():
     graph = ProjectionGraph(
         kind="participant",
@@ -369,6 +434,22 @@ def test_gn_hypercube_removes_smallest_tied_edge_first():
     # pick another one
     report = girvan_newman(_hypercube_q4(), target_components=2)
     assert report.removed_edges[0] == ("00", "01")
+
+
+def _planted():
+    return planted_two_block_graph(random.Random(991))[0]
+
+
+@pytest.mark.parametrize("build", [_hypercube_q4, _grid_4x4, _planted],
+                         ids=["q4", "grid4x4", "planted"])
+def test_gn_history_matches_per_source_engine(monkeypatch, build):
+    graph = build()
+    report = girvan_newman(graph, target_components=2)
+    monkeypatch.setattr(analyze, "_betweenness_fast", betweenness_per_source)
+    reference = girvan_newman(graph, target_components=2)
+    assert [(h.edge, h.betweenness) for h in report.history] == \
+        [(h.edge, h.betweenness) for h in reference.history]
+    assert report.final_components == reference.final_components
 
 
 def test_gn_disconnected_input_returns_immediately():

@@ -342,6 +342,35 @@ def test_bucketed_projection_matches_scan():
         assert expected
 
 
+def test_bucketed_projection_with_duplicate_rows_matches_oracle():
+    # groups of identical rows, and rows one item away from each other that
+    # are themselves repeated, so pairs qualify at both m and m-1
+    ks = [4] * 5
+    base = [[0, 1, 2, 3, 0], [3, 3, 3, 3, 3], [1, 0, 1, 0, 1], [2, 1, 0, 3, 2], [0, 0, 3, 1, 1]]
+    rows = []
+    for r, row in enumerate(base):
+        rows += [list(row)] * (r % 3 + 2)  # 2 to 4 copies
+        variant = list(row)
+        variant[r] = (variant[r] + 1) % 4
+        rows += [variant] * 2  # differs from its base row in item r only
+    rows += [[2, 2, 0, 0, 1]]  # a row with no partner
+    random.Random(5).shuffle(rows)
+    w = weights_from_rows(rows, ks, "exact_agreement")
+    oracle = all_pair_weights(rows, ks, "exact_agreement")
+    for threshold in (5, 4):
+        graph = project_participants(w, threshold)
+        expected = sorted((f"p{i:03d}", f"p{j:03d}", weight)
+                          for (i, j), (weight, _) in oracle.items() if weight >= threshold)
+        assert [(e.u, e.v, e.weight) for e in graph.edges] == expected
+    assert any(weight == 4 for weight, _ in oracle.values())
+    # one item: at threshold m - 1 = 0 the leave-one-out rows are empty and
+    # every pair qualifies
+    rows = [[0], [1], [0], [2]]
+    graph = project_participants(weights_from_rows(rows, [3], "exact_agreement"), 0)
+    assert [(e.u, e.v) for e in graph.edges] == [(f"p{i:03d}", f"p{j:03d}")
+                                                  for i, j in itertools.combinations(range(4), 2)]
+
+
 def test_int64_kernel_matches_oracle_on_huge_denominator():
     # the scale steps are distinct primes, so the shared denominator is their
     # product (about 1.3e16) and m * D passes 2**53: the kernel multiplies in int64

@@ -21,6 +21,7 @@ from opinionnet import (
 )
 
 from helpers import graph_from_edges, make_matrix
+from oracles import fr_positions_add_at
 
 
 def F(*args):
@@ -69,6 +70,18 @@ def test_same_seed_reproduces_positions_exactly():
     b = fr_layout(graph, seed=42, iterations=80)
     assert a.positions == b.positions
     assert a.bounding_box == b.bounding_box
+
+
+@pytest.mark.parametrize("negative_mode", ["ignore", "repel"])
+def test_layout_matches_add_at_scatter_bitwise(negative_mode):
+    graph, left, right = two_cliques_graph()
+    edges = list(graph.edges)
+    edges += [Edge(a, b, F(-1), "negative") for a, b in zip(left[1:6], right[2:7])]
+    edges += [Edge(left[2], left[9], F(-2), "negative")]  # beside a positive edge
+    graph = ProjectionGraph(kind="participant", nodes=graph.nodes, edges=edges)
+    layout = fr_layout(graph, seed=13, iterations=60, negative_mode=negative_mode)
+    expected = fr_positions_add_at(graph, 13, 60, negative_mode)
+    assert [layout.positions[u] for u in graph.nodes] == [tuple(p) for p in expected.tolist()]
 
 
 def test_different_seed_moves_nodes():
