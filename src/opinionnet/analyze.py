@@ -194,10 +194,11 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     link = np.zeros(n, dtype=np.int64)
     outside = np.ones(n, dtype=bool)
     tree = []  # (numerator, u, v) per spanning-tree edge
+    kernel = weights.numerators_only()  # no co-answered counts: weights are not rescaled
     v = 0
     outside[v] = False
     for _ in range(n - 1):
-        row = weights.block_numerators(v, v + 1, 0, n)[0][0]
+        row = kernel.block_numerators(v, v + 1, 0, n)[0][0]
         present[row[outside] + off] = True
         closer = outside & (row > best)
         best[closer] = row[closer]

@@ -23,6 +23,7 @@ rows by sorting them instead.
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +144,18 @@ class PairWeights:
             raise ValidationError("no self-pairs")
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"pair index out of range: ({u}, {v})")
+
+    def numerators_only(self) -> PairWeights:
+        """A view of the same weights whose block_numerators skips M @ M.T.
+
+        Its co-answered counts are always None, so its weights are the
+        numerators over the denominator: rescaled weights have no such view.
+        """
+        if self.rescale:
+            raise ValidationError("rescaled pairwise weights need their co-answered counts")
+        view = copy.copy(self)
+        view._m = None
+        return view
 
     def block_numerators(self, r0: int, r1: int, c0: int, c1: int):
         """Weight numerators (and co-answered counts) for rows x cols.

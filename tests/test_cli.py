@@ -391,6 +391,17 @@ def test_render_rejects_negative_iterations(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+
+def test_render_rejects_negative_seed(tmp_path, capsys):
+    graph_path = tmp_path / "b.graphml"
+    export_graphml(barbell_graph(), graph_path)
+    code = main(["render", "--graph", str(graph_path), "--seed", "-1",
+                 "--out-prefix", str(tmp_path / "x")])
+    assert code == 2
+    block = json.loads(capsys.readouterr().err)
+    assert "seed" in block["error"]["message"]
+    assert not (tmp_path / "x.svg").exists()
+
 def test_keep_pairwise_policy_via_cli(tmp_path, capsys):
     schema = write_schema(tmp_path / "schema.json", [4, 4])
     survey = tmp_path / "survey.csv"

@@ -424,6 +424,29 @@ def test_rescaled_pairwise_score():
     assert len(graph.edges) == 1
 
 
+
+@pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
+def test_numerators_only_view_drops_counts_not_numerators(mode):
+    rng = random.Random(55)
+    ks = [4, 5, 3, 7]
+    w = weights_from_rows(random_rows(rng, 9, ks, missing_rate=0.3), ks, mode)
+    assert w.has_missing
+    view = w.numerators_only()
+    for r0, r1, c0, c1 in [(0, 9, 0, 9), (2, 3, 0, 9), (4, 7, 1, 6)]:
+        numer, co = w.block_numerators(r0, r1, c0, c1)
+        view_numer, view_co = view.block_numerators(r0, r1, c0, c1)
+        assert view_co is None
+        assert view_numer.dtype == numer.dtype and (view_numer == numer).all()
+        assert co is not None and co.shape == numer.shape
+    assert w.co_answered(0, 1) == view.co_answered(0, 1)
+
+
+def test_rescaled_weights_have_no_numerators_only_view():
+    ks = [5, 5, 5]
+    w = weights_from_rows([[0, None, 4], [0, 2, None]], ks, "score", rescale=True)
+    with pytest.raises(ValidationError, match="co-answered"):
+        w.numerators_only()
+
 def test_rescale_is_identity_on_complete_data():
     rng = random.Random(101)
     ks = [4, 5, 3]

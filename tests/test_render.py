@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from opinionnet import (
@@ -72,16 +73,63 @@ def test_same_seed_reproduces_positions_exactly():
     assert a.bounding_box == b.bounding_box
 
 
-@pytest.mark.parametrize("negative_mode", ["ignore", "repel"])
-def test_layout_matches_add_at_scatter_bitwise(negative_mode):
+def dual_sign_cliques_graph():
     graph, left, right = two_cliques_graph()
     edges = list(graph.edges)
     edges += [Edge(a, b, F(-1), "negative") for a, b in zip(left[1:6], right[2:7])]
     edges += [Edge(left[2], left[9], F(-2), "negative")]  # beside a positive edge
-    graph = ProjectionGraph(kind="participant", nodes=graph.nodes, edges=edges)
-    layout = fr_layout(graph, seed=13, iterations=60, negative_mode=negative_mode)
-    expected = fr_positions_add_at(graph, 13, 60, negative_mode)
+    return ProjectionGraph(kind="participant", nodes=graph.nodes, edges=edges)
+
+
+def random_dual_sign_graph():
+    """Seeded random 300-node graph with about 4n pairs; a tenth carry both signs."""
+    n = 300
+    rng = np.random.default_rng(2026)
+    nodes = [f"r{i:03d}" for i in range(n)]
+    pairs = {tuple(sorted(p)) for p in rng.integers(0, n, (4 * n, 2)).tolist() if p[0] != p[1]}
+    edges = []
+    for u, v in sorted(pairs):
+        draw = rng.random()
+        if draw < 0.1 or draw >= 0.55:
+            edges.append(Edge(nodes[u], nodes[v], F(1)))
+        if draw < 0.55:
+            edges.append(Edge(nodes[u], nodes[v], F(-1), "negative"))
+    return ProjectionGraph(kind="participant", nodes=nodes, edges=edges)
+
+
+LAYOUT_GRAPHS = {
+    "dual-sign-cliques": (dual_sign_cliques_graph, 60),
+    "two-nodes": (lambda: ProjectionGraph(
+        kind="participant", nodes=["a", "b"], edges=[Edge("a", "b", F(-1), "negative")]), 60),
+    "isolated-nodes": (lambda: graph_from_edges(
+        [f"i{i}" for i in range(12)], [("i0", "i1"), ("i1", "i2"), ("i5", "i9")]), 60),
+    "random-300": (random_dual_sign_graph, 4),
+}
+
+
+@pytest.mark.parametrize("name, negative_mode", [
+    pytest.param(name, mode, id=mode if name == "dual-sign-cliques" else f"{name}-{mode}")
+    for name in LAYOUT_GRAPHS for mode in ("ignore", "repel")
+])
+def test_layout_matches_add_at_scatter_bitwise(name, negative_mode):
+    build, iterations = LAYOUT_GRAPHS[name]
+    graph = build()
+    layout = fr_layout(graph, seed=13, iterations=iterations, negative_mode=negative_mode)
+    expected = fr_positions_add_at(graph, 13, iterations, negative_mode)
     assert [layout.positions[u] for u in graph.nodes] == [tuple(p) for p in expected.tolist()]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
+def test_layout_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    graph, _, _ = two_cliques_graph()
+    with pytest.raises(ValidationError, match="seed"):
+        fr_layout(graph, seed=seed, iterations=1)
+
+
+def test_layout_accepts_numpy_integer_seed():
+    graph, _, _ = two_cliques_graph()
+    assert fr_layout(graph, seed=np.int64(5), iterations=3).positions == \
+        fr_layout(graph, seed=5, iterations=3).positions
 
 
 def test_different_seed_moves_nodes():
