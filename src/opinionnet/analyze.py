@@ -16,6 +16,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,8 +212,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
 
     numerators = np.nonzero(present)[0][::-1] - off  # descending weight levels
     if min_level is not None:
-        floor = as_fraction(min_level)
-        numerators = numerators[numerators * floor.denominator >= floor.numerator * d]
+        numerators = numerators[numerators >= math.ceil(as_fraction(min_level) * d)]
 
     uf = UnionFind(n)
     sweep: list[tuple[Fraction, Fraction]] = []

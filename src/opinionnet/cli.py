@@ -242,7 +242,8 @@ def cmd_communities(args) -> int:
             print(f"      ... {len(report.history) - len(shown)} more removals in {report_path}")
     print(f"wrote {report_path}, {manifest}")
     if report.status == "budget_exhausted":
-        return AlgorithmError.exit_code
+        raise AlgorithmError(f"removal budget exhausted after {len(report.removed_edges)} "
+                             f"removals at {len(sizes)} components; the target is {args.target}")
     return 0
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ValidationError
 
 MISSING = -1
+MAX_SCALE_SIZE = 2**15  # codes are int16
 
 MISSING_POLICIES = ("drop_participant", "keep_pairwise")
 
@@ -57,10 +58,9 @@ class SurveySchema:
             if item.item_id in seen:
                 raise ValidationError(f"duplicate item id {item.item_id!r} in schema")
             seen.add(item.item_id)
-            if item.scale_size < 2:
-                raise ValidationError(
-                    f"item {item.item_id!r} has scale size {item.scale_size}; scales need at least 2 points"
-                )
+            if not 2 <= item.scale_size <= MAX_SCALE_SIZE:
+                raise ValidationError(f"item {item.item_id!r} has scale size {item.scale_size}; "
+                                      f"scales need at least 2 points and at most {MAX_SCALE_SIZE}")
         columns = [self.id_column, *self.attribute_columns, *seen]
         if len(set(columns)) != len(columns):
             raise ValidationError(
@@ -99,7 +99,7 @@ class SurveySchema:
                 attribute_columns=tuple(str(c) for c in data.get("attribute_columns", ())),
                 missing_token=str(data.get("missing_token", "NA")),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # e.g. a NaN scale
             raise ValidationError(f"malformed schema descriptor: {exc}") from exc
 
     @classmethod
@@ -109,7 +109,7 @@ class SurveySchema:
             raise ValidationError(f"schema file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValidationError(f"schema file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

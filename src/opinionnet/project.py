@@ -560,45 +560,41 @@ def project_participants(weights: PairWeights, threshold, negative_threshold=Non
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class AttitudeGraph:
     """Item-pair co-endorsement counts over N participants.
 
-    For each unordered item pair, pos_count participants scored both items
-    positively and neg_count scored both negatively; participants neutral or
-    missing on either item contribute to neither, so pos + neg <= N.
+    pos and neg are symmetric int64 m x m matrices in schema item order:
+    pos[i, j] participants scored both items i and j positively and
+    neg[i, j] scored both negatively. Participants neutral or missing on
+    either item contribute to neither, so pos + neg <= N off the diagonal.
     """
 
     items: tuple
     n_participants: int
-    pos_counts: dict
-    neg_counts: dict
+    pos: np.ndarray
+    neg: np.ndarray
 
     def count(self, a: str, b: str) -> tuple[int, int]:
-        key = (a, b) if a <= b else (b, a)
-        return self.pos_counts[key], self.neg_counts[key]
-
-    def to_projection(self, mode: str = "dual") -> "ProjectionGraph":
-        return style_edges(self, mode=mode)
+        """(co-positive, co-negative) counts of two distinct items, in either order."""
+        for item in (a, b):
+            if item not in self.items:
+                raise ValidationError(f"unknown item id {item!r}")
+        if a == b:
+            raise ValidationError(f"no self-pairs: item {a!r} paired with itself")
+        i, j = self.items.index(a), self.items.index(b)
+        return int(self.pos[i, j]), int(self.neg[i, j])
 
 
 def project_attitudes(normalized: NormalizedMatrix) -> AttitudeGraph:
-    """Project items onto an attitude graph of co-endorsement counts."""
+    """Project items onto an attitude graph: co-positive and co-negative
+    participant counts per item pair, as two m x m matrix products."""
     if normalized.n_items < 2:
         raise ValidationError("attitude projection needs at least 2 items")
-    pos = (normalized.numerators > 0) & normalized.mask
-    neg = (normalized.numerators < 0) & normalized.mask
-    pos_mat = pos.T.astype(np.int64) @ pos.astype(np.int64)
-    neg_mat = neg.T.astype(np.int64) @ neg.astype(np.int64)
-    items = normalized.schema.item_ids
-    pos_counts = {}
-    neg_counts = {}
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            key = (items[a], items[b]) if items[a] <= items[b] else (items[b], items[a])
-            pos_counts[key] = int(pos_mat[a, b])
-            neg_counts[key] = int(neg_mat[a, b])
-    return AttitudeGraph(tuple(items), normalized.n_participants, pos_counts, neg_counts)
+    pos = ((normalized.numerators > 0) & normalized.mask).astype(np.int64)
+    neg = ((normalized.numerators < 0) & normalized.mask).astype(np.int64)
+    return AttitudeGraph(tuple(normalized.schema.item_ids), normalized.n_participants,
+                         pos.T @ pos, neg.T @ neg)
 
 
 def thirds_style(count, total) -> str | None:
@@ -618,15 +614,41 @@ def thirds_style(count, total) -> str | None:
     return SOLID
 
 
-def _restyle_projection(graph: ProjectionGraph) -> ProjectionGraph:
+def style_edges(graph, mode: str = "dual") -> ProjectionGraph:
+    """Style every edge by thirds of |weight| over the graph's total: N for
+    attitude graphs, the item count for participant graphs.
+
+    An AttitudeGraph first becomes a ProjectionGraph over its items, built
+    from the nonzero counts of the upper triangle: in dual mode each item pair
+    may carry a positive edge weighted +pos and a negative edge weighted -neg;
+    in signed mode a single edge carries pos - neg. Zero counts (and a zero
+    difference) produce no edge.
+    """
+    if isinstance(graph, AttitudeGraph):
+        if mode not in ("dual", "signed"):
+            raise ValidationError(f"unknown attitude mode {mode!r}; expected 'dual' or 'signed'")
+        a, b = np.triu_indices(len(graph.items), 1)
+        pos, neg = graph.pos[a, b], graph.neg[a, b]
+        if mode == "dual":
+            a, b, weights = np.tile(a, 2), np.tile(b, 2), np.concatenate([pos, -neg])
+        else:
+            weights = pos - neg
+        keep = np.flatnonzero(weights)
+        table, codes = np.unique(weights[keep], return_inverse=True)
+        graph = ProjectionGraph.from_arrays(
+            "attitude", graph.items, a[keep], b[keep], [Fraction(w) for w in table.tolist()],
+            codes, weights[keep] > 0,  # sign code 1 is positive
+            np.zeros(len(keep), dtype=np.int8), threshold_used=1, negative_threshold_used=-1,
+            extra={"n_participants": graph.n_participants, "attitude_mode": mode})
+    elif not isinstance(graph, ProjectionGraph):
+        raise ValidationError(f"cannot style object of type {type(graph).__name__}")
     if graph.kind == "attitude":
-        total = graph.extra.get("n_participants")
-        if total is None:
-            raise ValidationError("attitude graph lacks its participant count; cannot style")
+        key, lacks = "n_participants", "attitude graph lacks its participant count"
     else:
-        total = graph.extra.get("n_items")
-        if total is None:
-            raise ValidationError("participant graph lacks its item count; cannot style")
+        key, lacks = "n_items", "participant graph lacks its item count"
+    total = graph.extra.get(key)
+    if total is None:
+        raise ValidationError(f"{lacks}; cannot style")
     by_weight = [STYLES.index(thirds_style(abs(w), total) or DOTTED) for w in graph.weight_table]
     return ProjectionGraph.from_arrays(
         graph.kind, graph.nodes, graph.us, graph.vs, graph.weight_table, graph.weight_codes,
@@ -635,47 +657,4 @@ def _restyle_projection(graph: ProjectionGraph) -> ProjectionGraph:
         threshold_used=graph.threshold_used,
         negative_threshold_used=graph.negative_threshold_used,
         extra=graph.extra,
-    )
-
-
-def style_edges(graph, mode: str = "dual") -> ProjectionGraph:
-    """Apply thirds styling; for attitude counts, build the styled graph.
-
-    An AttitudeGraph becomes a ProjectionGraph: in dual mode each item pair
-    may carry a positive edge weighted +pos_count and a negative edge weighted
-    -neg_count, each styled by thirds of N. In signed mode a single edge
-    carries pos_count - neg_count. Zero counts produce no edge. An existing
-    ProjectionGraph is restyled by thirds of |weight| over its weight range
-    total (N for attitude graphs, item count for participant graphs).
-    """
-    if isinstance(graph, ProjectionGraph):
-        return _restyle_projection(graph)
-    if not isinstance(graph, AttitudeGraph):
-        raise ValidationError(f"cannot style object of type {type(graph).__name__}")
-    if mode not in ("dual", "signed"):
-        raise ValidationError(f"unknown attitude mode {mode!r}; expected 'dual' or 'signed'")
-    n = graph.n_participants
-    edges = []
-    for (a, b), p in graph.pos_counts.items():
-        q = graph.neg_counts[(a, b)]
-        if mode == "dual":
-            style = thirds_style(p, n)
-            if style is not None:
-                edges.append(Edge(a, b, Fraction(p), POSITIVE, style))
-            style = thirds_style(q, n)
-            if style is not None:
-                edges.append(Edge(a, b, Fraction(-q), NEGATIVE, style))
-        else:
-            w = p - q
-            style = thirds_style(abs(w), n)
-            if style is not None:
-                sign = POSITIVE if w > 0 else NEGATIVE
-                edges.append(Edge(a, b, Fraction(w), sign, style))
-    return ProjectionGraph(
-        kind="attitude",
-        nodes=graph.items,
-        edges=edges,
-        threshold_used=Fraction(1),
-        negative_threshold_used=Fraction(-1),
-        extra={"n_participants": n, "attitude_mode": mode},
     )

@@ -12,7 +12,6 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -37,6 +36,19 @@ NEUTRAL_COLOR = "#ffcc00"  # yellow
 _COLORS = {POSITIVE: POSITIVE_COLOR, NEGATIVE: NEGATIVE_COLOR}
 
 _DASH_PATTERNS = {SOLID: None, DASHED: "6,4", DOTTED: "1.5,3"}
+
+
+def escape(text: str) -> str:
+    """XML character data, as xml.sax.saxutils.escape (whose import pulls in urllib)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """A quoted XML attribute value, as xml.sax.saxutils.quoteattr."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    return f"'{text}'" if "'" not in text else '"{}"'.format(text.replace('"', "&quot;"))
 
 
 def _fmt6(x: float) -> str:
@@ -79,10 +91,10 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
     """Force-directed layout: all-pairs repulsion, attraction on positive edges.
 
     Classic spring layout with a linear cooling schedule and seeded initial
-    placement on the unit disc; seed is a non-negative int. Negative edges
-    exert no force by default; negative_mode="repel" makes them push their
-    endpoints apart. Identical (graph, seed, iterations, parameters)
-    reproduce identical positions. O(V^2) per iteration.
+    placement on the unit disc; seed and iterations are non-negative ints.
+    Negative edges exert no force by default; negative_mode="repel" makes
+    them push their endpoints apart. Identical (graph, seed, iterations,
+    parameters) reproduce identical positions. O(V^2) per iteration.
 
     Summation order: each node's repulsion is summed over the other nodes in
     ascending index order, one at a time, and the node's edge forces are
@@ -92,10 +104,9 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
     """
     if negative_mode not in ("ignore", "repel"):
         raise ValidationError(f"unknown negative edge mode {negative_mode!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"layout seed must be a non-negative integer, got {seed!r}")
-    if iterations < 0:
-        raise ValidationError(f"layout iterations must be at least 0, got {iterations}")
+    for name, value in (("seed", seed), ("iterations", iterations)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValidationError(f"layout {name} must be a non-negative integer, got {value!r}")
     n = graph.n_nodes
     if n < 1:
         raise ValidationError("layout needs at least one node")

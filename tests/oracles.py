@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from opinionnet import thirds_style
+
 
 def normalized_value(code: int, scale_size: int) -> Fraction:
     k = scale_size
@@ -54,6 +56,34 @@ def all_pair_weights(rows, scale_sizes, mode, count_neutral_pairs=True):
         for i in range(n)
         for j in range(i + 1, n)
     }
+
+
+def attitude_edges(rows, scale_sizes, items, mode):
+    """Styled attitude edges and counts from raw codes (None marks missing).
+
+    Returns (edges, counts): the edges as (u, v, weight, sign, style) tuples,
+    u < v, sorted; counts maps every ordered pair of distinct items to its
+    (co-positive, co-negative) participant counts.
+    """
+    n = len(rows)
+    edges, counts = [], {}
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            pos = neg = 0
+            for row in rows:
+                if row[a] is None or row[b] is None:
+                    continue
+                sa, sb = sign_of(row[a], scale_sizes[a]), sign_of(row[b], scale_sizes[b])
+                pos += int(sa > 0 and sb > 0)
+                neg += int(sa < 0 and sb < 0)
+            counts[items[a], items[b]] = counts[items[b], items[a]] = (pos, neg)
+            u, v = sorted((items[a], items[b]))
+            weights = [pos, -neg] if mode == "dual" else [pos - neg]
+            for w in weights:
+                style = thirds_style(abs(w), n)
+                if style is not None:
+                    edges.append((u, v, Fraction(w), "positive" if w > 0 else "negative", style))
+    return sorted(edges), counts
 
 
 def components_from_edges(n, edges):

@@ -360,6 +360,17 @@ def test_thread_env_var_does_not_change_output(tmp_path):
         assert (tmp_path / "t2" / suffix).read_bytes() == (tmp_path / "t1" / suffix).read_bytes()
 
 
+def test_cli_import_leaves_the_network_stack_unloaded():
+    # xml.sax.saxutils imports urllib.request, and with it http.client and ssl
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, opinionnet.cli; "
+             "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_survey_with_byte_order_mark_loads(tmp_path, capsys):
     schema = write_schema(tmp_path / "schema.json", [4, 4])
     survey = tmp_path / "survey.csv"
@@ -475,3 +486,50 @@ def test_unwritable_out_prefix_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert block["error"]["type"] == "ValidationError"
     assert "afile" in block["error"]["message"]
+
+
+def test_schema_that_is_not_utf8_exits_2(tmp_path, capsys):
+    survey, schema = two_block_inputs(tmp_path)
+    schema.write_bytes(b"\xff" + schema.read_bytes())
+    code = main(["inspect", "--survey", str(survey), "--schema", str(schema)])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert "not valid JSON" in block["error"]["message"]
+
+
+@pytest.mark.parametrize("scale", ["NaN", "Infinity", "32769"])
+def test_schema_scale_that_no_code_can_hold_exits_2(tmp_path, capsys, scale):
+    survey, schema = two_block_inputs(tmp_path)
+    schema.write_text(schema.read_text().replace('"scale": 4', f'"scale": {scale}', 1))
+    code = main(["inspect", "--survey", str(survey), "--schema", str(schema)])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"]["type"] == "ValidationError"
+
+
+def test_min_level_with_a_huge_denominator_is_exact(tmp_path, capsys):
+    survey, schema = two_block_inputs(tmp_path)
+    sweeps = []
+    for level in ("1", f"1/{10**400}", f"{5 * 10**400 + 1}/{10**400}"):
+        code = main(["project", "--survey", str(survey), "--schema", str(schema),
+                     "--mode", "exact", "--threshold", "auto", "--target-fraction", "1",
+                     "--min-level", level, "--out-prefix", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        sweeps.append(json.loads(err)["error"]["sweep"] if code else
+                      (tmp_path / "run.sweep.csv").read_text())
+    # levels are integers 0..5: a floor of 10**-400 stops at level 1, one above 5 allows none
+    assert sweeps[0] == sweeps[1]
+    assert sweeps[2] == []
+
+
+def test_communities_out_of_budget_prints_error_block(tmp_path, capsys):
+    graph_path = tmp_path / "barbell.graphml"
+    export_graphml(barbell_graph(), graph_path)
+    code = main(["communities", "--graph", str(graph_path), "--target", "9",
+                 "--out-prefix", str(tmp_path / "comm")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert block["error"]["type"] == "AlgorithmError"
+    assert "budget" in block["error"]["message"]
+    report = json.loads((tmp_path / "comm.communities.json").read_text())
+    assert report["status"] == "budget_exhausted"

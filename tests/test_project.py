@@ -7,6 +7,8 @@ import pytest
 from opinionnet import (
     Edge,
     ProjectionGraph,
+    SurveyItem,
+    SurveySchema,
     ValidationError,
     exact_agreement_weights,
     project_attitudes,
@@ -18,7 +20,7 @@ from opinionnet import (
 )
 
 from helpers import make_matrix, weights_from_rows
-from oracles import all_pair_weights, random_rows
+from oracles import all_pair_weights, attitude_edges, random_rows
 
 
 def F(*args):
@@ -511,6 +513,39 @@ def test_attitude_pos_plus_neg_bounded_by_n():
         assert 0 <= pos <= 50
         assert 0 <= neg <= 50
         assert pos + neg <= 50
+
+
+# awkward ids, drawn in random order so schema order differs from canonical order
+ATTITUDE_ITEM_IDS = ["b", "a", "Z", "é", "q10", "q9", "x y", "m", "<&>"]
+
+
+@pytest.mark.parametrize("mode", ["dual", "signed"])
+def test_attitude_graph_matches_loop_oracle(mode):
+    rng = random.Random(606)
+    for _ in range(60):
+        m = rng.randrange(2, 8)
+        ks = [rng.randrange(2, 8) for _ in range(m)]  # odd scales have a neutral midpoint
+        ids = rng.sample(ATTITUDE_ITEM_IDS, m)
+        schema = SurveySchema(items=tuple(map(SurveyItem, ids, ks)), id_column="pid")
+        rows = random_rows(rng, rng.randrange(1, 40), ks, missing_rate=0.15)
+        ag = project_attitudes(renormalize(make_matrix(rows, ks, schema=schema)))
+        edges, counts = attitude_edges(rows, ks, ids, mode)
+        graph = style_edges(ag, mode=mode)
+        assert [(e.u, e.v, e.weight, e.sign, e.style) for e in graph.edges] == edges
+        assert {pair: ag.count(*pair) for pair in counts} == counts
+
+
+def test_attitude_count_names_unknown_ids_and_self_pairs():
+    rng = random.Random(41)
+    ks = [3, 5, 4, 2, 7]
+    ag = project_attitudes(renormalize(make_matrix(random_rows(rng, 30, ks, missing_rate=0.1), ks)))
+    for a, b in itertools.permutations(ag.items, 2):
+        assert ag.count(a, b) == ag.count(b, a)
+    for pair in (("q00", "nope"), ("nope", "q00")):
+        with pytest.raises(ValidationError, match="unknown item id 'nope'"):
+            ag.count(*pair)
+    with pytest.raises(ValidationError, match="'q01' paired with itself"):
+        ag.count("q01", "q01")
 
 
 def test_attitude_needs_two_items():

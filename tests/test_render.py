@@ -1,9 +1,13 @@
 import itertools
 import math
+import re
 from fractions import Fraction
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionnet import (
     ColorScheme,
@@ -20,6 +24,7 @@ from opinionnet import (
     render_bipartite_svg,
     render_svg,
 )
+from opinionnet.render import escape, quoteattr
 
 from helpers import graph_from_edges, make_matrix
 from oracles import fr_positions_add_at
@@ -130,6 +135,30 @@ def test_layout_accepts_numpy_integer_seed():
     graph, _, _ = two_cliques_graph()
     assert fr_layout(graph, seed=np.int64(5), iterations=3).positions == \
         fr_layout(graph, seed=5, iterations=3).positions
+
+
+@pytest.mark.parametrize("iterations", [1.5, True, -1, "5", np.int64(3)],
+                         ids=["float", "bool", "negative", "str", "numpy-int"])
+def test_layout_iterations_must_be_a_non_negative_int(iterations):
+    graph, _, _ = two_cliques_graph()
+    if isinstance(iterations, np.integer):
+        assert fr_layout(graph, seed=5, iterations=iterations).positions == \
+            fr_layout(graph, seed=5, iterations=int(iterations)).positions
+        return
+    with pytest.raises(ValidationError, match="iterations.*" + re.escape(repr(iterations))):
+        fr_layout(graph, seed=5, iterations=iterations)
+
+
+# both quote kinds, the escaped characters, control whitespace and non-ASCII
+ATTRIBUTE_TEXT = st.text(st.one_of(st.sampled_from(list("\"'&<>\n\r\t ;#a")),
+                                   st.characters(blacklist_categories=("Cs",))), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ATTRIBUTE_TEXT)
+def test_local_xml_escapes_match_saxutils(text):
+    assert escape(text) == saxutils.escape(text)
+    assert quoteattr(text) == saxutils.quoteattr(text)
 
 
 def test_different_seed_moves_nodes():
