@@ -75,15 +75,6 @@ class ComponentReport:
     giant_fraction: Fraction
     n_nodes: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "giant_fraction": format_fraction(self.giant_fraction),
-            "giant_fraction_decimal": float(self.giant_fraction),
-            "component_sizes": [len(c) for c in self.components],
-            "components": [list(c) for c in self.components],
-        }
-
 
 def _component_roots(n_nodes, us, vs):
     """Smallest node index of each node's component over the edges (us, vs)."""
@@ -134,21 +125,6 @@ class ThresholdSelection:
     giant_fraction_at_chosen: Fraction
     sweep: list
     target_fraction: Fraction
-
-    def to_dict(self) -> dict:
-        return {
-            "chosen_threshold": format_fraction(self.chosen_threshold),
-            "giant_fraction_at_chosen": format_fraction(self.giant_fraction_at_chosen),
-            "target_fraction": format_fraction(self.target_fraction),
-            "sweep": [
-                {
-                    "threshold": format_fraction(level),
-                    "giant_fraction": format_fraction(frac),
-                    "giant_fraction_decimal": float(frac),
-                }
-                for level, frac in self.sweep
-            ],
-        }
 
 
 def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,

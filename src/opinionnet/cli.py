@@ -40,6 +40,7 @@ from .render import (
 )
 
 MODE_ALIASES = {"exact": "exact_agreement", "score": "score", "binarized": "binarized_agreement"}
+SURVEY_INPUTS = ("survey", "schema")
 
 
 def _sha256(path: Path) -> str:
@@ -54,20 +55,30 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(prefix: Path, command: str, parameters: dict,
-                    inputs: dict, outputs: dict) -> Path:
-    """Record digests of inputs/outputs plus parameters; no timestamps, so a
-    rerun with identical inputs produces an identical manifest."""
+def _outputs(args, **suffixes) -> dict:
+    """Paths named `--out-prefix` plus each suffix; makes their directory."""
+    prefix = Path(args.out_prefix)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    return {name: prefix.with_name(prefix.name + suffix) for name, suffix in suffixes.items()}
+
+
+def _write_manifest(args, command: str, parameters: dict, input_names, outputs: dict) -> None:
+    """Record digests of the named input arguments and of the outputs plus
+    parameters, then print one `wrote` line. No timestamps, so a rerun with
+    identical inputs produces an identical manifest."""
+    def entry(path):
+        return {"file": Path(path).name, "sha256": _sha256(path)}
+
     manifest = {
         "tool": {"name": "opinionnet", "version": __version__},
         "command": command,
         "parameters": parameters,
-        "inputs": {k: {"file": Path(v).name, "sha256": _sha256(Path(v))} for k, v in inputs.items()},
-        "outputs": {k: {"file": Path(v).name, "sha256": _sha256(Path(v))} for k, v in outputs.items()},
+        "inputs": {name: entry(getattr(args, name)) for name in input_names},
+        "outputs": {name: entry(path) for name, path in outputs.items()},
     }
-    path = prefix.with_name(prefix.name + ".manifest.json")
+    path = _outputs(args, manifest=".manifest.json")["manifest"]
     _write_json(path, manifest)
-    return path
+    print("wrote " + ", ".join(str(p) for p in [*outputs.values(), path]))
 
 
 def _sign_counts(graph) -> str:
@@ -129,10 +140,7 @@ def _weights_for_mode(args, matrix):
 def cmd_project(args) -> int:
     _, matrix = _load_inputs(args)
     weights = _weights_for_mode(args, matrix)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-
-    outputs = {}
+    outputs = _outputs(args, sweep=".sweep.csv", graphml=".graphml", edges=".edges.csv")
     parameters = {
         "mode": args.mode,
         "missing_policy": args.missing_policy,
@@ -151,17 +159,16 @@ def cmd_project(args) -> int:
         parameters["target_fraction"] = args.target_fraction
         parameters["min_level"] = args.min_level
         parameters["resolved_threshold"] = format_fraction(threshold)
-        sweep_path = prefix.with_name(prefix.name + ".sweep.csv")
         rows = ["threshold,giant_fraction,giant_fraction_decimal"]
         rows += [
             f"{format_fraction(level)},{format_fraction(frac)},{repr(float(frac))}"
             for level, frac in selection.sweep
         ]
-        sweep_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        outputs["sweep"] = sweep_path
+        outputs["sweep"].write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"auto threshold: {format_fraction(threshold)} "
               f"(giant fraction {format_fraction(selection.giant_fraction_at_chosen)})")
     else:
+        del outputs["sweep"]
         threshold = as_fraction(args.threshold)
         parameters["resolved_threshold"] = format_fraction(threshold)
 
@@ -172,19 +179,13 @@ def cmd_project(args) -> int:
         negative_threshold=negative,
         node_attrs=matrix.node_attributes(),
     )
-    graphml_path = prefix.with_name(prefix.name + ".graphml")
-    edges_path = prefix.with_name(prefix.name + ".edges.csv")
-    export_graphml(graph, graphml_path)
-    export_edgelist(graph, edges_path)
-    outputs["graphml"] = graphml_path
-    outputs["edges"] = edges_path
-    manifest = _write_manifest(prefix, "project", parameters,
-                               {"survey": args.survey, "schema": args.schema}, outputs)
+    export_graphml(graph, outputs["graphml"])
+    export_edgelist(graph, outputs["edges"])
     components = connected_components(graph)
     print(f"projected {graph.n_nodes} participants: {_sign_counts(graph)} "
           f"at threshold {format_fraction(threshold)}")
     print(f"largest component: {format_fraction(components.giant_fraction)} of nodes")
-    print(f"wrote {graphml_path}, {edges_path}, {manifest}")
+    _write_manifest(args, "project", parameters, SURVEY_INPUTS, outputs)
     return 0
 
 
@@ -192,20 +193,13 @@ def cmd_attitudes(args) -> int:
     _, matrix = _load_inputs(args)
     normalized = renormalize(matrix)
     graph = style_edges(project_attitudes(normalized), mode=args.attitude_mode)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    graphml_path = prefix.with_name(prefix.name + ".graphml")
-    edges_path = prefix.with_name(prefix.name + ".edges.csv")
-    export_graphml(graph, graphml_path)
-    export_edgelist(graph, edges_path)
-    manifest = _write_manifest(
-        prefix, "attitudes",
-        {"attitude_mode": args.attitude_mode, "missing_policy": args.missing_policy},
-        {"survey": args.survey, "schema": args.schema},
-        {"graphml": graphml_path, "edges": edges_path},
-    )
+    outputs = _outputs(args, graphml=".graphml", edges=".edges.csv")
+    export_graphml(graph, outputs["graphml"])
+    export_edgelist(graph, outputs["edges"])
     print(f"attitude graph over {graph.n_nodes} items: {_sign_counts(graph)}")
-    print(f"wrote {graphml_path}, {edges_path}, {manifest}")
+    _write_manifest(args, "attitudes",
+                    {"attitude_mode": args.attitude_mode, "missing_policy": args.missing_policy},
+                    SURVEY_INPUTS, outputs)
     return 0
 
 
@@ -216,16 +210,8 @@ def cmd_communities(args) -> int:
         target_components=args.target,
         max_removed_fraction=as_fraction(args.max_removed_fraction),
     )
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    report_path = prefix.with_name(prefix.name + ".communities.json")
-    _write_json(report_path, report.to_dict())
-    manifest = _write_manifest(
-        prefix, "communities",
-        {"target": args.target, "max_removed_fraction": args.max_removed_fraction},
-        {"graph": args.graph},
-        {"report": report_path},
-    )
+    outputs = _outputs(args, report=".communities.json")
+    _write_json(outputs["report"], report.to_dict())
     sizes = [len(c) for c in report.final_components]
     print(f"status: {report.status}")
     print(f"removed {len(report.removed_edges)} of {report.original_edge_count} edges "
@@ -239,8 +225,10 @@ def cmd_communities(args) -> int:
             comps = ",".join(str(s) for s in step.component_sizes[:6])
             print(f"{i:>4}  {edge:<35} {step.betweenness:>11.2f}  {comps}")
         if len(report.history) > len(shown):
-            print(f"      ... {len(report.history) - len(shown)} more removals in {report_path}")
-    print(f"wrote {report_path}, {manifest}")
+            print(f"      ... {len(report.history) - len(shown)} more removals in {outputs['report']}")
+    _write_manifest(args, "communities",
+                    {"target": args.target, "max_removed_fraction": args.max_removed_fraction},
+                    ("graph",), outputs)
     if report.status == "budget_exhausted":
         raise AlgorithmError(f"removal budget exhausted after {len(report.removed_edges)} "
                              f"removals at {len(sizes)} components; the target is {args.target}")
@@ -251,19 +239,12 @@ def cmd_census(args) -> int:
     _, matrix = _load_inputs(args)
     signs = binarize(renormalize(matrix))
     census = profile_census(signs)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    census_path = prefix.with_name(prefix.name + ".census.json")
-    _write_json(census_path, census.to_dict())
-    manifest = _write_manifest(
-        prefix, "census", {"missing_policy": args.missing_policy},
-        {"survey": args.survey, "schema": args.schema},
-        {"census": census_path},
-    )
+    outputs = _outputs(args, census=".census.json")
+    _write_json(outputs["census"], census.to_dict())
     space = 3 ** census.m_binary if census.has_neutral_or_missing else 2 ** census.m_binary
     print(f"profiles realized: {census.realized_profiles}/{space} "
           f"({float(census.realized_fraction):.4f})")
-    print(f"wrote {census_path}, {manifest}")
+    _write_manifest(args, "census", {"missing_policy": args.missing_policy}, SURVEY_INPUTS, outputs)
     return 0
 
 
@@ -280,15 +261,13 @@ def _parse_color_map(arg: str | None) -> dict:
 
 
 def cmd_render(args) -> int:
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    svg_path = prefix.with_name(prefix.name + ".svg")
+    outputs = _outputs(args, svg=".svg")
     if args.bipartite:
         if not (args.survey and args.schema):
             raise ValidationError("--bipartite rendering needs --survey and --schema")
         _, matrix = _load_inputs(args)
-        render_bipartite_svg(renormalize(matrix), svg_path)
-        inputs = {"survey": args.survey, "schema": args.schema}
+        render_bipartite_svg(renormalize(matrix), outputs["svg"])
+        inputs = SURVEY_INPUTS
         parameters = {"bipartite": True, "missing_policy": args.missing_policy}
     else:
         if not args.graph:
@@ -300,8 +279,8 @@ def cmd_render(args) -> int:
             mapping=_parse_color_map(args.color_map),
             default_color=args.default_color,
         )
-        render_svg(graph, layout, scheme, svg_path)
-        inputs = {"graph": args.graph}
+        render_svg(graph, layout, scheme, outputs["svg"])
+        inputs = ("graph",)
         parameters = {
             "bipartite": False,
             "seed": args.seed,
@@ -310,21 +289,27 @@ def cmd_render(args) -> int:
             "color_map": args.color_map,
             "default_color": args.default_color,
         }
-    manifest = _write_manifest(prefix, "render", parameters, inputs, {"svg": svg_path})
-    print(f"wrote {svg_path}, {manifest}")
+    _write_manifest(args, "render", parameters, inputs, outputs)
     return 0
 
 
-def _add_survey_args(sub):
-    sub.add_argument("--survey", required=True, help="survey CSV file")
-    sub.add_argument("--schema", required=True, help="schema JSON file")
+def _add_survey_args(sub, required=True):
+    sub.add_argument("--survey", required=required, help="survey CSV file")
+    sub.add_argument("--schema", required=required, help="schema JSON file")
     sub.add_argument("--missing-policy", dest="missing_policy",
                      choices=["drop_participant", "keep_pairwise"],
                      default="drop_participant")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError, so it prints the JSON error block."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opinionnet",
         description="Opinion-based group structure from ordinal survey data",
     )
@@ -380,10 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("render", help="render a graph (or the raw bipartite survey) to SVG")
     p.add_argument("--graph", default=None, help="GraphML file to lay out and draw")
-    p.add_argument("--survey", default=None)
-    p.add_argument("--schema", default=None)
-    p.add_argument("--missing-policy", dest="missing_policy",
-                   choices=["drop_participant", "keep_pairwise"], default="drop_participant")
+    _add_survey_args(p, required=False)
     p.add_argument("--bipartite", action="store_true",
                    help="draw the two-layer participant-item graph directly")
     p.add_argument("--seed", type=int, default=7)
@@ -393,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--color-map", dest="color_map", default=None,
                    help="comma-separated VALUE=COLOR pairs, e.g. 'D=#1f77b4,R=#d62728'")
     p.add_argument("--default-color", dest="default_color", default="#999999",
+                   type=lambda color: color or None,
                    help="fill for unmapped values (empty string to make them an error)")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(func=cmd_render)
@@ -401,12 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "default_color", None) == "":
-        args.default_color = None
     try:
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
         except OSError as exc:  # e.g. an output prefix under a regular file, or a full disk
             raise ValidationError(f"cannot access {exc.filename or 'a file'}: "

@@ -90,17 +90,19 @@ class SurveySchema:
     @classmethod
     def from_dict(cls, data: dict) -> "SurveySchema":
         try:
-            items = tuple(
-                SurveyItem(str(entry["id"]), int(entry["scale"])) for entry in data["items"]
-            )
-            return cls(
-                items=items,
-                id_column=str(data["id_column"]),
-                attribute_columns=tuple(str(c) for c in data.get("attribute_columns", ())),
-                missing_token=str(data.get("missing_token", "NA")),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # e.g. a NaN scale
+            items = tuple(SurveyItem(str(entry["id"]), entry["scale"]) for entry in data["items"])
+            columns = data.get("attribute_columns", [])
+            id_column, missing_token = str(data["id_column"]), str(data.get("missing_token", "NA"))
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed schema descriptor: {exc}") from exc
+        for item in items:
+            if type(item.scale_size) is not int:  # a float, string or bool is not a scale
+                raise ValidationError(f"item {item.item_id!r} has scale {item.scale_size!r}; "
+                                      f"a scale must be a JSON integer")
+        if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+            raise ValidationError(f"attribute_columns must be a list of strings, got {columns!r}")
+        return cls(items=items, id_column=id_column, attribute_columns=tuple(columns),
+                   missing_token=missing_token)
 
     @classmethod
     def from_json(cls, path) -> "SurveySchema":
@@ -123,13 +125,6 @@ class LoadReport:
     rows_dropped: int
     missing_cells: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_dropped": self.rows_dropped,
-            "missing_cells": self.missing_cells,
-        }
-
 
 class ResponseMatrix:
     """Validated participants-by-items matrix of ordinal codes.
@@ -138,7 +133,7 @@ class ResponseMatrix:
     is True where a response is present. Safe to share across threads.
     """
 
-    __slots__ = ("schema", "participant_ids", "codes", "mask", "attributes", "report", "_index")
+    __slots__ = ("schema", "participant_ids", "codes", "mask", "attributes", "report")
 
     def __init__(self, schema, participant_ids, codes, mask=None, attributes=None, report=None):
         codes = np.array(codes, dtype=np.int16, copy=True)
@@ -189,7 +184,6 @@ class ResponseMatrix:
         self.mask = mask
         self.attributes = attributes
         self.report = report
-        self._index = {p: i for i, p in enumerate(participant_ids)}
 
     @property
     def n_participants(self) -> int:
@@ -209,12 +203,6 @@ class ResponseMatrix:
             return None
         return int(self.codes[participant, item])
 
-    def index_of(self, participant_id: str) -> int:
-        try:
-            return self._index[participant_id]
-        except KeyError:
-            raise ValidationError(f"unknown participant id {participant_id!r}") from None
-
     def node_attributes(self) -> dict:
         """Per-participant attribute mapping, keyed by participant id."""
         cols = self.schema.attribute_columns
@@ -231,10 +219,6 @@ class ResponseMatrix:
             and np.array_equal(self.codes, other.codes)
             and self.attributes == other.attributes
         )
-
-    def to_csv(self, path) -> None:
-        """Write the matrix back out in the loader's CSV layout."""
-        write_survey(self, path)
 
 
 def load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_participant") -> ResponseMatrix:

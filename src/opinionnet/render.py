@@ -82,9 +82,6 @@ class LayoutResult:
     iterations: int
     bounding_box: tuple
 
-    def covers(self, graph: ProjectionGraph) -> bool:
-        return all(u in self.positions for u in graph.nodes)
-
 
 def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
               negative_mode: str = "ignore") -> LayoutResult:

@@ -533,3 +533,86 @@ def test_communities_out_of_budget_prints_error_block(tmp_path, capsys):
     assert "budget" in block["error"]["message"]
     report = json.loads((tmp_path / "comm.communities.json").read_text())
     assert report["status"] == "budget_exhausted"
+
+
+def test_every_manifest_lists_exactly_the_files_its_run_wrote(tmp_path, capsys):
+    ks = [4] * 5
+    schema = write_schema(tmp_path / "schema.json", ks, attrs=["party"])
+    rows = [{"codes": [0] * 5, "attrs": ["D"]}] * 4 + [{"codes": [3] * 5, "attrs": ["R"]}] * 4
+    rows += [{"codes": [0, 0, 3, 3, 1], "attrs": ["D"]}]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows, attrs=["party"])
+    inputs = ["--survey", str(survey), "--schema", str(schema)]
+    out = tmp_path / "out"
+    graph = out / "fixed.graphml"
+    runs = {
+        "fixed": ["project", *inputs, "--mode", "exact", "--threshold", "3"],
+        "auto": ["project", *inputs, "--mode", "exact", "--threshold", "auto"],
+        "att": ["attitudes", *inputs],
+        "comm": ["communities", "--graph", str(graph)],
+        "census": ["census", *inputs],
+        "fig": ["render", "--graph", str(graph), "--iterations", "20", "--color-attr", "party"],
+        "bip": ["render", *inputs, "--bipartite"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out-prefix", str(out / name)]) == 0, name
+        wrote = capsys.readouterr().out.splitlines()[-1]
+        manifest_path = out / f"{name}.manifest.json"
+        created = sorted(out.glob(f"{name}.*"))
+        assert manifest_path in created
+        outputs = json.loads(manifest_path.read_text())["outputs"].values()
+        listed = {entry["file"]: entry["sha256"] for entry in outputs}
+        assert sorted(listed) == [p.name for p in created if p != manifest_path], name
+        for path in created:
+            if path != manifest_path:
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == listed[path.name], path
+        assert wrote.startswith("wrote "), wrote
+        named = wrote.removeprefix("wrote ").split(", ")
+        assert named[-1] == str(manifest_path) and sorted(named) == [str(p) for p in created]
+    assert (out / "auto.sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["render", "--seed", "abc", "--out-prefix", "OUT"], "--seed"),
+    (["project", "--survey", "SURVEY", "--schema", "SCHEMA", "--mode", "exact",
+      "--out-prefix", "OUT"], "--threshold"),
+    (["inspect", "--survey", "SURVEY", "--schema", "SCHEMA", "--out-prefix", "OUT"],
+     "--out-prefix"),
+    ([], "command"),
+], ids=["bad-int", "missing-option", "unknown-option", "no-subcommand"])
+def test_usage_error_prints_the_json_error_block(tmp_path, capsys, argv, named):
+    survey, schema = two_block_inputs(tmp_path)
+    paths = {"OUT": str(tmp_path / "out" / "x"), "SURVEY": str(survey), "SCHEMA": str(schema)}
+    before = sorted(tmp_path.rglob("*"))
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err.count("\n") == 1
+    block = json.loads(captured.err)["error"]
+    assert block["type"] == "ValidationError" and block["exit_code"] == 2
+    assert named in block["message"], block["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["render", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:" if "--help" in argv else "opinionnet ")
+
+
+@pytest.mark.parametrize("edit,named", [
+    (('"scale": 4', '"scale": 2.5'), ["'q00'", "2.5"]),
+    (('"scale": 4', '"scale": "3"'), ["'q00'", "'3'"]),
+    (('"scale": 4', '"scale": true'), ["'q00'", "True"]),
+    (('"attribute_columns": []', '"attribute_columns": "ab"'), ["attribute_columns", "'ab'"]),
+], ids=["float", "string", "bool", "string-columns"])
+def test_schema_values_are_validated_not_coerced(tmp_path, capsys, edit, named):
+    survey, schema = two_block_inputs(tmp_path)
+    text = schema.read_text()
+    assert edit[0] in text
+    schema.write_text(text.replace(*edit, 1))
+    code = main(["inspect", "--survey", str(survey), "--schema", str(schema)])
+    block = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert block["type"] == "ValidationError"
+    assert all(part in block["message"] for part in named), block["message"]

@@ -134,7 +134,7 @@ def malformed_schemas(draw):
     schema = json.loads(json.dumps(SCHEMA))
     item = schema["items"][1]
     defect = draw(st.sampled_from(["document", "items", "entry", "scale", "id", "id_column",
-                                   "text", "bytes"]))
+                                   "attribute_columns", "text", "bytes"]))
     if defect == "document":
         schema = draw(JSON_VALUES.filter(
             lambda v: not (isinstance(v, dict) and "items" in v and "id_column" in v)))
@@ -145,13 +145,16 @@ def malformed_schemas(draw):
     elif defect == "entry":
         schema["items"][1] = draw(JSON_VALUES.filter(
             lambda v: not (isinstance(v, dict) and {"id", "scale"} <= set(v))))
-    elif defect == "scale":
+    elif defect == "scale":  # a scale is a JSON integer: in-range floats and digit strings fail too
         item["scale"] = draw(st.one_of(
             st.integers(max_value=1), st.integers(min_value=2**15 + 1), st.booleans(), st.none(),
-            st.floats().filter(lambda f: not 2 <= f < 2**15 + 1),
-            st.text(max_size=4).filter(lambda t: not _is_int(t)), st.lists(st.integers(), max_size=2)))
+            st.floats(), st.floats(2, 2**15), st.integers(2, 2**15).map(str), st.text(max_size=4),
+            st.lists(st.integers(), max_size=2)))
     elif defect == "id":
         item["id"] = draw(JSON_VALUES.filter(lambda v: str(v) != "q1"))
+    elif defect == "attribute_columns":
+        schema["attribute_columns"] = draw(st.text(max_size=3) | JSON_VALUES.filter(
+            lambda v: not (isinstance(v, list) and all(isinstance(c, str) for c in v))))
     elif defect == "id_column":
         schema["id_column"] = draw(JSON_VALUES.filter(lambda v: str(v) != "pid"))
     elif defect == "text":
