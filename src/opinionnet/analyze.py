@@ -404,6 +404,7 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     smallest (u, v). Stops once the component count reaches the target or the
     removal budget (a fraction of the original edge count) is exhausted, in
     which case the partial history is returned with status budget_exhausted.
+    A target above the node count can never be reached and is refused.
     """
     if target_components < 1:
         raise ValidationError("target component count must be at least 1")
@@ -412,6 +413,9 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
         raise ValidationError("max removed fraction must lie in [0, 1]")
 
     n = graph.n_nodes
+    if target_components > n:  # removing every edge leaves n components, and no more
+        raise ValidationError(f"target component count {target_components} exceeds the "
+                              f"graph's {n} nodes, so no split can reach it")
     positive = graph.positive_mask()  # canonical (u, v) order
     us, vs = graph.us[positive], graph.vs[positive]
     original_count = len(us)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -387,8 +388,17 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            return args.func(args)
+            try:
+                return args.func(args)
+            finally:
+                sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         except OSError as exc:  # e.g. an output prefix under a regular file, or a full disk
+            if isinstance(exc, BrokenPipeError) and exc.filename is None:
+                # what is still buffered for stdout goes nowhere, not into a traceback at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise ValidationError("standard output closed before the run finished") from exc
             raise ValidationError(f"cannot access {exc.filename or 'a file'}: "
                                   f"{exc.strerror or exc}") from exc
     except OpinionNetError as exc:

@@ -9,6 +9,8 @@ byte-identical files.
 from __future__ import annotations
 
 import numbers
+import re
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from xml.parsers import expat
@@ -261,38 +263,145 @@ def import_graphml(path) -> ProjectionGraph:
     Embedded layout positions, if any, are ignored; everything else (node set,
     attributes, exact weights, sign, style, thresholds) round-trips. Keys must
     be declared before the graph that uses them, as GraphML requires.
+
+    The file is read in chunks cut at line ends. Each run of edge lines in
+    export_graphml's exact form is lifted out by one regex and replaced by a
+    placeholder processing instruction; expat parses the rest. The lifted
+    edges count only if expat reports every placeholder where it was put, as
+    a child of the first <graph>, and the file is plain UTF-8 with no DOCTYPE
+    and with the edge keys declared as export_graphml declares them. Any
+    other file is parsed again whole by expat, with nothing lifted, so every
+    file reads as expat alone reads it.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"graph file not found: {path}")
-    reader = _GraphMLReader(path)
-    parser = expat.ParserCreate(namespace_separator="}")
-    parser.buffer_text = True
-    parser.StartElementHandler = reader.start
-    parser.CharacterDataHandler = reader.chars
-    parser.EndElementHandler = reader.end
     try:
-        with open(path, "rb") as fh:
-            parser.ParseFile(fh)
+        reader = _GraphMLReader(path).lift() or _GraphMLReader(path).parse()
     except expat.ExpatError as exc:
         raise ValidationError(f"not a parseable GraphML file: {path}: {exc}") from exc
     return reader.graph()
 
 
+_CHUNK = 1 << 20  # bytes read per step of the lifted parse, then cut back to a line end
+_PLACEHOLDER = "opinionnet-lifted-edges"
+_MARK = f"<?{_PLACEHOLDER}?>".encode()
+# A value that expat passes on unchanged: no markup, entity reference or quote,
+# no control character (expat turns tabs and line ends in attribute values into
+# spaces and \r in text into \n), nothing that XML forbids, and no byte that
+# is not UTF-8 (decoded to a lone surrogate, which expat is left to reject).
+_PLAIN = '[^"&<>\\x00-\\x1f\\ud800-\\udfff\\ufffe\\uffff]*'
+# compiled on first use (re caches it), not at import: the CLI starts faster
+_EDGE_LINE = (
+    f'    <edge source="({_PLAIN})" target="({_PLAIN})"><data key="e_weight">({_PLAIN})</data>'
+    f'<data key="e_weight_decimal">{_PLAIN}</data><data key="e_sign">({_PLAIN})</data>'
+    f'<data key="e_style">({_PLAIN})</data></edge>\n')
+_EDGE_KEYS = {"e_weight": ("edge", "weight"), "e_sign": ("edge", "sign"),
+              "e_style": ("edge", "style")}
+
+
+class _Unconfirmed(Exception):
+    """The lifted parse may differ from expat's own reading of the file."""
+
+
 class _GraphMLReader:
     """expat handlers that collect a GraphML file's keys, graph data, nodes
-    and edge columns: each edge appends its endpoint ids and its weight, sign
-    and style strings to lists."""
+    and edges. An edge is kept as five codes (source, target, weight, sign,
+    style), each indexing that column's dict of distinct strings, so the
+    strings are checked once per file, not once per edge.
+
+    parse() reads the whole file with expat. lift() reads it with runs of
+    canonical edge lines lifted out, and returns None whenever that reading
+    could differ from parse()'s.
+    """
 
     def __init__(self, path: Path):
         self.path = path
         self.keys = {}  # key id -> (domain, attribute name)
         self.graph_data, self.nodes, self.node_attrs = {}, [], {}
-        self.columns = ([], [], [], [], [])  # sources, targets, weights, signs, styles
+        ids = {}
+        self.distinct = (ids, ids, {}, {}, {})  # string -> code; sources and targets share ids
+        self.columns = ([], [], [], [], [])  # codes per edge
+        self.runs = deque()  # (offset, edges) of placeholders fed but not yet reported
         self.depth = 0
         self.in_graph = self.seen_graph = False
         self.element = None  # (tag, attributes, data) of the open node or edge
         self.data = self.name = None  # where the open <data> element's text goes
+
+    def _parser(self):
+        parser = expat.ParserCreate(namespace_separator="}")
+        parser.buffer_text = True
+        parser.StartElementHandler = self.start
+        parser.CharacterDataHandler = self.chars
+        parser.EndElementHandler = self.end
+        return parser
+
+    def parse(self) -> "_GraphMLReader":
+        with open(self.path, "rb") as fh:
+            self._parser().ParseFile(fh)
+        return self
+
+    def lift(self) -> "_GraphMLReader | None":
+        parser = self.parser = self._parser()
+        parser.ProcessingInstructionHandler = self.placeholder
+        parser.StartDoctypeDeclHandler = self.doctype
+        parser.XmlDeclHandler = self.declaration
+        fed, rest = 0, b""
+        try:
+            with open(self.path, "rb") as fh:
+                while True:
+                    block = fh.read(_CHUNK)
+                    data = rest + block
+                    cut = data.rfind(b"\n") + 1 if block else len(data)
+                    if cut:
+                        data, rest = self._lifted(data[:cut], fed), data[cut:]
+                    else:  # no line end, so no line to lift: expat gets it as it is
+                        rest = b""
+                    parser.Parse(data, not block)
+                    fed += len(data)
+                    if not block:
+                        break
+        except (expat.ExpatError, ValidationError, _Unconfirmed):
+            return None
+        return None if self.runs else self
+
+    def _lifted(self, chunk: bytes, fed: int) -> bytes:
+        """chunk with each run of canonical edge lines replaced by a
+        placeholder; queues the run's edge columns with the placeholder's offset."""
+        # text before each line, then the line's five values; bytes that are not
+        # UTF-8 (a cut inside a character, say) round-trip as lone surrogates
+        parts = re.split(_EDGE_LINE, chunk.decode("utf-8", "surrogateescape"))
+        between, columns, pieces = parts[::6], [parts[k::6] for k in range(1, 6)], []
+        # a run starts at the first line and at every line after other text
+        starts = [i for i in range(len(between) - 1) if between[i] or not i]
+        for start, stop in zip(starts, starts[1:] + [len(between) - 1]):
+            pieces.append(between[start].encode("utf-8", "surrogateescape"))
+            fed += len(pieces[-1])
+            self.runs.append((fed, [column[start:stop] for column in columns]))
+            pieces.append(_MARK)
+            fed += len(_MARK)
+        pieces.append(between[-1].encode("utf-8", "surrogateescape"))
+        return b"".join(pieces)
+
+    def placeholder(self, target, data):
+        if target != _PLACEHOLDER:
+            return  # processing instructions are ignored, as parse() ignores them
+        offset, edges = self.runs.popleft() if self.runs else (None, ())
+        if not (offset == self.parser.CurrentByteIndex and self.depth == 2 and self.in_graph
+                and all(self.keys.get(k) == v for k, v in _EDGE_KEYS.items())
+                and self.keys.get("e_weight_decimal") not in _EDGE_KEYS.values()):
+            raise _Unconfirmed
+        for column, codes, values in zip(self.columns, self.distinct, edges):
+            for value in dict.fromkeys(values):
+                codes.setdefault(value, len(codes))
+            column.extend(map(codes.__getitem__, values))
+
+    def doctype(self, *args):
+        raise _Unconfirmed  # a DTD can declare entities and default attributes
+
+    def declaration(self, version, encoding, standalone):
+        if encoding is not None and encoding.lower() != "utf-8":
+            raise _Unconfirmed
 
     def start(self, tag, attrs):
         self.name = None  # like ElementTree, data text stops at a child element
@@ -336,10 +445,10 @@ class _GraphMLReader:
             elif "weight" not in data:
                 raise ValidationError(f"an edge in {self.path} lacks a weight")
             else:
-                for column, value in zip(self.columns, (
+                for column, codes, value in zip(self.columns, self.distinct, (
                         attrs["source"], attrs["target"], data["weight"],
                         data.get("sign", POSITIVE), data.get("style", SOLID))):
-                    column.append(value)
+                    column.append(codes.setdefault(value, len(codes)))
         self.depth -= 1
 
     def graph(self) -> ProjectionGraph:
@@ -355,8 +464,15 @@ class _GraphMLReader:
                 except ValueError:
                     raise ValidationError(f"graph {name} {extra[name]!r} in {self.path} "
                                           f"is not an integer") from None
+        # the distinct strings go through the per-edge checks as if each were one edge
+        ids, _, weights, signs, styles = (list(codes) for codes in self.distinct)
+        node_of, _, table, _, sign_of, style_of = edge_columns(
+            self.nodes, ids, (), weights, signs, styles)
+        sources, targets, weight_codes, sign_codes, style_codes = (
+            np.array(column, dtype=np.intp) for column in self.columns)
         return ProjectionGraph.from_arrays(
-            kind, self.nodes, *edge_columns(self.nodes, *self.columns),
+            kind, self.nodes, node_of[sources], node_of[targets], table, weight_codes,
+            sign_of[sign_codes], style_of[style_codes],
             node_attrs=self.node_attrs,
             threshold_used=None if thresholds[0] is None else as_fraction(thresholds[0]),
             negative_threshold_used=None if thresholds[1] is None else as_fraction(thresholds[1]),

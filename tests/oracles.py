@@ -4,15 +4,22 @@ Everything here is written against plain Python data (lists, Fractions) and
 stays independent of the package's numpy code paths, so it can serve as an
 oracle for them. The exceptions are betweenness_per_source and
 fr_positions_add_at, earlier numpy versions of package code kept as the
-bitwise references for their replacements.
+bitwise references for their replacements, and expat_import_graphml, the
+GraphML reader that parses every element with expat, kept as the reference
+for import_graphml's lifted edge lines.
 """
 
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
+from xml.parsers import expat
 
 import numpy as np
 
 from opinionnet import thirds_style
+from opinionnet.errors import ValidationError
+from opinionnet.project import POSITIVE, SOLID, ProjectionGraph, edge_columns
+from opinionnet.rational import as_fraction
 
 
 def normalized_value(code: int, scale_size: int) -> Fraction:
@@ -284,3 +291,112 @@ def random_rows(rng, n, scale_sizes, missing_rate=0.0):
                 row.append(rng.randrange(k))
         rows.append(row)
     return rows
+
+
+def expat_import_graphml(path) -> ProjectionGraph:
+    """Rebuild a ProjectionGraph from a GraphML file written by export_graphml.
+
+    Embedded layout positions, if any, are ignored; everything else (node set,
+    attributes, exact weights, sign, style, thresholds) round-trips. Keys must
+    be declared before the graph that uses them, as GraphML requires.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"graph file not found: {path}")
+    reader = _GraphMLReader(path)
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+    parser.StartElementHandler = reader.start
+    parser.CharacterDataHandler = reader.chars
+    parser.EndElementHandler = reader.end
+    try:
+        with open(path, "rb") as fh:
+            parser.ParseFile(fh)
+    except expat.ExpatError as exc:
+        raise ValidationError(f"not a parseable GraphML file: {path}: {exc}") from exc
+    return reader.graph()
+
+
+class _GraphMLReader:
+    """expat handlers that collect a GraphML file's keys, graph data, nodes
+    and edge columns: each edge appends its endpoint ids and its weight, sign
+    and style strings to lists."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.keys = {}  # key id -> (domain, attribute name)
+        self.graph_data, self.nodes, self.node_attrs = {}, [], {}
+        self.columns = ([], [], [], [], [])  # sources, targets, weights, signs, styles
+        self.depth = 0
+        self.in_graph = self.seen_graph = False
+        self.element = None  # (tag, attributes, data) of the open node or edge
+        self.data = self.name = None  # where the open <data> element's text goes
+
+    def start(self, tag, attrs):
+        self.name = None  # like ElementTree, data text stops at a child element
+        self.depth += 1
+        depth, tag = self.depth, tag.rpartition("}")[2]
+        if not self.in_graph:
+            if depth == 2 and tag == "key":
+                self.keys[attrs.get("id")] = (attrs.get("for"), attrs.get("attr.name"))
+            elif depth == 2 and tag == "graph" and not self.seen_graph:
+                self.in_graph = self.seen_graph = True
+        elif tag == "data" and (depth == 3 or (depth == 4 and self.element is not None)):
+            domain, name = self.keys.get(attrs.get("key"), (None, None))
+            data = self.graph_data if depth == 3 else self.element[2]
+            if name is not None and domain == ("graph" if depth == 3 else self.element[0]):
+                self.data, self.name = data, name
+                data[name] = ""
+        elif depth == 3 and tag in ("node", "edge"):
+            self.element = (tag, attrs, {})
+
+    def chars(self, text):
+        if self.name is not None:
+            self.data[self.name] += text
+
+    def end(self, tag):
+        self.name = None
+        if self.depth == 2:
+            self.in_graph = False
+        elif self.depth == 3 and self.element is not None:
+            tag, attrs, data = self.element
+            self.element = None
+            if tag == "node":
+                if attrs.get("id") is None:
+                    raise ValidationError(f"a node in {self.path} has no id")
+                self.nodes.append(attrs["id"])
+                data.pop("x", None)
+                data.pop("y", None)
+                if data:
+                    self.node_attrs[attrs["id"]] = data
+            elif attrs.get("source") is None or attrs.get("target") is None:
+                raise ValidationError(f"an edge in {self.path} lacks a source or target")
+            elif "weight" not in data:
+                raise ValidationError(f"an edge in {self.path} lacks a weight")
+            else:
+                for column, value in zip(self.columns, (
+                        attrs["source"], attrs["target"], data["weight"],
+                        data.get("sign", POSITIVE), data.get("style", SOLID))):
+                    column.append(value)
+        self.depth -= 1
+
+    def graph(self) -> ProjectionGraph:
+        if not self.seen_graph:
+            raise ValidationError(f"no <graph> element in {self.path}")
+        extra = dict(self.graph_data)
+        kind = extra.pop("kind", "participant")
+        thresholds = [extra.pop(name, None) for name in ("threshold", "negative_threshold")]
+        for name in ("n_items", "n_participants"):
+            if name in extra:
+                try:
+                    extra[name] = int(extra[name])
+                except ValueError:
+                    raise ValidationError(f"graph {name} {extra[name]!r} in {self.path} "
+                                          f"is not an integer") from None
+        return ProjectionGraph.from_arrays(
+            kind, self.nodes, *edge_columns(self.nodes, *self.columns),
+            node_attrs=self.node_attrs,
+            threshold_used=None if thresholds[0] is None else as_fraction(thresholds[0]),
+            negative_threshold_used=None if thresholds[1] is None else as_fraction(thresholds[1]),
+            extra=extra,
+        )

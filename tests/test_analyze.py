@@ -223,10 +223,12 @@ def test_target_fraction_one_demands_full_connectivity():
     assert selection.giant_fraction_at_chosen == 1
 
 
-def test_unreachable_target_component_count_exhausts_budget():
+def test_unreachable_target_component_count_is_refused():
     graph = graph_from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    report = girvan_newman(graph, target_components=5)
-    assert report.status == "budget_exhausted"
+    with pytest.raises(ValidationError, match="count 4 exceeds the graph's 3 nodes"):
+        girvan_newman(graph, target_components=4)
+    report = girvan_newman(graph, target_components=3)  # the node count is reachable
+    assert report.status == "split"
     assert len(report.removed_edges) == 2  # every edge got removed
     assert [len(c) for c in report.final_components] == [1, 1, 1]
 

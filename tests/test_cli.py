@@ -360,6 +360,30 @@ def test_thread_env_var_does_not_change_output(tmp_path):
         assert (tmp_path / "t2" / suffix).read_bytes() == (tmp_path / "t1" / suffix).read_bytes()
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_2_with_one_error_block(tmp_path, unbuffered):
+    survey, schema = two_block_inputs(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:  # each print then fails at once, not at the final flush
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the run prints
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "opinionnet.cli", "project", "--survey", str(survey),
+             "--schema", str(schema), "--mode", "exact", "--threshold", "4",
+             "--out-prefix", str(tmp_path / "run")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()  # the JSON block and no traceback after it
+    block = json.loads(line)
+    assert block["error"]["exit_code"] == 2
+    assert block["error"]["message"] == "standard output closed before the run finished"
+
+
 def test_cli_import_leaves_the_network_stack_unloaded():
     # xml.sax.saxutils imports urllib.request, and with it http.client and ssl
     src = Path(__file__).resolve().parents[1] / "src"
@@ -525,14 +549,28 @@ def test_min_level_with_a_huge_denominator_is_exact(tmp_path, capsys):
 def test_communities_out_of_budget_prints_error_block(tmp_path, capsys):
     graph_path = tmp_path / "barbell.graphml"
     export_graphml(barbell_graph(), graph_path)
-    code = main(["communities", "--graph", str(graph_path), "--target", "9",
-                 "--out-prefix", str(tmp_path / "comm")])
+    # one removal (the bridge) gives 2 components, not the 3 asked for
+    code = main(["communities", "--graph", str(graph_path), "--target", "3",
+                 "--max-removed-fraction", "1/13", "--out-prefix", str(tmp_path / "comm")])
     block = json.loads(capsys.readouterr().err)
     assert code == 3
     assert block["error"]["type"] == "AlgorithmError"
     assert "budget" in block["error"]["message"]
     report = json.loads((tmp_path / "comm.communities.json").read_text())
     assert report["status"] == "budget_exhausted"
+    assert len(report["removed_edges"]) == 1
+
+
+def test_communities_target_above_node_count_exits_2(tmp_path, capsys):
+    graph_path = tmp_path / "barbell.graphml"
+    export_graphml(barbell_graph(), graph_path)
+    code = main(["communities", "--graph", str(graph_path), "--target", "9",
+                 "--out-prefix", str(tmp_path / "comm")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"]["type"] == "ValidationError"
+    assert "9 exceeds the graph's 8 nodes" in block["error"]["message"]
+    assert not (tmp_path / "comm.communities.json").exists()
 
 
 def test_every_manifest_lists_exactly_the_files_its_run_wrote(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Generated graphs: export/import round-trips, the two constructors, networkx oracles."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,11 @@ from opinionnet import (
     export_graphml,
     import_graphml,
 )
+from opinionnet import render
+from opinionnet.errors import ValidationError
 from opinionnet.project import SIGNS, STYLES
+
+from oracles import expat_import_graphml
 
 # ids whose code-point order differs from dictionary or UTF-16 order, plus
 # characters the exporters must escape or quote
@@ -32,11 +37,12 @@ EXAMPLES = settings(max_examples=40, deadline=None,
 
 
 @st.composite
-def graphs(draw):
-    nodes = draw(st.lists(NODE_IDS, min_size=1, max_size=7, unique=True))
+def graphs(draw, node_ids=NODE_IDS, min_edges=0):
+    nodes = draw(st.lists(node_ids, min_size=1 + bool(min_edges), max_size=7, unique=True))
     kind = draw(st.sampled_from(["participant", "attitude"]))
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_edges,
+                           max_size=12)) if pairs else []
     sign_sets = [("positive",), ("negative",)]
     if kind == "attitude":
         sign_sets.append(("positive", "negative"))  # both relations on one pair
@@ -133,3 +139,165 @@ def test_mixed_denominators_share_one_table():
     ])
     assert graph.weight_table == (Fraction(-3, 14), Fraction(1, 3), Fraction(5, 7))
     assert graph.weight_codes.tolist() == [1, 2, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# import_graphml against the expat-only reader
+# ---------------------------------------------------------------------------
+
+# ids that expat would change if they were written raw (tabs, line ends) or
+# that the exporter writes with entity references or single quotes
+READER_IDS = st.one_of(
+    st.sampled_from(AWKWARD_IDS + ["t\tab", "two\nlines", "c\rr", "p 2 3", "'"]),
+    st.text(XML_TEXT, min_size=1, max_size=5))
+EDGE_LINE = "    <edge "
+DOCTYPES = ['<!DOCTYPE graphml [<!ATTLIST edge sign CDATA "x">]>',
+            '<!DOCTYPE graphml [<!ATTLIST data key CDATA "e_sign">]>',
+            '<!DOCTYPE graphml [<!ENTITY w "1">]>', "<!DOCTYPE graphml>"]
+KEYS = ['<key id="e_weight" for="node" attr.name="weight"/>',
+        '<key id="e_sign" for="edge" attr.name="style"/>',
+        '<key id="e_style" for="all" attr.name="style"/>',
+        '<key id="e_weight_decimal" for="edge" attr.name="weight"/>',
+        '<key id="e_weight_decimal" for="edge" attr.name="sign"/>',
+        '<key id="zz" for="edge" attr.name="weight"/>']
+FORBIDDEN = st.sampled_from([chr(c) for c in range(32) if chr(c) not in "\t\n\r"]
+                            + ["\ufffe", "\uffff"])
+
+
+def _run(draw, lines):
+    """A drawn run of edge lines as a slice [i, j); empty before </graph> if there are none."""
+    edges = [i for i, line in enumerate(lines) if line.startswith(EDGE_LINE)]
+    if not edges:
+        end = lines.index("  </graph>")
+        return end, end
+    i = draw(st.sampled_from(edges))
+    return i, draw(st.sampled_from([k + 1 for k in edges if k >= i]))
+
+
+def _wrap(*around):
+    """Put a drawn run of edge lines between a drawn (before, after) pair of lines."""
+    def mangle(draw, lines):
+        i, j = _run(draw, lines)
+        before, after = draw(st.sampled_from(around))
+        return lines[:i] + [before] + lines[i:j] + [after] + lines[j:]
+    return mangle
+
+
+def _per_line(edit):
+    """Apply a drawn edit to each line of a drawn run."""
+    def mangle(draw, lines):
+        i, j = _run(draw, lines)
+        return lines[:i] + [edit(draw, line) for line in lines[i:j]] + lines[j:]
+    return mangle
+
+
+def _insert(what, where):
+    def mangle(draw, lines):
+        at = lines.index(where) if isinstance(where, str) else draw(st.integers(1, len(lines) - 1))
+        return lines[:at] + [draw(what)] + lines[at:]
+    return mangle
+
+
+def _values(line, edit):
+    """line with edit(value) applied to its source and target values."""
+    return re.sub(r'(source|target)="([^"]*)"', lambda m: f'{m[1]}="{edit(m[2])}"', line)
+
+
+def _spliced(draw, raw, what):
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + draw(what) + raw[at:]
+
+
+def _second_graph(draw, lines):
+    i, j = _run(draw, lines)
+    end = lines.index("</graphml>")
+    moved = draw(st.booleans())
+    head = lines[:i] + lines[j:end] if moved else lines[:end]
+    return head + ['  <graph id="H" edgedefault="undirected">', *lines[i:j], "  </graph>",
+                   *lines[end:]]
+
+
+MANGLES = {
+    "plain": lambda draw, lines: lines,
+    "edge_in_data": _wrap(('    <data key="g_kind">', "</data>"),
+                          ('    <data key="zz">', "</data>"),
+                          ('    <node id="zz"><data key="na0">', "</data></node>")),
+    "comment": _wrap(("<!--", "-->")),
+    "cdata": _wrap(("<![CDATA[", "]]>")),
+    "doctype": _insert(st.sampled_from(DOCTYPES),
+                       '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'),
+    "forged_placeholder": _insert(st.sampled_from([f"<?{render._PLACEHOLDER}?>",
+                                                   f"<?{render._PLACEHOLDER} 0?>"]), None),
+    "single_quotes": _per_line(lambda draw, line: re.sub(r'(source|target)="([^"\']*)"',
+                                                         r"\1='\2'", line)),
+    "reordered": _per_line(lambda draw, line: re.sub(r'source=("[^"]*") target=("[^"]*")',
+                                                     r"target=\2 source=\1", line)),
+    "extra_whitespace": _per_line(lambda draw, line: line.replace(*draw(st.sampled_from(
+        [("<edge ", "<edge  "), ('">', '" >'), ("</edge>", "</edge >"), ("<data ", "<data\n"),
+         ("</edge>", "</edge>  ")])))),
+    "raw_whitespace": _per_line(lambda draw, line: _values(line, lambda v: v.replace(
+        " ", draw(st.sampled_from(["\t", "\n", "\r", "\r\n"]))))),
+    "entity": _per_line(lambda draw, line: _values(line, lambda v: "".join(
+        f"&#{ord(c)};" if c.isalnum() and draw(st.booleans()) else c for c in v))),
+    "keys": _insert(st.sampled_from(KEYS), '  <graph id="G" edgedefault="undirected">'),
+    "second_graph": _second_graph,
+    "control_character": _per_line(lambda draw, line: _values(line,
+                                                              lambda v: v + draw(FORBIDDEN))),
+}
+ENCODINGS = {  # applied to the joined text
+    "utf8": lambda draw, text: text.encode("utf-8"),
+    "iso_8859_1": lambda draw, text: text.replace('encoding="UTF-8"',
+                                                  'encoding="ISO-8859-1"').encode("utf-8"),
+    "bom": lambda draw, text: b"\xef\xbb\xbf" + text.replace(
+        'encoding="UTF-8"', draw(st.sampled_from(['encoding="UTF-8"', 'encoding="utf-8"']))
+    ).encode("utf-8"),
+    "crlf": lambda draw, text: text.replace("\n", "\r\n").encode("utf-8"),
+    "one_line": lambda draw, text: text.replace("\n", "").encode("utf-8"),
+    "invalid_utf8": lambda draw, text: _spliced(draw, text.encode("utf-8"), st.sampled_from(
+        [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbf\xbe"])),
+}
+FAMILIES = [(m, "utf8") for m in MANGLES] + [("plain", e) for e in ENCODINGS if e != "utf8"]
+CHUNKS = st.sampled_from([1 << 20, 7, 64, 300])
+
+
+def _reading(read, path):
+    try:
+        graph = read(path)
+    except ValidationError:
+        return "ValidationError"
+    return (graph.kind, graph.nodes, graph.node_attrs, graph.extra, graph.threshold_used,
+            graph.negative_threshold_used, graph.weight_table,
+            [column.tolist() for column in _columns(graph)])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(graph=graphs(READER_IDS, min_edges=1), data=st.data())
+def test_import_matches_the_expat_only_reader(tmp_path, graph, data):
+    """Every example exports one graph and reads each mangled family of it."""
+    export_graphml(graph, tmp_path / "g.graphml")  # rewritten by every example
+    lines = (tmp_path / "g.graphml").read_text(encoding="utf-8").split("\n")
+    for mangle, encoding in FAMILIES:
+        path = tmp_path / f"{mangle}-{encoding}.graphml"
+        text = "\n".join(MANGLES[mangle](data.draw, lines))
+        path.write_bytes(ENCODINGS[encoding](data.draw, text))
+        with pytest.MonkeyPatch.context() as patch:
+            # small chunks put cuts inside lines, runs and multi-byte characters
+            patch.setattr(render, "_CHUNK", data.draw(CHUNKS))
+            assert _reading(import_graphml, path) == _reading(expat_import_graphml, path), \
+                (mangle, encoding)
+
+
+@EXAMPLES
+@given(graph=graphs(READER_IDS), chunk=CHUNKS)
+def test_plain_exports_are_read_without_the_whole_file_fallback(tmp_path, graph, chunk):
+    path = tmp_path / "g.graphml"  # rewritten by every example
+    export_graphml(graph, path)
+
+    def fallback(self):
+        raise AssertionError("whole-file fallback")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render._GraphMLReader, "parse", fallback)
+        patch.setattr(render, "_CHUNK", chunk)
+        assert _reading(import_graphml, path) == _reading(expat_import_graphml, path)
