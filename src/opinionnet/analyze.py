@@ -138,11 +138,16 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     the target is never reached the sweep so far is raised with the error.
 
     One pass of Prim's algorithm over the complete weighted graph builds a
-    maximum spanning tree and the histogram of all pair weights: each added
-    vertex's numerator row is binned against the vertices still outside the
-    tree, so every pair is counted once. The components of the edges at or
-    above any level are those of the tree edges at or above it (single
-    linkage; Gower & Ross 1969), so the sweep unions tree edges only.
+    maximum spanning tree and the histogram of all pair weights. It runs on a
+    private copy of the numerators_only() weights whose rows it permutes: the
+    vertices still outside the tree sit in the prefix 0..k-1, and the vertex
+    that joins the tree is swapped to position k, just past it. Its numerator
+    row is computed against that prefix only, binned into the histogram and
+    merged into each outside vertex's heaviest link to the tree, so every
+    pair is computed and counted exactly once. The components of the edges
+    at or above any level are those of the tree edges at or above it (single
+    linkage; Gower & Ross 1969), and any maximum spanning tree gives the same
+    ones, so the sweep unions tree edges only and ties may join in any order.
 
     The histogram is an array with one flag per representable weight level
     (2*m*D + 1 for score weights, m + 1 otherwise). Surveys whose scale steps
@@ -166,24 +171,26 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
             f"{MAX_SWEEP_LEVELS}; give an explicit threshold instead")
 
     present = np.zeros(levels, dtype=bool)  # weight level present among the pairs
-    lowest = np.iinfo(np.int64).min
-    best = np.full(n, lowest, dtype=np.int64)  # heaviest link to the tree; lowest once inside
-    link = np.zeros(n, dtype=np.int64)
-    outside = np.ones(n, dtype=bool)
-    tree = []  # (numerator, u, v) per spanning-tree edge
     kernel = weights.numerators_only()  # no co-answered counts: weights are not rescaled
-    v = 0
-    outside[v] = False
-    for _ in range(n - 1):
-        row = kernel.block_numerators(v, v + 1, 0, n)[0][0]
-        present[row[outside] + off] = True
-        closer = outside & (row > best)
-        best[closer] = row[closer]
-        link[closer] = v
-        v = int(np.argmax(best))
-        tree.append((int(best[v]), int(link[v]), v))
-        best[v] = lowest
-        outside[v] = False
+    # private copies of the encodings, permuted below; only block_numerators reads them
+    kernel._x, kernel._y = kernel._x.copy(), kernel._y.copy()
+    ids = list(range(n))  # participant at each position
+    best = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)  # heaviest link to the tree
+    link = np.zeros(n, dtype=np.int64)  # the tree vertex it links to
+    tree = []  # (numerator, u, v) per spanning-tree edge
+    v = 0  # position of the vertex joining the tree
+    for k in range(n - 1, 0, -1):  # positions 0..k-1 hold the vertices outside the tree
+        for rows in (kernel._x, kernel._y):  # the joining vertex moves to position k
+            rows[v], rows[k] = rows[k], rows[v].copy()
+        for column in (ids, best, link):
+            column[v], column[k] = column[k], column[v]
+        row = kernel.block_numerators(k, k + 1, 0, k)[0][0]
+        present[row + off] = True
+        closer = row > best[:k]
+        best[:k][closer] = row[closer]
+        link[:k][closer] = ids[k]
+        v = int(np.argmax(best[:k]))
+        tree.append((int(best[v]), int(link[v]), ids[v]))
     tree.sort(reverse=True)
 
     numerators = np.nonzero(present)[0][::-1] - off  # descending weight levels

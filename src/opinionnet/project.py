@@ -12,9 +12,11 @@ Weights are exact rationals held as integer numerators over one shared
 denominator. All three modes share one kernel: each row is encoded once as a
 one-hot over (item, value) and as that one-hot times a per-item table of
 numerator contributions, so a block of numerators is a single matrix
-product (see PairWeights). The product runs in float64 whenever every sum
-is an integer below 2**53, so it is exact whatever the BLAS blocking or
-thread count, and in int64 otherwise. Thresholding compares exact
+product (see PairWeights). Every product and partial sum is an integer of
+magnitude at most m*D (m items, D the shared denominator), so the product
+runs on one of three dtype rungs: float32 when m*D < 2**24, float64 when
+m*D < 2**53, and int64 otherwise. Each rung holds every sum exactly,
+whatever the BLAS blocking or thread count. Thresholding compares exact
 rationals; positive edges need w >= threshold, negative edges (disagreement
 ties) need w <= negative_threshold. Exact-agreement projections at
 thresholds m and m-1 on complete data skip the pair scan and group equal
@@ -24,6 +26,7 @@ rows by sorting them instead.
 from __future__ import annotations
 
 import copy
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +49,14 @@ SOLID = "solid"
 DASHED = "dashed"
 DOTTED = "dotted"
 
-DEFAULT_BLOCK_ROWS = 512
+# one int64 numerator block of the pair scan: 512 rows at N = 3,000, as the
+# former fixed default had, and fewer rows as N grows
+SCAN_BLOCK_BYTES = 512 * 3_000 * 8
+
+
+def default_block_rows(n: int) -> int:
+    """Rows per scan block: as many as fit an int64 block of n columns in SCAN_BLOCK_BYTES."""
+    return max(1, SCAN_BLOCK_BYTES // (8 * n))
 
 
 def _block_ranges(n: int, block: int):
@@ -83,9 +93,11 @@ class PairWeights:
         self.count_neutral_pairs = bool(count_neutral_pairs)
         self._features = np.ascontiguousarray(features, dtype=np.int64)
         self._mask = np.ascontiguousarray(mask, dtype=bool)
-        # every sum below is an integer of magnitude <= n_items * denominator,
-        # so float64 products are exact whatever the BLAS blocking or thread count
-        dtype = np.float64 if self.n_items * self.denominator < 2**53 else np.int64
+        # every product and partial sum below is an integer of magnitude at most
+        # n_items * denominator, so each rung is exact whatever the BLAS blocking
+        # or thread count: float32 below 2**24, float64 below 2**53, else int64
+        scale = self.n_items * self.denominator
+        dtype = np.float32 if scale < 2**24 else np.float64 if scale < 2**53 else np.int64
         onehots, tables = [], []
         for j in range(self.n_items):
             column = self._features[:, j]
@@ -422,9 +434,8 @@ def _select_block(numer, co, threshold: Fraction, weights: PairWeights, *, negat
         hit = lhs <= rhs if negative else lhs >= rhs
         empty_hit = (0 <= threshold) if negative else (0 >= threshold)
         return np.where(co > 0, hit, empty_hit)
-    lhs = numer * threshold.denominator
-    rhs = threshold.numerator * d
-    return lhs <= rhs if negative else lhs >= rhs
+    level = threshold * d  # an integer numer is >= level exactly when >= ceil(level)
+    return numer <= math.floor(level) if negative else numer >= math.ceil(level)
 
 
 def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
@@ -453,11 +464,12 @@ def _scan_edges(weights: PairWeights, threshold, negative_threshold, block_rows:
     parts = []
     for r0, r1 in _block_ranges(n, block_rows):
         numer, co = weights.block_numerators(r0, r1, r0, n)
-        upper = np.arange(r0, n)[None, :] > np.arange(r0, r1)[:, None]  # each pair once
+        upper = np.arange(r1 - r0)[None, :] > np.arange(r1 - r0)[:, None]  # each pair once
         for sign, thr in ((POSITIVE, threshold), (NEGATIVE, negative_threshold)):
             if thr is None:
                 continue
-            sel = _select_block(numer, co, thr, weights, negative=sign == NEGATIVE) & upper
+            sel = _select_block(numer, co, thr, weights, negative=sign == NEGATIVE)
+            sel[:, :r1 - r0] &= upper  # columns past r1 pair with every row of the block
             ii, jj = np.nonzero(sel)
             parts.append((ii + r0, jj + r0, np.full(len(ii), SIGNS.index(sign), dtype=np.int8),
                           numer[sel], co[sel] if rescaled else None))
@@ -514,12 +526,14 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
 
 def project_participants(weights: PairWeights, threshold, negative_threshold=None,
                          node_attrs=None, *,
-                         block_rows: int = DEFAULT_BLOCK_ROWS) -> ProjectionGraph:
+                         block_rows: int | None = None) -> ProjectionGraph:
     """Threshold pairwise weights into a participant graph.
 
     Positive edges link pairs with weight >= threshold; when a negative
     threshold is given, pairs with weight <= negative_threshold get negative
     (disagreement) edges. Isolated participants are retained as nodes.
+    block_rows overrides the scan's default_block_rows; the output does not
+    depend on it.
     """
     threshold = as_fraction(threshold)
     lo, hi = weights.weight_range()
@@ -548,6 +562,8 @@ def project_participants(weights: PairWeights, threshold, negative_threshold=Non
         ii, jj, numer = _bucketed_agreement_pairs(weights, int(threshold))
         signs, co = np.full(len(ii), SIGNS.index(POSITIVE), dtype=np.int8), None
     else:
+        if block_rows is None:
+            block_rows = default_block_rows(weights.n_participants)
         ii, jj, signs, numer, co = _scan_edges(weights, threshold, neg, block_rows)
     table, codes = _weight_table(weights, numer, co)
 

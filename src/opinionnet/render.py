@@ -61,18 +61,30 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _edge_lines(graph: ProjectionGraph, head, tail) -> list:
-    """One line per edge in canonical order: head(u, v) + tail(weight, sign, style).
+_EDGE_CHUNK = 4096  # edge lines formatted and written at a time
+
+
+def _write_with_edges(path, before, graph: ProjectionGraph, head, tail, after) -> None:
+    """Write a UTF-8 text file: the lines before, one line per edge in
+    canonical order, head(u, v) + tail(weight, sign, style), then the lines after.
 
     head gets node indices; tail is called once per distinct (weight, sign,
-    style) combination, so no per-edge Fraction is built or formatted.
+    style) combination, so no per-edge Fraction is built or formatted. Edge
+    lines are formatted and written _EDGE_CHUNK at a time, so memory is
+    bounded by the chunk, not by the file.
     """
-    combo = (graph.weight_codes.astype(np.int64) * 2 + graph.signs) * 3 + graph.styles
-    combos, which = np.unique(combo, return_inverse=True)
-    tails = [tail(graph.weight_table[c // 6], SIGNS[c // 3 % 2], STYLES[c % 3])
-             for c in combos.tolist()]
-    return [head(a, b) + tails[t]
-            for a, b, t in zip(graph.us.tolist(), graph.vs.tolist(), which.reshape(-1).tolist())]
+    tails = {}  # combination code -> its formatted tail and line end
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(line + "\n" for line in before)
+        for s in range(0, graph.n_edges, _EDGE_CHUNK):
+            e = s + _EDGE_CHUNK
+            combo = ((graph.weight_codes[s:e].astype(np.int64) * 2 + graph.signs[s:e]) * 3
+                     + graph.styles[s:e]).tolist()
+            for c in set(combo) - tails.keys():
+                tails[c] = tail(graph.weight_table[c // 6], SIGNS[c // 3 % 2], STYLES[c % 3]) + "\n"
+            out.write("".join([head(a, b) + tails[c] for a, b, c in zip(
+                graph.us[s:e].tolist(), graph.vs[s:e].tolist(), combo)]))
+        out.writelines(line + "\n" for line in after)
 
 
 @dataclass
@@ -241,8 +253,8 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
         else:
             lines.append(f'    <node id={quoteattr(u)}/>')
     quoted = [quoteattr(u) for u in graph.nodes]
-    lines += _edge_lines(
-        graph,
+    _write_with_edges(
+        path, lines, graph,
         lambda a, b: f'    <edge source={quoted[a]} target={quoted[b]}>',
         lambda w, sign, style: (
             f'<data key="e_weight">{escape(format_fraction(w))}</data>'
@@ -251,10 +263,8 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
             f'<data key="e_style">{style}</data>'
             f'</edge>'
         ),
+        ["  </graph>", "</graphml>"],
     )
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def import_graphml(path) -> ProjectionGraph:
@@ -503,21 +513,19 @@ def export_dot(graph: ProjectionGraph, path, layout: LayoutResult | None = None)
         else:
             lines.append(f"  {_dot_quote(u)};")
     quoted = [_dot_quote(u) for u in graph.nodes]
-    lines += _edge_lines(
-        graph,
+    _write_with_edges(
+        path, lines, graph,
         lambda a, b: f"  {quoted[a]} -- {quoted[b]} ",
         lambda w, sign, style: (
             f'[weight={_dot_quote(format_fraction(w))}, sign="{sign}", '
             f'style="{style}", color="{_COLORS[sign]}"];'
         ),
+        ["}"],
     )
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def export_edgelist(graph: ProjectionGraph, path) -> None:
     """Edge list CSV: u,v,weight,weight_decimal,sign,style (exact fraction first)."""
-    lines = ["u,v,weight,weight_decimal,sign,style"]
 
     def cell(value: str) -> str:
         if any(c in value for c in ',"\n'):
@@ -525,12 +533,12 @@ def export_edgelist(graph: ProjectionGraph, path) -> None:
         return value
 
     cells = [cell(u) for u in graph.nodes]
-    lines += _edge_lines(
-        graph,
+    _write_with_edges(
+        path, ["u,v,weight,weight_decimal,sign,style"], graph,
         lambda a, b: f"{cells[a]},{cells[b]},",
         lambda w, sign, style: f"{format_fraction(w)},{float(w)!r},{sign},{style}",
+        [],
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -637,18 +645,17 @@ def render_svg(graph: ProjectionGraph, layout: LayoutResult, color_scheme: Color
     screen = [to_screen(u) for u in graph.nodes]
     xs = [_fmt6(x) for x, _ in screen]
     ys = [_fmt6(y) for _, y in screen]
-    lines += _edge_lines(
-        graph,
+    circles = [
+        f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '
+        f'fill="{fills[u]}" stroke="#333333" stroke-width="0.5"/>'
+        for u, (x, y) in zip(graph.nodes, screen)
+    ]
+    _write_with_edges(
+        path, lines, graph,
         lambda a, b: f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}"',
         lambda w, sign, style: _stroke(_COLORS[sign], style, opacity=0.7),
+        circles + ["</svg>"],
     )
-    for u, (x, y) in zip(graph.nodes, screen):
-        lines.append(
-            f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '
-            f'fill="{fills[u]}" stroke="#333333" stroke-width="0.5"/>'
-        )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def render_bipartite_svg(normalized: NormalizedMatrix, path, *,

@@ -4,11 +4,14 @@ Everything here is written against plain Python data (lists, Fractions) and
 stays independent of the package's numpy code paths, so it can serve as an
 oracle for them. The exceptions are betweenness_per_source and
 fr_positions_add_at, earlier numpy versions of package code kept as the
-bitwise references for their replacements, and expat_import_graphml, the
+bitwise references for their replacements, expat_import_graphml, the
 GraphML reader that parses every element with expat, kept as the reference
-for import_graphml's lifted edge lines.
+for import_graphml's lifted edge lines, and full_row_select_threshold, the
+Prim pass that computes each joining vertex's row against all N columns,
+kept as the reference for select_threshold's shrinking prefix.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +20,10 @@ from xml.parsers import expat
 import numpy as np
 
 from opinionnet import thirds_style
-from opinionnet.errors import ValidationError
-from opinionnet.project import POSITIVE, SOLID, ProjectionGraph, edge_columns
-from opinionnet.rational import as_fraction
+from opinionnet.analyze import MAX_SWEEP_LEVELS, ThresholdSelection, UnionFind
+from opinionnet.errors import NoGiantComponentError, ValidationError
+from opinionnet.project import POSITIVE, SOLID, PairWeights, ProjectionGraph, edge_columns
+from opinionnet.rational import as_fraction, format_fraction
 
 
 def normalized_value(code: int, scale_size: int) -> Fraction:
@@ -400,3 +404,86 @@ class _GraphMLReader:
             negative_threshold_used=None if thresholds[1] is None else as_fraction(thresholds[1]),
             extra=extra,
         )
+
+
+def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
+                              min_level=None) -> ThresholdSelection:
+    """Highest weight level whose edge set reaches the target giant component.
+
+    Descends through the distinct weight values present, adding all edges at
+    each level, and stops at the first (hence highest) level where the largest
+    component covers at least target_fraction of the participants. Levels are
+    distinct values, so ties cannot occur. min_level bounds the descent; if
+    the target is never reached the sweep so far is raised with the error.
+
+    One pass of Prim's algorithm over the complete weighted graph builds a
+    maximum spanning tree and the histogram of all pair weights: each added
+    vertex's numerator row is binned against the vertices still outside the
+    tree, so every pair is counted once. The components of the edges at or
+    above any level are those of the tree edges at or above it (single
+    linkage; Gower & Ross 1969), so the sweep unions tree edges only.
+
+    The histogram is an array with one flag per representable weight level
+    (2*m*D + 1 for score weights, m + 1 otherwise). Surveys whose scale steps
+    have a huge least common multiple D would need more than
+    MAX_SWEEP_LEVELS of them; they are a ValidationError, and such surveys
+    need an explicit threshold.
+    """
+    target = as_fraction(target_fraction)
+    if not (0 < target <= 1):
+        raise ValidationError(f"target fraction {target} must lie in (0, 1]")
+    if weights.rescale:
+        raise ValidationError("automatic threshold selection is not supported for "
+                              "rescaled pairwise weights")
+    n = weights.n_participants
+    d = weights.denominator
+    off = weights.numerator_offset
+    levels = off + weights.n_items * d + 1
+    if levels > MAX_SWEEP_LEVELS:
+        raise ValidationError(
+            f"the threshold sweep would track {levels} weight levels, more than "
+            f"{MAX_SWEEP_LEVELS}; give an explicit threshold instead")
+
+    present = np.zeros(levels, dtype=bool)  # weight level present among the pairs
+    lowest = np.iinfo(np.int64).min
+    best = np.full(n, lowest, dtype=np.int64)  # heaviest link to the tree; lowest once inside
+    link = np.zeros(n, dtype=np.int64)
+    outside = np.ones(n, dtype=bool)
+    tree = []  # (numerator, u, v) per spanning-tree edge
+    kernel = weights.numerators_only()  # no co-answered counts: weights are not rescaled
+    v = 0
+    outside[v] = False
+    for _ in range(n - 1):
+        row = kernel.block_numerators(v, v + 1, 0, n)[0][0]
+        present[row[outside] + off] = True
+        closer = outside & (row > best)
+        best[closer] = row[closer]
+        link[closer] = v
+        v = int(np.argmax(best))
+        tree.append((int(best[v]), int(link[v]), v))
+        best[v] = lowest
+        outside[v] = False
+    tree.sort(reverse=True)
+
+    numerators = np.nonzero(present)[0][::-1] - off  # descending weight levels
+    if min_level is not None:
+        numerators = numerators[numerators >= math.ceil(as_fraction(min_level) * d)]
+
+    uf = UnionFind(n)
+    sweep: list[tuple[Fraction, Fraction]] = []
+    joined = 0
+    for level_numer in numerators.tolist():
+        while joined < len(tree) and tree[joined][0] >= level_numer:
+            uf.union(tree[joined][1], tree[joined][2])
+            joined += 1
+        level = Fraction(level_numer, d)
+        frac = Fraction(uf.largest, n)
+        sweep.append((level, frac))
+        if uf.largest * target.denominator >= target.numerator * n:
+            return ThresholdSelection(level, frac, sweep, target)
+
+    raise NoGiantComponentError(
+        f"no weight level reached a giant component of {format_fraction(target)} "
+        f"of the {n} participants",
+        sweep,
+    )

@@ -20,6 +20,7 @@ from opinionnet import (
 
 from opinionnet import analyze
 from opinionnet.analyze import MAX_SWEEP_LEVELS, _betweenness_exact, _betweenness_fast
+from opinionnet.project import PairWeights
 
 from helpers import (
     barbell_graph,
@@ -33,6 +34,7 @@ from oracles import (
     betweenness_per_source,
     components_from_edges,
     edge_betweenness_by_path_enumeration,
+    full_row_select_threshold,
     random_rows,
     sweep_oracle,
 )
@@ -171,6 +173,59 @@ def test_spanning_tree_sweep_matches_oracle():
             with pytest.raises(NoGiantComponentError) as excinfo:
                 select_threshold(w, target, min_level=level + F(1, 1000))
             assert excinfo.value.sweep == sweep[:-1]
+
+
+def _selection_or_sweep(select, weights, target, min_level=None):
+    """The ThresholdSelection, or the sweep carried by NoGiantComponentError."""
+    try:
+        return select(weights, target, min_level=min_level)
+    except NoGiantComponentError as exc:
+        return ("no giant component", exc.sweep)
+
+
+def _sweep_cases(rng, mode, missing_rate):
+    """Random surveys of 2 to a few hundred rows, half of them drawn from a
+    handful of distinct rows, so that equal weights and equal rows abound."""
+    for n in (2, 3, 5, 17, 60, 240):
+        ks = [rng.randrange(2, 7) for _ in range(rng.randrange(1, 7))]
+        yield random_rows(rng, n, ks, missing_rate=missing_rate), ks
+        protos = random_rows(rng, rng.randrange(1, 5), ks, missing_rate=missing_rate)
+        yield [list(rng.choice(protos)) for _ in range(n)], ks
+
+
+@pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
+@pytest.mark.parametrize("missing_rate", [0.0, 0.2])
+def test_select_threshold_matches_the_full_row_prim_reference(mode, missing_rate):
+    rng = random.Random(f"prefix-prim:{mode}:{missing_rate}")
+    for rows, ks in _sweep_cases(rng, mode, missing_rate):
+        w = weights_from_rows(rows, ks, mode)
+        for target in (F(1, len(rows)), F(1, 3), F(1, 2), F(9, 10), F(1)):
+            expected = full_row_select_threshold(w, target)
+            assert select_threshold(w, target) == expected
+            # floors at, just above and below the chosen level, and at a random one
+            lo, hi = w.weight_range()
+            for floor in (expected.chosen_threshold, expected.chosen_threshold + F(1, 997),
+                          expected.chosen_threshold - 1, lo + (hi - lo) * F(rng.random())):
+                assert (_selection_or_sweep(select_threshold, w, target, floor)
+                        == _selection_or_sweep(full_row_select_threshold, w, target, floor))
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 201])
+def test_the_prim_pass_requests_each_pair_once(n, monkeypatch):
+    rng = random.Random(n)
+    ks = [4, 5, 3]
+    w = weights_from_rows(random_rows(rng, n, ks, missing_rate=0.1), ks, "score")
+    cells = []
+    original = PairWeights.block_numerators
+
+    def counted(self, r0, r1, c0, c1):
+        cells.append((r1 - r0) * (c1 - c0))
+        return original(self, r0, r1, c0, c1)
+
+    monkeypatch.setattr(PairWeights, "block_numerators", counted)
+    select_threshold(w, F(1))
+    assert len(cells) == n - 1
+    assert sum(cells) == n * (n - 1) // 2
 
 
 def test_min_level_floor_triggers_explicit_failure():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from opinionnet import (
@@ -18,6 +19,9 @@ from opinionnet import (
     style_edges,
     thirds_style,
 )
+
+from opinionnet.project import SCORE, PairWeights, default_block_rows
+from opinionnet.render import export_graphml
 
 from helpers import make_matrix, weights_from_rows
 from oracles import all_pair_weights, attitude_edges, random_rows
@@ -391,6 +395,72 @@ def test_int64_kernel_matches_oracle_on_huge_denominator():
         if weight >= 0 or weight <= -1:
             want[(f"p{i:03d}", f"p{j:03d}")] = (weight, "positive" if weight >= 0 else "negative")
     assert got == want
+
+
+def test_float64_kernel_matches_oracle_past_the_float32_range():
+    # the scale steps 2, 3, 5, ..., 19 are distinct primes: D = 9,699,690 and
+    # m * D = 77,597,520 lies past 2**24 and below 2**53, the float64 rung
+    ks = [3, 4, 6, 8, 12, 14, 18, 20]
+    rng = random.Random(24)
+    rows = random_rows(rng, 30, ks, missing_rate=0.1)
+    w = weights_from_rows(rows, ks, "score")
+    assert 2**24 <= w.n_items * w.denominator < 2**53
+    assert w._x.dtype == w._y.dtype == np.float64
+    oracle = all_pair_weights(rows, ks, "score")
+    for (i, j), (expected, _) in oracle.items():
+        assert w.weight(i, j) == expected
+    graph = project_participants(w, F(1, 2), negative_threshold=-1, block_rows=7)
+    got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
+    want = {(f"p{i:03d}", f"p{j:03d}"): (weight, "positive" if weight >= F(1, 2) else "negative")
+            for (i, j), (weight, _) in oracle.items() if weight >= F(1, 2) or weight <= -1}
+    assert got == want and want
+
+
+@pytest.mark.parametrize("n_items, denominator, dtype", [
+    (3, 5_592_405, np.float32),  # m * D = 2**24 - 1
+    (4, 2**22, np.float64),  # m * D = 2**24
+    (1, 2**24, np.float64),
+    (2, 2**52, np.int64),  # m * D = 2**53
+])
+def test_kernel_dtype_rung_at_its_bounds(n_items, denominator, dtype):
+    d = denominator
+    # opposite extremes score -m * D, the largest numerator magnitude
+    features = np.array([[-d] * n_items, [d] * n_items, [0] * n_items,
+                         [d - 1 - 2 * j for j in range(n_items)]])
+    w = PairWeights(SCORE, ["a", "b", "c", "e"], features, np.ones(features.shape, dtype=bool),
+                    n_items, d)
+    assert w._x.dtype == w._y.dtype == dtype
+    for i, j in itertools.combinations(range(len(features)), 2):
+        expected = F(sum(d - abs(int(a) - int(b)) for a, b in zip(features[i], features[j])), d)
+        assert w.weight(i, j) == expected
+    assert w.weight(0, 1) == -n_items
+
+
+def test_ordinary_surveys_take_the_float32_rung():
+    ks = [4] * 10 + [5] * 3
+    rows = random_rows(random.Random(3), 5, ks)
+    for mode in ("exact_agreement", "score", "binarized_agreement"):
+        assert weights_from_rows(rows, ks, mode)._x.dtype == np.float32
+
+
+def test_default_block_rows_shrink_as_n_grows():
+    sizes = [default_block_rows(n) for n in (2, 100, 3_000, 30_000, 100_000, 10**9)]
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[2] <= 512 and sizes[-2] < sizes[2] and sizes[-1] == 1
+
+
+def test_block_size_does_not_change_the_written_graph(tmp_path):
+    rng = random.Random(71)
+    ks = [4, 5, 3, 4, 2]
+    rows = random_rows(rng, 61, ks, missing_rate=0.1)
+    w = weights_from_rows(rows, ks, "score")
+    written = set()
+    for block_rows in (None, 1, 2, 7, 60, 61, 1000):
+        path = tmp_path / f"g{block_rows}.graphml"
+        export_graphml(project_participants(w, F(1, 2), negative_threshold=F(-1, 3),
+                                            block_rows=block_rows), path)
+        written.add(path.read_bytes())
+    assert len(written) == 1
 
 
 def test_block_size_does_not_change_output():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from xml.sax import saxutils
 
@@ -24,6 +25,7 @@ from opinionnet import (
     render_bipartite_svg,
     render_svg,
 )
+from opinionnet import render
 from opinionnet.render import escape, quoteattr
 
 from helpers import graph_from_edges, make_matrix
@@ -280,6 +282,45 @@ def test_graphml_deterministic_bytes(tmp_path):
     export_graphml(graph, p1)
     export_graphml(graph, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _random_graph(n_nodes, n_edges, seed):
+    rng = np.random.default_rng(seed)
+    pairs = np.unique(rng.integers(0, n_nodes, size=(3 * n_edges, 2)), axis=0)
+    us, vs = pairs[pairs[:, 0] < pairs[:, 1]][:n_edges].T
+    table = [F(k, 6) for k in range(-60, 61)]
+    return ProjectionGraph.from_arrays(
+        "participant", [f"p{i:05d}" for i in range(n_nodes)], us, vs, table,
+        rng.integers(0, len(table), len(us)), rng.integers(0, 2, len(us)),
+        rng.integers(0, 3, len(us)), extra={"mode": "score", "n_items": 10})
+
+
+EXPORTERS = [export_graphml, export_edgelist, export_dot,
+             lambda graph, path: render_svg(graph, fr_layout(graph, 1, iterations=0), None, path)]
+
+
+@pytest.mark.parametrize("export", EXPORTERS, ids=["graphml", "edgelist", "dot", "svg"])
+def test_exports_are_the_same_bytes_whatever_the_chunk_size(export, tmp_path, monkeypatch):
+    graph = _random_graph(40, 300, seed=9)
+    export(graph, tmp_path / "whole")
+    for chunk in (1, 7, 299, 300):
+        monkeypatch.setattr(render, "_EDGE_CHUNK", chunk)
+        export(graph, tmp_path / f"chunk{chunk}")
+        assert (tmp_path / f"chunk{chunk}").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+@pytest.mark.parametrize("export", [export_graphml, export_edgelist])
+def test_exporters_hold_less_memory_than_the_file_they_write(export, tmp_path):
+    graph = _random_graph(2_000, 50_000, seed=50)
+    assert graph.n_edges > 49_000
+    path = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        export(graph, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_graphml_escapes_special_characters(tmp_path):
