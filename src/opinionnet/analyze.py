@@ -175,7 +175,8 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     # private copies of the encodings, permuted below; only block_numerators reads them
     kernel._x, kernel._y = kernel._x.copy(), kernel._y.copy()
     ids = list(range(n))  # participant at each position
-    best = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)  # heaviest link to the tree
+    # heaviest link to the tree, in the kernel's dtype; it starts below every level
+    best = np.full(n, -off - 1, dtype=kernel._x.dtype)
     link = np.zeros(n, dtype=np.int64)  # the tree vertex it links to
     tree = []  # (numerator, u, v) per spanning-tree edge
     v = 0  # position of the vertex joining the tree
@@ -185,7 +186,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
         for column in (ids, best, link):
             column[v], column[k] = column[k], column[v]
         row = kernel.block_numerators(k, k + 1, 0, k)[0][0]
-        present[row + off] = True
+        present[row.astype(np.intp) + off] = True
         closer = row > best[:k]
         best[:k][closer] = row[closer]
         link[:k][closer] = ids[k]

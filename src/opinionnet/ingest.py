@@ -266,60 +266,40 @@ def load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_part
         attr_pos = [positions[c] for c in schema.attribute_columns]
         item_pos = [positions[i] for i in schema.item_ids]
 
-        ids: list[str] = []
-        rows: list[list[int]] = []
-        attr_vals: list[list[str]] = [[] for _ in schema.attribute_columns]
-        seen_ids: dict[str, int] = {}
-        missing_cells = 0
-        row_no = 0
+        rows: list[list[str]] = []
+        failure = None  # (error, cause) that ends the read; a bad cell in an earlier row wins
         try:
             for row in reader:
-                row_no += 1
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"malformed CSV: data row {row_no} has {len(row)} fields, expected {len(header)}"
-                    )
-                pid = row[id_pos]
-                if pid in seen_ids:
-                    raise ValidationError(
-                        f"duplicate participant id {pid!r} at data row {row_no} "
-                        f"(first seen at data row {seen_ids[pid]})"
-                    )
-                seen_ids[pid] = row_no
-                codes_row = []
-                for item, pos in zip(schema.items, item_pos):
-                    token = row[pos].strip()
-                    if token == schema.missing_token:
-                        codes_row.append(MISSING)
-                        missing_cells += 1
-                        continue
-                    try:
-                        value = int(token)
-                    except ValueError:
-                        raise ValidationError(
-                            f"invalid code at data row {row_no}, column {item.item_id!r}: "
-                            f"{row[pos]!r} is neither an integer nor the missing token"
-                        ) from None
-                    if value < 0 or value >= item.scale_size:
-                        raise ValidationError(
-                            f"out-of-range code at data row {row_no}, column {item.item_id!r}: "
-                            f"got {value}, valid codes are 0..{item.scale_size - 1}"
-                        )
-                    codes_row.append(value)
-                ids.append(pid)
-                rows.append(codes_row)
-                for k, pos in enumerate(attr_pos):
-                    attr_vals[k].append(row[pos])
+                rows.append(row)
         except csv.Error as exc:
-            raise ValidationError(f"malformed CSV near data row {row_no + 1} in {path}: {exc}") from exc
+            failure = (ValidationError(f"malformed CSV near data row {len(rows) + 1} in {path}: "
+                                       f"{exc}"), exc)
         except UnicodeDecodeError as exc:
-            raise ValidationError(f"survey file {path} is not UTF-8 text: {exc}") from exc
+            failure = ValidationError(f"survey file {path} is not UTF-8 text: {exc}"), exc
+
+    # the first row with the wrong field count or a repeated id stops the read
+    # there; cells of the rows before it are still checked first
+    good = next((k for k, row in enumerate(rows) if len(row) != len(header)), len(rows))
+    seen_ids: dict[str, int] = {}
+    repeat = next((k for k, row in enumerate(rows[:good])
+                   if seen_ids.setdefault(row[id_pos], k) != k), None)
+    if repeat is not None:
+        pid = rows[repeat][id_pos]
+        failure = ValidationError(f"duplicate participant id {pid!r} at data row {repeat + 1} "
+                                  f"(first seen at data row {seen_ids[pid] + 1})"), None
+        good = repeat
+    elif good < len(rows):
+        failure = ValidationError(f"malformed CSV: data row {good + 1} has {len(rows[good])} "
+                                  f"fields, expected {len(header)}"), None
+    rows = rows[:good]
+    codes = _item_codes(rows, schema, item_pos)
+    if failure is not None:
+        raise failure[0] from failure[1]
 
     rows_read = len(rows)
     if rows_read == 0:
         raise ValidationError(f"survey file {path} contains a header but no data rows")
 
-    codes = np.array(rows, dtype=np.int16)
     keep = np.ones(rows_read, dtype=bool)
     if missing_policy == "drop_participant":
         keep = (codes != MISSING).all(axis=1)
@@ -328,20 +308,60 @@ def load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_part
                 f"all {rows_read} rows were dropped by the drop_participant policy"
             )
     rows_dropped = int(rows_read - keep.sum())
-    report = LoadReport(rows_read=rows_read, rows_dropped=rows_dropped, missing_cells=missing_cells)
+    report = LoadReport(rows_read=rows_read, rows_dropped=rows_dropped,
+                        missing_cells=int((codes == MISSING).sum()))
 
-    kept_idx = np.nonzero(keep)[0]
-    attributes = {
-        c: tuple(attr_vals[k][i] for i in kept_idx)
-        for k, c in enumerate(schema.attribute_columns)
-    }
+    kept_idx = np.flatnonzero(keep).tolist()
     return ResponseMatrix(
         schema=schema,
-        participant_ids=[ids[i] for i in kept_idx],
+        participant_ids=[rows[i][id_pos] for i in kept_idx],
         codes=codes[kept_idx],
-        attributes=attributes,
+        attributes={c: tuple(rows[i][pos] for i in kept_idx)
+                    for c, pos in zip(schema.attribute_columns, attr_pos)},
         report=report,
     )
+
+
+_INVALID, _OUT_OF_RANGE = -2, -3  # codes of the cells load_survey rejects
+
+
+def _cell_code(token: str, scale_size: int, missing_token: str) -> int:
+    token = token.strip()
+    if token == missing_token:
+        return MISSING
+    try:
+        value = int(token)
+    except ValueError:
+        return _INVALID
+    return value if 0 <= value < scale_size else _OUT_OF_RANGE
+
+
+def _item_codes(rows: list, schema: SurveySchema, item_pos: list) -> np.ndarray:
+    """int16 codes of the item cells, MISSING for the missing token.
+
+    Each column maps its distinct tokens through a table built once per token.
+    The first bad cell in row-major order raises a ValidationError.
+    """
+    codes = np.empty((len(rows), schema.n_items), dtype=np.int16)
+    for j, (item, pos) in enumerate(zip(schema.items, item_pos)):
+        column = [row[pos] for row in rows]
+        table = {t: _cell_code(t, item.scale_size, schema.missing_token) for t in set(column)}
+        codes[:, j] = np.fromiter(map(table.__getitem__, column), dtype=np.int16,
+                                  count=len(column))
+    bad = np.flatnonzero(codes.ravel() < MISSING)
+    if len(bad):
+        k, j = divmod(int(bad[0]), schema.n_items)
+        item, token = schema.items[j], rows[k][item_pos[j]]
+        if codes[k, j] == _INVALID:
+            raise ValidationError(
+                f"invalid code at data row {k + 1}, column {item.item_id!r}: "
+                f"{token!r} is neither an integer nor the missing token"
+            )
+        raise ValidationError(
+            f"out-of-range code at data row {k + 1}, column {item.item_id!r}: "
+            f"got {int(token.strip())}, valid codes are 0..{item.scale_size - 1}"
+        )
+    return codes
 
 
 def write_survey(matrix: ResponseMatrix, csv_path) -> None:

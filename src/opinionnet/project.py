@@ -16,11 +16,13 @@ product (see PairWeights). Every product and partial sum is an integer of
 magnitude at most m*D (m items, D the shared denominator), so the product
 runs on one of three dtype rungs: float32 when m*D < 2**24, float64 when
 m*D < 2**53, and int64 otherwise. Each rung holds every sum exactly,
-whatever the BLAS blocking or thread count. Thresholding compares exact
-rationals; positive edges need w >= threshold, negative edges (disagreement
-ties) need w <= negative_threshold. Exact-agreement projections at
-thresholds m and m-1 on complete data skip the pair scan and group equal
-rows by sorting them instead.
+whatever the BLAS blocking or thread count, and blocks stay on it: the pair
+scan compares them with the ceiling or floor of threshold*D, exact on the
+rung, and casts only the selected entries to int64. Thresholding compares
+exact rationals; positive edges need w >= threshold, negative edges
+(disagreement ties) need w <= negative_threshold. Exact-agreement
+projections at thresholds m and m-1 on complete data skip the pair scan and
+group equal rows by sorting them instead.
 """
 
 from __future__ import annotations
@@ -49,13 +51,14 @@ SOLID = "solid"
 DASHED = "dashed"
 DOTTED = "dotted"
 
-# one int64 numerator block of the pair scan: 512 rows at N = 3,000, as the
-# former fixed default had, and fewer rows as N grows
+# one block of the pair scan at 8 B per block cell (float32 numerators and
+# co-answered counts): 512 rows at N = 3,000, as the former fixed default
+# had, and fewer rows as N grows
 SCAN_BLOCK_BYTES = 512 * 3_000 * 8
 
 
 def default_block_rows(n: int) -> int:
-    """Rows per scan block: as many as fit an int64 block of n columns in SCAN_BLOCK_BYTES."""
+    """Rows per scan block: as many as fit n columns at 8 B per cell in SCAN_BLOCK_BYTES."""
     return max(1, SCAN_BLOCK_BYTES // (8 * n))
 
 
@@ -75,7 +78,8 @@ class PairWeights:
     modes (the neutral-neutral cell zeroed when neutral pairs do not count)
     and D - |a - b| for score mode. A block of weight numerators is then one
     matrix product Y[rows] @ X[cols].T, and co-answered counts are M @ M.T
-    over the answer mask M. Weights are never materialized for all pairs up
+    over the answer mask M. Both come back in the kernel's dtype rung, every
+    entry an exact integer. Weights are never materialized for all pairs up
     front; consumers either ask for single pairs (exact Fractions) or stream
     numerator blocks.
     """
@@ -172,14 +176,16 @@ class PairWeights:
     def block_numerators(self, r0: int, r1: int, c0: int, c1: int):
         """Weight numerators (and co-answered counts) for rows x cols.
 
-        Returns int64 (numer, co); co is None for complete matrices. For score
-        mode numer/denominator is the weight (numer = co*D - total difference);
-        for the agreement modes the numerator is the integer weight itself.
+        Returns (numer, co) in the kernel's rung dtype (float32, float64 or
+        int64), every entry an exact integer; co is None for complete
+        matrices. For score mode numer/denominator is the weight (numer =
+        co*D - total difference); for the agreement modes the numerator is
+        the integer weight itself.
         """
-        numer = (self._y[r0:r1] @ self._x[c0:c1].T).astype(np.int64)
+        numer = self._y[r0:r1] @ self._x[c0:c1].T
         if self._m is None:
             return numer, None
-        return numer, (self._m[r0:r1] @ self._m[c0:c1].T).astype(np.int64)
+        return numer, self._m[r0:r1] @ self._m[c0:c1].T
 
 
 def exact_agreement_weights(matrix: ResponseMatrix) -> PairWeights:
@@ -425,11 +431,17 @@ class ProjectionGraph:
 
 
 def _select_block(numer, co, threshold: Fraction, weights: PairWeights, *, negative: bool):
-    """Boolean selection of a numerator block against an exact threshold."""
+    """Boolean selection of a kernel block against an exact threshold.
+
+    The block stays in the kernel's rung dtype: |threshold * D| <= m * D, so
+    its ceiling and floor are exact on the rung. Only rescaled weights on
+    incomplete data cast, since their cross-multiplied products need int64.
+    """
     d = weights.denominator
     if weights.rescale and co is not None:  # rescale is the identity on complete data
         m = weights.n_items
-        lhs = m * numer * threshold.denominator
+        co = co.astype(np.int64)
+        lhs = m * numer.astype(np.int64) * threshold.denominator
         rhs = threshold.numerator * co * d
         hit = lhs <= rhs if negative else lhs >= rhs
         empty_hit = (0 <= threshold) if negative else (0 >= threshold)
@@ -460,20 +472,33 @@ def _scan_edges(weights: PairWeights, threshold, negative_threshold, block_rows:
     rescaled weights on incomplete data, co-answered counts (else None).
     """
     n = weights.n_participants
-    rescaled = weights.rescale and weights.has_missing
-    parts = []
-    for r0, r1 in _block_ranges(n, block_rows):
-        numer, co = weights.block_numerators(r0, r1, r0, n)
-        upper = np.arange(r1 - r0)[None, :] > np.arange(r1 - r0)[:, None]  # each pair once
-        for sign, thr in ((POSITIVE, threshold), (NEGATIVE, negative_threshold)):
-            if thr is None:
-                continue
-            sel = _select_block(numer, co, thr, weights, negative=sign == NEGATIVE)
-            sel[:, :r1 - r0] &= upper  # columns past r1 pair with every row of the block
-            ii, jj = np.nonzero(sel)
-            parts.append((ii + r0, jj + r0, np.full(len(ii), SIGNS.index(sign), dtype=np.int8),
-                          numer[sel], co[sel] if rescaled else None))
+    parts = [part for r0, r1 in _block_ranges(n, block_rows)
+             for part in _block_edges(weights, r0, r1, threshold, negative_threshold)]
     return tuple(None if column[0] is None else np.concatenate(column) for column in zip(*parts))
+
+
+def _block_edges(weights: PairWeights, r0: int, r1: int, threshold, negative_threshold) -> list:
+    """One scan block: rows r0..r1-1 against the columns from r0 on.
+
+    Each sign's selection is flattened once; only the selected entries are
+    cast to int64. The block is freed on return, before the next is computed.
+    """
+    n = weights.n_participants
+    numer, co = weights.block_numerators(r0, r1, r0, n)
+    rescaled = weights.rescale and co is not None
+    upper = np.arange(r1 - r0)[None, :] > np.arange(r1 - r0)[:, None]  # each pair once
+    parts = []
+    for sign, thr in ((POSITIVE, threshold), (NEGATIVE, negative_threshold)):
+        if thr is None:
+            continue
+        sel = _select_block(numer, co, thr, weights, negative=sign == NEGATIVE)
+        sel[:, :r1 - r0] &= upper  # columns past r1 pair with every row of the block
+        flat = np.flatnonzero(sel)
+        ii, jj = np.divmod(flat, n - r0)
+        parts.append((ii + r0, jj + r0, np.full(len(flat), SIGNS.index(sign), dtype=np.int8),
+                      numer.ravel()[flat].astype(np.int64),
+                      co.ravel()[flat].astype(np.int64) if rescaled else None))
+    return parts
 
 
 def _weight_table(weights: PairWeights, numer: np.ndarray, co) -> tuple[list, np.ndarray]:

@@ -6,11 +6,14 @@ oracle for them. The exceptions are betweenness_per_source and
 fr_positions_add_at, earlier numpy versions of package code kept as the
 bitwise references for their replacements, expat_import_graphml, the
 GraphML reader that parses every element with expat, kept as the reference
-for import_graphml's lifted edge lines, and full_row_select_threshold, the
+for import_graphml's lifted edge lines, full_row_select_threshold, the
 Prim pass that computes each joining vertex's row against all N columns,
-kept as the reference for select_threshold's shrinking prefix.
+kept as the reference for select_threshold's shrinking prefix, and
+loop_load_survey, the loader that parses and checks one cell at a time,
+kept as the reference for load_survey's per-token tables.
 """
 
+import csv
 import math
 from collections import deque
 from fractions import Fraction
@@ -22,6 +25,7 @@ import numpy as np
 from opinionnet import thirds_style
 from opinionnet.analyze import MAX_SWEEP_LEVELS, ThresholdSelection, UnionFind
 from opinionnet.errors import NoGiantComponentError, ValidationError
+from opinionnet.ingest import MISSING, MISSING_POLICIES, LoadReport, ResponseMatrix, SurveySchema
 from opinionnet.project import POSITIVE, SOLID, PairWeights, ProjectionGraph, edge_columns
 from opinionnet.rational import as_fraction, format_fraction
 
@@ -455,7 +459,7 @@ def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 
     outside[v] = False
     for _ in range(n - 1):
         row = kernel.block_numerators(v, v + 1, 0, n)[0][0]
-        present[row[outside] + off] = True
+        present[row[outside].astype(np.intp) + off] = True
         closer = outside & (row > best)
         best[closer] = row[closer]
         link[closer] = v
@@ -486,4 +490,127 @@ def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 
         f"no weight level reached a giant component of {format_fraction(target)} "
         f"of the {n} participants",
         sweep,
+    )
+
+
+def loop_load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_participant") -> ResponseMatrix:
+    """Parse and validate a survey CSV against its schema.
+
+    Under drop_participant every retained row is complete; under keep_pairwise
+    missing responses stay in the matrix behind the mask. Row order follows
+    file order and parsing is locale-independent (UTF-8, '.'-free integers).
+    """
+    if missing_policy not in MISSING_POLICIES:
+        raise ValidationError(
+            f"unknown missing policy {missing_policy!r}; expected one of {MISSING_POLICIES}"
+        )
+    path = Path(csv_path)
+    if not path.exists():
+        raise ValidationError(f"survey file not found: {path}")
+
+    # utf-8-sig drops a leading byte-order mark, which would otherwise stick to
+    # the first column name
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"survey file {path} is empty (no header row)") from None
+        except csv.Error as exc:
+            raise ValidationError(f"malformed CSV header in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"survey file {path} is not UTF-8 text: {exc}") from exc
+
+        positions: dict[str, int] = {}
+        duplicates = set()
+        for i, name in enumerate(header):
+            if name in positions:
+                duplicates.add(name)
+            else:
+                positions[name] = i
+        needed = [schema.id_column, *schema.attribute_columns, *schema.item_ids]
+        for name in needed:
+            if name not in positions:
+                raise ValidationError(f"column {name!r} declared by the schema is missing from the header")
+            if name in duplicates:
+                raise ValidationError(f"column {name!r} appears more than once in the header")
+        id_pos = positions[schema.id_column]
+        attr_pos = [positions[c] for c in schema.attribute_columns]
+        item_pos = [positions[i] for i in schema.item_ids]
+
+        ids: list[str] = []
+        rows: list[list[int]] = []
+        attr_vals: list[list[str]] = [[] for _ in schema.attribute_columns]
+        seen_ids: dict[str, int] = {}
+        missing_cells = 0
+        row_no = 0
+        try:
+            for row in reader:
+                row_no += 1
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"malformed CSV: data row {row_no} has {len(row)} fields, expected {len(header)}"
+                    )
+                pid = row[id_pos]
+                if pid in seen_ids:
+                    raise ValidationError(
+                        f"duplicate participant id {pid!r} at data row {row_no} "
+                        f"(first seen at data row {seen_ids[pid]})"
+                    )
+                seen_ids[pid] = row_no
+                codes_row = []
+                for item, pos in zip(schema.items, item_pos):
+                    token = row[pos].strip()
+                    if token == schema.missing_token:
+                        codes_row.append(MISSING)
+                        missing_cells += 1
+                        continue
+                    try:
+                        value = int(token)
+                    except ValueError:
+                        raise ValidationError(
+                            f"invalid code at data row {row_no}, column {item.item_id!r}: "
+                            f"{row[pos]!r} is neither an integer nor the missing token"
+                        ) from None
+                    if value < 0 or value >= item.scale_size:
+                        raise ValidationError(
+                            f"out-of-range code at data row {row_no}, column {item.item_id!r}: "
+                            f"got {value}, valid codes are 0..{item.scale_size - 1}"
+                        )
+                    codes_row.append(value)
+                ids.append(pid)
+                rows.append(codes_row)
+                for k, pos in enumerate(attr_pos):
+                    attr_vals[k].append(row[pos])
+        except csv.Error as exc:
+            raise ValidationError(f"malformed CSV near data row {row_no + 1} in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"survey file {path} is not UTF-8 text: {exc}") from exc
+
+    rows_read = len(rows)
+    if rows_read == 0:
+        raise ValidationError(f"survey file {path} contains a header but no data rows")
+
+    codes = np.array(rows, dtype=np.int16)
+    keep = np.ones(rows_read, dtype=bool)
+    if missing_policy == "drop_participant":
+        keep = (codes != MISSING).all(axis=1)
+        if not keep.any():
+            raise ValidationError(
+                f"all {rows_read} rows were dropped by the drop_participant policy"
+            )
+    rows_dropped = int(rows_read - keep.sum())
+    report = LoadReport(rows_read=rows_read, rows_dropped=rows_dropped, missing_cells=missing_cells)
+
+    kept_idx = np.nonzero(keep)[0]
+    attributes = {
+        c: tuple(attr_vals[k][i] for i in kept_idx)
+        for k, c in enumerate(schema.attribute_columns)
+    }
+    return ResponseMatrix(
+        schema=schema,
+        participant_ids=[ids[i] for i in kept_idx],
+        codes=codes[kept_idx],
+        attributes=attributes,
+        report=report,
     )

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import numpy as np
@@ -13,6 +15,7 @@ from opinionnet import (
 )
 
 from helpers import make_matrix, make_schema
+from oracles import loop_load_survey
 
 
 def write(path, text):
@@ -230,3 +233,84 @@ def test_unicode_ids_and_attributes_round_trip(tmp_path):
     write_survey(mx, out)
     back = load_survey(out, schema)
     assert back.equals(mx)
+
+
+def _random_survey_bytes(rng, schema):
+    """A survey CSV for schema with shuffled columns, padded tokens, NA cells,
+    attribute values and, most of the time, one or two faults at random rows."""
+    columns = [schema.id_column, *schema.attribute_columns, *schema.item_ids]
+    rng.shuffle(columns)
+    scales = dict(zip(schema.item_ids, schema.scale_sizes))
+    # a long survey puts a bad byte past the decoder's first chunk
+    n = rng.randint(1, 30) if rng.random() < 0.9 else rng.randint(300, 900)
+    rows = []
+    for p in range(n):
+        row = []
+        for c in columns:
+            if c == schema.id_column:
+                row.append(f"p{p}" if rng.random() < 0.9 else f"id, {p}")
+            elif c in scales:
+                token = "NA" if rng.random() < 0.15 else str(rng.randrange(scales[c]))
+                row.append(rng.choice(["", " ", "\t"]) + token + rng.choice(["", " "]))
+            else:
+                row.append(rng.choice(["", "D", "R", 'say "x"', "é"]))
+        rows.append(row)
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        k, j = rng.randrange(n), rng.randrange(len(columns))
+        fault = rng.choice(["cell", "cell", "short", "long", "duplicate", "utf8"])
+        if fault == "cell" and columns[j] in scales:
+            rows[k][j] = rng.choice(["x", "1.0", "-1", str(scales[columns[j]]), "99", "", "na"])
+        elif fault == "short":
+            rows[k] = rows[k][:-1]
+        elif fault == "long":
+            rows[k] = rows[k] + ["0"]
+        elif fault == "duplicate" and k:
+            rows[k][columns.index(schema.id_column)] = rows[rng.randrange(k)][
+                columns.index(schema.id_column)]
+        elif fault == "utf8":
+            rows[k][j] = "\udcff"  # written below as a lone 0xff byte
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=rng.choice(["\n", "\r\n"])).writerows([columns, *rows])
+    data = buffer.getvalue().encode("utf-8", "surrogateescape")
+    return (b"\xef\xbb\xbf" if rng.random() < 0.3 else b"") + data
+
+
+def _load_or_error(load, path, schema, policy):
+    try:
+        mx = load(path, schema, missing_policy=policy)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return (mx.participant_ids, mx.codes.tolist(), mx.mask.tolist(), mx.attributes,
+            mx.report)
+
+
+def test_load_survey_matches_the_cell_loop_reference(tmp_path):
+    rng = random.Random(20)
+    path = tmp_path / "s.csv"
+    outcomes = set()
+    for case in range(400):
+        schema = make_schema([rng.randint(2, 6) for _ in range(rng.randint(1, 5))],
+                             attrs=("party", "region")[:rng.randint(0, 2)])
+        path.write_bytes(_random_survey_bytes(rng, schema))
+        for policy in ("drop_participant", "keep_pairwise"):
+            expected = _load_or_error(loop_load_survey, path, schema, policy)
+            assert _load_or_error(load_survey, path, schema, policy) == expected, case
+            outcomes.add(expected[1].split(" ")[0] if expected[0] == "error" else "loaded")
+    # every kind of outcome was exercised
+    assert outcomes >= {"loaded", "invalid", "out-of-range", "malformed", "duplicate", "survey",
+                        "all"}
+
+
+def test_a_bad_cell_is_reported_before_a_later_undecodable_byte(tmp_path):
+    schema = make_schema([4])
+    body = "".join(f"p{p},{p % 4}\n" for p in range(2000))
+    f = tmp_path / "s.csv"
+    f.write_bytes(b"pid,q00\na,7\n" + body.encode() + b"z,\xff\n")
+    with pytest.raises(ValidationError, match="out-of-range code at data row 1") as caught:
+        load_survey(f, schema)
+    with pytest.raises(ValidationError) as expected:
+        loop_load_survey(f, schema)
+    assert str(caught.value) == str(expected.value)
+    f.write_bytes(b"pid,q00\n" + body.encode() + b"z,\xff\n")
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        load_survey(f, schema)

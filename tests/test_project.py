@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -434,6 +436,90 @@ def test_kernel_dtype_rung_at_its_bounds(n_items, denominator, dtype):
         expected = F(sum(d - abs(int(a) - int(b)) for a, b in zip(features[i], features[j])), d)
         assert w.weight(i, j) == expected
     assert w.weight(0, 1) == -n_items
+    # whole blocks come back on the rung, every entry exact
+    numer, co = w.block_numerators(0, 4, 0, 4)
+    assert numer.dtype == dtype and co is None
+    assert [[int(x) for x in row] for row in numer] == [
+        [sum(d - abs(int(a) - int(b)) for a, b in zip(u, v)) for v in features] for u in features]
+
+
+# one survey shape per dtype rung; the float64 and int64 ones have scale steps
+# that are distinct primes, so their shared denominators are large
+RUNG_SCALES = {
+    np.float32: [4, 5, 3, 4],
+    np.float64: [3, 4, 6, 8, 12, 14, 18, 20],
+    np.int64: [3, 4, 6, 8, 12, 14, 18, 20, 24, 30, 32, 38, 42, 44],
+}
+
+
+@pytest.mark.parametrize("dtype", list(RUNG_SCALES))
+@pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
+def test_kernel_blocks_match_the_oracle_on_every_rung(dtype, mode):
+    ks = RUNG_SCALES[dtype]
+    rows = random_rows(random.Random(len(ks)), 23, ks, missing_rate=0.15)
+    w = weights_from_rows(rows, ks, mode)
+    numer, co = w.block_numerators(0, 23, 0, 23)
+    assert numer.dtype == co.dtype == (dtype if mode == "score" else np.float32)
+    for (i, j), (weight, co_answered) in all_pair_weights(rows, ks, mode).items():
+        assert Fraction(int(numer[i, j]), w.denominator) == weight
+        assert int(co[i, j]) == int(co[j, i]) == co_answered
+
+
+def _oracle_edges(rows, ks, mode, threshold, negative_threshold, rescale):
+    edges = {}
+    for (i, j), (weight, co) in all_pair_weights(rows, ks, mode).items():
+        if rescale:
+            weight = weight * len(ks) / co if co else Fraction(0)
+        if weight >= threshold:
+            edges[(f"p{i:03d}", f"p{j:03d}")] = (weight, "positive")
+        elif negative_threshold is not None and weight <= negative_threshold:
+            edges[(f"p{i:03d}", f"p{j:03d}")] = (weight, "negative")
+    return edges
+
+
+@pytest.mark.parametrize("dtype", list(RUNG_SCALES))
+@pytest.mark.parametrize("mode, rescale", [("exact_agreement", False), ("score", False),
+                                           ("binarized_agreement", False), ("score", True)])
+def test_projection_matches_the_oracle_on_every_rung_and_block_size(dtype, mode, rescale):
+    ks = RUNG_SCALES[dtype]
+    rows = random_rows(random.Random(40 + len(ks)), 31, ks, missing_rate=0.2)
+    w = weights_from_rows(rows, ks, mode, rescale=rescale)
+    weights = sorted(_oracle_edges(rows, ks, mode, -len(ks), None, rescale).values())
+    # the int64 rung's weight levels are too fine-grained to be thresholds
+    snap = (lambda x: F(math.ceil(2 * x), 2)) if dtype is np.int64 else (lambda x: x)
+    lo, hi = snap(weights[len(weights) // 4][0]), snap(weights[3 * len(weights) // 4][0])
+    hi = hi if lo < hi else snap(weights[-1][0])
+    # at weight levels, between levels, and (score) below zero
+    thresholds = [(hi, None), (hi, lo), (F(math.floor(lo + hi), 2) + F(1, 4), lo)]
+    if mode == "score":
+        thresholds.append((F(-1), snap(weights[0][0])))
+    for threshold, negative in thresholds:
+        expected = _oracle_edges(rows, ks, mode, threshold, negative, rescale)
+        assert {sign for _, sign in expected.values()} == (
+            {"positive"} if negative is None else {"positive", "negative"})
+        for block_rows in (1, 7, None):
+            graph = project_participants(w, threshold, negative, block_rows=block_rows)
+            assert {(e.u, e.v): (e.weight, e.sign) for e in graph.edges} == expected
+
+
+@pytest.mark.parametrize("missing_rate", [0.0, 0.03])
+def test_the_pair_scan_holds_no_int64_block(missing_rate):
+    # the first scan block is 512 x 3,000 cells: its float32 numerators take
+    # 4 B per cell, and the whole scan stays below one int64 block (8 B per
+    # cell); on incomplete data the kernel also returns float32 co-answered
+    # counts, 4 B per cell more, which the scan does not use
+    ks = [4] * 10 + [5] * 3
+    rows = random_rows(random.Random(3), 3_000, ks, missing_rate=missing_rate)
+    w = weights_from_rows(rows, ks, "score")
+    assert default_block_rows(3_000) == 512 and w.has_missing == bool(missing_rate)
+    tracemalloc.start()
+    try:
+        graph = project_participants(w, F(15, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_edges > 10_000
+    assert peak < 512 * 3_000 * (12 if w.has_missing else 8)
 
 
 def test_ordinary_surveys_take_the_float32_rung():
