@@ -16,7 +16,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import NoGiantComponentError, ValidationError
 from .normalize import SignMatrix
-from .project import PairWeights, ProjectionGraph
+from .project import PairWeights, ProjectionGraph, _threshold_level
 from .rational import as_fraction, format_fraction
 
 
@@ -196,7 +195,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
 
     numerators = np.nonzero(present)[0][::-1] - off  # descending weight levels
     if min_level is not None:
-        numerators = numerators[numerators >= math.ceil(as_fraction(min_level) * d)]
+        numerators = numerators[numerators >= _threshold_level(weights, as_fraction(min_level))]
 
     uf = UnionFind(n)
     sweep: list[tuple[Fraction, Fraction]] = []

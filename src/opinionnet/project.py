@@ -17,12 +17,12 @@ magnitude at most m*D (m items, D the shared denominator), so the product
 runs on one of three dtype rungs: float32 when m*D < 2**24, float64 when
 m*D < 2**53, and int64 otherwise. Each rung holds every sum exactly,
 whatever the BLAS blocking or thread count, and blocks stay on it: the pair
-scan compares them with the ceiling or floor of threshold*D, exact on the
-rung, and casts only the selected entries to int64. Thresholding compares
-exact rationals; positive edges need w >= threshold, negative edges
-(disagreement ties) need w <= negative_threshold. Exact-agreement
-projections at thresholds m and m-1 on complete data skip the pair scan and
-group equal rows by sorting them instead.
+scan compares them with each threshold's exact integer level (a table by
+co-answered count for rescaled weights on incomplete data), which lies within
++-m*D and so on the rung for any threshold, and casts only the selected
+entries to int64. Positive edges need w >= threshold, negative edges
+(disagreement ties) need w <= negative_threshold. Exact-agreement projections
+at levels m and m-1 on complete data skip the pair scan and sort rows instead.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ SCAN_BLOCK_BYTES = 512 * 3_000 * 8
 def default_block_rows(n: int) -> int:
     """Rows per scan block: as many as fit n columns at 8 B per cell in SCAN_BLOCK_BYTES."""
     return max(1, SCAN_BLOCK_BYTES // (8 * n))
-
-
-def _block_ranges(n: int, block: int):
-    block = max(1, int(block))
-    for r0 in range(0, n, block):
-        yield r0, min(r0 + block, n)
 
 
 class PairWeights:
@@ -430,24 +424,32 @@ class ProjectionGraph:
         return sorted(names)
 
 
-def _select_block(numer, co, threshold: Fraction, weights: PairWeights, *, negative: bool):
-    """Boolean selection of a kernel block against an exact threshold.
+def _threshold_level(weights: PairWeights, threshold: Fraction, *, negative: bool = False):
+    """The exact integer level of the weight numerators at a threshold t.
 
-    The block stays in the kernel's rung dtype: |threshold * D| <= m * D, so
-    its ceiling and floor are exact on the rung. Only rescaled weights on
-    incomplete data cast, since their cross-multiplied products need int64.
+    A numerator passes when >= ceil(t*D), or for a negative threshold when
+    <= floor(t*D). A rescaled weight on incomplete data is m*numer/(c*D) for
+    c co-answered items, so its level is a table over c = 0..m, in the
+    kernel's rung dtype, of ceil (or floor) of t*c*D/m; the empty pair (c = 0)
+    has numerator and weight 0, and passes exactly when 0 passes t. Every
+    level lies within +-m*D, so it is exact on the rung for any denominator.
     """
-    d = weights.denominator
-    if weights.rescale and co is not None:  # rescale is the identity on complete data
-        m = weights.n_items
-        co = co.astype(np.int64)
-        lhs = m * numer.astype(np.int64) * threshold.denominator
-        rhs = threshold.numerator * co * d
-        hit = lhs <= rhs if negative else lhs >= rhs
-        empty_hit = (0 <= threshold) if negative else (0 >= threshold)
-        return np.where(co > 0, hit, empty_hit)
-    level = threshold * d  # an integer numer is >= level exactly when >= ceil(level)
-    return numer <= math.floor(level) if negative else numer >= math.ceil(level)
+    d, m = weights.denominator, weights.n_items
+    rounding = math.floor if negative else math.ceil
+    if not (weights.rescale and weights.has_missing):  # rescale is the identity on complete data
+        return rounding(threshold * d)
+    levels = [rounding(threshold * c * d / m) for c in range(m + 1)]
+    levels[0] = -int(threshold < 0) if negative else int(threshold > 0)
+    return np.array(levels, dtype=weights._x.dtype)
+
+
+def _select_block(numer, co, level, *, negative: bool):
+    """Boolean selection of a kernel block, on its rung dtype, against a
+    _threshold_level: one integer, or a table looked up by each pair's
+    co-answered count."""
+    if isinstance(level, np.ndarray):
+        level = level[co.astype(np.intp)]
+    return numer <= level if negative else numer >= level
 
 
 def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
@@ -458,26 +460,20 @@ def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
     return Fraction(int(numer), weights.denominator)
 
 
-def _check_threshold_precision(threshold: Fraction, weights: PairWeights) -> None:
-    # int64 blockwise comparison must not overflow
-    scale = weights.n_items * weights.denominator
-    if abs(threshold.numerator) * scale >= 2**62 or threshold.denominator * scale >= 2**62:
-        raise ValidationError(f"threshold {threshold} is too fine-grained for exact comparison")
-
-
-def _scan_edges(weights: PairWeights, threshold, negative_threshold, block_rows: int):
-    """Pairs past either threshold, from a blocked upper-triangle scan.
+def _scan_edges(weights: PairWeights, level, negative_level):
+    """Pairs past either level, from an upper-triangle scan in default_block_rows blocks.
 
     Returns index arrays (i, j), their sign codes, numerators and, for
     rescaled weights on incomplete data, co-answered counts (else None).
     """
     n = weights.n_participants
-    parts = [part for r0, r1 in _block_ranges(n, block_rows)
-             for part in _block_edges(weights, r0, r1, threshold, negative_threshold)]
+    block = default_block_rows(n)
+    parts = [part for r0 in range(0, n, block)
+             for part in _block_edges(weights, r0, min(r0 + block, n), level, negative_level)]
     return tuple(None if column[0] is None else np.concatenate(column) for column in zip(*parts))
 
 
-def _block_edges(weights: PairWeights, r0: int, r1: int, threshold, negative_threshold) -> list:
+def _block_edges(weights: PairWeights, r0: int, r1: int, level, negative_level) -> list:
     """One scan block: rows r0..r1-1 against the columns from r0 on.
 
     Each sign's selection is flattened once; only the selected entries are
@@ -488,10 +484,10 @@ def _block_edges(weights: PairWeights, r0: int, r1: int, threshold, negative_thr
     rescaled = weights.rescale and co is not None
     upper = np.arange(r1 - r0)[None, :] > np.arange(r1 - r0)[:, None]  # each pair once
     parts = []
-    for sign, thr in ((POSITIVE, threshold), (NEGATIVE, negative_threshold)):
-        if thr is None:
+    for sign, lev in ((POSITIVE, level), (NEGATIVE, negative_level)):
+        if lev is None:
             continue
-        sel = _select_block(numer, co, thr, weights, negative=sign == NEGATIVE)
+        sel = _select_block(numer, co, lev, negative=sign == NEGATIVE)
         sel[:, :r1 - r0] &= upper  # columns past r1 pair with every row of the block
         flat = np.flatnonzero(sel)
         ii, jj = np.divmod(flat, n - r0)
@@ -550,46 +546,37 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
 
 
 def project_participants(weights: PairWeights, threshold, negative_threshold=None,
-                         node_attrs=None, *,
-                         block_rows: int | None = None) -> ProjectionGraph:
+                         node_attrs=None) -> ProjectionGraph:
     """Threshold pairwise weights into a participant graph.
 
     Positive edges link pairs with weight >= threshold; when a negative
     threshold is given, pairs with weight <= negative_threshold get negative
-    (disagreement) edges. Isolated participants are retained as nodes.
-    block_rows overrides the scan's default_block_rows; the output does not
-    depend on it.
+    (disagreement) edges. Isolated participants are retained as nodes. Any
+    rational threshold in the weight range is compared exactly.
     """
     threshold = as_fraction(threshold)
+    neg = None if negative_threshold is None else as_fraction(negative_threshold)
     lo, hi = weights.weight_range()
-    if not (lo <= threshold <= hi):
+    for name, value in (("threshold", threshold), ("negative threshold", neg)):
+        if value is not None and not (lo <= value <= hi):
+            raise ValidationError(
+                f"{name} {value} outside representable range [{lo}, {hi}] for {weights.mode}"
+            )
+    if neg is not None and neg >= threshold:
         raise ValidationError(
-            f"threshold {threshold} outside representable range [{lo}, {hi}] for {weights.mode}"
+            f"negative threshold {neg} must be strictly below threshold {threshold}"
         )
-    _check_threshold_precision(threshold, weights)
-    neg = None
-    if negative_threshold is not None:
-        neg = as_fraction(negative_threshold)
-        if not (lo <= neg <= hi):
-            raise ValidationError(
-                f"negative threshold {neg} outside representable range [{lo}, {hi}] for {weights.mode}"
-            )
-        if neg >= threshold:
-            raise ValidationError(
-                f"negative threshold {neg} must be strictly below threshold {threshold}"
-            )
-        _check_threshold_precision(neg, weights)
+    level = _threshold_level(weights, threshold)
+    neg_level = None if neg is None else _threshold_level(weights, neg, negative=True)
 
     ids = weights.participant_ids
     m = weights.n_items
     if (weights.mode == EXACT_AGREEMENT and not weights.has_missing and neg is None
-            and threshold.denominator == 1 and int(threshold) in (m, m - 1)):
-        ii, jj, numer = _bucketed_agreement_pairs(weights, int(threshold))
+            and level in (m, m - 1)):
+        ii, jj, numer = _bucketed_agreement_pairs(weights, level)
         signs, co = np.full(len(ii), SIGNS.index(POSITIVE), dtype=np.int8), None
     else:
-        if block_rows is None:
-            block_rows = default_block_rows(weights.n_participants)
-        ii, jj, signs, numer, co = _scan_edges(weights, threshold, neg, block_rows)
+        ii, jj, signs, numer, co = _scan_edges(weights, level, neg_level)
     table, codes = _weight_table(weights, numer, co)
 
     return ProjectionGraph.from_arrays(

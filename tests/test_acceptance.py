@@ -30,6 +30,7 @@ from opinionnet import (
     style_edges,
     thirds_style,
 )
+import opinionnet.project as project
 from opinionnet.cli import main
 
 from helpers import (
@@ -80,7 +81,7 @@ def test_criterion_renormalization_exactness():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_projection_matches_brute_force_oracle():
+def test_criterion_projection_matches_brute_force_oracle(monkeypatch):
     t0 = time.perf_counter()
     rng = random.Random(20260809)
     modes = ("exact_agreement", "score", "binarized_agreement")
@@ -100,7 +101,8 @@ def test_criterion_projection_matches_brute_force_oracle():
         # mid-range threshold and compare edge sets against the oracle
         values = sorted(w for w, _ in oracle.values())
         theta = values[len(values) // 2]
-        graph = project_participants(weights, theta, block_rows=rng.randrange(3, 16))
+        monkeypatch.setattr(project, "default_block_rows", lambda n, rows=rng.randrange(3, 16): rows)
+        graph = project_participants(weights, theta)
         got = {(e.u, e.v) for e in graph.edges}
         ids = weights.participant_ids
         expected_edges = {

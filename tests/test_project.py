@@ -3,9 +3,12 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionnet import (
     Edge,
@@ -22,6 +25,7 @@ from opinionnet import (
     thirds_style,
 )
 
+import opinionnet.project as project
 from opinionnet.project import SCORE, PairWeights, default_block_rows
 from opinionnet.render import export_graphml
 
@@ -31,6 +35,12 @@ from oracles import all_pair_weights, attitude_edges, random_rows
 
 def F(*args):
     return Fraction(*args)
+
+
+def scan_in_blocks_of(monkeypatch, rows):
+    """Make the pair scan use blocks of `rows` rows (None: the default size)."""
+    monkeypatch.setattr(project, "default_block_rows",
+                        default_block_rows if rows is None else lambda n: rows)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +344,23 @@ def test_node_attributes_flow_to_graph():
     assert graph.node_attrs["p001"] == {"party": "R"}
 
 
-def test_bucketed_projection_matches_scan():
-    # thresholds m and m-1 on complete exact-agreement data take the hash-bucket
-    # path; its edges must be exactly the oracle's qualifying pairs
+def test_bucketed_projection_matches_scan(monkeypatch):
+    # thresholds at levels m and m-1 on complete exact-agreement data take the
+    # hash-bucket path, fractional ones too; its edges must be exactly the
+    # oracle's qualifying pairs
     ks = [3] * 6
     rows = [random.Random(i % 9).choices(range(3), k=6) for i in range(60)]
     rows += [list(rows[0]), list(rows[1])]
     w = weights_from_rows(rows, ks, "exact_agreement")
     oracle = all_pair_weights(rows, ks, "exact_agreement")
-    for threshold in (6, 5):
+    bucketed = []
+    original = project._bucketed_agreement_pairs
+    monkeypatch.setattr(project, "_bucketed_agreement_pairs",
+                        lambda *a: bucketed.append(a[1]) or original(*a))
+    for threshold in (6, 5, F(11, 2), F(9, 2)):
+        bucketed.clear()
         graph = project_participants(w, threshold)
+        assert bucketed == [math.ceil(threshold)]
         expected = sorted((f"p{i:03d}", f"p{j:03d}", weight)
                           for (i, j), (weight, _) in oracle.items() if weight >= threshold)
         assert [(e.u, e.v, e.weight) for e in graph.edges] == expected
@@ -379,7 +396,7 @@ def test_bucketed_projection_with_duplicate_rows_matches_oracle():
                                                   for i, j in itertools.combinations(range(4), 2)]
 
 
-def test_int64_kernel_matches_oracle_on_huge_denominator():
+def test_int64_kernel_matches_oracle_on_huge_denominator(monkeypatch):
     # the scale steps are distinct primes, so the shared denominator is their
     # product (about 1.3e16) and m * D passes 2**53: the kernel multiplies in int64
     ks = [3, 4, 6, 8, 12, 14, 18, 20, 24, 30, 32, 38, 42, 44]
@@ -390,7 +407,8 @@ def test_int64_kernel_matches_oracle_on_huge_denominator():
     oracle = all_pair_weights(rows, ks, "score")
     for (i, j), (expected, _) in oracle.items():
         assert w.weight(i, j) == expected
-    graph = project_participants(w, 0, negative_threshold=-1, block_rows=5)
+    scan_in_blocks_of(monkeypatch, 5)
+    graph = project_participants(w, 0, negative_threshold=-1)
     got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
     want = {}
     for (i, j), (weight, _) in oracle.items():
@@ -399,7 +417,7 @@ def test_int64_kernel_matches_oracle_on_huge_denominator():
     assert got == want
 
 
-def test_float64_kernel_matches_oracle_past_the_float32_range():
+def test_float64_kernel_matches_oracle_past_the_float32_range(monkeypatch):
     # the scale steps 2, 3, 5, ..., 19 are distinct primes: D = 9,699,690 and
     # m * D = 77,597,520 lies past 2**24 and below 2**53, the float64 rung
     ks = [3, 4, 6, 8, 12, 14, 18, 20]
@@ -411,7 +429,8 @@ def test_float64_kernel_matches_oracle_past_the_float32_range():
     oracle = all_pair_weights(rows, ks, "score")
     for (i, j), (expected, _) in oracle.items():
         assert w.weight(i, j) == expected
-    graph = project_participants(w, F(1, 2), negative_threshold=-1, block_rows=7)
+    scan_in_blocks_of(monkeypatch, 7)
+    graph = project_participants(w, F(1, 2), negative_threshold=-1)
     got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
     want = {(f"p{i:03d}", f"p{j:03d}"): (weight, "positive" if weight >= F(1, 2) else "negative")
             for (i, j), (weight, _) in oracle.items() if weight >= F(1, 2) or weight <= -1}
@@ -480,37 +499,101 @@ def _oracle_edges(rows, ks, mode, threshold, negative_threshold, rescale):
 @pytest.mark.parametrize("dtype", list(RUNG_SCALES))
 @pytest.mark.parametrize("mode, rescale", [("exact_agreement", False), ("score", False),
                                            ("binarized_agreement", False), ("score", True)])
-def test_projection_matches_the_oracle_on_every_rung_and_block_size(dtype, mode, rescale):
+def test_projection_matches_the_oracle_on_every_rung_and_block_size(dtype, mode, rescale,
+                                                                    monkeypatch):
     ks = RUNG_SCALES[dtype]
     rows = random_rows(random.Random(40 + len(ks)), 31, ks, missing_rate=0.2)
     w = weights_from_rows(rows, ks, mode, rescale=rescale)
     weights = sorted(_oracle_edges(rows, ks, mode, -len(ks), None, rescale).values())
-    # the int64 rung's weight levels are too fine-grained to be thresholds
-    snap = (lambda x: F(math.ceil(2 * x), 2)) if dtype is np.int64 else (lambda x: x)
-    lo, hi = snap(weights[len(weights) // 4][0]), snap(weights[3 * len(weights) // 4][0])
-    hi = hi if lo < hi else snap(weights[-1][0])
+    lo, hi = weights[len(weights) // 4][0], weights[3 * len(weights) // 4][0]
+    hi = hi if lo < hi else weights[-1][0]
     # at weight levels, between levels, and (score) below zero
     thresholds = [(hi, None), (hi, lo), (F(math.floor(lo + hi), 2) + F(1, 4), lo)]
     if mode == "score":
-        thresholds.append((F(-1), snap(weights[0][0])))
+        thresholds.append((F(-1), weights[0][0]))
     for threshold, negative in thresholds:
         expected = _oracle_edges(rows, ks, mode, threshold, negative, rescale)
         assert {sign for _, sign in expected.values()} == (
             {"positive"} if negative is None else {"positive", "negative"})
         for block_rows in (1, 7, None):
-            graph = project_participants(w, threshold, negative, block_rows=block_rows)
+            scan_in_blocks_of(monkeypatch, block_rows)
+            graph = project_participants(w, threshold, negative)
             assert {(e.u, e.v): (e.weight, e.sign) for e in graph.edges} == expected
 
 
-@pytest.mark.parametrize("missing_rate", [0.0, 0.03])
-def test_the_pair_scan_holds_no_int64_block(missing_rate):
+@pytest.mark.parametrize("threshold", [F(1, 2**58), F(-1, 2**58)])
+def test_a_rescaled_threshold_with_a_huge_denominator_is_exact(threshold):
+    # m = 3 and D = 4: the numerators +-12 of the weights +-3 times m * 2**58
+    # pass 2**63, so an int64 cross-multiplication with the threshold wraps
+    ks = [5, 5, 5]
+    rows = [[0, 0, 0], [0, 0, 0], [1, None, 2], [4, 4, 4]]
+    graph = project_participants(weights_from_rows(rows, ks, "score", rescale=True), threshold)
+    assert [(e.u, e.v, e.weight) for e in graph.edges] == [
+        ("p000", "p001", 3), ("p000", "p002", F(3, 4)), ("p001", "p002", F(3, 4))]
+    assert ({(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
+            == _oracle_edges(rows, ks, "score", threshold, None, True))
+
+
+@lru_cache(maxsize=None)
+def _rung_survey(dtype, mode, rescale):
+    """Weights of a small survey on a dtype rung, and the oracle's weight per pair."""
+    ks = RUNG_SCALES[dtype]
+    rows = random_rows(random.Random(7 + len(ks)), 24, ks, missing_rate=0.2)
+    w = weights_from_rows(rows, ks, mode, rescale=rescale)
+    oracle = {(f"p{i:03d}", f"p{j:03d}"): weight * len(ks) / co if rescale and co
+              else Fraction(0) if rescale else weight
+              for (i, j), (weight, co) in all_pair_weights(rows, ks, mode).items()}
+    return w, oracle
+
+
+@st.composite
+def _fine_thresholds(draw, w, oracle):
+    """A threshold within a few units of its denominator of a weight, 0 or a
+    range end, with a denominator near 2**62 / (m * D), near 2**62 / (m**2 * D)
+    or above 2**62."""
+    m, d = w.n_items, w.denominator
+    den = max(1, draw(st.one_of(st.integers(-8, 8).map(lambda k: 2**62 // (m * d) + k),
+                                st.integers(-8, 8).map(lambda k: 2**62 // (m * m * d) + k),
+                                st.integers(1, 2**70).map(lambda k: 2**62 + k))))
+    lo, hi = w.weight_range()
+    near = draw(st.sampled_from(sorted(set(oracle.values()) | {Fraction(0), lo, hi})))
+    threshold = Fraction(math.floor(near * den) + draw(st.integers(-2, 2)), den)
+    return min(max(threshold, lo), hi)
+
+
+@pytest.mark.parametrize("dtype", list(RUNG_SCALES))
+@pytest.mark.parametrize("mode, rescale", [("exact_agreement", False), ("score", False),
+                                           ("binarized_agreement", False), ("score", True)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_rational_threshold_matches_the_oracle_on_every_rung(dtype, mode, rescale, data):
+    w, oracle = _rung_survey(dtype, mode, rescale)
+    first, second = data.draw(_fine_thresholds(w, oracle)), data.draw(_fine_thresholds(w, oracle))
+    if data.draw(st.booleans()) and first != second:
+        threshold, negative = max(first, second), min(first, second)
+    else:
+        threshold, negative = first, None
+    graph = project_participants(w, threshold, negative)
+    assert {(e.u, e.v): (e.weight, e.sign) for e in graph.edges} == {
+        pair: (weight, "positive" if weight >= threshold else "negative")
+        for pair, weight in oracle.items()
+        if weight >= threshold or (negative is not None and weight <= negative)}
+
+
+@pytest.mark.parametrize("missing_rate, rescale, bytes_per_cell", [
+    pytest.param(0.0, False, 8, id="0.0"),
+    pytest.param(0.03, False, 12, id="0.03"),
+    pytest.param(0.03, True, 24, id="0.03-rescaled"),
+])
+def test_the_pair_scan_holds_no_int64_block(missing_rate, rescale, bytes_per_cell):
     # the first scan block is 512 x 3,000 cells: its float32 numerators take
     # 4 B per cell, and the whole scan stays below one int64 block (8 B per
     # cell); on incomplete data the kernel also returns float32 co-answered
-    # counts, 4 B per cell more, which the scan does not use
+    # counts, 4 B per cell more, which the scan uses only for rescaled
+    # weights, whose per-count level lookup stays below three int64 blocks
     ks = [4] * 10 + [5] * 3
     rows = random_rows(random.Random(3), 3_000, ks, missing_rate=missing_rate)
-    w = weights_from_rows(rows, ks, "score")
+    w = weights_from_rows(rows, ks, "score", rescale=rescale)
     assert default_block_rows(3_000) == 512 and w.has_missing == bool(missing_rate)
     tracemalloc.start()
     try:
@@ -519,7 +602,7 @@ def test_the_pair_scan_holds_no_int64_block(missing_rate):
     finally:
         tracemalloc.stop()
     assert graph.n_edges > 10_000
-    assert peak < 512 * 3_000 * (12 if w.has_missing else 8)
+    assert peak < 512 * 3_000 * bytes_per_cell
 
 
 def test_ordinary_surveys_take_the_float32_rung():
@@ -535,7 +618,7 @@ def test_default_block_rows_shrink_as_n_grows():
     assert sizes[2] <= 512 and sizes[-2] < sizes[2] and sizes[-1] == 1
 
 
-def test_block_size_does_not_change_the_written_graph(tmp_path):
+def test_block_size_does_not_change_the_written_graph(tmp_path, monkeypatch):
     rng = random.Random(71)
     ks = [4, 5, 3, 4, 2]
     rows = random_rows(rng, 61, ks, missing_rate=0.1)
@@ -543,19 +626,20 @@ def test_block_size_does_not_change_the_written_graph(tmp_path):
     written = set()
     for block_rows in (None, 1, 2, 7, 60, 61, 1000):
         path = tmp_path / f"g{block_rows}.graphml"
-        export_graphml(project_participants(w, F(1, 2), negative_threshold=F(-1, 3),
-                                            block_rows=block_rows), path)
+        scan_in_blocks_of(monkeypatch, block_rows)
+        export_graphml(project_participants(w, F(1, 2), negative_threshold=F(-1, 3)), path)
         written.add(path.read_bytes())
     assert len(written) == 1
 
 
-def test_block_size_does_not_change_output():
+def test_block_size_does_not_change_output(monkeypatch):
     rng = random.Random(89)
     ks = [4, 4, 5, 3]
     rows = random_rows(rng, 33, ks, missing_rate=0.1)
     w = weights_from_rows(rows, ks, "score")
     default = project_participants(w, F(1, 3), negative_threshold=F(-2))
-    tiny = project_participants(w, F(1, 3), negative_threshold=F(-2), block_rows=2)
+    scan_in_blocks_of(monkeypatch, 2)
+    tiny = project_participants(w, F(1, 3), negative_threshold=F(-2))
     assert default.edges == tiny.edges
 
 
