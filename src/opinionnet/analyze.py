@@ -24,11 +24,10 @@ import numpy as np
 
 from .errors import NoGiantComponentError, ValidationError
 from .normalize import SignMatrix
-from .project import PairWeights, ProjectionGraph, _threshold_level
+from .project import PairWeights, ProjectionGraph, _spanning_tree, _threshold_level
 from .rational import as_fraction, format_fraction
 
 
-MAX_SWEEP_LEVELS = 2**24  # level flags select_threshold may allocate (16 MiB)
 BETWEENNESS_BLOCK_BYTES = 2 * 2**20  # working set of one block of BFS sources
 # 8-byte words per (source, node): dist, sigma, delta, per-level sums; and per
 # (source, edge): its contribution, the stored DAG entries, level temporaries
@@ -136,23 +135,10 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     distinct values, so ties cannot occur. min_level bounds the descent; if
     the target is never reached the sweep so far is raised with the error.
 
-    One pass of Prim's algorithm over the complete weighted graph builds a
-    maximum spanning tree and the histogram of all pair weights. It runs on a
-    private copy of the numerators_only() weights whose rows it permutes: the
-    vertices still outside the tree sit in the prefix 0..k-1, and the vertex
-    that joins the tree is swapped to position k, just past it. Its numerator
-    row is computed against that prefix only, binned into the histogram and
-    merged into each outside vertex's heaviest link to the tree, so every
-    pair is computed and counted exactly once. The components of the edges
-    at or above any level are those of the tree edges at or above it (single
-    linkage; Gower & Ross 1969), and any maximum spanning tree gives the same
-    ones, so the sweep unions tree edges only and ties may join in any order.
-
-    The histogram is an array with one flag per representable weight level
-    (2*m*D + 1 for score weights, m + 1 otherwise). Surveys whose scale steps
-    have a huge least common multiple D would need more than
-    MAX_SWEEP_LEVELS of them; they are a ValidationError, and such surveys
-    need an explicit threshold.
+    The components of the edges at or above any level are those of the
+    maximum spanning tree's edges at or above it (single linkage; Gower &
+    Ross 1969), and any such tree gives the same ones, so the sweep unions
+    the edges of project._spanning_tree only and ties may join in any order.
     """
     target = as_fraction(target_fraction)
     if not (0 < target <= 1):
@@ -162,38 +148,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
                               "rescaled pairwise weights")
     n = weights.n_participants
     d = weights.denominator
-    off = weights.numerator_offset
-    levels = off + weights.n_items * d + 1
-    if levels > MAX_SWEEP_LEVELS:
-        raise ValidationError(
-            f"the threshold sweep would track {levels} weight levels, more than "
-            f"{MAX_SWEEP_LEVELS}; give an explicit threshold instead")
-
-    present = np.zeros(levels, dtype=bool)  # weight level present among the pairs
-    kernel = weights.numerators_only()  # no co-answered counts: weights are not rescaled
-    # private copies of the encodings, permuted below; only block_numerators reads them
-    kernel._x, kernel._y = kernel._x.copy(), kernel._y.copy()
-    ids = list(range(n))  # participant at each position
-    # heaviest link to the tree, in the kernel's dtype; it starts below every level
-    best = np.full(n, -off - 1, dtype=kernel._x.dtype)
-    link = np.zeros(n, dtype=np.int64)  # the tree vertex it links to
-    tree = []  # (numerator, u, v) per spanning-tree edge
-    v = 0  # position of the vertex joining the tree
-    for k in range(n - 1, 0, -1):  # positions 0..k-1 hold the vertices outside the tree
-        for rows in (kernel._x, kernel._y):  # the joining vertex moves to position k
-            rows[v], rows[k] = rows[k], rows[v].copy()
-        for column in (ids, best, link):
-            column[v], column[k] = column[k], column[v]
-        row = kernel.block_numerators(k, k + 1, 0, k)[0][0]
-        present[row.astype(np.intp) + off] = True
-        closer = row > best[:k]
-        best[:k][closer] = row[closer]
-        link[:k][closer] = ids[k]
-        v = int(np.argmax(best[:k]))
-        tree.append((int(best[v]), int(link[v]), ids[v]))
-    tree.sort(reverse=True)
-
-    numerators = np.nonzero(present)[0][::-1] - off  # descending weight levels
+    tree, numerators = _spanning_tree(weights)  # numerators: descending weight levels
     if min_level is not None:
         numerators = numerators[numerators >= _threshold_level(weights, as_fraction(min_level))]
 
@@ -466,9 +421,6 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
         status=status,
         original_edge_count=original_count,
     )
-
-
-_SIGN_CHARS = {-1: "-", 0: "0", 1: "+"}
 
 
 @dataclass

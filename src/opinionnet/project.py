@@ -23,6 +23,9 @@ co-answered count for rescaled weights on incomplete data), which lies within
 entries to int64. Positive edges need w >= threshold, negative edges
 (disagreement ties) need w <= negative_threshold. Exact-agreement projections
 at levels m and m-1 on complete data skip the pair scan and sort rows instead.
+The threshold sweep's one pass over all pairs also lives here: _spanning_tree
+runs Prim on a private copy of the kernel and flags the weight levels
+present, at most MAX_SWEEP_LEVELS of them.
 """
 
 from __future__ import annotations
@@ -124,13 +127,6 @@ class PairWeights:
     def has_missing(self) -> bool:
         return self._m is not None
 
-    @property
-    def numerator_offset(self) -> int:
-        """Shift that maps numerators onto non-negative histogram indices."""
-        if self.mode == SCORE:
-            return self.n_items * self.denominator
-        return 0
-
     def weight_range(self) -> tuple[Fraction, Fraction]:
         m = self.n_items
         if self.mode == SCORE:
@@ -154,18 +150,6 @@ class PairWeights:
             raise ValidationError("no self-pairs")
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"pair index out of range: ({u}, {v})")
-
-    def numerators_only(self) -> PairWeights:
-        """A view of the same weights whose block_numerators skips M @ M.T.
-
-        Its co-answered counts are always None, so its weights are the
-        numerators over the denominator: rescaled weights have no such view.
-        """
-        if self.rescale:
-            raise ValidationError("rescaled pairwise weights need their co-answered counts")
-        view = copy.copy(self)
-        view._m = None
-        return view
 
     def block_numerators(self, r0: int, r1: int, c0: int, c1: int):
         """Weight numerators (and co-answered counts) for rows x cols.
@@ -448,7 +432,7 @@ def _select_block(numer, co, level, *, negative: bool):
     _threshold_level: one integer, or a table looked up by each pair's
     co-answered count."""
     if isinstance(level, np.ndarray):
-        level = level[co.astype(np.intp)]
+        level = level[co.astype(np.min_scalar_type(len(level) - 1))]  # counts <= m
     return numer <= level if negative else numer >= level
 
 
@@ -543,6 +527,55 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
     ii, jj = encoded // n, encoded % n
     agree = (features[ii] == features[jj]).sum(axis=1).astype(np.int64)
     return ii, jj, agree
+
+
+MAX_SWEEP_LEVELS = 2**24  # level flags _spanning_tree may allocate (16 MiB)
+
+
+def _spanning_tree(weights: PairWeights):
+    """Maximum spanning tree edges (numerator, u, v), heaviest first, and the
+    numerators present among all pairs, descending, of unrescaled weights.
+
+    One pass of Prim's algorithm on a private copy of the kernel, without
+    co-answered counts, whose rows it permutes: the vertices outside the tree
+    sit in the prefix 0..k-1 and the joining vertex is swapped to position k.
+    Its row is computed against that prefix only, so every pair is computed
+    and flagged once. The flags span the levels of the weight range's ends
+    (2*m*D + 1 for score weights, m + 1 otherwise); more than
+    MAX_SWEEP_LEVELS of them (a huge scale-step LCM D) are a ValidationError.
+    """
+    lo, hi = weights.weight_range()
+    off = -_threshold_level(weights, lo)  # the lowest numerator's flag is 0
+    levels = off + _threshold_level(weights, hi) + 1
+    if levels > MAX_SWEEP_LEVELS:
+        raise ValidationError(
+            f"the threshold sweep would track {levels} weight levels, more than "
+            f"{MAX_SWEEP_LEVELS}; give an explicit threshold instead")
+
+    n = weights.n_participants
+    present = np.zeros(levels, dtype=bool)  # weight level present among the pairs
+    kernel = copy.copy(weights)
+    kernel._x, kernel._y, kernel._m = weights._x.copy(), weights._y.copy(), None  # permuted below
+    ids = list(range(n))  # participant at each position
+    # heaviest link to the tree, in the kernel's dtype; it starts below every level
+    best = np.full(n, -off - 1, dtype=kernel._x.dtype)
+    link = np.zeros(n, dtype=np.int64)  # the tree vertex it links to
+    tree = []  # (numerator, u, v) per spanning-tree edge
+    v = 0  # position of the vertex joining the tree
+    for k in range(n - 1, 0, -1):  # positions 0..k-1 hold the vertices outside the tree
+        for rows in (kernel._x, kernel._y):  # the joining vertex moves to position k
+            rows[v], rows[k] = rows[k], rows[v].copy()
+        for column in (ids, best, link):
+            column[v], column[k] = column[k], column[v]
+        row = kernel.block_numerators(k, k + 1, 0, k)[0][0]
+        present[row.astype(np.intp) + off] = True
+        closer = row > best[:k]
+        best[:k][closer] = row[closer]
+        link[:k][closer] = ids[k]
+        v = int(np.argmax(best[:k]))
+        tree.append((int(best[v]), int(link[v]), ids[v]))
+    tree.sort(reverse=True)
+    return tree, np.nonzero(present)[0][::-1] - off
 
 
 def project_participants(weights: PairWeights, threshold, negative_threshold=None,

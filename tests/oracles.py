@@ -23,10 +23,11 @@ from xml.parsers import expat
 import numpy as np
 
 from opinionnet import thirds_style
-from opinionnet.analyze import MAX_SWEEP_LEVELS, ThresholdSelection, UnionFind
+from opinionnet.analyze import ThresholdSelection
 from opinionnet.errors import NoGiantComponentError, ValidationError
 from opinionnet.ingest import MISSING, MISSING_POLICIES, LoadReport, ResponseMatrix, SurveySchema
-from opinionnet.project import POSITIVE, SOLID, PairWeights, ProjectionGraph, edge_columns
+from opinionnet.project import (MAX_SWEEP_LEVELS, POSITIVE, SCORE, SOLID, PairWeights,
+                                ProjectionGraph, edge_columns)
 from opinionnet.rational import as_fraction, format_fraction
 
 
@@ -441,7 +442,7 @@ def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 
                               "rescaled pairwise weights")
     n = weights.n_participants
     d = weights.denominator
-    off = weights.numerator_offset
+    off = weights.n_items * d if weights.mode == SCORE else 0  # lowest numerator, negated
     levels = off + weights.n_items * d + 1
     if levels > MAX_SWEEP_LEVELS:
         raise ValidationError(
@@ -454,11 +455,10 @@ def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 
     link = np.zeros(n, dtype=np.int64)
     outside = np.ones(n, dtype=bool)
     tree = []  # (numerator, u, v) per spanning-tree edge
-    kernel = weights.numerators_only()  # no co-answered counts: weights are not rescaled
     v = 0
     outside[v] = False
     for _ in range(n - 1):
-        row = kernel.block_numerators(v, v + 1, 0, n)[0][0]
+        row = weights.block_numerators(v, v + 1, 0, n)[0][0]  # unrescaled: counts unused
         present[row[outside].astype(np.intp) + off] = True
         closer = outside & (row > best)
         best[closer] = row[closer]
@@ -473,17 +473,16 @@ def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 
     if min_level is not None:
         numerators = numerators[numerators >= math.ceil(as_fraction(min_level) * d)]
 
-    uf = UnionFind(n)
     sweep: list[tuple[Fraction, Fraction]] = []
-    joined = 0
+    joined = None
     for level_numer in numerators.tolist():
-        while joined < len(tree) and tree[joined][0] >= level_numer:
-            uf.union(tree[joined][1], tree[joined][2])
-            joined += 1
+        edges = [(u, v) for numer, u, v in tree if numer >= level_numer]
+        if len(edges) != joined:  # components only change as tree edges join
+            joined, largest = len(edges), len(components_from_edges(n, edges)[0])
         level = Fraction(level_numer, d)
-        frac = Fraction(uf.largest, n)
+        frac = Fraction(largest, n)
         sweep.append((level, frac))
-        if uf.largest * target.denominator >= target.numerator * n:
+        if largest * target.denominator >= target.numerator * n:
             return ThresholdSelection(level, frac, sweep, target)
 
     raise NoGiantComponentError(

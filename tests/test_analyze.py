@@ -19,8 +19,8 @@ from opinionnet import (
 )
 
 from opinionnet import analyze
-from opinionnet.analyze import MAX_SWEEP_LEVELS, _betweenness_exact, _betweenness_fast
-from opinionnet.project import PairWeights
+from opinionnet.analyze import _betweenness_exact, _betweenness_fast
+from opinionnet.project import MAX_SWEEP_LEVELS, PairWeights
 
 from helpers import (
     barbell_graph,

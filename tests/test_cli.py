@@ -10,7 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from opinionnet import Edge, ProjectionGraph, export_graphml
+from opinionnet import (
+    Edge,
+    ProjectionGraph,
+    SurveySchema,
+    binarize,
+    binarized_agreement_weights,
+    export_edgelist,
+    export_graphml,
+    load_survey,
+    project_attitudes,
+    project_participants,
+    renormalize,
+    style_edges,
+)
 from opinionnet.cli import main
 
 from helpers import barbell_graph
@@ -37,6 +50,11 @@ def write_survey(path, scale_sizes, rows, attrs=None):
             codes = row["codes"] if isinstance(row, dict) else row
             writer.writerow([f"p{i:03d}", *attr_vals, *codes])
     return path
+
+
+def edgelist_bytes(graph, path):
+    export_edgelist(graph, path)
+    return path.read_bytes()
 
 
 def two_block_inputs(tmp_path, n_per_block=6, m=5):
@@ -436,6 +454,51 @@ def test_render_rejects_negative_seed(tmp_path, capsys):
     block = json.loads(capsys.readouterr().err)
     assert "seed" in block["error"]["message"]
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_attitudes_signed_mode_via_cli(tmp_path):
+    # q00 and q01 have 4 co-positive and 3 co-negative participants: dual mode
+    # writes two edges for them, signed mode one edge of weight 1
+    ks = [5, 5, 5]
+    schema = write_schema(tmp_path / "schema.json", ks)
+    rows = [[4, 4, 0], [4, 3, 0], [0, 0, 4], [0, 1, 3], [3, 4, 2], [1, 0, 4], [4, 4, 4]]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows)
+    code = main(["attitudes", "--survey", str(survey), "--schema", str(schema),
+                 "--attitude-mode", "signed", "--out-prefix", str(tmp_path / "att")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "att.manifest.json").read_text())
+    assert manifest["parameters"]["attitude_mode"] == "signed"
+    written = (tmp_path / "att.edges.csv").read_bytes()
+    attitudes = project_attitudes(renormalize(load_survey(survey, SurveySchema.from_json(schema))))
+    signed = edgelist_bytes(style_edges(attitudes, mode="signed"), tmp_path / "signed.csv")
+    dual = edgelist_bytes(style_edges(attitudes, mode="dual"), tmp_path / "dual.csv")
+    assert written == signed != dual
+    assert b"q00,q01,1,1.0,positive,dotted" in written
+
+
+def test_project_exclude_neutral_pairs_via_cli(tmp_path):
+    # 3-point items: code 1 is the neutral midpoint, and rows share it often
+    ks = [3] * 4
+    schema = write_schema(tmp_path / "schema.json", ks)
+    rows = [[1, 1, 1, 1], [1, 1, 1, 0], [1, 1, 2, 2], [0, 1, 1, 2], [2, 2, 1, 1], [0, 0, 1, 2],
+            [2, 2, 2, 1]]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows)
+    code = main(["project", "--survey", str(survey), "--schema", str(schema),
+                 "--mode", "binarized", "--threshold", "2", "--exclude-neutral-pairs",
+                 "--out-prefix", str(tmp_path / "bin")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "bin.manifest.json").read_text())
+    assert manifest["parameters"]["exclude_neutral_pairs"] is True
+    assert manifest["parameters"]["mode"] == "binarized"
+    written = (tmp_path / "bin.edges.csv").read_bytes()
+    signs = binarize(renormalize(load_survey(survey, SurveySchema.from_json(schema))))
+    excluded, counted = (
+        edgelist_bytes(project_participants(binarized_agreement_weights(
+            signs, count_neutral_pairs=count), 2), tmp_path / f"count-{count}.csv")
+        for count in (False, True))
+    assert written == excluded != counted
+    assert len(written.splitlines()) > 1  # some pairs still agree off the midpoint
+
 
 def test_keep_pairwise_policy_via_cli(tmp_path, capsys):
     schema = write_schema(tmp_path / "schema.json", [4, 4])

@@ -30,7 +30,7 @@ from opinionnet.project import SCORE, PairWeights, default_block_rows
 from opinionnet.render import export_graphml
 
 from helpers import make_matrix, weights_from_rows
-from oracles import all_pair_weights, attitude_edges, random_rows
+from oracles import all_pair_weights, attitude_edges, components_from_edges, random_rows
 
 
 def F(*args):
@@ -583,14 +583,15 @@ def test_any_rational_threshold_matches_the_oracle_on_every_rung(dtype, mode, re
 @pytest.mark.parametrize("missing_rate, rescale, bytes_per_cell", [
     pytest.param(0.0, False, 8, id="0.0"),
     pytest.param(0.03, False, 12, id="0.03"),
-    pytest.param(0.03, True, 24, id="0.03-rescaled"),
+    pytest.param(0.03, True, 16, id="0.03-rescaled"),
 ])
 def test_the_pair_scan_holds_no_int64_block(missing_rate, rescale, bytes_per_cell):
     # the first scan block is 512 x 3,000 cells: its float32 numerators take
     # 4 B per cell, and the whole scan stays below one int64 block (8 B per
     # cell); on incomplete data the kernel also returns float32 co-answered
     # counts, 4 B per cell more, which the scan uses only for rescaled
-    # weights, whose per-count level lookup stays below three int64 blocks
+    # weights, whose per-count level lookup indexes by a one-byte count and
+    # stays below two int64 blocks
     ks = [4] * 10 + [5] * 3
     rows = random_rows(random.Random(3), 3_000, ks, missing_rate=missing_rate)
     w = weights_from_rows(rows, ks, "score", rescale=rescale)
@@ -666,28 +667,55 @@ def test_rescaled_pairwise_score():
     assert len(graph.edges) == 1
 
 
-
 @pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
-def test_numerators_only_view_drops_counts_not_numerators(mode):
+def test_spanning_tree_drops_counts_not_numerators(mode):
+    # the sweep's tree pass runs on a kernel copy without co-answered counts;
+    # on incomplete data its levels and tree are still the oracle's numerators
     rng = random.Random(55)
     ks = [4, 5, 3, 7]
-    w = weights_from_rows(random_rows(rng, 9, ks, missing_rate=0.3), ks, mode)
+    rows = random_rows(rng, 9, ks, missing_rate=0.3)
+    w = weights_from_rows(rows, ks, mode)
     assert w.has_missing
-    view = w.numerators_only()
-    for r0, r1, c0, c1 in [(0, 9, 0, 9), (2, 3, 0, 9), (4, 7, 1, 6)]:
-        numer, co = w.block_numerators(r0, r1, c0, c1)
-        view_numer, view_co = view.block_numerators(r0, r1, c0, c1)
-        assert view_co is None
-        assert view_numer.dtype == numer.dtype and (view_numer == numer).all()
-        assert co is not None and co.shape == numer.shape
-    assert w.co_answered(0, 1) == view.co_answered(0, 1)
+    numer = {}
+    for pair, (weight, _co) in all_pair_weights(rows, ks, mode).items():
+        scaled = weight * w.denominator
+        assert scaled.denominator == 1
+        numer[pair] = int(scaled)
+    tree, present = project._spanning_tree(w)
+    assert [int(x) for x in present] == sorted(set(numer.values()), reverse=True)
+    assert tree == sorted(tree, reverse=True)
+    for x, u, v in tree:
+        assert x == numer[min(u, v), max(u, v)]
+    # a spanning tree of the 9 participants, as heavy as Kruskal's
+    components = list(range(9))
+
+    def find(a):
+        while components[a] != a:
+            a = components[a]
+        return a
+
+    heaviest = 0
+    for (u, v), x in sorted(numer.items(), key=lambda item: -item[1]):
+        if find(u) != find(v):
+            components[find(u)] = find(v)
+            heaviest += x
+    assert len(tree) == 8 and sum(x for x, _, _ in tree) == heaviest
+    assert len(components_from_edges(9, [(u, v) for _, u, v in tree])) == 1
 
 
-def test_rescaled_weights_have_no_numerators_only_view():
-    ks = [5, 5, 5]
-    w = weights_from_rows([[0, None, 4], [0, 2, None]], ks, "score", rescale=True)
-    with pytest.raises(ValidationError, match="co-answered"):
-        w.numerators_only()
+def test_spanning_tree_leaves_the_weights_untouched():
+    # the pass permutes rows of its own copy: the caller's kernel keeps its
+    # row order and its co-answered counts
+    rng = random.Random(56)
+    ks = [4, 5, 3, 7]
+    w = weights_from_rows(random_rows(rng, 12, ks, missing_rate=0.3), ks, "score")
+    before = w.block_numerators(0, 12, 0, 12)
+    project._spanning_tree(w)
+    after = w.block_numerators(0, 12, 0, 12)
+    assert w.has_missing and after[1] is not None
+    for old, new in zip(before, after):
+        assert old.dtype == new.dtype and (old == new).all()
+
 
 def test_rescale_is_identity_on_complete_data():
     rng = random.Random(101)
