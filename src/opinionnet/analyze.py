@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import NoGiantComponentError, ValidationError
 from .normalize import SignMatrix
-from .project import PairWeights, ProjectionGraph, _spanning_tree, _threshold_level
+from .project import (PairWeights, ProjectionGraph, _component_roots, _sweep_bands,
+                      _threshold_level)
 from .rational import as_fraction, format_fraction
 
 
@@ -72,19 +73,6 @@ class ComponentReport:
     components: list
     giant_fraction: Fraction
     n_nodes: int
-
-
-def _component_roots(n_nodes, us, vs):
-    """Smallest node index of each node's component over the edges (us, vs)."""
-    root = np.arange(n_nodes)
-    while True:
-        lo = np.minimum(root[us], root[vs])
-        hi = np.maximum(root[us], root[vs])
-        if np.array_equal(lo, hi):
-            return root
-        np.minimum.at(root, hi, lo)  # hook each root onto the smallest root it touches
-        while not np.array_equal(root[root], root):  # then point every node at its root
-            root = root[root]
 
 
 def _grouped_components(nodes, us, vs):
@@ -135,10 +123,11 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     distinct values, so ties cannot occur. min_level bounds the descent; if
     the target is never reached the sweep so far is raised with the error.
 
-    The components of the edges at or above any level are those of the
-    maximum spanning tree's edges at or above it (single linkage; Gower &
-    Ross 1969), and any such tree gives the same ones, so the sweep unions
-    the edges of project._spanning_tree only and ties may join in any order.
+    The levels and the edges come from project._sweep_bands, one band of
+    levels at a time, and only while the target is not reached. A band's
+    edges give the components at each of its levels (Kruskal 1956; single
+    linkage, Gower & Ross 1969) once joined after the earlier bands' edges,
+    and ties may join in any order.
     """
     target = as_fraction(target_fraction)
     if not (0 < target <= 1):
@@ -148,22 +137,21 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
                               "rescaled pairwise weights")
     n = weights.n_participants
     d = weights.denominator
-    tree, numerators = _spanning_tree(weights)  # numerators: descending weight levels
-    if min_level is not None:
-        numerators = numerators[numerators >= _threshold_level(weights, as_fraction(min_level))]
+    floor = None if min_level is None else _threshold_level(weights, as_fraction(min_level))
 
     uf = UnionFind(n)
     sweep: list[tuple[Fraction, Fraction]] = []
-    joined = 0
-    for level_numer in numerators.tolist():
-        while joined < len(tree) and tree[joined][0] >= level_numer:
-            uf.union(tree[joined][1], tree[joined][2])
-            joined += 1
-        level = Fraction(level_numer, d)
-        frac = Fraction(uf.largest, n)
-        sweep.append((level, frac))
-        if uf.largest * target.denominator >= target.numerator * n:
-            return ThresholdSelection(level, frac, sweep, target)
+    for numerators, edges in _sweep_bands(weights, floor):  # numerators: descending levels
+        joined = 0
+        for level_numer in numerators:
+            while joined < len(edges) and edges[joined][0] >= level_numer:
+                uf.union(edges[joined][1], edges[joined][2])
+                joined += 1
+            level = Fraction(level_numer, d)
+            frac = Fraction(uf.largest, n)
+            sweep.append((level, frac))
+            if uf.largest * target.denominator >= target.numerator * n:
+                return ThresholdSelection(level, frac, sweep, target)
 
     raise NoGiantComponentError(
         f"no weight level reached a giant component of {format_fraction(target)} "

@@ -23,9 +23,12 @@ co-answered count for rescaled weights on incomplete data), which lies within
 entries to int64. Positive edges need w >= threshold, negative edges
 (disagreement ties) need w <= negative_threshold. Exact-agreement projections
 at levels m and m-1 on complete data skip the pair scan and sort rows instead.
-The threshold sweep's one pass over all pairs also lives here: _spanning_tree
-runs Prim on a private copy of the kernel and flags the weight levels
-present, at most MAX_SWEEP_LEVELS of them.
+The threshold sweep's pass over all pairs also lives here: _sweep_bands scans
+one row of each group of equal rows, on a private copy of the kernel without
+co-answered counts, in bands of weight levels from the top down until the
+caller stops. A band holds only the pairs across its components, compacted
+into a forest when they pass a byte budget, and the levels present are the
+values of the pairs it scans.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class PairWeights:
 
     @property
     def n_participants(self) -> int:
-        return self._features.shape[0]
+        return self._x.shape[0]
 
     @property
     def has_missing(self) -> bool:
@@ -529,53 +532,195 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
     return ii, jj, agree
 
 
-MAX_SWEEP_LEVELS = 2**24  # level flags _spanning_tree may allocate (16 MiB)
+# the threshold sweep's bands of levels: the first is to hold about this many
+# pairs per distinct row, as the pivot sample predicts, and each next one about
+# BAND_GROWTH times as many; the pairs it holds across components are compacted
+# into a forest when they pass SWEEP_HELD_BYTES, so that they and their
+# compaction's sort fit one scan block's budget
+FIRST_BAND_PAIRS_PER_ROW = 4
+BAND_GROWTH = 8
+SWEEP_HELD_BYTES = SCAN_BLOCK_BYTES // 2
 
 
-def _spanning_tree(weights: PairWeights):
-    """Maximum spanning tree edges (numerator, u, v), heaviest first, and the
-    numerators present among all pairs, descending, of unrescaled weights.
+def _component_roots(n_nodes, us, vs):
+    """Smallest node index of each node's component over the edges (us, vs)."""
+    root = np.arange(n_nodes)
+    while True:
+        lo = np.minimum(root[us], root[vs])
+        hi = np.maximum(root[us], root[vs])
+        if np.array_equal(lo, hi):
+            return root
+        np.minimum.at(root, hi, lo)  # hook each root onto the smallest root it touches
+        while not np.array_equal(root[root], root):  # then point every node at its root
+            root = root[root]
 
-    One pass of Prim's algorithm on a private copy of the kernel, without
-    co-answered counts, whose rows it permutes: the vertices outside the tree
-    sit in the prefix 0..k-1 and the joining vertex is swapped to position k.
-    Its row is computed against that prefix only, so every pair is computed
-    and flagged once. The flags span the levels of the weight range's ends
-    (2*m*D + 1 for score weights, m + 1 otherwise); more than
-    MAX_SWEEP_LEVELS of them (a huge scale-step LCM D) are a ValidationError.
+
+def _find_roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Roots of nodes in a parent forest; each node is then pointed at its root."""
+    root = parent[nodes]
+    while not np.array_equal(up := parent[root], root):
+        root = up
+    parent[nodes] = root
+    return root
+
+
+def _root_merges(n_nodes: int, held: list):
+    """Kruskal's forest of the held (level, u, v) column parts over nodes
+    0..n_nodes-1, with the same components at every level, and the parent
+    forest of the components at the lowest level. The parts are released.
+
+    The edges are sorted by level, descending, and taken in runs of one level
+    and at most SWEEP_HELD_BYTES // 64 edges. The roots a run joins are merged
+    by _component_roots, each into the smallest root of its component, and
+    every merge is one forest edge (level, root, merged root).
     """
-    lo, hi = weights.weight_range()
-    off = -_threshold_level(weights, lo)  # the lowest numerator's flag is 0
-    levels = off + _threshold_level(weights, hi) + 1
-    if levels > MAX_SWEEP_LEVELS:
-        raise ValidationError(
-            f"the threshold sweep would track {levels} weight levels, more than "
-            f"{MAX_SWEEP_LEVELS}; give an explicit threshold instead")
+    level, us, vs = (np.concatenate(column) for column in zip(*held))
+    held.clear()
+    order = np.argsort(level, kind="stable")[::-1]
+    level, us, vs = level[order], us[order], vs[order]
+    del order
+    parent = np.arange(n_nodes, dtype=us.dtype)
+    merges = [(level[:0], us[:0], vs[:0])]
+    run = max(1, SWEEP_HELD_BYTES // 64)
+    cuts = np.union1d(np.flatnonzero(np.diff(level)) + 1, np.arange(run, len(level), run))
+    for a, b in zip([0, *cuts], [*cuts, len(level)]):
+        ru, rv = _find_roots(parent, us[a:b]), _find_roots(parent, vs[a:b])
+        apart = ru != rv
+        if not apart.any():
+            continue
+        touched, ends = np.unique(np.concatenate([ru[apart], rv[apart]]), return_inverse=True)
+        root = touched[_component_roots(len(touched), *np.split(ends, 2))]
+        moved = root != touched
+        parent[touched[moved]] = root[moved]
+        merges.append((np.full(int(moved.sum()), level[a]), root[moved], touched[moved]))
+    return tuple(np.concatenate(column) for column in zip(*merges)), parent
 
-    n = weights.n_participants
-    present = np.zeros(levels, dtype=bool)  # weight level present among the pairs
+
+def _band_pivots(kernel: PairWeights, lowest) -> np.ndarray:
+    """The sweep's band floors above the lowest numerator, descending.
+
+    The sample is one scan block of evenly spaced rows against every column,
+    without self-pairs. Each sampled pair stands for n/(2*rows) pairs, so the
+    first floor is the level above which FIRST_BAND_PAIRS_PER_ROW pairs per
+    row are expected, and each next one has BAND_GROWTH times as many above it.
+    """
+    n = kernel.n_participants
+    size = min(default_block_rows(n), n)
+    rows = np.arange(size) * n // size
+    sample = copy.copy(kernel)
+    sample._y = kernel._y[rows]
+    numer = sample.block_numerators(0, size, 0, n)[0].ravel()
+    numer[np.arange(size) * n + rows] = lowest - 1
+    ranks = []
+    rank = max(1, int(2 * size * FIRST_BAND_PAIRS_PER_ROW))
+    while rank < size * (n - 1):
+        ranks.append(numer.size - rank)
+        rank *= BAND_GROWTH
+    numer.sort()
+    pivots = np.unique(numer[ranks])[::-1]
+    return pivots[pivots > lowest]
+
+
+def _distinct_rows(weights: PairWeights) -> tuple:
+    """The rows the sweep scans, ascending, and each other row as a copy:
+    (self-level, its first row, the copy), from one stable lexsort of the
+    answers and missing pattern. Copies stay rows of their own when they are
+    fewer than a quarter of the rows, too few to pay for a private encoding."""
+    features = weights._features
+    ranked = np.where(weights._mask, features, features.min() - 1)  # missing: a value of its own
+    order = np.lexsort(ranked.T)  # stable: equal rows by index
+    ranked = ranked[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    if 4 * np.count_nonzero(first) > 3 * len(first):
+        first[:] = True
+    firsts = order[first]
+    joined = firsts[np.cumsum(first)[~first] - 1]
+    own = np.einsum("ij,ij->i", weights._y[joined], weights._x[joined]).astype(np.int64)
+    return np.sort(firsts), (own, joined, order[~first])
+
+
+def _band_strip(numer, sel, r0: int, c0: int, label) -> tuple:
+    """The selected pairs of a strip of a band block, rows from r0 against
+    columns from c0: their distinct levels, and the (level, u, v) of those
+    whose ends lie in different components, over the component labels."""
+    flat = np.flatnonzero(sel)
+    ii, jj = np.divmod(flat, sel.shape[1])
+    values = numer.ravel()[flat]
+    u, v = label[ii + r0], label[jj + c0]
+    apart = u != v
+    return np.unique(values), (values[apart], u[apart], v[apart])
+
+
+def _sweep_bands(weights: PairWeights, floor=None):
+    """The threshold sweep's pass over all pairs of unrescaled weights, in
+    bands of numerator levels from the top down to floor (default: the
+    lowest level of the weight range).
+
+    Yields per band its levels present among all pairs, descending, and
+    edges (numerator, u, v), heaviest first, that give the components at each
+    of those levels when joined after the earlier bands' edges.
+
+    Equal rows (equal answers and missing pattern) are scanned once: a copy
+    pairs with every row as its first row does, and no pair of that row
+    weighs more than its pair with the copy, their shared self-level (every
+    item table's diagonal is its row maximum). So a copy joins its first row
+    at that level, and the bands scan the first rows only, on a private copy
+    of the kernel without co-answered counts. A band is one upper-triangle
+    scan at its floor: every selected level is present, and only the pairs
+    across the components at the band's top are held (Filter-Kruskal; Osipov,
+    Sanders & Singler 2009). Held pairs past SWEEP_HELD_BYTES are compacted
+    into a forest with the same components at every level, and each scan
+    block is selected in strips of about a sixteenth of its cells, so memory
+    stays near one block plus one budget of pairs.
+    """
+    lowest = _threshold_level(weights, weights.weight_range()[0])
+    floor = lowest if floor is None else max(floor, lowest)
+    rows, copies = _distinct_rows(weights)
     kernel = copy.copy(weights)
-    kernel._x, kernel._y, kernel._m = weights._x.copy(), weights._y.copy(), None  # permuted below
-    ids = list(range(n))  # participant at each position
-    # heaviest link to the tree, in the kernel's dtype; it starts below every level
-    best = np.full(n, -off - 1, dtype=kernel._x.dtype)
-    link = np.zeros(n, dtype=np.int64)  # the tree vertex it links to
-    tree = []  # (numerator, u, v) per spanning-tree edge
-    v = 0  # position of the vertex joining the tree
-    for k in range(n - 1, 0, -1):  # positions 0..k-1 hold the vertices outside the tree
-        for rows in (kernel._x, kernel._y):  # the joining vertex moves to position k
-            rows[v], rows[k] = rows[k], rows[v].copy()
-        for column in (ids, best, link):
-            column[v], column[k] = column[k], column[v]
-        row = kernel.block_numerators(k, k + 1, 0, k)[0][0]
-        present[row.astype(np.intp) + off] = True
-        closer = row > best[:k]
-        best[:k][closer] = row[closer]
-        link[:k][closer] = ids[k]
-        v = int(np.argmax(best[:k]))
-        tree.append((int(best[v]), int(link[v]), ids[v]))
-    tree.sort(reverse=True)
-    return tree, np.nonzero(present)[0][::-1] - off
+    kernel._m = None
+    if len(rows) < weights.n_participants:
+        kernel._x, kernel._y = weights._x[rows], weights._y[rows]
+
+    n = len(rows)
+    block = min(default_block_rows(n), n)
+    strip = max(1, block * n // 16)  # selected pairs per strip of a block
+    upper = np.arange(block)[None, :] > np.arange(block)[:, None]  # each pair once
+    label = np.arange(n, dtype=np.int32)  # each row's component at the band's top
+    no_pairs = (np.empty(0, kernel._x.dtype), label[:0], label[:0])  # (level, u, v) over labels
+    pivots = _band_pivots(kernel, lowest)
+    top = math.inf
+    for pivot in [*pivots[pivots > floor], floor]:
+        levels, held, held_bytes = [], [no_pairs], 0
+        for r0 in range(0, n, block):
+            r1 = min(r0 + block, n)
+            numer = kernel.block_numerators(r0, r1, r0, n)[0]
+            sel = numer >= pivot
+            sel[:, :r1 - r0] &= upper[:r1 - r0, :r1 - r0]
+            cuts = ()
+            if np.count_nonzero(sel) > strip:  # strips of rows of about `strip` pairs each
+                bucket = np.cumsum(np.count_nonzero(sel, axis=1)) // strip
+                cuts = np.flatnonzero(np.diff(bucket)) + 1
+            for s0, s1 in zip([0, *cuts], [*cuts, r1 - r0]):
+                present, pairs = _band_strip(numer[s0:s1], sel[s0:s1], r0 + s0, r0, label)
+                levels.append(present)
+                held.append(pairs)
+                held_bytes += sum(column.nbytes for column in pairs)
+                if held_bytes > SWEEP_HELD_BYTES:
+                    forest, held_bytes = _root_merges(n, held)[0], 0
+                    held.append(forest)
+            del numer, sel  # before the next block is computed
+        (level, us, vs), parent = _root_merges(n, held)
+        label = _find_roots(parent, label)
+        joins = (copies[0] >= pivot) & (copies[0] < top)
+        present = np.unique(np.concatenate([*levels, copies[0][joins]]).astype(np.int64))
+        level = np.concatenate([level.astype(np.int64), copies[0][joins]])
+        us = np.concatenate([rows[us], copies[1][joins]])
+        vs = np.concatenate([rows[vs], copies[2][joins]])
+        heavy = np.argsort(level, kind="stable")[::-1]
+        yield (present[present < top][::-1].tolist(),
+               list(zip(level[heavy].tolist(), us[heavy].tolist(), vs[heavy].tolist())))
+        top = pivot
 
 
 def project_participants(weights: PairWeights, threshold, negative_threshold=None,

@@ -6,9 +6,9 @@ oracle for them. The exceptions are betweenness_per_source and
 fr_positions_add_at, earlier numpy versions of package code kept as the
 bitwise references for their replacements, expat_import_graphml, the
 GraphML reader that parses every element with expat, kept as the reference
-for import_graphml's lifted edge lines, full_row_select_threshold, the
+for import_graphml's lifted edge lines, full_row_select_threshold, a
 Prim pass that computes each joining vertex's row against all N columns,
-kept as the reference for select_threshold's shrinking prefix, and
+kept as the reference for select_threshold's banded pass, and
 loop_load_survey, the loader that parses and checks one cell at a time,
 kept as the reference for load_survey's per-token tables.
 """
@@ -26,8 +26,7 @@ from opinionnet import thirds_style
 from opinionnet.analyze import ThresholdSelection
 from opinionnet.errors import NoGiantComponentError, ValidationError
 from opinionnet.ingest import MISSING, MISSING_POLICIES, LoadReport, ResponseMatrix, SurveySchema
-from opinionnet.project import (MAX_SWEEP_LEVELS, POSITIVE, SCORE, SOLID, PairWeights,
-                                ProjectionGraph, edge_columns)
+from opinionnet.project import POSITIVE, SCORE, SOLID, PairWeights, ProjectionGraph, edge_columns
 from opinionnet.rational import as_fraction, format_fraction
 
 
@@ -409,6 +408,9 @@ class _GraphMLReader:
             negative_threshold_used=None if thresholds[1] is None else as_fraction(thresholds[1]),
             extra=extra,
         )
+
+
+MAX_SWEEP_LEVELS = 2**24  # level flags full_row_select_threshold may allocate (16 MiB)
 
 
 def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,

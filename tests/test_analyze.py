@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +20,9 @@ from opinionnet import (
     select_threshold,
 )
 
-from opinionnet import analyze
+from opinionnet import analyze, project
 from opinionnet.analyze import _betweenness_exact, _betweenness_fast
-from opinionnet.project import MAX_SWEEP_LEVELS, PairWeights
+from opinionnet.project import PairWeights
 
 from helpers import (
     barbell_graph,
@@ -30,6 +32,7 @@ from helpers import (
     weights_from_rows,
 )
 from oracles import (
+    MAX_SWEEP_LEVELS,
     all_pair_weights,
     betweenness_per_source,
     components_from_edges,
@@ -155,7 +158,7 @@ def test_sweep_fraction_is_monotone():
     assert levels == sorted(levels, reverse=True)
 
 
-def test_spanning_tree_sweep_matches_oracle():
+def test_sweep_matches_oracle():
     rng = random.Random(37)
     ks = [4, 4, 5, 3]
     n = 40
@@ -210,11 +213,8 @@ def test_select_threshold_matches_the_full_row_prim_reference(mode, missing_rate
                         == _selection_or_sweep(full_row_select_threshold, w, target, floor))
 
 
-@pytest.mark.parametrize("n", [2, 3, 50, 201])
-def test_the_prim_pass_requests_each_pair_once(n, monkeypatch):
-    rng = random.Random(n)
-    ks = [4, 5, 3]
-    w = weights_from_rows(random_rows(rng, n, ks, missing_rate=0.1), ks, "score")
+def _count_cells(monkeypatch) -> list:
+    """Record the cells of every kernel call."""
     cells = []
     original = PairWeights.block_numerators
 
@@ -223,9 +223,184 @@ def test_the_prim_pass_requests_each_pair_once(n, monkeypatch):
         return original(self, r0, r1, c0, c1)
 
     monkeypatch.setattr(PairWeights, "block_numerators", counted)
-    select_threshold(w, F(1))
-    assert len(cells) == n - 1
-    assert sum(cells) == n * (n - 1) // 2
+    return cells
+
+
+def _one_band_cells(n, block):
+    """One sample block of rows against every column, then one upper-triangle pass."""
+    return [min(block, n) * n] + [(min(r0 + block, n) - r0) * (n - r0)
+                                  for r0 in range(0, n, block)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 201])
+def test_the_banded_pass_requests_one_sample_block_and_one_band(n, monkeypatch):
+    # a uniform survey of distinct rows reaches the target in its first band
+    rng = random.Random(n)
+    ks = [4, 5, 3, 7, 6, 5, 4, 6]
+    rows = random_rows(rng, n, ks, missing_rate=0.1)
+    assert len({tuple(row) for row in rows}) == n
+    w = weights_from_rows(rows, ks, "score")
+    monkeypatch.setattr(project, "default_block_rows", lambda n: 16)
+    cells = _count_cells(monkeypatch)
+    select_threshold(w, F(1, 2))
+    assert cells == _one_band_cells(n, 16)
+
+
+def test_the_banded_pass_scans_distinct_rows_only(monkeypatch):
+    # 120 rows, copies of 30 distinct ones: the kernel sees the 30 only
+    rng = random.Random(120)
+    ks = [4, 5, 3, 7, 6, 5]
+    distinct = random_rows(rng, 30, ks, missing_rate=0.1)
+    rows = distinct + [list(rng.choice(distinct)) for _ in range(90)]
+    w = weights_from_rows(rows, ks, "score")
+    monkeypatch.setattr(project, "default_block_rows", lambda n: 16)
+    cells = _count_cells(monkeypatch)
+    selection = select_threshold(w, F(1, 2))
+    assert cells[:len(_one_band_cells(30, 16))] == _one_band_cells(30, 16)
+    assert selection == full_row_select_threshold(w, F(1, 2))
+
+
+def _banded_survey(rng, kind, missing_rate):
+    """Rows of a survey of ten 4-point and three 5-point items: uniform,
+    half of them copies of 4 rows, copies of 4 rows with 1 to 3 items
+    redrawn, or one row repeated."""
+    ks = [4] * 10 + [5] * 3
+    rows = random_rows(rng, 200, ks, missing_rate=missing_rate)
+    protos = rows[:4]
+    if kind == "duplicates":
+        rows = [list(rng.choice(protos)) if rng.random() < 0.5 else row for row in rows]
+    elif kind == "near_duplicates":
+        rows = [list(rng.choice(protos)) for _ in rows]
+        for row in rows:
+            for j in rng.sample(range(len(ks)), rng.randint(1, 3)):
+                row[j] = rng.randrange(ks[j])
+    elif kind == "identical":
+        rows = [list(protos[0]) for _ in range(40)]
+    return rows, ks
+
+
+BANDED_CASES = (
+    [(mode, rate, "uniform") for mode in ("exact_agreement", "score", "binarized_agreement",
+                                          "binarized_without_neutral") for rate in (0.0, 0.03)]
+    + [(mode, 0.03, kind) for kind in ("duplicates", "near_duplicates")
+       for mode in ("exact_agreement", "score", "binarized_agreement")]
+    + [("score", 0.0, "identical"), ("binarized_agreement", 0.03, "identical")]
+)
+
+
+def _banded_weights(mode, missing_rate, kind):
+    rows, ks = _banded_survey(random.Random(f"banded:{mode}:{missing_rate}:{kind}"), kind,
+                              missing_rate)
+    if mode == "binarized_without_neutral":
+        return weights_from_rows(rows, ks, "binarized_agreement", count_neutral_pairs=False)
+    return weights_from_rows(rows, ks, mode)
+
+
+def _assert_matches_the_full_row_reference(w):
+    """Selections and floored sweeps equal the full-row Prim reference."""
+    n = w.n_participants
+    for target in (F(1, n), F(1, 2), F(9, 10), F(1)):
+        expected = full_row_select_threshold(w, target)
+        assert select_threshold(w, target) == expected
+        if target == F(1, 2):  # the sweep a floor cuts short, and one below the chosen level
+            for floor in (expected.chosen_threshold + F(1, 997), expected.chosen_threshold - 1):
+                assert (_selection_or_sweep(select_threshold, w, target, floor)
+                        == _selection_or_sweep(full_row_select_threshold, w, target, floor))
+
+
+@pytest.mark.parametrize("mode,missing_rate,kind", BANDED_CASES)
+def test_banded_sweep_matches_the_full_row_reference(mode, missing_rate, kind, monkeypatch):
+    monkeypatch.setattr(project, "default_block_rows", lambda n: 37)  # several blocks and strips
+    _assert_matches_the_full_row_reference(_banded_weights(mode, missing_rate, kind))
+
+
+def _counted_bands(monkeypatch) -> list:
+    """Record how many bands each sweep scans, and how many compactions run."""
+    counts = {"bands": 0, "compactions": 0}
+    bands, merges = analyze._sweep_bands, project._root_merges
+
+    def counted_bands(*args):
+        for band in bands(*args):
+            counts["bands"] += 1
+            yield band
+
+    def counted_merges(*args):
+        counts["compactions"] += 1
+        return merges(*args)
+
+    monkeypatch.setattr(analyze, "_sweep_bands", counted_bands)
+    monkeypatch.setattr(project, "_root_merges", counted_merges)
+    return counts
+
+
+@pytest.mark.parametrize("mode,missing_rate,kind", [
+    ("score", 0.03, "uniform"), ("binarized_agreement", 0.03, "duplicates"),
+    ("exact_agreement", 0.0, "near_duplicates")])
+def test_banded_sweep_is_exact_under_compaction_and_a_too_high_pivot(mode, missing_rate, kind,
+                                                                      monkeypatch):
+    w = _banded_weights(mode, missing_rate, kind)
+    monkeypatch.setattr(project, "default_block_rows", lambda n: 37)
+    counts = _counted_bands(monkeypatch)
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", 64)  # compact after nearly every strip
+    _assert_matches_the_full_row_reference(w)
+    assert counts["compactions"] > counts["bands"]
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", project.SCAN_BLOCK_BYTES)
+    monkeypatch.setattr(project, "FIRST_BAND_PAIRS_PER_ROW", 0)  # a band of the top sampled pair
+    monkeypatch.setattr(project, "BAND_GROWTH", 2)
+    counts["bands"] = 0
+    assert select_threshold(w, F(1)) == full_row_select_threshold(w, F(1))
+    assert counts["bands"] >= 3
+    _assert_matches_the_full_row_reference(w)
+
+
+def _bench_survey():
+    """The sweep workload's survey: 3,000 rows of ten 4-point and three 5-point
+    items at the bench's default seed, 3% of the cells missing."""
+    answers, holes = random.Random(8675309), random.Random("8675309:missing")
+    ks = [4] * 10 + [5] * 3
+    rows = [[answers.randrange(k) for k in ks] for _ in range(3000)]
+    return [[None if holes.random() < 0.03 else a for a in row] for row in rows], ks
+
+
+def _duplicate_heavy_survey():
+    """4,000 rows, about half of them copies of 4 prototype rows."""
+    rng = random.Random(5)
+    ks = [4] * 10 + [5] * 3
+    rows = random_rows(rng, 4000, ks)
+    return [list(rng.choice(rows[:4])) if rng.random() < 0.5 else row for row in rows], ks
+
+
+def _four_bloc_survey():
+    """4,000 distinct rows in four blocs of 1,000: a bloc answers its own value
+    on 8 items and differs on 5 free items, so pairs within a bloc weigh 8 or
+    more and pairs across blocs 5 or less. The bloc pairs are bands of their
+    own and the giant component needs the 6M pairs across blocs: the band that
+    holds them must compact."""
+    rng = random.Random(4)
+    free = list(itertools.product(range(4), repeat=5))
+    return [[bloc] * 8 + list(c) for bloc in range(4) for c in rng.sample(free, 1000)], [4] * 13
+
+
+@pytest.mark.parametrize("survey,mode,target", [
+    (_bench_survey, "score", F(1, 2)), (_bench_survey, "binarized_agreement", F(1, 2)),
+    (_duplicate_heavy_survey, "binarized_agreement", F(1, 2)),
+    (_duplicate_heavy_survey, "score", F(1)), (_four_bloc_survey, "exact_agreement", F(1, 2))],
+    ids=["bench-score", "bench-binarized", "duplicates-binarized", "duplicates-score-target-1",
+         "four-blocs-exact"])
+def test_banded_sweep_peak_stays_within_four_scan_blocks(survey, mode, target, monkeypatch):
+    rows, ks = survey()
+    w = weights_from_rows(rows, ks, mode)
+    counts = _counted_bands(monkeypatch)
+    tracemalloc.start()
+    try:
+        selection = select_threshold(w, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * project.SCAN_BLOCK_BYTES
+    if survey is _four_bloc_survey:
+        assert selection.chosen_threshold == 5 and selection.giant_fraction_at_chosen == 1
+        assert counts["compactions"] > 2 * counts["bands"]
 
 
 def test_min_level_floor_triggers_explicit_failure():
@@ -258,15 +433,21 @@ def test_rescaled_weights_refuse_auto_selection():
         select_threshold(w)
 
 
-def test_auto_threshold_refuses_more_levels_than_it_can_track():
+def test_auto_threshold_sweeps_more_levels_than_flags_could_track():
     # the scales of the int64 kernel test: D is about 1.3e16, so 2*m*D + 1
-    # score levels would need exbibytes of level flags
+    # score levels would need exbibytes of level flags; the sweep takes its
+    # levels from the pairs instead, which the flag-based oracle refuses
     ks = [3, 4, 6, 8, 12, 14, 18, 20, 24, 30, 32, 38, 42, 44]
-    w = weights_from_rows(random_rows(random.Random(107), 24, ks), ks, "score")
-    levels = 2 * w.n_items * w.denominator + 1
-    assert levels > MAX_SWEEP_LEVELS
-    with pytest.raises(ValidationError, match=f"{levels} weight levels"):
-        select_threshold(w)
+    rows = random_rows(random.Random(107), 24, ks)
+    w = weights_from_rows(rows, ks, "score")
+    assert 2 * w.n_items * w.denominator + 1 > MAX_SWEEP_LEVELS
+    with pytest.raises(ValidationError, match="weight levels"):
+        full_row_select_threshold(w)
+    for target in (F(1, 2), F(1)):
+        level, frac, sweep = sweep_oracle(all_pair_weights(rows, ks, "score"), 24, target)
+        selection = select_threshold(w, target)
+        assert (selection.chosen_threshold, selection.giant_fraction_at_chosen) == (level, frac)
+        assert selection.sweep == sweep
 
 
 def test_target_fraction_one_demands_full_connectivity():

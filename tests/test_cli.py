@@ -25,8 +25,10 @@ from opinionnet import (
     style_edges,
 )
 from opinionnet.cli import main
+from opinionnet.rational import format_fraction
 
 from helpers import barbell_graph
+from oracles import all_pair_weights, sweep_oracle
 
 
 def write_schema(path, scale_sizes, attrs=(), missing_token="NA"):
@@ -367,14 +369,16 @@ def test_thread_env_var_does_not_change_output(tmp_path):
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        done = subprocess.run(
-            [sys.executable, "-m", "opinionnet.cli", "project", "--survey", str(survey),
-             "--schema", str(schema), "--missing-policy", "keep_pairwise", "--mode", "score",
-             "--threshold", "17/2", "--out-prefix", str(tmp_path / f"t{threads}" / "run")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-    for suffix in ("run.graphml", "run.edges.csv", "run.manifest.json"):
+        for threshold, run in (("17/2", "run"), ("auto", "auto")):
+            done = subprocess.run(
+                [sys.executable, "-m", "opinionnet.cli", "project", "--survey", str(survey),
+                 "--schema", str(schema), "--missing-policy", "keep_pairwise", "--mode", "score",
+                 "--threshold", threshold, "--out-prefix", str(tmp_path / f"t{threads}" / run)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+    for suffix in ("run.graphml", "run.edges.csv", "run.manifest.json", "auto.sweep.csv",
+                   "auto.graphml", "auto.manifest.json"):
         assert (tmp_path / "t2" / suffix).read_bytes() == (tmp_path / "t1" / suffix).read_bytes()
 
 
@@ -513,18 +517,21 @@ def test_keep_pairwise_policy_via_cli(tmp_path, capsys):
     assert ("a", "b") in pairs and ("b", "c") in pairs
 
 
-def test_auto_threshold_with_too_many_levels_exits_2(tmp_path, capsys):
+def test_auto_threshold_with_a_huge_scale_step_lcm_writes_its_sweep(tmp_path, capsys):
+    # D is about 1.3e16, more weight levels than level flags could track; the
+    # sweep takes its levels from the pairs and writes every one of them
     ks = [3, 4, 6, 8, 12, 14, 18, 20, 24, 30, 32, 38, 42, 44]
     schema = write_schema(tmp_path / "schema.json", ks)
     rng = random.Random(107)
-    survey = write_survey(tmp_path / "survey.csv", ks,
-                          [[rng.randrange(k) for k in ks] for _ in range(24)])
+    rows = [[rng.randrange(k) for k in ks] for _ in range(24)]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows)
     code = main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", "score",
                  "--threshold", "auto", "--out-prefix", str(tmp_path / "run")])
-    block = json.loads(capsys.readouterr().err)
-    assert code == 2
-    assert block["error"]["type"] == "ValidationError"
-    assert "weight levels" in block["error"]["message"]
+    assert code == 0, capsys.readouterr().err
+    level, frac, sweep = sweep_oracle(all_pair_weights(rows, ks, "score"), 24, Fraction(1, 2))
+    lines = (tmp_path / "run.sweep.csv").read_text().splitlines()
+    assert lines[1:] == [f"{format_fraction(t)},{format_fraction(f)},{float(f)!r}" for t, f in sweep]
+    assert f"auto threshold: {format_fraction(level)} " in capsys.readouterr().out
 
 
 MALFORMED_GRAPHML = {

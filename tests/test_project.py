@@ -21,6 +21,7 @@ from opinionnet import (
     project_participants,
     renormalize,
     score_weights,
+    select_threshold,
     style_edges,
     thirds_style,
 )
@@ -30,7 +31,7 @@ from opinionnet.project import SCORE, PairWeights, default_block_rows
 from opinionnet.render import export_graphml
 
 from helpers import make_matrix, weights_from_rows
-from oracles import all_pair_weights, attitude_edges, components_from_edges, random_rows
+from oracles import all_pair_weights, attitude_edges, random_rows, sweep_oracle
 
 
 def F(*args):
@@ -668,53 +669,38 @@ def test_rescaled_pairwise_score():
 
 
 @pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
-def test_spanning_tree_drops_counts_not_numerators(mode):
-    # the sweep's tree pass runs on a kernel copy without co-answered counts;
-    # on incomplete data its levels and tree are still the oracle's numerators
+def test_banded_sweep_drops_counts_not_numerators(mode):
+    # the sweep's banded pass runs on a kernel copy without co-answered counts;
+    # on incomplete data its selections are still those of the exact weights
     rng = random.Random(55)
     ks = [4, 5, 3, 7]
-    rows = random_rows(rng, 9, ks, missing_rate=0.3)
+    rows = random_rows(rng, 40, ks, missing_rate=0.3)
     w = weights_from_rows(rows, ks, mode)
     assert w.has_missing
-    numer = {}
-    for pair, (weight, _co) in all_pair_weights(rows, ks, mode).items():
-        scaled = weight * w.denominator
-        assert scaled.denominator == 1
-        numer[pair] = int(scaled)
-    tree, present = project._spanning_tree(w)
-    assert [int(x) for x in present] == sorted(set(numer.values()), reverse=True)
-    assert tree == sorted(tree, reverse=True)
-    for x, u, v in tree:
-        assert x == numer[min(u, v), max(u, v)]
-    # a spanning tree of the 9 participants, as heavy as Kruskal's
-    components = list(range(9))
-
-    def find(a):
-        while components[a] != a:
-            a = components[a]
-        return a
-
-    heaviest = 0
-    for (u, v), x in sorted(numer.items(), key=lambda item: -item[1]):
-        if find(u) != find(v):
-            components[find(u)] = find(v)
-            heaviest += x
-    assert len(tree) == 8 and sum(x for x, _, _ in tree) == heaviest
-    assert len(components_from_edges(9, [(u, v) for _, u, v in tree])) == 1
+    pairs = all_pair_weights(rows, ks, mode)
+    for target in (F(1, 40), F(1, 2), F(1)):
+        level, frac, sweep = sweep_oracle(pairs, 40, target)
+        selection = select_threshold(w, target)
+        assert selection.chosen_threshold == level
+        assert selection.giant_fraction_at_chosen == frac
+        assert selection.sweep == sweep
 
 
-def test_spanning_tree_leaves_the_weights_untouched():
-    # the pass permutes rows of its own copy: the caller's kernel keeps its
-    # row order and its co-answered counts
+def test_banded_sweep_leaves_the_weights_untouched():
+    # the pass scans its own kernel copy without counts, of the distinct rows
+    # when copies abound: the caller's kernel keeps its rows and its counts
     rng = random.Random(56)
     ks = [4, 5, 3, 7]
-    w = weights_from_rows(random_rows(rng, 12, ks, missing_rate=0.3), ks, "score")
-    before = w.block_numerators(0, 12, 0, 12)
-    project._spanning_tree(w)
-    after = w.block_numerators(0, 12, 0, 12)
-    assert w.has_missing and after[1] is not None
-    for old, new in zip(before, after):
-        assert old.dtype == new.dtype and (old == new).all()
+    distinct = random_rows(rng, 12, ks, missing_rate=0.3)
+    for rows in (distinct, distinct + distinct[:8]):
+        w = weights_from_rows(rows, ks, "score")
+        n = len(rows)
+        before = w.block_numerators(0, n, 0, n)
+        select_threshold(w, F(1))
+        after = w.block_numerators(0, n, 0, n)
+        assert w.n_participants == n and w.has_missing and after[1] is not None
+        for old, new in zip(before, after):
+            assert old.dtype == new.dtype and (old == new).all()
 
 
 def test_rescale_is_identity_on_complete_data():
