@@ -12,11 +12,14 @@ Weights are exact rationals held as integer numerators over one shared
 denominator. All three modes share one kernel: each row is encoded once as a
 one-hot over (item, value) and as that one-hot times a per-item table of
 numerator contributions, so a block of numerators is a single matrix
-product (see PairWeights). Every product and partial sum is an integer of
-magnitude at most m*D (m items, D the shared denominator), so the product
-runs on one of three dtype rungs: float32 when m*D < 2**24, float64 when
-m*D < 2**53, and int64 otherwise. Each rung holds every sum exactly,
-whatever the BLAS blocking or thread count, and blocks stay on it: the pair
+product (see PairWeights). Every pass over all pairs runs over the square
+tiles of the upper triangle, SCAN_TILE rows by SCAN_TILE columns, so a
+tile's numerators and counts stay in cache and the memory of a pass does not
+grow with N. Every product and partial sum is an integer of magnitude at most
+m*D (m items, D the shared denominator), so the product runs on one of three
+dtype rungs: float32 when m*D < 2**24, float64 when m*D < 2**53, and int64
+otherwise. Each rung holds every sum exactly, whatever the BLAS blocking or
+thread count, and blocks stay on it: the pair
 scan compares them with each threshold's exact integer level (a table by
 co-answered count for rescaled weights on incomplete data), which lies within
 +-m*D and so on the rung for any threshold, and casts only the selected
@@ -57,15 +60,22 @@ SOLID = "solid"
 DASHED = "dashed"
 DOTTED = "dotted"
 
-# one block of the pair scan at 8 B per block cell (float32 numerators and
-# co-answered counts): 512 rows at N = 3,000, as the former fixed default
-# had, and fewer rows as N grows
-SCAN_BLOCK_BYTES = 512 * 3_000 * 8
+# the side of the pair scan's square tiles: a tile's float32 numerators and
+# co-answered counts (8 B per cell) take 1.1 MiB, within a 2 MiB L2 cache,
+# whatever N is. Measured on a 2-core x86-64 machine with OpenBLAS: sides of
+# 128 and 256 scan N = 30,000 slower, and at 512 glibc returns the freed tiles
+# to the system (13k minor page faults per projection at N = 3,000, none at 384)
+SCAN_TILE = 384
 
 
-def default_block_rows(n: int) -> int:
-    """Rows per scan block: as many as fit n columns at 8 B per cell in SCAN_BLOCK_BYTES."""
-    return max(1, SCAN_BLOCK_BYTES // (8 * n))
+def _upper_tiles(n: int):
+    """The tiles (r0, r1, c0, c1) that cover each pair i < j of n rows once:
+    every row tile against the column tiles from its own on. Only a diagonal
+    tile (c0 == r0) holds pairs i >= j, which its scan masks out."""
+    side = SCAN_TILE
+    for r0 in range(0, n, side):
+        for c0 in range(r0, n, side):
+            yield r0, min(r0 + side, n), c0, min(c0 + side, n)
 
 
 class PairWeights:
@@ -102,14 +112,16 @@ class PairWeights:
         # or thread count: float32 below 2**24, float64 below 2**53, else int64
         scale = self.n_items * self.denominator
         dtype = np.float32 if scale < 2**24 else np.float64 if scale < 2**53 else np.int64
-        onehots, tables = [], []
-        for j in range(self.n_items):
-            column = self._features[:, j]
-            values = np.unique(column[self._mask[:, j]])
-            onehots.append((column[:, None] == values[None, :]) & self._mask[:, j, None])
-            tables.append(self._item_table(values))
-        self._x = np.hstack(onehots).astype(dtype)
-        self._y = np.hstack([x @ t for x, t in zip(onehots, tables)]).astype(dtype)
+        values = [np.unique(self._features[self._mask[:, j], j]) for j in range(self.n_items)]
+        self._x = np.empty((n, sum(map(len, values))), dtype=dtype)
+        self._y = np.empty_like(self._x)
+        at = 0
+        for j, vals in enumerate(values):
+            onehot = ((self._features[:, j, None] == vals) & self._mask[:, j, None]).astype(dtype)
+            self._x[:, at:at + len(vals)] = onehot
+            # one table value per entry: exact on the rung
+            self._y[:, at:at + len(vals)] = onehot @ self._item_table(vals).astype(dtype)
+            at += len(vals)
         self._m = None if self._mask.all() else self._mask.astype(dtype)
 
     def _item_table(self, values: np.ndarray) -> np.ndarray:
@@ -448,37 +460,35 @@ def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
 
 
 def _scan_edges(weights: PairWeights, level, negative_level):
-    """Pairs past either level, from an upper-triangle scan in default_block_rows blocks.
+    """Pairs past either level, from a scan of the upper-triangle tiles.
 
     Returns index arrays (i, j), their sign codes, numerators and, for
     rescaled weights on incomplete data, co-answered counts (else None).
     """
-    n = weights.n_participants
-    block = default_block_rows(n)
-    parts = [part for r0 in range(0, n, block)
-             for part in _block_edges(weights, r0, min(r0 + block, n), level, negative_level)]
+    parts = [part for tile in _upper_tiles(weights.n_participants)
+             for part in _tile_edges(weights, *tile, level, negative_level)]
     return tuple(None if column[0] is None else np.concatenate(column) for column in zip(*parts))
 
 
-def _block_edges(weights: PairWeights, r0: int, r1: int, level, negative_level) -> list:
-    """One scan block: rows r0..r1-1 against the columns from r0 on.
+def _tile_edges(weights: PairWeights, r0: int, r1: int, c0: int, c1: int, level,
+                negative_level) -> list:
+    """One scan tile: rows r0..r1-1 against columns c0..c1-1.
 
     Each sign's selection is flattened once; only the selected entries are
-    cast to int64. The block is freed on return, before the next is computed.
+    cast to int64. The tile is freed on return, before the next is computed.
     """
-    n = weights.n_participants
-    numer, co = weights.block_numerators(r0, r1, r0, n)
+    numer, co = weights.block_numerators(r0, r1, c0, c1)
     rescaled = weights.rescale and co is not None
-    upper = np.arange(r1 - r0)[None, :] > np.arange(r1 - r0)[:, None]  # each pair once
     parts = []
     for sign, lev in ((POSITIVE, level), (NEGATIVE, negative_level)):
         if lev is None:
             continue
         sel = _select_block(numer, co, lev, negative=sign == NEGATIVE)
-        sel[:, :r1 - r0] &= upper  # columns past r1 pair with every row of the block
+        if c0 == r0:
+            sel &= ~np.tri(r1 - r0, dtype=bool)  # each pair once
         flat = np.flatnonzero(sel)
-        ii, jj = np.divmod(flat, n - r0)
-        parts.append((ii + r0, jj + r0, np.full(len(flat), SIGNS.index(sign), dtype=np.int8),
+        ii, jj = np.divmod(flat, c1 - c0)
+        parts.append((ii + r0, jj + c0, np.full(len(flat), SIGNS.index(sign), dtype=np.int8),
                       numer.ravel()[flat].astype(np.int64),
                       co.ravel()[flat].astype(np.int64) if rescaled else None))
     return parts
@@ -534,12 +544,12 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
 
 # the threshold sweep's bands of levels: the first is to hold about this many
 # pairs per distinct row, as the pivot sample predicts, and each next one about
-# BAND_GROWTH times as many; the pairs it holds across components are compacted
-# into a forest when they pass SWEEP_HELD_BYTES, so that they and their
-# compaction's sort fit one scan block's budget
+# BAND_GROWTH times as many; the pairs it holds across components (12 B each)
+# are compacted into a forest when they pass SWEEP_HELD_BYTES, about 350k
+# pairs, whatever N is
 FIRST_BAND_PAIRS_PER_ROW = 4
 BAND_GROWTH = 8
-SWEEP_HELD_BYTES = SCAN_BLOCK_BYTES // 2
+SWEEP_HELD_BYTES = 4 << 20
 
 
 def _component_roots(n_nodes, us, vs):
@@ -599,13 +609,14 @@ def _root_merges(n_nodes: int, held: list):
 def _band_pivots(kernel: PairWeights, lowest) -> np.ndarray:
     """The sweep's band floors above the lowest numerator, descending.
 
-    The sample is one scan block of evenly spaced rows against every column,
-    without self-pairs. Each sampled pair stands for n/(2*rows) pairs, so the
-    first floor is the level above which FIRST_BAND_PAIRS_PER_ROW pairs per
-    row are expected, and each next one has BAND_GROWTH times as many above it.
+    The sample is about one scan tile of cells: SCAN_TILE**2 // n evenly
+    spaced rows (at least one) against every column, without self-pairs.
+    Each sampled pair stands for n/(2*rows) pairs, so the first floor is the
+    level above which FIRST_BAND_PAIRS_PER_ROW pairs per row are expected,
+    and each next one has BAND_GROWTH times as many above it.
     """
     n = kernel.n_participants
-    size = min(default_block_rows(n), n)
+    size = min(max(1, SCAN_TILE ** 2 // n), n)
     rows = np.arange(size) * n // size
     sample = copy.copy(kernel)
     sample._y = kernel._y[rows]
@@ -640,12 +651,16 @@ def _distinct_rows(weights: PairWeights) -> tuple:
     return np.sort(firsts), (own, joined, order[~first])
 
 
-def _band_strip(numer, sel, r0: int, c0: int, label) -> tuple:
-    """The selected pairs of a strip of a band block, rows from r0 against
-    columns from c0: their distinct levels, and the (level, u, v) of those
-    whose ends lie in different components, over the component labels."""
+def _band_tile(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, pivot, label) -> tuple:
+    """The pairs of one scan tile at or above a band's pivot: their distinct
+    levels, and the (level, u, v) of those whose ends lie in different
+    components, over the component labels."""
+    numer = kernel.block_numerators(r0, r1, c0, c1)[0]
+    sel = numer >= pivot
+    if c0 == r0:
+        sel &= ~np.tri(r1 - r0, dtype=bool)  # each pair once
     flat = np.flatnonzero(sel)
-    ii, jj = np.divmod(flat, sel.shape[1])
+    ii, jj = np.divmod(flat, c1 - c0)
     values = numer.ravel()[flat]
     u, v = label[ii + r0], label[jj + c0]
     apart = u != v
@@ -666,13 +681,12 @@ def _sweep_bands(weights: PairWeights, floor=None):
     weighs more than its pair with the copy, their shared self-level (every
     item table's diagonal is its row maximum). So a copy joins its first row
     at that level, and the bands scan the first rows only, on a private copy
-    of the kernel without co-answered counts. A band is one upper-triangle
-    scan at its floor: every selected level is present, and only the pairs
-    across the components at the band's top are held (Filter-Kruskal; Osipov,
-    Sanders & Singler 2009). Held pairs past SWEEP_HELD_BYTES are compacted
-    into a forest with the same components at every level, and each scan
-    block is selected in strips of about a sixteenth of its cells, so memory
-    stays near one block plus one budget of pairs.
+    of the kernel without co-answered counts. A band is one scan of the
+    upper-triangle tiles at its floor: every selected level is present, and
+    only the pairs across the components at the band's top are held
+    (Filter-Kruskal; Osipov, Sanders & Singler 2009). Held pairs past
+    SWEEP_HELD_BYTES are compacted into a forest with the same components at
+    every level, so memory stays near one tile plus one budget of pairs.
     """
     lowest = _threshold_level(weights, weights.weight_range()[0])
     floor = lowest if floor is None else max(floor, lowest)
@@ -683,33 +697,20 @@ def _sweep_bands(weights: PairWeights, floor=None):
         kernel._x, kernel._y = weights._x[rows], weights._y[rows]
 
     n = len(rows)
-    block = min(default_block_rows(n), n)
-    strip = max(1, block * n // 16)  # selected pairs per strip of a block
-    upper = np.arange(block)[None, :] > np.arange(block)[:, None]  # each pair once
     label = np.arange(n, dtype=np.int32)  # each row's component at the band's top
     no_pairs = (np.empty(0, kernel._x.dtype), label[:0], label[:0])  # (level, u, v) over labels
     pivots = _band_pivots(kernel, lowest)
     top = math.inf
     for pivot in [*pivots[pivots > floor], floor]:
         levels, held, held_bytes = [], [no_pairs], 0
-        for r0 in range(0, n, block):
-            r1 = min(r0 + block, n)
-            numer = kernel.block_numerators(r0, r1, r0, n)[0]
-            sel = numer >= pivot
-            sel[:, :r1 - r0] &= upper[:r1 - r0, :r1 - r0]
-            cuts = ()
-            if np.count_nonzero(sel) > strip:  # strips of rows of about `strip` pairs each
-                bucket = np.cumsum(np.count_nonzero(sel, axis=1)) // strip
-                cuts = np.flatnonzero(np.diff(bucket)) + 1
-            for s0, s1 in zip([0, *cuts], [*cuts, r1 - r0]):
-                present, pairs = _band_strip(numer[s0:s1], sel[s0:s1], r0 + s0, r0, label)
-                levels.append(present)
-                held.append(pairs)
-                held_bytes += sum(column.nbytes for column in pairs)
-                if held_bytes > SWEEP_HELD_BYTES:
-                    forest, held_bytes = _root_merges(n, held)[0], 0
-                    held.append(forest)
-            del numer, sel  # before the next block is computed
+        for tile in _upper_tiles(n):
+            present, pairs = _band_tile(kernel, *tile, pivot, label)
+            levels.append(present)
+            held.append(pairs)
+            held_bytes += sum(column.nbytes for column in pairs)
+            if held_bytes > SWEEP_HELD_BYTES:
+                forest, held_bytes = _root_merges(n, held)[0], 0
+                held.append(forest)
         (level, us, vs), parent = _root_merges(n, held)
         label = _find_roots(parent, label)
         joins = (copies[0] >= pivot) & (copies[0] < top)

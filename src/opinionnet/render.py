@@ -237,7 +237,8 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
     for name, value in graph_data.items():
         lines.append(f'    <data key="g_{name}">{escape(str(value))}</data>')
     attr_key = {name: f"na{i}" for i, name in enumerate(attr_names)}
-    for u in graph.nodes:
+    quoted = [quoteattr(u) for u in graph.nodes]
+    for u, qu in zip(graph.nodes, quoted):
         attrs = graph.node_attrs.get(u, {})
         data = [
             f'<data key={quoteattr(attr_key[name])}>{escape(str(attrs[name]))}</data>'
@@ -249,10 +250,9 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
             data.append(f'<data key="nx">{_fmt17(x)}</data>')
             data.append(f'<data key="ny">{_fmt17(y)}</data>')
         if data:
-            lines.append(f'    <node id={quoteattr(u)}>{"".join(data)}</node>')
+            lines.append(f'    <node id={qu}>{"".join(data)}</node>')
         else:
-            lines.append(f'    <node id={quoteattr(u)}/>')
-    quoted = [quoteattr(u) for u in graph.nodes]
+            lines.append(f'    <node id={qu}/>')
     _write_with_edges(
         path, lines, graph,
         lambda a, b: f'    <edge source={quoted[a]} target={quoted[b]}>',

@@ -101,7 +101,7 @@ def test_criterion_projection_matches_brute_force_oracle(monkeypatch):
         # mid-range threshold and compare edge sets against the oracle
         values = sorted(w for w, _ in oracle.values())
         theta = values[len(values) // 2]
-        monkeypatch.setattr(project, "default_block_rows", lambda n, rows=rng.randrange(3, 16): rows)
+        monkeypatch.setattr(project, "SCAN_TILE", rng.randrange(3, 16))
         graph = project_participants(weights, theta)
         got = {(e.u, e.v) for e in graph.edges}
         ids = weights.participant_ids

@@ -16,6 +16,7 @@ from opinionnet import (
     edge_betweenness,
     girvan_newman,
     profile_census,
+    project_participants,
     renormalize,
     select_threshold,
 )
@@ -226,10 +227,12 @@ def _count_cells(monkeypatch) -> list:
     return cells
 
 
-def _one_band_cells(n, block):
-    """One sample block of rows against every column, then one upper-triangle pass."""
-    return [min(block, n) * n] + [(min(r0 + block, n) - r0) * (n - r0)
-                                  for r0 in range(0, n, block)]
+def _one_band_cells(n, side):
+    """One sample of side**2 // n rows (at least one) against every column,
+    then one pass over the upper-triangle tiles, row tile by row tile."""
+    return [min(max(1, side ** 2 // n), n) * n] + [
+        (min(r0 + side, n) - r0) * (min(c0 + side, n) - c0)
+        for r0 in range(0, n, side) for c0 in range(r0, n, side)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 201])
@@ -240,7 +243,7 @@ def test_the_banded_pass_requests_one_sample_block_and_one_band(n, monkeypatch):
     rows = random_rows(rng, n, ks, missing_rate=0.1)
     assert len({tuple(row) for row in rows}) == n
     w = weights_from_rows(rows, ks, "score")
-    monkeypatch.setattr(project, "default_block_rows", lambda n: 16)
+    monkeypatch.setattr(project, "SCAN_TILE", 16)
     cells = _count_cells(monkeypatch)
     select_threshold(w, F(1, 2))
     assert cells == _one_band_cells(n, 16)
@@ -253,7 +256,7 @@ def test_the_banded_pass_scans_distinct_rows_only(monkeypatch):
     distinct = random_rows(rng, 30, ks, missing_rate=0.1)
     rows = distinct + [list(rng.choice(distinct)) for _ in range(90)]
     w = weights_from_rows(rows, ks, "score")
-    monkeypatch.setattr(project, "default_block_rows", lambda n: 16)
+    monkeypatch.setattr(project, "SCAN_TILE", 16)
     cells = _count_cells(monkeypatch)
     selection = select_threshold(w, F(1, 2))
     assert cells[:len(_one_band_cells(30, 16))] == _one_band_cells(30, 16)
@@ -310,7 +313,7 @@ def _assert_matches_the_full_row_reference(w):
 
 @pytest.mark.parametrize("mode,missing_rate,kind", BANDED_CASES)
 def test_banded_sweep_matches_the_full_row_reference(mode, missing_rate, kind, monkeypatch):
-    monkeypatch.setattr(project, "default_block_rows", lambda n: 37)  # several blocks and strips
+    monkeypatch.setattr(project, "SCAN_TILE", 37)  # several row and column tiles
     _assert_matches_the_full_row_reference(_banded_weights(mode, missing_rate, kind))
 
 
@@ -339,12 +342,13 @@ def _counted_bands(monkeypatch) -> list:
 def test_banded_sweep_is_exact_under_compaction_and_a_too_high_pivot(mode, missing_rate, kind,
                                                                       monkeypatch):
     w = _banded_weights(mode, missing_rate, kind)
-    monkeypatch.setattr(project, "default_block_rows", lambda n: 37)
+    monkeypatch.setattr(project, "SCAN_TILE", 37)
     counts = _counted_bands(monkeypatch)
-    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", 64)  # compact after nearly every strip
+    held_bytes = project.SWEEP_HELD_BYTES
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", 64)  # compact after nearly every tile
     _assert_matches_the_full_row_reference(w)
     assert counts["compactions"] > counts["bands"]
-    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", project.SCAN_BLOCK_BYTES)
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", held_bytes)
     monkeypatch.setattr(project, "FIRST_BAND_PAIRS_PER_ROW", 0)  # a band of the top sampled pair
     monkeypatch.setattr(project, "BAND_GROWTH", 2)
     counts["bands"] = 0
@@ -353,12 +357,12 @@ def test_banded_sweep_is_exact_under_compaction_and_a_too_high_pivot(mode, missi
     _assert_matches_the_full_row_reference(w)
 
 
-def _bench_survey():
-    """The sweep workload's survey: 3,000 rows of ten 4-point and three 5-point
-    items at the bench's default seed, 3% of the cells missing."""
+def _bench_survey(n=3000):
+    """The sweep workload's survey: 3,000 rows (or n) of ten 4-point and three
+    5-point items at the bench's default seed, 3% of the cells missing."""
     answers, holes = random.Random(8675309), random.Random("8675309:missing")
     ks = [4] * 10 + [5] * 3
-    rows = [[answers.randrange(k) for k in ks] for _ in range(3000)]
+    rows = [[answers.randrange(k) for k in ks] for _ in range(n)]
     return [[None if holes.random() < 0.03 else a for a in row] for row in rows], ks
 
 
@@ -381,26 +385,57 @@ def _four_bloc_survey():
     return [[bloc] * 8 + list(c) for bloc in range(4) for c in rng.sample(free, 1000)], [4] * 13
 
 
+def _traced_peak(call):
+    """The call's result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _tile_bytes():
+    """One scan tile's float32 numerators and co-answered counts."""
+    return 8 * project.SCAN_TILE ** 2
+
+
 @pytest.mark.parametrize("survey,mode,target", [
     (_bench_survey, "score", F(1, 2)), (_bench_survey, "binarized_agreement", F(1, 2)),
     (_duplicate_heavy_survey, "binarized_agreement", F(1, 2)),
     (_duplicate_heavy_survey, "score", F(1)), (_four_bloc_survey, "exact_agreement", F(1, 2))],
     ids=["bench-score", "bench-binarized", "duplicates-binarized", "duplicates-score-target-1",
          "four-blocs-exact"])
-def test_banded_sweep_peak_stays_within_four_scan_blocks(survey, mode, target, monkeypatch):
+def test_banded_sweep_peak_stays_within_tiles_and_the_held_budget(survey, mode, target,
+                                                                  monkeypatch):
+    # a tile's selection and the held pairs with their compaction's sort; at
+    # most 22 MB with today's constants, below the 49 MB of four of the former
+    # 512 x 3,000 scan blocks
     rows, ks = survey()
     w = weights_from_rows(rows, ks, mode)
     counts = _counted_bands(monkeypatch)
-    tracemalloc.start()
-    try:
-        selection = select_threshold(w, target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * project.SCAN_BLOCK_BYTES
+    selection, peak = _traced_peak(lambda: select_threshold(w, target))
+    bound = 8 * _tile_bytes() + 3 * project.SWEEP_HELD_BYTES
+    assert bound <= 4 * 512 * 3_000 * 8
+    assert peak <= bound
     if survey is _four_bloc_survey:
         assert selection.chosen_threshold == 5 and selection.giant_fraction_at_chosen == 1
         assert counts["compactions"] > 2 * counts["bands"]
+
+
+@pytest.mark.parametrize("n", [3_000, 10_000])
+def test_scan_and_sweep_peaks_stay_within_four_tiles_as_n_grows(n):
+    # both passes over all pairs run in tiles of a fixed side, so neither
+    # holds a block as wide as n; the projection at the chosen level emits
+    # about one edge per row
+    assert n > 2 * project.SCAN_TILE
+    rows, ks = _bench_survey(n)
+    w = weights_from_rows(rows, ks, "score")
+    assert w.has_missing
+    selection, sweep_peak = _traced_peak(lambda: select_threshold(w, F(1, 2)))
+    graph, scan_peak = _traced_peak(lambda: project_participants(w, selection.chosen_threshold))
+    assert n // 2 < graph.n_edges < 2 * n
+    assert max(sweep_peak, scan_peak) <= 4 * _tile_bytes()
 
 
 def test_min_level_floor_triggers_explicit_failure():

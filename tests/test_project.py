@@ -27,7 +27,7 @@ from opinionnet import (
 )
 
 import opinionnet.project as project
-from opinionnet.project import SCORE, PairWeights, default_block_rows
+from opinionnet.project import SCORE, PairWeights
 from opinionnet.render import export_graphml
 
 from helpers import make_matrix, weights_from_rows
@@ -38,10 +38,13 @@ def F(*args):
     return Fraction(*args)
 
 
-def scan_in_blocks_of(monkeypatch, rows):
-    """Make the pair scan use blocks of `rows` rows (None: the default size)."""
-    monkeypatch.setattr(project, "default_block_rows",
-                        default_block_rows if rows is None else lambda n: rows)
+DEFAULT_TILE = project.SCAN_TILE
+
+
+def scan_in_tiles_of(monkeypatch, side):
+    """Make the pair scan use square tiles of `side` rows and columns (None:
+    the default side)."""
+    monkeypatch.setattr(project, "SCAN_TILE", DEFAULT_TILE if side is None else side)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +411,7 @@ def test_int64_kernel_matches_oracle_on_huge_denominator(monkeypatch):
     oracle = all_pair_weights(rows, ks, "score")
     for (i, j), (expected, _) in oracle.items():
         assert w.weight(i, j) == expected
-    scan_in_blocks_of(monkeypatch, 5)
+    scan_in_tiles_of(monkeypatch, 5)
     graph = project_participants(w, 0, negative_threshold=-1)
     got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
     want = {}
@@ -430,7 +433,7 @@ def test_float64_kernel_matches_oracle_past_the_float32_range(monkeypatch):
     oracle = all_pair_weights(rows, ks, "score")
     for (i, j), (expected, _) in oracle.items():
         assert w.weight(i, j) == expected
-    scan_in_blocks_of(monkeypatch, 7)
+    scan_in_tiles_of(monkeypatch, 7)
     graph = project_participants(w, F(1, 2), negative_threshold=-1)
     got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
     want = {(f"p{i:03d}", f"p{j:03d}"): (weight, "positive" if weight >= F(1, 2) else "negative")
@@ -452,6 +455,7 @@ def test_kernel_dtype_rung_at_its_bounds(n_items, denominator, dtype):
     w = PairWeights(SCORE, ["a", "b", "c", "e"], features, np.ones(features.shape, dtype=bool),
                     n_items, d)
     assert w._x.dtype == w._y.dtype == dtype
+    assert [a.tobytes() for a in _stacked_encodings(w)] == [w._x.tobytes(), w._y.tobytes()]
     for i, j in itertools.combinations(range(len(features)), 2):
         expected = F(sum(d - abs(int(a) - int(b)) for a, b in zip(features[i], features[j])), d)
         assert w.weight(i, j) == expected
@@ -485,6 +489,35 @@ def test_kernel_blocks_match_the_oracle_on_every_rung(dtype, mode):
         assert int(co[i, j]) == int(co[j, i]) == co_answered
 
 
+def _stacked_encodings(w):
+    """The encodings as first built: bool one-hots and int64 table products,
+    stacked, then cast to the rung."""
+    onehots, tables = [], []
+    for j in range(w.n_items):
+        column = w._features[:, j]
+        values = np.unique(column[w._mask[:, j]])
+        onehots.append((column[:, None] == values[None, :]) & w._mask[:, j, None])
+        tables.append(w._item_table(values))
+    return (np.hstack(onehots).astype(w._x.dtype),
+            np.hstack([x @ t for x, t in zip(onehots, tables)]).astype(w._x.dtype))
+
+
+@pytest.mark.parametrize("dtype", list(RUNG_SCALES))
+@pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement",
+                                  "binarized_without_neutral"])
+def test_encodings_built_on_the_rung_equal_the_stacked_ones_bit_for_bit(dtype, mode):
+    ks = RUNG_SCALES[dtype]
+    rows = random_rows(random.Random(len(ks) + 1), 40, ks, missing_rate=0.15)
+    if mode == "binarized_without_neutral":
+        w = weights_from_rows(rows, ks, "binarized_agreement", count_neutral_pairs=False)
+    else:
+        w = weights_from_rows(rows, ks, mode)
+    x, y = _stacked_encodings(w)
+    assert w._x.dtype == w._y.dtype == (dtype if mode == "score" else np.float32)
+    assert w._x.shape == x.shape and w._x.tobytes() == x.tobytes()
+    assert w._y.shape == y.shape and w._y.tobytes() == y.tobytes()
+
+
 def _oracle_edges(rows, ks, mode, threshold, negative_threshold, rescale):
     edges = {}
     for (i, j), (weight, co) in all_pair_weights(rows, ks, mode).items():
@@ -516,8 +549,8 @@ def test_projection_matches_the_oracle_on_every_rung_and_block_size(dtype, mode,
         expected = _oracle_edges(rows, ks, mode, threshold, negative, rescale)
         assert {sign for _, sign in expected.values()} == (
             {"positive"} if negative is None else {"positive", "negative"})
-        for block_rows in (1, 7, None):
-            scan_in_blocks_of(monkeypatch, block_rows)
+        for side in (1, 7, None):
+            scan_in_tiles_of(monkeypatch, side)
             graph = project_participants(w, threshold, negative)
             assert {(e.u, e.v): (e.weight, e.sign) for e in graph.edges} == expected
 
@@ -587,16 +620,16 @@ def test_any_rational_threshold_matches_the_oracle_on_every_rung(dtype, mode, re
     pytest.param(0.03, True, 16, id="0.03-rescaled"),
 ])
 def test_the_pair_scan_holds_no_int64_block(missing_rate, rescale, bytes_per_cell):
-    # the first scan block is 512 x 3,000 cells: its float32 numerators take
-    # 4 B per cell, and the whole scan stays below one int64 block (8 B per
-    # cell); on incomplete data the kernel also returns float32 co-answered
-    # counts, 4 B per cell more, which the scan uses only for rescaled
-    # weights, whose per-count level lookup indexes by a one-byte count and
-    # stays below two int64 blocks
+    # the bounds are in cells of a block of 512 x 3,000, more than one scan
+    # tile holds: the tiles' float32 numerators take 4 B per cell, and the
+    # whole scan stays below one int64 block (8 B per cell); on incomplete
+    # data the kernel also returns float32 co-answered counts, 4 B per cell
+    # more, which the scan uses only for rescaled weights, whose per-count
+    # level lookup indexes by a one-byte count and stays below two int64 blocks
     ks = [4] * 10 + [5] * 3
     rows = random_rows(random.Random(3), 3_000, ks, missing_rate=missing_rate)
     w = weights_from_rows(rows, ks, "score", rescale=rescale)
-    assert default_block_rows(3_000) == 512 and w.has_missing == bool(missing_rate)
+    assert project.SCAN_TILE ** 2 <= 512 * 3_000 and w.has_missing == bool(missing_rate)
     tracemalloc.start()
     try:
         graph = project_participants(w, F(15, 2))
@@ -614,10 +647,20 @@ def test_ordinary_surveys_take_the_float32_rung():
         assert weights_from_rows(rows, ks, mode)._x.dtype == np.float32
 
 
-def test_default_block_rows_shrink_as_n_grows():
-    sizes = [default_block_rows(n) for n in (2, 100, 3_000, 30_000, 100_000, 10**9)]
-    assert sizes == sorted(sizes, reverse=True)
-    assert sizes[2] <= 512 and sizes[-2] < sizes[2] and sizes[-1] == 1
+def test_scan_tiles_cover_each_pair_once_and_keep_their_size_as_n_grows(monkeypatch):
+    # a tile's float32 numerators and counts (8 B per cell) fit a 2 MiB cache
+    # whatever n is
+    assert 8 * project.SCAN_TILE ** 2 <= 2 << 20
+    for n in (2, 100, 3_000, 30_000):
+        cells = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in project._upper_tiles(n)]
+        assert max(cells) == min(n, project.SCAN_TILE) ** 2
+    for side, n in ((1, 5), (3, 10), (7, 7), (7, 30), (16, 200), (1000, 61)):
+        scan_in_tiles_of(monkeypatch, side)
+        covered = np.zeros((n, n), dtype=int)
+        for r0, r1, c0, c1 in project._upper_tiles(n):
+            assert c0 >= r0 and 0 < r1 - r0 <= side and 0 < c1 - c0 <= side
+            covered[r0:r1, c0:c1] += 1
+        assert covered.max() == 1 and covered[np.triu_indices(n, 1)].all()  # each i < j once
 
 
 def test_block_size_does_not_change_the_written_graph(tmp_path, monkeypatch):
@@ -626,9 +669,9 @@ def test_block_size_does_not_change_the_written_graph(tmp_path, monkeypatch):
     rows = random_rows(rng, 61, ks, missing_rate=0.1)
     w = weights_from_rows(rows, ks, "score")
     written = set()
-    for block_rows in (None, 1, 2, 7, 60, 61, 1000):
-        path = tmp_path / f"g{block_rows}.graphml"
-        scan_in_blocks_of(monkeypatch, block_rows)
+    for side in (None, 1, 2, 7, 60, 61, 1000):
+        path = tmp_path / f"g{side}.graphml"
+        scan_in_tiles_of(monkeypatch, side)
         export_graphml(project_participants(w, F(1, 2), negative_threshold=F(-1, 3)), path)
         written.add(path.read_bytes())
     assert len(written) == 1
@@ -640,7 +683,7 @@ def test_block_size_does_not_change_output(monkeypatch):
     rows = random_rows(rng, 33, ks, missing_rate=0.1)
     w = weights_from_rows(rows, ks, "score")
     default = project_participants(w, F(1, 3), negative_threshold=F(-2))
-    scan_in_blocks_of(monkeypatch, 2)
+    scan_in_tiles_of(monkeypatch, 2)
     tiny = project_participants(w, F(1, 3), negative_threshold=F(-2))
     assert default.edges == tiny.edges
 

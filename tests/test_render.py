@@ -245,6 +245,23 @@ def test_graphml_round_trip_with_attributes(tmp_path):
     assert back.extra == graph.extra
 
 
+def test_graphml_export_quotes_each_node_id_once(tmp_path, monkeypatch):
+    graph = sample_graph()
+    path = tmp_path / "g.graphml"
+    export_graphml(graph, path)
+    quoted = []
+
+    def counted(text):
+        quoted.append(text)
+        return quoteattr(text)
+
+    monkeypatch.setattr(render, "quoteattr", counted)
+    again = tmp_path / "again.graphml"
+    export_graphml(graph, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert graph.n_edges and sorted(u for u in quoted if u in graph.nodes) == sorted(graph.nodes)
+
+
 def test_graphml_round_trip_attitude_dual_edges(tmp_path):
     graph = ProjectionGraph(
         kind="attitude",
