@@ -3,8 +3,10 @@
 Subcommands compose the full workflow: inspect, project, attitudes,
 communities, census, render. Every command that writes files also writes a
 manifest (input/output digests plus all parameters) so a run can be verified
-and reproduced byte-for-byte. Exit codes: 0 success, 2 validation error,
-3 algorithmic failure.
+and reproduced byte-for-byte. Each output is written to a temporary file
+beside it and moved into place only once all of them are written, the
+manifest last, so a failed command leaves no output behind. Exit codes:
+0 success, 2 validation error, 3 algorithmic failure.
 """
 
 from __future__ import annotations
@@ -57,18 +59,26 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _outputs(args, **suffixes) -> dict:
-    """Paths named `--out-prefix` plus each suffix; makes their directory."""
+    """Temporary paths for the files named `--out-prefix` plus each suffix,
+    each beside its file; makes their directory. args.pending maps each to
+    its file until _write_manifest moves it there."""
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    return {name: prefix.with_name(prefix.name + suffix) for name, suffix in suffixes.items()}
+    paths = {}
+    for name, suffix in suffixes.items():
+        final = prefix.with_name(prefix.name + suffix)
+        paths[name] = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+        args.pending[paths[name]] = final
+    return paths
 
 
 def _write_manifest(args, command: str, parameters: dict, input_names, outputs: dict) -> None:
     """Record digests of the named input arguments and of the outputs plus
-    parameters, then print one `wrote` line. No timestamps, so a rerun with
-    identical inputs produces an identical manifest."""
+    parameters, move every output into place, the manifest last, then print
+    one `wrote` line. No timestamps, so a rerun with identical inputs
+    produces an identical manifest."""
     def entry(path):
-        return {"file": Path(path).name, "sha256": _sha256(path)}
+        return {"file": Path(args.pending.get(path, path)).name, "sha256": _sha256(path)}
 
     manifest = {
         "tool": {"name": "opinionnet", "version": __version__},
@@ -79,7 +89,10 @@ def _write_manifest(args, command: str, parameters: dict, input_names, outputs: 
     }
     path = _outputs(args, manifest=".manifest.json")["manifest"]
     _write_json(path, manifest)
-    print("wrote " + ", ".join(str(p) for p in [*outputs.values(), path]))
+    temps = [*outputs.values(), path]
+    for temp in temps:
+        os.replace(temp, args.pending[temp])
+    print("wrote " + ", ".join(str(args.pending.pop(temp)) for temp in temps))
 
 
 def _sign_counts(graph) -> str:
@@ -226,7 +239,8 @@ def cmd_communities(args) -> int:
             comps = ",".join(str(s) for s in step.component_sizes[:6])
             print(f"{i:>4}  {edge:<35} {step.betweenness:>11.2f}  {comps}")
         if len(report.history) > len(shown):
-            print(f"      ... {len(report.history) - len(shown)} more removals in {outputs['report']}")
+            print(f"      ... {len(report.history) - len(shown)} more removals in "
+                  f"{args.pending[outputs['report']]}")
     _write_manifest(args, "communities",
                     {"target": args.target, "max_removed_fraction": args.max_removed_fraction},
                     ("graph",), outputs)
@@ -388,9 +402,12 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
+            args.pending = {}  # temporary output -> its file; see _outputs
             try:
                 return args.func(args)
             finally:
+                for temp in args.pending:  # what a failed command wrote is removed
+                    temp.unlink(missing_ok=True)
                 sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         except OSError as exc:  # e.g. an output prefix under a regular file, or a full disk
             if isinstance(exc, BrokenPipeError) and exc.filename is None:

@@ -295,6 +295,12 @@ class ProjectionGraph:
     weights. ``edges`` is the same data as a list of Edge objects, built on
     first use. The constructor takes Edge-like objects; ``from_arrays`` takes
     the columns directly.
+
+    The canonical order is that of one int64 key per edge,
+    ``(rank[u] * n + rank[v]) * 2 + sign`` over the node ids' ranks. Edges are
+    sorted by it only when their keys are not already strictly increasing
+    (every export and every lifted import arrives in canonical order), and
+    a duplicate edge shows as two equal neighbouring keys.
     """
 
     __slots__ = ("kind", "nodes", "node_attrs", "threshold_used", "negative_threshold_used",
@@ -354,12 +360,15 @@ class ProjectionGraph:
 
         rank = np.empty(n, dtype=np.int64)
         rank[sorted(range(n), key=nodes.__getitem__)] = np.arange(n)
-        flip = rank[us] > rank[vs]
+        ru, rv = rank[us], rank[vs]
+        flip = ru > rv
         us, vs = np.where(flip, vs, us), np.where(flip, us, vs)
-        order = np.lexsort((signs, rank[vs], rank[us]))
-        us, vs, signs, styles, codes = us[order], vs[order], signs[order], styles[order], codes[order]
-        repeat = np.flatnonzero((us[1:] == us[:-1]) & (vs[1:] == vs[:-1])
-                                & (signs[1:] == signs[:-1]))
+        key = (np.minimum(ru, rv) * n + np.maximum(ru, rv)) * 2 + signs  # the canonical order
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key)
+            key, us, vs, signs, styles, codes = (
+                key[order], us[order], vs[order], signs[order], styles[order], codes[order])
+        repeat = np.flatnonzero(key[1:] == key[:-1])
         if len(repeat):
             k = repeat[0] + 1
             raise ValidationError(
@@ -546,10 +555,12 @@ def _bucketed_agreement_pairs(weights: PairWeights, threshold_int: int):
 # pairs per distinct row, as the pivot sample predicts, and each next one about
 # BAND_GROWTH times as many; the pairs it holds across components (12 B each)
 # are compacted into a forest when they pass SWEEP_HELD_BYTES, about 350k
-# pairs, whatever N is
+# pairs, and the levels of all its pairs are deduplicated when they pass
+# SWEEP_LEVEL_BYTES, 64k levels of a float32 kernel, whatever N is
 FIRST_BAND_PAIRS_PER_ROW = 4
 BAND_GROWTH = 8
 SWEEP_HELD_BYTES = 4 << 20
+SWEEP_LEVEL_BYTES = 256 << 10
 
 
 def _component_roots(n_nodes, us, vs):
@@ -652,9 +663,9 @@ def _distinct_rows(weights: PairWeights) -> tuple:
 
 
 def _band_tile(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, pivot, label) -> tuple:
-    """The pairs of one scan tile at or above a band's pivot: their distinct
-    levels, and the (level, u, v) of those whose ends lie in different
-    components, over the component labels."""
+    """The pairs of one scan tile at or above a band's pivot: their levels,
+    and the (level, u, v) of those whose ends lie in different components,
+    over the component labels."""
     numer = kernel.block_numerators(r0, r1, c0, c1)[0]
     sel = numer >= pivot
     if c0 == r0:
@@ -664,7 +675,7 @@ def _band_tile(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, pivot, l
     values = numer.ravel()[flat]
     u, v = label[ii + r0], label[jj + c0]
     apart = u != v
-    return np.unique(values), (values[apart], u[apart], v[apart])
+    return values, (values[apart], u[apart], v[apart])
 
 
 def _sweep_bands(weights: PairWeights, floor=None):
@@ -686,7 +697,9 @@ def _sweep_bands(weights: PairWeights, floor=None):
     only the pairs across the components at the band's top are held
     (Filter-Kruskal; Osipov, Sanders & Singler 2009). Held pairs past
     SWEEP_HELD_BYTES are compacted into a forest with the same components at
-    every level, so memory stays near one tile plus one budget of pairs.
+    every level, and the levels of the selected pairs are deduplicated once
+    they pass SWEEP_LEVEL_BYTES, not tile by tile, so memory stays near one
+    tile plus the two budgets.
     """
     lowest = _threshold_level(weights, weights.weight_range()[0])
     floor = lowest if floor is None else max(floor, lowest)
@@ -702,19 +715,23 @@ def _sweep_bands(weights: PairWeights, floor=None):
     pivots = _band_pivots(kernel, lowest)
     top = math.inf
     for pivot in [*pivots[pivots > floor], floor]:
-        levels, held, held_bytes = [], [no_pairs], 0
+        levels, held, level_bytes, held_bytes = [], [no_pairs], 0, 0
         for tile in _upper_tiles(n):
-            present, pairs = _band_tile(kernel, *tile, pivot, label)
-            levels.append(present)
+            values, pairs = _band_tile(kernel, *tile, pivot, label)
+            levels.append(values)
             held.append(pairs)
+            level_bytes += values.nbytes
             held_bytes += sum(column.nbytes for column in pairs)
+            if level_bytes > SWEEP_LEVEL_BYTES:
+                levels, level_bytes = [np.unique(np.concatenate(levels))], 0
             if held_bytes > SWEEP_HELD_BYTES:
                 forest, held_bytes = _root_merges(n, held)[0], 0
                 held.append(forest)
+        levels = np.unique(np.concatenate(levels)).astype(np.int64)
         (level, us, vs), parent = _root_merges(n, held)
         label = _find_roots(parent, label)
         joins = (copies[0] >= pivot) & (copies[0] < top)
-        present = np.unique(np.concatenate([*levels, copies[0][joins]]).astype(np.int64))
+        present = np.union1d(levels, copies[0][joins])
         level = np.concatenate([level.astype(np.int64), copies[0][joins]])
         us = np.concatenate([rows[us], copies[1][joins]])
         vs = np.concatenate([rows[vs], copies[2][joins]])

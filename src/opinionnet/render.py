@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numbers
 import re
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 from xml.parsers import expat
 
@@ -64,14 +65,17 @@ def _fmt17(x: float) -> str:
 _EDGE_CHUNK = 4096  # edge lines formatted and written at a time
 
 
-def _write_with_edges(path, before, graph: ProjectionGraph, head, tail, after) -> None:
+def _write_with_edges(path, before, graph: ProjectionGraph, sources, targets, tail,
+                      after) -> None:
     """Write a UTF-8 text file: the lines before, one line per edge in
-    canonical order, head(u, v) + tail(weight, sign, style), then the lines after.
+    canonical order, sources[u] + targets[v] + tail(weight, sign, style), then
+    the lines after.
 
-    head gets node indices; tail is called once per distinct (weight, sign,
-    style) combination, so no per-edge Fraction is built or formatted. Edge
-    lines are formatted and written _EDGE_CHUNK at a time, so memory is
-    bounded by the chunk, not by the file.
+    sources and targets hold one string per node; tail is called once per
+    distinct (weight, sign, style) combination, so no per-edge Fraction is
+    built or formatted. Edge lines are joined and written _EDGE_CHUNK at a
+    time, each chunk in one C-level join of the three string columns, so
+    memory is bounded by the chunk, not by the file.
     """
     tails = {}  # combination code -> its formatted tail and line end
     with open(path, "w", encoding="utf-8") as out:
@@ -82,8 +86,10 @@ def _write_with_edges(path, before, graph: ProjectionGraph, head, tail, after) -
                      + graph.styles[s:e]).tolist()
             for c in set(combo) - tails.keys():
                 tails[c] = tail(graph.weight_table[c // 6], SIGNS[c // 3 % 2], STYLES[c % 3]) + "\n"
-            out.write("".join([head(a, b) + tails[c] for a, b, c in zip(
-                graph.us[s:e].tolist(), graph.vs[s:e].tolist(), combo)]))
+            out.write("".join(chain.from_iterable(zip(
+                map(sources.__getitem__, graph.us[s:e].tolist()),
+                map(targets.__getitem__, graph.vs[s:e].tolist()),
+                map(tails.__getitem__, combo)))))
         out.writelines(line + "\n" for line in after)
 
 
@@ -240,22 +246,18 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
     quoted = [quoteattr(u) for u in graph.nodes]
     for u, qu in zip(graph.nodes, quoted):
         attrs = graph.node_attrs.get(u, {})
-        data = [
-            f'<data key={quoteattr(attr_key[name])}>{escape(str(attrs[name]))}</data>'
-            for name in attr_names
-            if name in attrs
-        ]
+        if not attrs and layout is None:
+            lines.append(f'    <node id={qu}/>')
+            continue
+        data = [f'<data key="{attr_key[name]}">{escape(str(attrs[name]))}</data>'
+                for name in attr_names if name in attrs]
         if layout is not None:
             x, y = layout.positions[u]
-            data.append(f'<data key="nx">{_fmt17(x)}</data>')
-            data.append(f'<data key="ny">{_fmt17(y)}</data>')
-        if data:
-            lines.append(f'    <node id={qu}>{"".join(data)}</node>')
-        else:
-            lines.append(f'    <node id={qu}/>')
+            data.append(f'<data key="nx">{_fmt17(x)}</data><data key="ny">{_fmt17(y)}</data>')
+        lines.append(f'    <node id={qu}>{"".join(data)}</node>')
     _write_with_edges(
         path, lines, graph,
-        lambda a, b: f'    <edge source={quoted[a]} target={quoted[b]}>',
+        [f'    <edge source={qu} target=' for qu in quoted], [qu + ">" for qu in quoted],
         lambda w, sign, style: (
             f'<data key="e_weight">{escape(format_fraction(w))}</data>'
             f'<data key="e_weight_decimal">{_fmt17(float(w))}</data>'
@@ -275,13 +277,15 @@ def import_graphml(path) -> ProjectionGraph:
     be declared before the graph that uses them, as GraphML requires.
 
     The file is read in chunks cut at line ends. Each run of edge lines in
-    export_graphml's exact form is lifted out by one regex and replaced by a
-    placeholder processing instruction; expat parses the rest. The lifted
-    edges count only if expat reports every placeholder where it was put, as
-    a child of the first <graph>, and the file is plain UTF-8 with no DOCTYPE
-    and with the edge keys declared as export_graphml declares them. Any
-    other file is parsed again whole by expat, with nothing lifted, so every
-    file reads as expat alone reads it.
+    export_graphml's exact form is lifted out by one regex, which captures
+    three columns (each line's source, target and whole tail of data
+    elements), and is replaced by a placeholder processing instruction;
+    expat parses the rest. Each distinct tail is decoded once into its
+    weight, sign and style. The lifted edges count only if expat reports
+    every placeholder where it was put, as a child of the first <graph>, and
+    the file is plain UTF-8 with no DOCTYPE and with the edge keys declared
+    as export_graphml declares them. Any other file is parsed again whole by
+    expat, with nothing lifted, so every file reads as expat alone reads it.
     """
     path = Path(path)
     if not path.exists():
@@ -303,9 +307,10 @@ _MARK = f"<?{_PLACEHOLDER}?>".encode()
 _PLAIN = '[^"&<>\\x00-\\x1f\\ud800-\\udfff\\ufffe\\uffff]*'
 # compiled on first use (re caches it), not at import: the CLI starts faster
 _EDGE_LINE = (
-    f'    <edge source="({_PLAIN})" target="({_PLAIN})"><data key="e_weight">({_PLAIN})</data>'
-    f'<data key="e_weight_decimal">{_PLAIN}</data><data key="e_sign">({_PLAIN})</data>'
-    f'<data key="e_style">({_PLAIN})</data></edge>\n')
+    f'    <edge source="({_PLAIN})" target="({_PLAIN})">(<data key="e_weight">{_PLAIN}</data>'
+    f'<data key="e_weight_decimal">{_PLAIN}</data><data key="e_sign">{_PLAIN}</data>'
+    f'<data key="e_style">{_PLAIN}</data></edge>)\n')
+_TAIL_VALUES = 'key="e_(?:weight|sign|style)">([^<]*)<'  # a lifted tail's weight, sign, style
 _EDGE_KEYS = {"e_weight": ("edge", "weight"), "e_sign": ("edge", "sign"),
               "e_style": ("edge", "style")}
 
@@ -316,9 +321,10 @@ class _Unconfirmed(Exception):
 
 class _GraphMLReader:
     """expat handlers that collect a GraphML file's keys, graph data, nodes
-    and edges. An edge is kept as five codes (source, target, weight, sign,
-    style), each indexing that column's dict of distinct strings, so the
-    strings are checked once per file, not once per edge.
+    and edges. An edge is kept as three codes: its source and target in a
+    dict of distinct node ids, and its tail in a dict of distinct tails,
+    whose keys are a lifted line's raw tail or the (weight, sign, style) that
+    expat read. Ids and tails are checked once per file, not once per edge.
 
     parse() reads the whole file with expat. lift() reads it with runs of
     canonical edge lines lifted out, and returns None whenever that reading
@@ -329,9 +335,9 @@ class _GraphMLReader:
         self.path = path
         self.keys = {}  # key id -> (domain, attribute name)
         self.graph_data, self.nodes, self.node_attrs = {}, [], {}
-        ids = {}
-        self.distinct = (ids, ids, {}, {}, {})  # string -> code; sources and targets share ids
-        self.columns = ([], [], [], [], [])  # codes per edge
+        self.ids = defaultdict(count().__next__)  # node id -> code, in first-seen order
+        self.tails = defaultdict(count().__next__)  # tail -> code
+        self.columns = ([], [], [])  # source, target and tail codes per edge
         self.runs = deque()  # (offset, edges) of placeholders fed but not yet reported
         self.depth = 0
         self.in_graph = self.seen_graph = False
@@ -378,10 +384,10 @@ class _GraphMLReader:
     def _lifted(self, chunk: bytes, fed: int) -> bytes:
         """chunk with each run of canonical edge lines replaced by a
         placeholder; queues the run's edge columns with the placeholder's offset."""
-        # text before each line, then the line's five values; bytes that are not
-        # UTF-8 (a cut inside a character, say) round-trip as lone surrogates
+        # text before each line, then its source, target and tail; bytes that are
+        # not UTF-8 (a cut inside a character, say) round-trip as lone surrogates
         parts = re.split(_EDGE_LINE, chunk.decode("utf-8", "surrogateescape"))
-        between, columns, pieces = parts[::6], [parts[k::6] for k in range(1, 6)], []
+        between, columns, pieces = parts[::4], [parts[k::4] for k in range(1, 4)], []
         # a run starts at the first line and at every line after other text
         starts = [i for i in range(len(between) - 1) if between[i] or not i]
         for start, stop in zip(starts, starts[1:] + [len(between) - 1]):
@@ -401,9 +407,7 @@ class _GraphMLReader:
                 and all(self.keys.get(k) == v for k, v in _EDGE_KEYS.items())
                 and self.keys.get("e_weight_decimal") not in _EDGE_KEYS.values()):
             raise _Unconfirmed
-        for column, codes, values in zip(self.columns, self.distinct, edges):
-            for value in dict.fromkeys(values):
-                codes.setdefault(value, len(codes))
+        for column, codes, values in zip(self.columns, (self.ids, self.ids, self.tails), edges):
             column.extend(map(codes.__getitem__, values))
 
     def doctype(self, *args):
@@ -455,10 +459,11 @@ class _GraphMLReader:
             elif "weight" not in data:
                 raise ValidationError(f"an edge in {self.path} lacks a weight")
             else:
-                for column, codes, value in zip(self.columns, self.distinct, (
-                        attrs["source"], attrs["target"], data["weight"],
-                        data.get("sign", POSITIVE), data.get("style", SOLID))):
-                    column.append(codes.setdefault(value, len(codes)))
+                sources, targets, tails = self.columns
+                sources.append(self.ids[attrs["source"]])
+                targets.append(self.ids[attrs["target"]])
+                tails.append(self.tails[data["weight"], data.get("sign", POSITIVE),
+                                        data.get("style", SOLID)])
         self.depth -= 1
 
     def graph(self) -> ProjectionGraph:
@@ -474,15 +479,15 @@ class _GraphMLReader:
                 except ValueError:
                     raise ValidationError(f"graph {name} {extra[name]!r} in {self.path} "
                                           f"is not an integer") from None
-        # the distinct strings go through the per-edge checks as if each were one edge
-        ids, _, weights, signs, styles = (list(codes) for codes in self.distinct)
-        node_of, _, table, _, sign_of, style_of = edge_columns(
-            self.nodes, ids, (), weights, signs, styles)
-        sources, targets, weight_codes, sign_codes, style_codes = (
-            np.array(column, dtype=np.intp) for column in self.columns)
+        # the distinct ids and tails go through the per-edge checks as if each were one edge
+        tails = [re.findall(_TAIL_VALUES, tail) if isinstance(tail, str) else tail
+                 for tail in self.tails]  # (weight, sign, style) each
+        node_of, _, table, weight_of, sign_of, style_of = edge_columns(
+            self.nodes, list(self.ids), (), *(zip(*tails) if tails else ((), (), ())))
+        sources, targets, tails = (np.array(column, dtype=np.intp) for column in self.columns)
         return ProjectionGraph.from_arrays(
-            kind, self.nodes, node_of[sources], node_of[targets], table, weight_codes,
-            sign_of[sign_codes], style_of[style_codes],
+            kind, self.nodes, node_of[sources], node_of[targets], table, weight_of[tails],
+            sign_of[tails], style_of[tails],
             node_attrs=self.node_attrs,
             threshold_used=None if thresholds[0] is None else as_fraction(thresholds[0]),
             negative_threshold_used=None if thresholds[1] is None else as_fraction(thresholds[1]),
@@ -514,8 +519,7 @@ def export_dot(graph: ProjectionGraph, path, layout: LayoutResult | None = None)
             lines.append(f"  {_dot_quote(u)};")
     quoted = [_dot_quote(u) for u in graph.nodes]
     _write_with_edges(
-        path, lines, graph,
-        lambda a, b: f"  {quoted[a]} -- {quoted[b]} ",
+        path, lines, graph, [f"  {q} -- " for q in quoted], [q + " " for q in quoted],
         lambda w, sign, style: (
             f'[weight={_dot_quote(format_fraction(w))}, sign="{sign}", '
             f'style="{style}", color="{_COLORS[sign]}"];'
@@ -527,15 +531,10 @@ def export_dot(graph: ProjectionGraph, path, layout: LayoutResult | None = None)
 def export_edgelist(graph: ProjectionGraph, path) -> None:
     """Edge list CSV: u,v,weight,weight_decimal,sign,style (exact fraction first)."""
 
-    def cell(value: str) -> str:
-        if any(c in value for c in ',"\n'):
-            return '"' + value.replace('"', '""') + '"'
-        return value
-
-    cells = [cell(u) for u in graph.nodes]
+    cells = ['"' + u.replace('"', '""') + '",' if "," in u or '"' in u or "\n" in u else u + ","
+             for u in graph.nodes]
     _write_with_edges(
-        path, ["u,v,weight,weight_decimal,sign,style"], graph,
-        lambda a, b: f"{cells[a]},{cells[b]},",
+        path, ["u,v,weight,weight_decimal,sign,style"], graph, cells, cells,
         lambda w, sign, style: f"{format_fraction(w)},{float(w)!r},{sign},{style}",
         [],
     )
@@ -651,8 +650,8 @@ def render_svg(graph: ProjectionGraph, layout: LayoutResult, color_scheme: Color
         for u, (x, y) in zip(graph.nodes, screen)
     ]
     _write_with_edges(
-        path, lines, graph,
-        lambda a, b: f'<line x1="{xs[a]}" y1="{ys[a]}" x2="{xs[b]}" y2="{ys[b]}"',
+        path, lines, graph, [f'<line x1="{x}" y1="{y}"' for x, y in zip(xs, ys)],
+        [f' x2="{x}" y2="{y}"' for x, y in zip(xs, ys)],
         lambda w, sign, style: _stroke(_COLORS[sign], style, opacity=0.7),
         circles + ["</svg>"],
     )

@@ -10,7 +10,9 @@ for import_graphml's lifted edge lines, full_row_select_threshold, a
 Prim pass that computes each joining vertex's row against all N columns,
 kept as the reference for select_threshold's banded pass, and
 loop_load_survey, the loader that parses and checks one cell at a time,
-kept as the reference for load_survey's per-token tables.
+kept as the reference for load_survey's per-token tables, and the per_edge_
+exporters, which format each edge with its own f-string, kept as the byte
+references for the exporters that join whole columns of edge lines.
 """
 
 import csv
@@ -615,3 +617,105 @@ def loop_load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop
         attributes=attributes,
         report=report,
     )
+
+
+# ---------------------------------------------------------------------------
+# Exporters that format each edge with its own f-string, kept as the byte
+# references for the exporters that join whole columns of edge lines
+# ---------------------------------------------------------------------------
+
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def per_edge_export_graphml(graph: ProjectionGraph, path, layout=None) -> None:
+    from opinionnet.render import _GRAPH_FIELD_TYPES, _fmt17, escape, quoteattr
+
+    graph_data = {"kind": graph.kind}
+    for name in ("mode", "attitude_mode", "n_items", "n_participants"):
+        if name in graph.extra:
+            graph_data[name] = graph.extra[name]
+    if graph.threshold_used is not None:
+        graph_data["threshold"] = format_fraction(graph.threshold_used)
+    if graph.negative_threshold_used is not None:
+        graph_data["negative_threshold"] = format_fraction(graph.negative_threshold_used)
+    attr_names = graph.attribute_names()
+    key_defs = [(f"g_{name}", "graph", name, _GRAPH_FIELD_TYPES[name]) for name in graph_data]
+    key_defs += [(f"na{i}", "node", name, "string") for i, name in enumerate(attr_names)]
+    if layout is not None:
+        key_defs += [("nx", "node", "x", "double"), ("ny", "node", "y", "double")]
+    key_defs += [("e_weight", "edge", "weight", "string"),
+                 ("e_weight_decimal", "edge", "weight_decimal", "double"),
+                 ("e_sign", "edge", "sign", "string"), ("e_style", "edge", "style", "string")]
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">']
+    lines += [f'  <key id={quoteattr(key_id)} for="{domain}" attr.name={quoteattr(name)} '
+              f'attr.type="{attr_type}"/>' for key_id, domain, name, attr_type in key_defs]
+    lines.append('  <graph id="G" edgedefault="undirected">')
+    lines += [f'    <data key="g_{name}">{escape(str(value))}</data>'
+              for name, value in graph_data.items()]
+    attr_key = {name: f"na{i}" for i, name in enumerate(attr_names)}
+    for u in graph.nodes:
+        attrs = graph.node_attrs.get(u, {})
+        data = [f'<data key={quoteattr(attr_key[name])}>{escape(str(attrs[name]))}</data>'
+                for name in attr_names if name in attrs]
+        if layout is not None:
+            x, y = layout.positions[u]
+            data += [f'<data key="nx">{_fmt17(x)}</data>', f'<data key="ny">{_fmt17(y)}</data>']
+        lines.append(f'    <node id={quoteattr(u)}>{"".join(data)}</node>' if data
+                     else f'    <node id={quoteattr(u)}/>')
+    lines += [f'    <edge source={quoteattr(e.u)} target={quoteattr(e.v)}>'
+              f'<data key="e_weight">{escape(format_fraction(e.weight))}</data>'
+              f'<data key="e_weight_decimal">{_fmt17(float(e.weight))}</data>'
+              f'<data key="e_sign">{e.sign}</data><data key="e_style">{e.style}</data></edge>'
+              for e in graph.edges]
+    _write_lines(path, lines + ["  </graph>", "</graphml>"])
+
+
+def per_edge_export_dot(graph: ProjectionGraph, path, layout=None) -> None:
+    from opinionnet.render import _COLORS, _dot_quote, _fmt6
+
+    lines = ["graph G {"]
+    for u in graph.nodes:
+        parts = [f"{k}={_dot_quote(v)}" for k, v in sorted(graph.node_attrs.get(u, {}).items())]
+        if layout is not None:
+            x, y = layout.positions[u]
+            parts.append(f'pos="{_fmt6(x)},{_fmt6(y)}!"')
+        lines.append(f"  {_dot_quote(u)} [{', '.join(parts)}];" if parts
+                     else f"  {_dot_quote(u)};")
+    lines += [f"  {_dot_quote(e.u)} -- {_dot_quote(e.v)} "
+              f'[weight={_dot_quote(format_fraction(e.weight))}, sign="{e.sign}", '
+              f'style="{e.style}", color="{_COLORS[e.sign]}"];' for e in graph.edges]
+    _write_lines(path, lines + ["}"])
+
+
+def per_edge_export_edgelist(graph: ProjectionGraph, path) -> None:
+    def cell(value: str) -> str:
+        if any(c in value for c in ',"\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    _write_lines(path, ["u,v,weight,weight_decimal,sign,style"] + [
+        f"{cell(e.u)},{cell(e.v)},{format_fraction(e.weight)},{float(e.weight)!r},{e.sign},"
+        f"{e.style}" for e in graph.edges])
+
+
+def per_edge_render_svg(graph: ProjectionGraph, layout, path, *, width=800, height=800,
+                        node_radius=5.0) -> None:
+    from opinionnet.render import _COLORS, ColorScheme, _fmt6, _stroke, _svg_scale
+
+    fills = ColorScheme().fill_for(graph)
+    to_screen = _svg_scale(layout.positions, graph.nodes, width, height, pad=20 + node_radius)
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
+    for e in graph.edges:
+        (x1, y1), (x2, y2) = to_screen(e.u), to_screen(e.v)
+        lines.append(f'<line x1="{_fmt6(x1)}" y1="{_fmt6(y1)}" x2="{_fmt6(x2)}" y2="{_fmt6(y2)}"'
+                     + _stroke(_COLORS[e.sign], e.style, opacity=0.7))
+    for u in graph.nodes:
+        x, y = to_screen(u)
+        lines.append(f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '
+                     f'fill="{fills[u]}" stroke="#333333" stroke-width="0.5"/>')
+    _write_lines(path, lines + ["</svg>"])

@@ -344,11 +344,14 @@ def test_banded_sweep_is_exact_under_compaction_and_a_too_high_pivot(mode, missi
     w = _banded_weights(mode, missing_rate, kind)
     monkeypatch.setattr(project, "SCAN_TILE", 37)
     counts = _counted_bands(monkeypatch)
-    held_bytes = project.SWEEP_HELD_BYTES
-    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", 64)  # compact after nearly every tile
+    budgets = project.SWEEP_HELD_BYTES, project.SWEEP_LEVEL_BYTES
+    # compact the held pairs and deduplicate the levels after nearly every tile
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", 64)
+    monkeypatch.setattr(project, "SWEEP_LEVEL_BYTES", 64)
     _assert_matches_the_full_row_reference(w)
     assert counts["compactions"] > counts["bands"]
-    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", held_bytes)
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", budgets[0])
+    monkeypatch.setattr(project, "SWEEP_LEVEL_BYTES", budgets[1])
     monkeypatch.setattr(project, "FIRST_BAND_PAIRS_PER_ROW", 0)  # a band of the top sampled pair
     monkeypatch.setattr(project, "BAND_GROWTH", 2)
     counts["bands"] = 0

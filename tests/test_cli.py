@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ from opinionnet import (
     renormalize,
     style_edges,
 )
+from opinionnet import cli
 from opinionnet.cli import main
 from opinionnet.rational import format_fraction
 
@@ -580,6 +582,35 @@ def test_unwritable_out_prefix_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert block["error"]["type"] == "ValidationError"
     assert "afile" in block["error"]["message"]
+
+
+def test_a_failed_write_leaves_no_output_under_the_prefix(tmp_path, capsys, monkeypatch):
+    survey, schema = two_block_inputs(tmp_path)
+    out = tmp_path / "out"
+    argv = ["project", "--survey", str(survey), "--schema", str(schema), "--mode", "score",
+            "--threshold", "auto", "--out-prefix", str(out / "run")]
+    export = cli.export_edgelist
+
+    def full_disk(graph, path):  # the sweep and GraphML files are written by now
+        Path(path).write_text("u,v,weight\n")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(cli, "export_edgelist", full_disk)
+    assert main(argv) == 2
+    block = json.loads(capsys.readouterr().err)
+    assert block["error"]["type"] == "ValidationError" and block["error"]["exit_code"] == 2
+    assert os.strerror(errno.ENOSPC) in block["error"]["message"]
+    assert list(out.iterdir()) == []  # no manifest, no partial output, no temporary file
+
+    # a failed rerun leaves the files of the run before it as they were
+    monkeypatch.setattr(cli, "export_edgelist", export)
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["run.edges.csv", "run.graphml", "run.manifest.json",
+                              "run.sweep.csv"]
+    monkeypatch.setattr(cli, "export_edgelist", full_disk)
+    assert main(argv) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_schema_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -951,3 +951,83 @@ def test_attitude_graph_may_carry_both_signs_per_pair():
         extra={"n_participants": 5},
     )
     assert len(graph.edges) == 2
+
+
+# ---------------------------------------------------------------------------
+# canonical edge order
+# ---------------------------------------------------------------------------
+
+CANONICAL_NODES = ["d", "b", "e", "a", "c"]  # index order is not id order
+CANONICAL_TABLE = [F(1, 3), F(-2), F(5, 7)]
+
+
+def _from_rows(rows, nodes=CANONICAL_NODES):
+    """An attitude graph from (u, v, weight code, sign, style) rows."""
+    us, vs, codes, signs, styles = (np.array(column, dtype=np.int64).reshape(-1)
+                                    for column in (zip(*rows) if rows else [()] * 5))
+    return ProjectionGraph.from_arrays("attitude", nodes, us, vs, CANONICAL_TABLE, codes, signs,
+                                       styles)
+
+
+def _canonical_key(row, nodes=CANONICAL_NODES):
+    u, v = sorted((nodes[row[0]], nodes[row[1]]))
+    return u, v, row[3]
+
+
+def _graph_columns(graph):
+    return ([column.tolist() for column in (graph.us, graph.vs, graph.weight_codes, graph.signs,
+                                            graph.styles)], graph.weight_table)
+
+
+def _edge_rows(seed):
+    rng = random.Random(seed)
+    return [(a, b, rng.randrange(3), sign, rng.randrange(3))
+            for a, b in itertools.combinations(range(len(CANONICAL_NODES)), 2)
+            for sign in (0, 1) if rng.random() < 0.7]
+
+
+def test_from_arrays_gives_equal_columns_for_canonical_index_ordered_and_shuffled_edges(
+        monkeypatch):
+    rows = _edge_rows(4)  # pairs in index order, which is not the canonical order
+    canonical = sorted(rows, key=_canonical_key)
+    assert canonical != rows
+    shuffled = rows[:]
+    random.Random(5).shuffle(shuffled)
+    flipped = [(b, a, *rest) for a, b, *rest in canonical]
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    graph = _from_rows(canonical)
+    assert not sorts  # canonical edges are not sorted again
+    nodes = CANONICAL_NODES
+    assert [(nodes[u], nodes[v], s) for u, v, s in zip(graph.us.tolist(), graph.vs.tolist(),
+                                                       graph.signs.tolist())] == [
+        _canonical_key(row) for row in canonical]
+    for other in (rows, shuffled, flipped):
+        assert _graph_columns(_from_rows(other)) == _graph_columns(graph)
+    assert sorts  # the index-ordered and shuffled edges are
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+def test_an_adjacent_duplicate_is_reported_like_a_shuffled_one(sign):
+    canonical = sorted(_edge_rows(6), key=_canonical_key)
+    at = next(i for i, row in enumerate(canonical) if row[3] == sign)
+    a, b, code, _, style = canonical[at]
+    repeated = canonical[:at + 1] + [(b, a, (code + 1) % 3, sign, style)] + canonical[at + 1:]
+    shuffled = repeated[:]
+    random.Random(7).shuffle(shuffled)
+    messages = []
+    for rows in (repeated, shuffled):
+        with pytest.raises(ValidationError, match="duplicate .* edge") as excinfo:
+            _from_rows(rows)
+        messages.append(str(excinfo.value))
+    u, v, _ = _canonical_key(canonical[at])
+    assert messages == [f"duplicate {project.SIGNS[sign]} edge ({u!r}, {v!r})"] * 2
+
+
+def test_graphs_with_no_edges_or_two_nodes_still_build():
+    assert _from_rows([]).n_edges == 0
+    assert _from_rows([], nodes=["a"]).n_edges == 0
+    graph = _from_rows([(0, 1, 2, 1, 0), (1, 0, 0, 0, 1)], nodes=["b", "a"])
+    assert _graph_columns(graph) == ([[1, 1], [0, 0], [1, 2], [0, 1], [1, 0]],
+                                     (F(-2), F(1, 3), F(5, 7)))

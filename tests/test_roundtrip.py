@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from opinionnet import (
@@ -18,13 +18,21 @@ from opinionnet import (
     export_dot,
     export_edgelist,
     export_graphml,
+    fr_layout,
     import_graphml,
+    render_svg,
 )
 from opinionnet import render
 from opinionnet.errors import ValidationError
 from opinionnet.project import SIGNS, STYLES
 
-from oracles import expat_import_graphml
+from oracles import (
+    expat_import_graphml,
+    per_edge_export_dot,
+    per_edge_export_edgelist,
+    per_edge_export_graphml,
+    per_edge_render_svg,
+)
 
 # ids whose code-point order differs from dictionary or UTF-16 order, plus
 # characters the exporters must escape or quote
@@ -301,3 +309,39 @@ def test_plain_exports_are_read_without_the_whole_file_fallback(tmp_path, graph,
         patch.setattr(render._GraphMLReader, "parse", fallback)
         patch.setattr(render, "_CHUNK", chunk)
         assert _reading(import_graphml, path) == _reading(expat_import_graphml, path)
+
+
+def _every_awkward_id_graph():
+    """Every awkward id, each linked to the next by both signs, with attributes."""
+    nodes = AWKWARD_IDS + ["t\tab", "two\nlines", "c\rr", "p 2 3", "'"]
+    edges = [Edge(u, v, Fraction(k - 9, 7), sign, STYLES[k % 3])
+             for k, (u, v) in enumerate(zip(nodes, nodes[1:])) for sign in SIGNS]
+    attrs = {u: {"party": u, "note, <&>": str(k)} for k, u in enumerate(nodes) if k % 2}
+    return ProjectionGraph("attitude", nodes, edges, node_attrs=attrs,
+                           extra={"n_participants": 40, "attitude_mode": "dual"})
+
+
+@EXAMPLES
+@given(graph=graphs(READER_IDS), chunk=st.sampled_from([1, render._EDGE_CHUNK]))
+@example(graph=_every_awkward_id_graph(), chunk=1)
+@example(graph=_every_awkward_id_graph(), chunk=render._EDGE_CHUNK)
+def test_exporters_write_the_bytes_of_the_per_edge_formatters(tmp_path, graph, chunk):
+    layout = fr_layout(graph, 1, iterations=0)
+    pairs = {
+        "graphml": (export_graphml, per_edge_export_graphml),
+        "graphml_layout": (lambda g, p: export_graphml(g, p, layout),
+                           lambda g, p: per_edge_export_graphml(g, p, layout)),
+        "edgelist": (export_edgelist, per_edge_export_edgelist),
+        "dot": (export_dot, per_edge_export_dot),
+        "dot_layout": (lambda g, p: export_dot(g, p, layout),
+                       lambda g, p: per_edge_export_dot(g, p, layout)),
+        "svg": (lambda g, p: render_svg(g, layout, None, p),
+                lambda g, p: per_edge_render_svg(g, layout, p)),
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "_EDGE_CHUNK", chunk)
+        for name, (export, reference) in pairs.items():
+            export(graph, tmp_path / name)  # rewritten by every example
+            reference(graph, tmp_path / f"{name}.reference")
+            assert (tmp_path / name).read_bytes() == \
+                (tmp_path / f"{name}.reference").read_bytes(), name
