@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import NoGiantComponentError, ValidationError
 from .normalize import SignMatrix
-from .project import (PairWeights, ProjectionGraph, _component_roots, _sweep_bands,
-                      _threshold_level)
+from .project import (POSITIVE, SIGNS, PairWeights, ProjectionGraph, _component_roots,
+                      _held_pairs, _participant_graph, _sweep_bands, _threshold_level,
+                      project_participants)
 from .rational import as_fraction, format_fraction
 
 
@@ -127,8 +128,39 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     levels at a time, and only while the target is not reached. A band's
     edges give the components at each of its levels (Kruskal 1956; single
     linkage, Gower & Ross 1969) once joined after the earlier bands' edges,
-    and ties may join in any order.
+    and ties may join in any order. The bands run on a copy of the kernel
+    without co-answered counts and hold no pairs for a graph;
+    _auto_projection is the sweep that does.
     """
+    return _sweep(weights, target_fraction, min_level)[0]
+
+
+def _auto_projection(weights: PairWeights, target_fraction, min_level, node_attrs) -> tuple:
+    """select_threshold, and project_participants at the chosen level, in one
+    pass over all pairs: (selection, graph).
+
+    The sweep's bands run on the weights' own kernel, co-answered counts
+    included on incomplete data, as project_participants' scan does, and
+    each band also holds its pairs at or above its floor while they fit
+    project.SWEEP_HELD_BYTES. The band that reaches the target holds every
+    pair at or above the chosen level, so the graph is built from those, with
+    each copy of a scanned row expanded back (project._held_pairs). Past the
+    budget the graph comes from project_participants' scan instead. Either
+    way it equals project_participants(weights, chosen).
+    """
+    selection, (level, held) = _sweep(weights, target_fraction, min_level, True)
+    threshold = selection.chosen_threshold
+    if held is None:
+        return selection, project_participants(weights, threshold, node_attrs=node_attrs)
+    ii, jj, numer = _held_pairs(held, level)
+    signs = np.full(len(ii), SIGNS.index(POSITIVE), dtype=np.int8)
+    return selection, _participant_graph(weights, ii, jj, signs, numer, None, threshold, None,
+                                         node_attrs)
+
+
+def _sweep(weights: PairWeights, target_fraction, min_level, hold=False) -> tuple:
+    """select_threshold's sweep: the selection, and the chosen numerator level
+    with what its band of _sweep_bands held (None without hold)."""
     target = as_fraction(target_fraction)
     if not (0 < target <= 1):
         raise ValidationError(f"target fraction {target} must lie in (0, 1]")
@@ -141,7 +173,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
 
     uf = UnionFind(n)
     sweep: list[tuple[Fraction, Fraction]] = []
-    for numerators, edges in _sweep_bands(weights, floor):  # numerators: descending levels
+    for numerators, edges, held in _sweep_bands(weights, floor, hold):  # descending levels
         joined = 0
         for level_numer in numerators:
             while joined < len(edges) and edges[joined][0] >= level_numer:
@@ -151,7 +183,7 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
             frac = Fraction(uf.largest, n)
             sweep.append((level, frac))
             if uf.largest * target.denominator >= target.numerator * n:
-                return ThresholdSelection(level, frac, sweep, target)
+                return ThresholdSelection(level, frac, sweep, target), (level_numer, held)
 
     raise NoGiantComponentError(
         f"no weight level reached a giant component of {format_fraction(target)} "

@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analyze import connected_components, girvan_newman, profile_census, select_threshold
+from .analyze import (_auto_projection, connected_components, girvan_newman, profile_census,
+                      select_threshold)
 from .errors import AlgorithmError, OpinionNetError, ValidationError
 from .ingest import SurveySchema, load_survey
 from .normalize import binarize, renormalize, write_normalized_csv
@@ -163,12 +164,16 @@ def cmd_project(args) -> int:
         "rescale": args.rescale,
         "exclude_neutral_pairs": args.exclude_neutral_pairs,
     }
+    negative = None if args.negative_threshold is None else as_fraction(args.negative_threshold)
+    node_attrs = matrix.node_attributes()
+    graph = None
     if args.threshold == "auto":
-        selection = select_threshold(
-            weights,
-            target_fraction=as_fraction(args.target_fraction),
-            min_level=None if args.min_level is None else as_fraction(args.min_level),
-        )
+        target = as_fraction(args.target_fraction)
+        min_level = None if args.min_level is None else as_fraction(args.min_level)
+        if negative is None:  # the graph comes from the pairs the sweep's last band holds
+            selection, graph = _auto_projection(weights, target, min_level, node_attrs)
+        else:
+            selection = select_threshold(weights, target_fraction=target, min_level=min_level)
         threshold = selection.chosen_threshold
         parameters["target_fraction"] = args.target_fraction
         parameters["min_level"] = args.min_level
@@ -186,13 +191,9 @@ def cmd_project(args) -> int:
         threshold = as_fraction(args.threshold)
         parameters["resolved_threshold"] = format_fraction(threshold)
 
-    negative = None if args.negative_threshold is None else as_fraction(args.negative_threshold)
-    graph = project_participants(
-        weights,
-        threshold,
-        negative_threshold=negative,
-        node_attrs=matrix.node_attributes(),
-    )
+    if graph is None:
+        graph = project_participants(weights, threshold, negative_threshold=negative,
+                                     node_attrs=node_attrs)
     export_graphml(graph, outputs["graphml"])
     export_edgelist(graph, outputs["edges"])
     components = connected_components(graph)

@@ -31,7 +31,11 @@ one row of each group of equal rows, on a private copy of the kernel without
 co-answered counts, in bands of weight levels from the top down until the
 caller stops. A band holds only the pairs across its components, compacted
 into a forest when they pass a byte budget, and the levels present are the
-values of the pairs it scans.
+values of the pairs it scans. For `project --threshold auto` the bands also
+keep every pair they select, within the same budget, on the kernel with its
+counts; the band that reaches the chosen level then holds the whole graph
+at that level, and _held_pairs expands it back over the equal rows, so the
+graph needs no second scan. Past the budget, the graph comes from the scan.
 """
 
 from __future__ import annotations
@@ -334,8 +338,8 @@ class ProjectionGraph:
         n = len(nodes)
         if len(set(nodes)) != n:
             raise ValidationError("node ids must be unique")
-        attrs = dict(node_attrs) if node_attrs else {}
-        self.node_attrs = {u: dict(attrs.get(u, {})) for u in nodes}
+        get = node_attrs.get if node_attrs else {}.get
+        self.node_attrs = {u: dict(get(u, ())) for u in nodes}  # each node's own dict
         self.extra = dict(extra) if extra else {}
         self.threshold_used = None if threshold_used is None else as_fraction(threshold_used)
         self.negative_threshold_used = (
@@ -630,7 +634,7 @@ def _band_pivots(kernel: PairWeights, lowest) -> np.ndarray:
     size = min(max(1, SCAN_TILE ** 2 // n), n)
     rows = np.arange(size) * n // size
     sample = copy.copy(kernel)
-    sample._y = kernel._y[rows]
+    sample._y, sample._m = kernel._y[rows], None
     numer = sample.block_numerators(0, size, 0, n)[0].ravel()
     numer[np.arange(size) * n + rows] = lowest - 1
     ranks = []
@@ -663,9 +667,9 @@ def _distinct_rows(weights: PairWeights) -> tuple:
 
 
 def _band_tile(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, pivot, label) -> tuple:
-    """The pairs of one scan tile at or above a band's pivot: their levels,
-    and the (level, u, v) of those whose ends lie in different components,
-    over the component labels."""
+    """The pairs of one scan tile at or above a band's pivot: their levels
+    and int32 row pairs (i, j), and the (level, u, v) of those whose ends lie
+    in different components, over the component labels."""
     numer = kernel.block_numerators(r0, r1, c0, c1)[0]
     sel = numer >= pivot
     if c0 == r0:
@@ -673,41 +677,52 @@ def _band_tile(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, pivot, l
     flat = np.flatnonzero(sel)
     ii, jj = np.divmod(flat, c1 - c0)
     values = numer.ravel()[flat]
-    u, v = label[ii + r0], label[jj + c0]
+    ii, jj = (ii + r0).astype(np.int32), (jj + c0).astype(np.int32)
+    u, v = label[ii], label[jj]
     apart = u != v
-    return values, (values[apart], u[apart], v[apart])
+    return values, (ii, jj), (values[apart], u[apart], v[apart])
 
 
-def _sweep_bands(weights: PairWeights, floor=None):
+def _sweep_bands(weights: PairWeights, floor=None, hold=False):
     """The threshold sweep's pass over all pairs of unrescaled weights, in
     bands of numerator levels from the top down to floor (default: the
     lowest level of the weight range).
 
-    Yields per band its levels present among all pairs, descending, and
-    edges (numerator, u, v), heaviest first, that give the components at each
-    of those levels when joined after the earlier bands' edges.
+    Yields per band its levels present among all pairs, descending; edges
+    (numerator, u, v), heaviest first, that give the components at each of
+    those levels when joined after the earlier bands' edges; and, with hold,
+    every pair the band selected, for _held_pairs, or None past the budget.
 
     Equal rows (equal answers and missing pattern) are scanned once: a copy
     pairs with every row as its first row does, and no pair of that row
     weighs more than its pair with the copy, their shared self-level (every
     item table's diagonal is its row maximum). So a copy joins its first row
     at that level, and the bands scan the first rows only, on a private copy
-    of the kernel without co-answered counts. A band is one scan of the
-    upper-triangle tiles at its floor: every selected level is present, and
-    only the pairs across the components at the band's top are held
+    of the kernel, without co-answered counts unless hold. A band is one scan
+    of the upper-triangle tiles at its floor: every selected level is present,
+    and only the pairs across the components at the band's top are held
     (Filter-Kruskal; Osipov, Sanders & Singler 2009). Held pairs past
     SWEEP_HELD_BYTES are compacted into a forest with the same components at
     every level, and the levels of the selected pairs are deduplicated once
     they pass SWEEP_LEVEL_BYTES, not tile by tile, so memory stays near one
     tile plus the two budgets.
+
+    With hold, a band also keeps every pair it selects as (level, i, j) over
+    the scanned rows, 12 B per pair on the float32 rung, until they pass
+    SWEEP_HELD_BYTES; a band that passes it keeps none, and neither do the
+    lower bands, which select every pair it does. The kernel copy then keeps
+    its co-answered counts on incomplete data, as project_participants' scan
+    does: the weights' own kernel computes every pair the graph is built from.
     """
     lowest = _threshold_level(weights, weights.weight_range()[0])
     floor = lowest if floor is None else max(floor, lowest)
     rows, copies = _distinct_rows(weights)
     kernel = copy.copy(weights)
-    kernel._m = None
+    if not hold:
+        kernel._m = None
     if len(rows) < weights.n_participants:
         kernel._x, kernel._y = weights._x[rows], weights._y[rows]
+        kernel._m = None if kernel._m is None else kernel._m[rows]
 
     n = len(rows)
     label = np.arange(n, dtype=np.int32)  # each row's component at the band's top
@@ -716,8 +731,9 @@ def _sweep_bands(weights: PairWeights, floor=None):
     top = math.inf
     for pivot in [*pivots[pivots > floor], floor]:
         levels, held, level_bytes, held_bytes = [], [no_pairs], 0, 0
+        kept, kept_bytes = [] if hold else None, 0
         for tile in _upper_tiles(n):
-            values, pairs = _band_tile(kernel, *tile, pivot, label)
+            values, ends, pairs = _band_tile(kernel, *tile, pivot, label)
             levels.append(values)
             held.append(pairs)
             level_bytes += values.nbytes
@@ -727,6 +743,11 @@ def _sweep_bands(weights: PairWeights, floor=None):
             if held_bytes > SWEEP_HELD_BYTES:
                 forest, held_bytes = _root_merges(n, held)[0], 0
                 held.append(forest)
+            if kept is not None:
+                kept.append((values, *ends))
+                kept_bytes += values.nbytes + sum(column.nbytes for column in ends)
+                if kept_bytes > SWEEP_HELD_BYTES:  # so would every lower band's pairs
+                    kept = hold = None
         levels = np.unique(np.concatenate(levels)).astype(np.int64)
         (level, us, vs), parent = _root_merges(n, held)
         label = _find_roots(parent, label)
@@ -737,8 +758,46 @@ def _sweep_bands(weights: PairWeights, floor=None):
         vs = np.concatenate([rows[vs], copies[2][joins]])
         heavy = np.argsort(level, kind="stable")[::-1]
         yield (present[present < top][::-1].tolist(),
-               list(zip(level[heavy].tolist(), us[heavy].tolist(), vs[heavy].tolist())))
+               list(zip(level[heavy].tolist(), us[heavy].tolist(), vs[heavy].tolist())),
+               None if kept is None else (rows, copies, kept))
         top = pivot
+
+
+def _held_pairs(held, level: int) -> tuple:
+    """Every pair (i, j) of participants, and its int64 numerator, at or
+    above a numerator level, from the pairs a band of _sweep_bands held at or
+    above its floor, which must not lie above the level.
+
+    The band's pairs are pairs of the rows it scanned; each other row is a
+    copy of one of those, its first row. A copy pairs with every row as its
+    first row does, so the pairs of two first rows stand for those of their
+    copies too, and the members of one group (a first row and its copies)
+    pair with each other at their shared self-level.
+    """
+    rows, (own, joined, copies), kept = held
+    numer, ii, jj = (np.concatenate(column) for column in zip(*kept))
+    keep = np.flatnonzero(numer >= level)
+    numer, ii, jj = numer[keep].astype(np.int64), rows[ii[keep]], rows[jj[keep]]
+    if not len(copies):
+        return ii, jj, numer
+    head = np.arange(len(rows) + len(copies))  # each participant's first row
+    head[copies] = joined
+    members = np.argsort(head, kind="stable")  # grouped by first row
+    size = np.bincount(head, minlength=len(head))
+    start = np.cumsum(size) - size
+    # the pairs of two first rows, for every member of each group
+    reps = size[ii] * size[jj]
+    k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    width = np.repeat(size[jj], reps)
+    us = members[np.repeat(start[ii], reps) + k // width]
+    vs = members[np.repeat(start[jj], reps) + k % width]
+    # and within each group whose self-level reaches the level
+    grouped = np.flatnonzero(np.isin(head, joined[own >= level]))
+    a, b = (grouped[end] for end in _within_group_pairs(head[grouped, None]))
+    self_level = np.zeros(len(head), dtype=np.int64)
+    self_level[joined] = own
+    return (np.concatenate([us, a]), np.concatenate([vs, b]),
+            np.concatenate([np.repeat(numer, reps), self_level[head[a]]]))
 
 
 def project_participants(weights: PairWeights, threshold, negative_threshold=None,
@@ -765,7 +824,6 @@ def project_participants(weights: PairWeights, threshold, negative_threshold=Non
     level = _threshold_level(weights, threshold)
     neg_level = None if neg is None else _threshold_level(weights, neg, negative=True)
 
-    ids = weights.participant_ids
     m = weights.n_items
     if (weights.mode == EXACT_AGREEMENT and not weights.has_missing and neg is None
             and level in (m, m - 1)):
@@ -773,14 +831,21 @@ def project_participants(weights: PairWeights, threshold, negative_threshold=Non
         signs, co = np.full(len(ii), SIGNS.index(POSITIVE), dtype=np.int8), None
     else:
         ii, jj, signs, numer, co = _scan_edges(weights, level, neg_level)
-    table, codes = _weight_table(weights, numer, co)
+    return _participant_graph(weights, ii, jj, signs, numer, co, threshold, neg, node_attrs)
 
+
+def _participant_graph(weights: PairWeights, ii, jj, signs, numer, co, threshold, neg,
+                       node_attrs) -> ProjectionGraph:
+    """The participant graph of the pairs (ii, jj) past the thresholds, from
+    their sign codes, numerators and co-answered counts (None unless rescaled)."""
+    table, codes = _weight_table(weights, numer, co)
     return ProjectionGraph.from_arrays(
-        "participant", ids, ii, jj, table, codes, signs, np.zeros(len(ii), dtype=np.int8),
+        "participant", weights.participant_ids, ii, jj, table, codes, signs,
+        np.zeros(len(ii), dtype=np.int8),
         node_attrs=node_attrs,
         threshold_used=threshold,
         negative_threshold_used=neg,
-        extra={"mode": weights.mode, "n_items": m},
+        extra={"mode": weights.mode, "n_items": weights.n_items},
     )
 
 

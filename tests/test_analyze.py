@@ -360,6 +360,130 @@ def test_banded_sweep_is_exact_under_compaction_and_a_too_high_pivot(mode, missi
     _assert_matches_the_full_row_reference(w)
 
 
+def _graph_state(graph):
+    """Everything a ProjectionGraph holds, as plain values."""
+    return (graph.kind, graph.nodes, graph.node_attrs, graph.threshold_used,
+            graph.negative_threshold_used, graph.extra, graph.weight_table,
+            *(column.tolist() for column in (graph.us, graph.vs, graph.signs, graph.styles,
+                                             graph.weight_codes)))
+
+
+def _scans(monkeypatch) -> list:
+    """Record each projection scan that _auto_projection falls back to."""
+    scans = []
+    original = analyze.project_participants
+
+    def counted(*args, **kwargs):
+        scans.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analyze, "project_participants", counted)
+    return scans
+
+
+def _assert_fused_matches_the_scan(w, target, min_level=None):
+    """_auto_projection gives select_threshold's selection and the graph of
+    project_participants at the chosen level; returns the selection."""
+    attrs = {u: {"row": str(i)} for i, u in enumerate(w.participant_ids[::3])}
+    try:
+        expected = select_threshold(w, target, min_level=min_level)
+    except NoGiantComponentError as exc:
+        with pytest.raises(NoGiantComponentError) as excinfo:
+            analyze._auto_projection(w, target, min_level, attrs)
+        assert excinfo.value.sweep == exc.sweep
+        return None
+    selection, graph = analyze._auto_projection(w, target, min_level, attrs)
+    assert selection == expected
+    reference = project_participants(w, expected.chosen_threshold, node_attrs=attrs)
+    assert _graph_state(graph) == _graph_state(reference)
+    assert graph.node_attrs is not attrs and all(
+        graph.node_attrs[u] is not a for u, a in attrs.items())
+    return selection
+
+
+@pytest.mark.parametrize("mode,missing_rate,kind", BANDED_CASES)
+def test_fused_auto_projection_equals_the_selection_and_the_scan(mode, missing_rate, kind,
+                                                                 monkeypatch):
+    w = _banded_weights(mode, missing_rate, kind)
+    monkeypatch.setattr(project, "SCAN_TILE", 37)  # several row and column tiles
+    scans = _scans(monkeypatch)
+    n = w.n_participants
+    for target in (F(1, n), F(1, 2), F(9, 10), F(1)):
+        selection = _assert_fused_matches_the_scan(w, target)
+        for floor in (selection.chosen_threshold, selection.chosen_threshold + F(1, 997)):
+            _assert_fused_matches_the_scan(w, target, floor)
+    assert scans == []  # every graph came from the held pairs
+
+
+def test_fused_auto_projection_expands_a_group_at_exactly_the_chosen_level(monkeypatch):
+    # half the rows are copies of 4 rows, so the sweep scans the distinct
+    # rows only; at target 1/200 the chosen level 13 is one group's
+    # self-level, and another group's self-level 12 lies below it
+    w = _banded_weights("exact_agreement", 0.03, "duplicates")
+    rows, (own, joined, copies) = project._distinct_rows(w)
+    assert len(rows) < w.n_participants and sorted(set(own.tolist())) == [12, 13]
+    scans = _scans(monkeypatch)
+    monkeypatch.setattr(project, "SCAN_TILE", 37)
+    selection = _assert_fused_matches_the_scan(w, F(1, 200))
+    assert selection.chosen_threshold == 13 and scans == []
+    _assert_fused_matches_the_scan(w, F(1, 200), 13)  # the floor band stops at the group
+    assert _assert_fused_matches_the_scan(w, F(1, 2), 6).chosen_threshold == 6
+    assert scans == []
+
+
+@pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
+@pytest.mark.parametrize("missing_rate", [0.0, 0.2])
+def test_fused_auto_projection_matches_on_the_reference_surveys(mode, missing_rate, monkeypatch):
+    rng = random.Random(f"fused:{mode}:{missing_rate}")
+    scans = _scans(monkeypatch)
+    for rows, ks in _sweep_cases(rng, mode, missing_rate):
+        w = weights_from_rows(rows, ks, mode)
+        for target in (F(1, len(rows)), F(1, 2), F(1)):
+            _assert_fused_matches_the_scan(w, target)
+    assert scans == []
+
+
+@pytest.mark.parametrize("mode,missing_rate,kind", [
+    ("score", 0.03, "uniform"), ("binarized_agreement", 0.03, "duplicates"),
+    ("exact_agreement", 0.0, "uniform")])
+def test_fused_auto_projection_scans_when_the_pairs_pass_the_budget(mode, missing_rate, kind,
+                                                                    monkeypatch):
+    w = _banded_weights(mode, missing_rate, kind)
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", 64)  # also compacts after nearly every tile
+    scans = _scans(monkeypatch)
+    for target in (F(1, 2), F(1)):
+        selection = _assert_fused_matches_the_scan(w, target)
+        assert scans[-1] == selection.chosen_threshold
+    assert len(scans) == 2
+
+
+def test_fused_auto_projection_is_one_pass_with_counts_on_incomplete_data(monkeypatch):
+    # one sample block and one band of tiles, as select_threshold alone; the
+    # band's tiles run on the weights' own kernel, counts included, as the
+    # scan they replace does, while select_threshold's run without counts
+    rng = random.Random(201)
+    ks = [4, 5, 3, 7, 6, 5, 4, 6]
+    rows = random_rows(rng, 201, ks, missing_rate=0.1)
+    w = weights_from_rows(rows, ks, "score")
+    monkeypatch.setattr(project, "SCAN_TILE", 16)
+    calls = []
+    original = PairWeights.block_numerators
+
+    def counted(self, r0, r1, c0, c1):
+        numer, co = original(self, r0, r1, c0, c1)
+        calls.append(((r1 - r0) * (c1 - c0), co is not None))
+        return numer, co
+
+    monkeypatch.setattr(PairWeights, "block_numerators", counted)
+    selection, graph = analyze._auto_projection(w, F(1, 2), None, None)
+    fused, calls[:] = list(calls), []
+    assert select_threshold(w, F(1, 2)) == selection
+    assert [cells for cells, _ in fused] == [cells for cells, _ in calls] == _one_band_cells(201, 16)
+    assert [with_counts for _, with_counts in fused] == [False] + [True] * (len(fused) - 1)
+    assert not any(with_counts for _, with_counts in calls)
+    assert graph.n_edges > 0
+
+
 def _bench_survey(n=3000):
     """The sweep workload's survey: 3,000 rows (or n) of ten 4-point and three
     5-point items at the bench's default seed, 3% of the cells missing."""

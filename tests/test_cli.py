@@ -23,14 +23,16 @@ from opinionnet import (
     project_attitudes,
     project_participants,
     renormalize,
+    score_weights,
+    select_threshold,
     style_edges,
 )
-from opinionnet import cli
+from opinionnet import analyze, cli, project
 from opinionnet.cli import main
 from opinionnet.rational import format_fraction
 
 from helpers import barbell_graph
-from oracles import all_pair_weights, sweep_oracle
+from oracles import all_pair_weights, random_rows, sweep_oracle
 
 
 def write_schema(path, scale_sizes, attrs=(), missing_token="NA"):
@@ -165,6 +167,88 @@ def test_project_negative_threshold_and_fraction_string(tmp_path):
         cells = line.split(",")
         if cells[4] == "negative":
             assert Fraction(cells[2]) <= -3
+
+
+def duplicate_heavy_inputs(tmp_path):
+    """200 rows of ten 4-point and three 5-point items, 3% of the cells
+    missing, about half of the rows copies of four rows."""
+    rng = random.Random(16)
+    ks = [4] * 10 + [5] * 3
+    rows = random_rows(rng, 200, ks, missing_rate=0.03)
+    rows = [list(rng.choice(rows[:4])) if rng.random() < 0.5 else row for row in rows]
+    schema = write_schema(tmp_path / "schema.json", ks)
+    survey = write_survey(tmp_path / "survey.csv", ks,
+                          [["NA" if c is None else c for c in row] for row in rows])
+    return survey, schema
+
+
+PROJECT_SUFFIXES = (".sweep.csv", ".graphml", ".edges.csv", ".manifest.json")
+
+
+def _auto_run(tmp_path, survey, schema, mode, *extra):
+    """The bytes of each file an auto projection writes, by suffix."""
+    prefix = tmp_path / "run"
+    code = main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", mode,
+                 "--missing-policy", "keep_pairwise", "--threshold", "auto", *extra,
+                 "--out-prefix", str(prefix)])
+    assert code == 0
+    return {suffix: prefix.with_name(prefix.name + suffix).read_bytes()
+            for suffix in PROJECT_SUFFIXES}
+
+
+@pytest.mark.parametrize("mode", ["exact", "score", "binarized"])
+def test_auto_projection_writes_the_same_files_from_held_pairs_as_from_a_scan(tmp_path, mode,
+                                                                           monkeypatch):
+    survey, schema = duplicate_heavy_inputs(tmp_path)
+    scans = []
+    fallback = analyze.project_participants
+    monkeypatch.setattr(analyze, "project_participants",
+                        lambda *a, **k: scans.append(a[1]) or fallback(*a, **k))
+    fused = _auto_run(tmp_path, survey, schema, mode)
+    assert scans == []
+    monkeypatch.setattr(project, "SWEEP_HELD_BYTES", 64)  # the held pairs pass the budget
+    assert _auto_run(tmp_path, survey, schema, mode) == fused
+    assert len(scans) == 1
+
+    def sweep_then_scan(weights, target, min_level, node_attrs):  # two passes, as before
+        selection = select_threshold(weights, target, min_level=min_level)
+        return selection, project_participants(weights, selection.chosen_threshold,
+                                               node_attrs=node_attrs)
+
+    monkeypatch.setattr(cli, "_auto_projection", sweep_then_scan)
+    assert _auto_run(tmp_path, survey, schema, mode) == fused
+
+
+def test_auto_projection_with_a_negative_threshold_sweeps_then_scans(tmp_path, monkeypatch):
+    survey, schema = duplicate_heavy_inputs(tmp_path)
+
+    def not_called(*args):
+        raise AssertionError("a negative threshold needs the scan")
+
+    monkeypatch.setattr(cli, "_auto_projection", not_called)
+    written = _auto_run(tmp_path, survey, schema, "score", "--negative-threshold", "-2")
+    matrix = load_survey(survey, SurveySchema.from_json(schema), missing_policy="keep_pairwise")
+    weights = score_weights(renormalize(matrix))
+    selection = select_threshold(weights)
+    graph = project_participants(weights, selection.chosen_threshold, negative_threshold=-2,
+                                 node_attrs=matrix.node_attributes())
+    assert 0 < int(graph.positive_mask().sum()) < graph.n_edges  # both signs
+    export_graphml(graph, tmp_path / "expected.graphml")
+    assert written[".graphml"] == (tmp_path / "expected.graphml").read_bytes()
+    assert written[".edges.csv"] == edgelist_bytes(graph, tmp_path / "expected.csv")
+    assert written[".sweep.csv"].decode().splitlines()[1:] == [
+        f"{format_fraction(t)},{format_fraction(f)},{float(f)!r}" for t, f in selection.sweep]
+
+
+def test_auto_threshold_on_rescaled_weights_exits_2(tmp_path, capsys):
+    survey, schema = duplicate_heavy_inputs(tmp_path)
+    code = main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", "score",
+                 "--missing-policy", "keep_pairwise", "--rescale", "--threshold", "auto",
+                 "--out-prefix", str(tmp_path / "run")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"]["type"] == "ValidationError" and "rescaled" in block["error"]["message"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["schema.json", "survey.csv"]
 
 
 def test_project_exit_code_3_when_no_giant_component(tmp_path, capsys):
