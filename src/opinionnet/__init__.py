@@ -47,7 +47,6 @@ from .analyze import (
     ComponentReport,
     ProfileCensus,
     ThresholdSelection,
-    UnionFind,
     connected_components,
     edge_betweenness,
     girvan_newman,
@@ -89,7 +88,6 @@ __all__ = [
     "SurveyItem",
     "SurveySchema",
     "ThresholdSelection",
-    "UnionFind",
     "ValidationError",
     "as_fraction",
     "binarize",

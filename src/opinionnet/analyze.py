@@ -37,36 +37,6 @@ _NODE_WORDS = 6
 _EDGE_WORDS = 8
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with union by size and path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_components = n
-        self.largest = 1 if n else 0
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_components -= 1
-        if self.size[ra] > self.largest:
-            self.largest = self.size[ra]
-
-
 @dataclass
 class ComponentReport:
     """Partition of the node set, largest component first."""
@@ -124,13 +94,13 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     distinct values, so ties cannot occur. min_level bounds the descent; if
     the target is never reached the sweep so far is raised with the error.
 
-    The levels and the edges come from project._sweep_bands, one band of
-    levels at a time, and only while the target is not reached. A band's
-    edges give the components at each of its levels (Kruskal 1956; single
-    linkage, Gower & Ross 1969) once joined after the earlier bands' edges,
-    and ties may join in any order. The bands run on a copy of the kernel
-    without co-answered counts and hold no pairs for a graph;
-    _auto_projection is the sweep that does.
+    The levels and the largest component at each come from
+    project._sweep_bands, one band of levels at a time, and only while the
+    target is not reached. A band merges its pairs across components into
+    the earlier bands' components, level by level (Kruskal 1956; single
+    linkage, Gower & Ross 1969), and ties may join in any order. The bands
+    run on a copy of the kernel without co-answered counts and hold no pairs
+    for a graph; _auto_projection is the sweep that does.
     """
     return _sweep(weights, target_fraction, min_level)[0]
 
@@ -159,8 +129,9 @@ def _auto_projection(weights: PairWeights, target_fraction, min_level, node_attr
 
 
 def _sweep(weights: PairWeights, target_fraction, min_level, hold=False) -> tuple:
-    """select_threshold's sweep: the selection, and the chosen numerator level
-    with what its band of _sweep_bands held (None without hold)."""
+    """select_threshold's sweep, down the (level, largest component) pairs of
+    _sweep_bands: the selection, and the chosen numerator level with what its
+    band held (None without hold)."""
     target = as_fraction(target_fraction)
     if not (0 < target <= 1):
         raise ValidationError(f"target fraction {target} must lie in (0, 1]")
@@ -171,18 +142,12 @@ def _sweep(weights: PairWeights, target_fraction, min_level, hold=False) -> tupl
     d = weights.denominator
     floor = None if min_level is None else _threshold_level(weights, as_fraction(min_level))
 
-    uf = UnionFind(n)
     sweep: list[tuple[Fraction, Fraction]] = []
-    for numerators, edges, held in _sweep_bands(weights, floor, hold):  # descending levels
-        joined = 0
-        for level_numer in numerators:
-            while joined < len(edges) and edges[joined][0] >= level_numer:
-                uf.union(edges[joined][1], edges[joined][2])
-                joined += 1
-            level = Fraction(level_numer, d)
-            frac = Fraction(uf.largest, n)
+    for levels, held in _sweep_bands(weights, floor, hold):
+        for level_numer, largest in levels:  # descending
+            level, frac = Fraction(level_numer, d), Fraction(largest, n)
             sweep.append((level, frac))
-            if uf.largest * target.denominator >= target.numerator * n:
+            if largest * target.denominator >= target.numerator * n:
                 return ThresholdSelection(level, frac, sweep, target), (level_numer, held)
 
     raise NoGiantComponentError(

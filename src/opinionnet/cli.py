@@ -59,18 +59,28 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _temporary(args, final: Path) -> Path:
+    """A temporary path beside final; args.pending maps it to final until
+    _move_into_place moves it there, and main removes it if the command fails."""
+    temp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+    args.pending[temp] = final
+    return temp
+
+
+def _move_into_place(args, temps) -> list:
+    """Move each temporary output to its file, in order; returns the files."""
+    for temp in temps:
+        os.replace(temp, args.pending[temp])
+    return [args.pending.pop(temp) for temp in temps]
+
+
 def _outputs(args, **suffixes) -> dict:
     """Temporary paths for the files named `--out-prefix` plus each suffix,
-    each beside its file; makes their directory. args.pending maps each to
-    its file until _write_manifest moves it there."""
+    each beside its file; makes their directory. See _temporary."""
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for name, suffix in suffixes.items():
-        final = prefix.with_name(prefix.name + suffix)
-        paths[name] = final.with_name(f".{final.name}.{os.getpid()}.tmp")
-        args.pending[paths[name]] = final
-    return paths
+    return {name: _temporary(args, prefix.with_name(prefix.name + suffix))
+            for name, suffix in suffixes.items()}
 
 
 def _write_manifest(args, command: str, parameters: dict, input_names, outputs: dict) -> None:
@@ -90,10 +100,7 @@ def _write_manifest(args, command: str, parameters: dict, input_names, outputs: 
     }
     path = _outputs(args, manifest=".manifest.json")["manifest"]
     _write_json(path, manifest)
-    temps = [*outputs.values(), path]
-    for temp in temps:
-        os.replace(temp, args.pending[temp])
-    print("wrote " + ", ".join(str(args.pending.pop(temp)) for temp in temps))
+    print("wrote " + ", ".join(map(str, _move_into_place(args, [*outputs.values(), path]))))
 
 
 def _sign_counts(graph) -> str:
@@ -117,7 +124,7 @@ def _scale_summary(schema: SurveySchema) -> str:
 def cmd_inspect(args) -> int:
     schema, matrix = _load_inputs(args)
     if args.dump_normalized:
-        write_normalized_csv(renormalize(matrix), args.dump_normalized)
+        write_normalized_csv(renormalize(matrix), _temporary(args, Path(args.dump_normalized)))
     report = matrix.report
     summary = {
         "n_participants": matrix.n_participants,
@@ -138,6 +145,7 @@ def cmd_inspect(args) -> int:
               f"missing cells: {report.missing_cells}")
         if schema.attribute_columns:
             print(f"attributes: {', '.join(schema.attribute_columns)}")
+    _move_into_place(args, [*args.pending])  # the dump, if any, once the summary is out
     return 0
 
 

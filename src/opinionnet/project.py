@@ -589,15 +589,18 @@ def _find_roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return root
 
 
-def _root_merges(n_nodes: int, held: list):
+def _root_merges(n_nodes: int, held: list, size=None):
     """Kruskal's forest of the held (level, u, v) column parts over nodes
-    0..n_nodes-1, with the same components at every level, and the parent
-    forest of the components at the lowest level. The parts are released.
+    0..n_nodes-1, with the same components at every level; the parent forest
+    of the components at the lowest level; and, given size, each merging
+    run's level and the largest component it made. The parts are released.
 
     The edges are sorted by level, descending, and taken in runs of one level
     and at most SWEEP_HELD_BYTES // 64 edges. The roots a run joins are merged
     by _component_roots, each into the smallest root of its component, and
-    every merge is one forest edge (level, root, merged root).
+    every merge is one forest edge (level, root, merged root). size holds the
+    component size of each root the edges end at; each merged root's size is
+    added to its new root's.
     """
     level, us, vs = (np.concatenate(column) for column in zip(*held))
     held.clear()
@@ -605,7 +608,7 @@ def _root_merges(n_nodes: int, held: list):
     level, us, vs = level[order], us[order], vs[order]
     del order
     parent = np.arange(n_nodes, dtype=us.dtype)
-    merges = [(level[:0], us[:0], vs[:0])]
+    merges, runs = [(level[:0], us[:0], vs[:0])], []
     run = max(1, SWEEP_HELD_BYTES // 64)
     cuts = np.union1d(np.flatnonzero(np.diff(level)) + 1, np.arange(run, len(level), run))
     for a, b in zip([0, *cuts], [*cuts, len(level)]):
@@ -616,9 +619,13 @@ def _root_merges(n_nodes: int, held: list):
         touched, ends = np.unique(np.concatenate([ru[apart], rv[apart]]), return_inverse=True)
         root = touched[_component_roots(len(touched), *np.split(ends, 2))]
         moved = root != touched
-        parent[touched[moved]] = root[moved]
-        merges.append((np.full(int(moved.sum()), level[a]), root[moved], touched[moved]))
-    return tuple(np.concatenate(column) for column in zip(*merges)), parent
+        merged, root = touched[moved], root[moved]
+        parent[merged] = root
+        merges.append((np.full(len(merged), level[a]), root, merged))
+        if size is not None:
+            np.add.at(size, root, size[merged])
+            runs.append((level[a], size[root].max()))
+    return tuple(np.concatenate(column) for column in zip(*merges)), parent, runs
 
 
 def _band_pivots(kernel: PairWeights, lowest) -> np.ndarray:
@@ -688,24 +695,25 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
     bands of numerator levels from the top down to floor (default: the
     lowest level of the weight range).
 
-    Yields per band its levels present among all pairs, descending; edges
-    (numerator, u, v), heaviest first, that give the components at each of
-    those levels when joined after the earlier bands' edges; and, with hold,
+    Yields per band its levels present among all pairs, descending, each
+    with the size of the largest component at that level; and, with hold,
     every pair the band selected, for _held_pairs, or None past the budget.
 
     Equal rows (equal answers and missing pattern) are scanned once: a copy
     pairs with every row as its first row does, and no pair of that row
     weighs more than its pair with the copy, their shared self-level (every
     item table's diagonal is its row maximum). So a copy joins its first row
-    at that level, and the bands scan the first rows only, on a private copy
-    of the kernel, without co-answered counts unless hold. A band is one scan
-    of the upper-triangle tiles at its floor: every selected level is present,
-    and only the pairs across the components at the band's top are held
-    (Filter-Kruskal; Osipov, Sanders & Singler 2009). Held pairs past
+    at that level, as one more held pair, and the bands scan the first rows
+    only, on a private copy of the kernel, without co-answered counts unless
+    hold. A band is one scan of the upper-triangle tiles at its floor: every
+    selected level is present, and only the pairs across the components at
+    the band's top, each labelled by a root participant, are held
+    (Filter-Kruskal; Osipov, Sanders & Singler 2009). Its end merges them
+    level by level, adding up component sizes (_root_merges). Held pairs past
     SWEEP_HELD_BYTES are compacted into a forest with the same components at
-    every level, and the levels of the selected pairs are deduplicated once
-    they pass SWEEP_LEVEL_BYTES, not tile by tile, so memory stays near one
-    tile plus the two budgets.
+    every level, which the end merges again, and the levels of the selected
+    pairs are deduplicated once they pass SWEEP_LEVEL_BYTES, not tile by
+    tile, so memory stays near one tile plus the two budgets.
 
     With hold, a band also keeps every pair it selects as (level, i, j) over
     the scanned rows, 12 B per pair on the float32 rung, until they pass
@@ -724,9 +732,12 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
         kernel._x, kernel._y = weights._x[rows], weights._y[rows]
         kernel._m = None if kernel._m is None else kernel._m[rows]
 
-    n = len(rows)
-    label = np.arange(n, dtype=np.int32)  # each row's component at the band's top
+    n, n_all = len(rows), weights.n_participants
+    label = rows.astype(np.int32)  # each row's component, as a participant, at the band's top
     no_pairs = (np.empty(0, kernel._x.dtype), label[:0], label[:0])  # (level, u, v) over labels
+    own, first_row, copy_of = copies
+    first_at = np.searchsorted(rows, first_row)  # each copy's first row among rows
+    size, largest = np.ones(n_all, dtype=np.int64), 1  # component sizes by root
     pivots = _band_pivots(kernel, lowest)
     top = math.inf
     for pivot in [*pivots[pivots > floor], floor]:
@@ -740,27 +751,28 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
             held_bytes += sum(column.nbytes for column in pairs)
             if level_bytes > SWEEP_LEVEL_BYTES:
                 levels, level_bytes = [np.unique(np.concatenate(levels))], 0
-            if held_bytes > SWEEP_HELD_BYTES:
-                forest, held_bytes = _root_merges(n, held)[0], 0
+            if held_bytes > SWEEP_HELD_BYTES:  # the band's end merges this forest again
+                forest, held_bytes = _root_merges(n_all, held)[0], 0
                 held.append(forest)
             if kept is not None:
                 kept.append((values, *ends))
                 kept_bytes += values.nbytes + sum(column.nbytes for column in ends)
                 if kept_bytes > SWEEP_HELD_BYTES:  # so would every lower band's pairs
                     kept = hold = None
-        levels = np.unique(np.concatenate(levels)).astype(np.int64)
-        (level, us, vs), parent = _root_merges(n, held)
+        joins = np.flatnonzero((own >= pivot) & (own < top))
+        held.append((own[joins].astype(no_pairs[0].dtype),  # exact on the rung
+                     label[first_at[joins]], copy_of[joins].astype(label.dtype)))
+        _, parent, runs = _root_merges(n_all, held, size)
+        runs = np.array(runs, dtype=np.int64).reshape(-1, 2)  # (level, largest) per run
         label = _find_roots(parent, label)
-        joins = (copies[0] >= pivot) & (copies[0] < top)
-        present = np.union1d(levels, copies[0][joins])
-        level = np.concatenate([level.astype(np.int64), copies[0][joins]])
-        us = np.concatenate([rows[us], copies[1][joins]])
-        vs = np.concatenate([rows[vs], copies[2][joins]])
-        heavy = np.argsort(level, kind="stable")[::-1]
-        yield (present[present < top][::-1].tolist(),
-               list(zip(level[heavy].tolist(), us[heavy].tolist(), vs[heavy].tolist())),
+        present = np.union1d(np.concatenate(levels), own[joins]).astype(np.int64)
+        present = present[present < top][::-1]
+        # the largest component at each level: that after the last run at or above it
+        largest = np.maximum.accumulate([largest, *runs[:, 1]])
+        at = np.searchsorted(-runs[:, 0], -present, side="right")
+        yield (list(zip(present.tolist(), largest[at].tolist())),
                None if kept is None else (rows, copies, kept))
-        top = pivot
+        largest, top = largest[-1], pivot
 
 
 def _held_pairs(held, level: int) -> tuple:

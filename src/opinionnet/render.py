@@ -197,6 +197,7 @@ _GRAPH_FIELD_TYPES = {
     "threshold": "string",
     "negative_threshold": "string",
 }
+_LAYOUT_KEYS = ("nx", "ny")  # the node keys of an embedded layout's x and y; never attributes
 
 
 def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = None) -> None:
@@ -427,9 +428,11 @@ class _GraphMLReader:
             elif depth == 2 and tag == "graph" and not self.seen_graph:
                 self.in_graph = self.seen_graph = True
         elif tag == "data" and (depth == 3 or (depth == 4 and self.element is not None)):
-            domain, name = self.keys.get(attrs.get("key"), (None, None))
+            key = attrs.get("key")
+            domain, name = self.keys.get(key, (None, None))
             data = self.graph_data if depth == 3 else self.element[2]
-            if name is not None and domain == ("graph" if depth == 3 else self.element[0]):
+            if (name is not None and domain == ("graph" if depth == 3 else self.element[0])
+                    and not (depth == 4 and key in _LAYOUT_KEYS)):
                 self.data, self.name = data, name
                 data[name] = ""
         elif depth == 3 and tag in ("node", "edge"):
@@ -450,8 +453,6 @@ class _GraphMLReader:
                 if attrs.get("id") is None:
                     raise ValidationError(f"a node in {self.path} has no id")
                 self.nodes.append(attrs["id"])
-                data.pop("x", None)
-                data.pop("y", None)
                 if data:
                     self.node_attrs[attrs["id"]] = data
             elif attrs.get("source") is None or attrs.get("target") is None:

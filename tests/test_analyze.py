@@ -565,6 +565,19 @@ def test_scan_and_sweep_peaks_stay_within_four_tiles_as_n_grows(n):
     assert max(sweep_peak, scan_peak) <= 4 * _tile_bytes()
 
 
+@pytest.mark.parametrize("mode", ["binarized_agreement", "exact_agreement"])
+def test_integer_weight_peaks_stay_within_four_tiles_and_the_held_budget(mode):
+    # integer weights have few levels, so the band that reaches the target
+    # holds many pairs across components beside its tiles: 5.4 MB (binarized)
+    # and 4.6 MB (exact) at N = 10,000, above four tiles' 4.7 MB
+    rows, ks = _bench_survey(10_000)
+    w = weights_from_rows(rows, ks, mode)
+    selection, sweep_peak = _traced_peak(lambda: select_threshold(w, F(1, 2)))
+    graph, scan_peak = _traced_peak(lambda: project_participants(w, selection.chosen_threshold))
+    assert graph.n_edges > 0
+    assert max(sweep_peak, scan_peak) <= 4 * _tile_bytes() + project.SWEEP_HELD_BYTES
+
+
 def test_min_level_floor_triggers_explicit_failure():
     # three equal blocks pairwise different on every item never reach 1/2
     # above level 0

@@ -444,6 +444,31 @@ def test_inspect_dump_normalized(tmp_path, capsys):
     assert lines[2] == "p001,0,-1/3"
 
 
+def test_a_failed_normalized_dump_leaves_no_file_behind(tmp_path, capsys, monkeypatch):
+    schema = write_schema(tmp_path / "schema.json", [5, 4])
+    survey = write_survey(tmp_path / "survey.csv", [5, 4], [[0, 3], [2, 1]])
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["inspect", "--survey", str(survey), "--schema", str(schema),
+            "--dump-normalized", str(out / "norm.csv")]
+
+    def full_disk(normalized, path):  # a partial first line, then the disk is full
+        Path(path).write_text("pid,q00")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(cli, "write_normalized_csv", full_disk)
+    assert main(argv) == 2
+    block = json.loads(capsys.readouterr().err)
+    assert block["error"]["type"] == "ValidationError" and block["error"]["exit_code"] == 2
+    assert os.strerror(errno.ENOSPC) in block["error"]["message"]
+    assert list(out.iterdir()) == []  # no partial dump, no temporary file
+
+    (out / "norm.csv").write_bytes(b"an earlier dump\n")
+    assert main(argv) == 2
+    assert [path.name for path in out.iterdir()] == ["norm.csv"]
+    assert (out / "norm.csv").read_bytes() == b"an earlier dump\n"
+
+
 def test_thread_env_var_does_not_change_output(tmp_path):
     # the pair kernel runs on BLAS; its thread count must not reach the outputs
     ks = [4] * 10 + [5] * 3

@@ -29,7 +29,7 @@ from opinionnet import render
 from opinionnet.render import escape, quoteattr
 
 from helpers import graph_from_edges, make_matrix
-from oracles import fr_positions_add_at
+from oracles import expat_import_graphml, fr_positions_add_at
 
 
 def F(*args):
@@ -291,6 +291,24 @@ def test_graphml_with_layout_positions_embedded(tmp_path):
     back = import_graphml(path)  # positions ignored, graph intact
     assert back.edges == graph.edges
     assert back.node_attrs == graph.node_attrs
+
+
+@pytest.mark.parametrize("with_layout", [False, True])
+def test_graphml_keeps_node_attributes_named_x_and_y(tmp_path, with_layout):
+    # only the layout's own keys are skipped on import, not every attribute
+    # that shares their names
+    graph = ProjectionGraph(
+        "participant", ["a", "b", "c"], [Edge("a", "b", F(2))],
+        node_attrs={"a": {"x": "left", "party": "D"}, "b": {"y": "0.5"},
+                    "c": {"x": "right", "y": "top"}},
+        threshold_used=F(1), extra={"mode": "exact_agreement", "n_items": 3})
+    layout = fr_layout(graph, seed=1, iterations=5) if with_layout else None
+    path = tmp_path / "g.graphml"
+    export_graphml(graph, path, layout=layout)
+    for read in (import_graphml, expat_import_graphml):
+        back = read(path)
+        assert back.node_attrs == graph.node_attrs
+        assert back.edges == graph.edges
 
 
 def test_graphml_deterministic_bytes(tmp_path):
