@@ -192,8 +192,11 @@ def cmd_project(args) -> int:
             for level, frac in selection.sweep
         ]
         outputs["sweep"].write_text("\n".join(rows) + "\n", encoding="utf-8")
+        # the sweep's giant at the chosen level is the projection's: the same
+        # participants and the same positive edges, so no components pass
+        giant = selection.giant_fraction_at_chosen
         print(f"auto threshold: {format_fraction(threshold)} "
-              f"(giant fraction {format_fraction(selection.giant_fraction_at_chosen)})")
+              f"(giant fraction {format_fraction(giant)})")
     else:
         del outputs["sweep"]
         threshold = as_fraction(args.threshold)
@@ -202,12 +205,13 @@ def cmd_project(args) -> int:
     if graph is None:
         graph = project_participants(weights, threshold, negative_threshold=negative,
                                      node_attrs=node_attrs)
+    if args.threshold != "auto":
+        giant = connected_components(graph).giant_fraction
     export_graphml(graph, outputs["graphml"])
     export_edgelist(graph, outputs["edges"])
-    components = connected_components(graph)
     print(f"projected {graph.n_nodes} participants: {_sign_counts(graph)} "
           f"at threshold {format_fraction(threshold)}")
-    print(f"largest component: {format_fraction(components.giant_fraction)} of nodes")
+    print(f"largest component: {format_fraction(giant)} of nodes")
     _write_manifest(args, "project", parameters, SURVEY_INPUTS, outputs)
     return 0
 

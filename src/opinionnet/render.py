@@ -12,7 +12,7 @@ import numbers
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 from pathlib import Path
 from xml.parsers import expat
 
@@ -73,23 +73,33 @@ def _write_with_edges(path, before, graph: ProjectionGraph, sources, targets, ta
 
     sources and targets hold one string per node; tail is called once per
     distinct (weight, sign, style) combination, so no per-edge Fraction is
-    built or formatted. Edge lines are joined and written _EDGE_CHUNK at a
-    time, each chunk in one C-level join of the three string columns, so
-    memory is bounded by the chunk, not by the file.
+    built or formatted. The three string columns are 1-D object arrays (the
+    tails indexed by combination code). Edge lines are written _EDGE_CHUNK
+    at a time: numpy gathers each chunk's sources, targets and tails into
+    the columns of one (chunk, 3) object buffer, allocated once per call,
+    and its rows are joined in one C-level join. So no Python code runs per
+    edge, and memory is bounded by the chunk, not by the file.
     """
-    tails = {}  # combination code -> its formatted tail and line end
+    sources = np.array(sources, dtype=object)
+    targets = np.array(targets, dtype=object)
+    tails = np.empty(len(graph.weight_table) * 6, dtype=object)  # combination code -> tail
+    made = np.zeros(len(tails), dtype=bool)
+    buffer = np.empty((min(_EDGE_CHUNK, graph.n_edges), 3), dtype=object)
     with open(path, "w", encoding="utf-8") as out:
         out.writelines(line + "\n" for line in before)
         for s in range(0, graph.n_edges, _EDGE_CHUNK):
             e = s + _EDGE_CHUNK
-            combo = ((graph.weight_codes[s:e].astype(np.int64) * 2 + graph.signs[s:e]) * 3
-                     + graph.styles[s:e]).tolist()
-            for c in set(combo) - tails.keys():
+            combo = ((graph.weight_codes[s:e].astype(np.intp) * 2 + graph.signs[s:e]) * 3
+                     + graph.styles[s:e])
+            new = combo[~made[combo]]
+            for c in set(new.tolist()):
                 tails[c] = tail(graph.weight_table[c // 6], SIGNS[c // 3 % 2], STYLES[c % 3]) + "\n"
-            out.write("".join(chain.from_iterable(zip(
-                map(sources.__getitem__, graph.us[s:e].tolist()),
-                map(targets.__getitem__, graph.vs[s:e].tolist()),
-                map(tails.__getitem__, combo)))))
+            made[new] = True
+            rows = buffer[:len(combo)]
+            rows[:, 0] = sources[graph.us[s:e]]
+            rows[:, 1] = targets[graph.vs[s:e]]
+            rows[:, 2] = tails[combo]
+            out.write("".join(rows.ravel().tolist()))
         out.writelines(line + "\n" for line in after)
 
 

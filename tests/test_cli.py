@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from opinionnet import (
     binarized_agreement_weights,
     export_edgelist,
     export_graphml,
+    import_graphml,
     load_survey,
     project_attitudes,
     project_participants,
@@ -169,13 +171,15 @@ def test_project_negative_threshold_and_fraction_string(tmp_path):
             assert Fraction(cells[2]) <= -3
 
 
-def duplicate_heavy_inputs(tmp_path):
-    """200 rows of ten 4-point and three 5-point items, 3% of the cells
-    missing, about half of the rows copies of four rows."""
+def duplicate_heavy_inputs(tmp_path, missing_rate=0.03, duplicates=True):
+    """200 rows of ten 4-point and three 5-point items, missing_rate of the
+    cells missing and, with duplicates, about half of the rows copies of four
+    rows."""
     rng = random.Random(16)
     ks = [4] * 10 + [5] * 3
-    rows = random_rows(rng, 200, ks, missing_rate=0.03)
-    rows = [list(rng.choice(rows[:4])) if rng.random() < 0.5 else row for row in rows]
+    rows = random_rows(rng, 200, ks, missing_rate=missing_rate)
+    if duplicates:
+        rows = [list(rng.choice(rows[:4])) if rng.random() < 0.5 else row for row in rows]
     schema = write_schema(tmp_path / "schema.json", ks)
     survey = write_survey(tmp_path / "survey.csv", ks,
                           [["NA" if c is None else c for c in row] for row in rows])
@@ -238,6 +242,31 @@ def test_auto_projection_with_a_negative_threshold_sweeps_then_scans(tmp_path, m
     assert written[".edges.csv"] == edgelist_bytes(graph, tmp_path / "expected.csv")
     assert written[".sweep.csv"].decode().splitlines()[1:] == [
         f"{format_fraction(t)},{format_fraction(f)},{float(f)!r}" for t, f in selection.sweep]
+
+
+@pytest.mark.parametrize("mode, missing_rate, duplicates, extra", [
+    ("score", 0.0, False, []),
+    ("score", 0.03, False, []),
+    ("binarized", 0.0, False, []),
+    ("binarized", 0.03, False, []),
+    ("score", 0.03, True, []),
+    ("binarized", 0.03, True, []),
+    ("score", 0.03, True, ["--negative-threshold", "-2"]),
+], ids=["score-complete", "score-missing", "binarized-complete", "binarized-missing",
+        "score-copies", "binarized-copies", "score-copies-negative"])
+def test_auto_projection_prints_the_largest_component_its_sweep_chose(
+        tmp_path, capsys, monkeypatch, mode, missing_rate, duplicates, extra):
+    survey, schema = duplicate_heavy_inputs(tmp_path, missing_rate, duplicates)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("the sweep already knows the largest component")
+
+    monkeypatch.setattr(cli, "connected_components", not_called)
+    _auto_run(tmp_path, survey, schema, mode, *extra)
+    printed = re.search(r"largest component: (\S+) of nodes", capsys.readouterr().out)
+    graph = import_graphml(tmp_path / "run.graphml")
+    assert Fraction(printed.group(1)) == analyze.connected_components(graph).giant_fraction
+    assert bool(extra) == (not graph.positive_mask().all())  # the negative run has both signs
 
 
 def test_auto_threshold_on_rescaled_weights_exits_2(tmp_path, capsys):
