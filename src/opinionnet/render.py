@@ -12,7 +12,7 @@ import numbers
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
 from pathlib import Path
 from xml.parsers import expat
 
@@ -288,15 +288,18 @@ def import_graphml(path) -> ProjectionGraph:
     be declared before the graph that uses them, as GraphML requires.
 
     The file is read in chunks cut at line ends. Each run of edge lines in
-    export_graphml's exact form is lifted out by one regex, which captures
-    three columns (each line's source, target and whole tail of data
-    elements), and is replaced by a placeholder processing instruction;
-    expat parses the rest. Each distinct tail is decoded once into its
-    weight, sign and style. The lifted edges count only if expat reports
+    export_graphml's exact form, and each run of attribute-free node lines
+    (<node id="..."/>) between them, is lifted out and replaced by a
+    placeholder processing instruction; expat parses the rest. A regex split
+    matches only the edge heads, capturing each source and target; the text
+    after a head is its tail candidate, and each distinct candidate is
+    checked once against the tail's exact form and later decoded once into
+    its weight, sign and style. The lifted lines count only if expat reports
     every placeholder where it was put, as a child of the first <graph>, and
-    the file is plain UTF-8 with no DOCTYPE and with the edge keys declared
-    as export_graphml declares them. Any other file is parsed again whole by
-    expat, with nothing lifted, so every file reads as expat alone reads it.
+    the file is plain UTF-8 with no DOCTYPE and, for edges, with the edge
+    keys declared as export_graphml declares them. Any other file is parsed
+    again whole by expat, with nothing lifted, so every file reads as expat
+    alone reads it.
     """
     path = Path(path)
     if not path.exists():
@@ -310,17 +313,18 @@ def import_graphml(path) -> ProjectionGraph:
 
 _CHUNK = 1 << 20  # bytes read per step of the lifted parse, then cut back to a line end
 _PLACEHOLDER = "opinionnet-lifted-edges"
-_MARK = f"<?{_PLACEHOLDER}?>".encode()
+_NODE_PLACEHOLDER = "opinionnet-lifted-nodes"
+_MARKS = {kind: f"<?{kind}?>".encode() for kind in (_PLACEHOLDER, _NODE_PLACEHOLDER)}
 # A value that expat passes on unchanged: no markup, entity reference or quote,
 # no control character (expat turns tabs and line ends in attribute values into
 # spaces and \r in text into \n), nothing that XML forbids, and no byte that
 # is not UTF-8 (decoded to a lone surrogate, which expat is left to reject).
 _PLAIN = '[^"&<>\\x00-\\x1f\\ud800-\\udfff\\ufffe\\uffff]*'
-# compiled on first use (re caches it), not at import: the CLI starts faster
-_EDGE_LINE = (
-    f'    <edge source="({_PLAIN})" target="({_PLAIN})">(<data key="e_weight">{_PLAIN}</data>'
-    f'<data key="e_weight_decimal">{_PLAIN}</data><data key="e_sign">{_PLAIN}</data>'
-    f'<data key="e_style">{_PLAIN}</data></edge>)\n')
+# compiled on first use (re caches them), not at import: the CLI starts faster
+_EDGE_HEAD = f'    <edge source="({_PLAIN})" target="({_PLAIN})">'
+_EDGE_TAIL = (f'<data key="e_weight">{_PLAIN}</data><data key="e_weight_decimal">{_PLAIN}</data>'
+              f'<data key="e_sign">{_PLAIN}</data><data key="e_style">{_PLAIN}</data></edge>\n')
+_NODE_LINE = f'    <node id="({_PLAIN})"/>\n'
 _TAIL_VALUES = 'key="e_(?:weight|sign|style)">([^<]*)<'  # a lifted tail's weight, sign, style
 _EDGE_KEYS = {"e_weight": ("edge", "weight"), "e_sign": ("edge", "sign"),
               "e_style": ("edge", "style")}
@@ -338,8 +342,9 @@ class _GraphMLReader:
     expat read. Ids and tails are checked once per file, not once per edge.
 
     parse() reads the whole file with expat. lift() reads it with runs of
-    canonical edge lines lifted out, and returns None whenever that reading
-    could differ from parse()'s.
+    canonical edge lines and of attribute-free node lines lifted out, each
+    run's ids and tails taken from its placeholder in document order, and
+    returns None whenever that reading could differ from parse()'s.
     """
 
     def __init__(self, path: Path):
@@ -349,7 +354,8 @@ class _GraphMLReader:
         self.ids = defaultdict(count().__next__)  # node id -> code, in first-seen order
         self.tails = defaultdict(count().__next__)  # tail -> code
         self.columns = ([], [], [])  # source, target and tail codes per edge
-        self.runs = deque()  # (offset, edges) of placeholders fed but not yet reported
+        self.runs = deque()  # (offset, kind, run) of placeholders fed but not yet reported
+        self.fed = 0  # bytes handed to expat, or put in the chunk it gets next
         self.depth = 0
         self.in_graph = self.seen_graph = False
         self.element = None  # (tag, attributes, data) of the open node or edge
@@ -373,7 +379,7 @@ class _GraphMLReader:
         parser.ProcessingInstructionHandler = self.placeholder
         parser.StartDoctypeDeclHandler = self.doctype
         parser.XmlDeclHandler = self.declaration
-        fed, rest = 0, b""
+        rest = b""
         try:
             with open(self.path, "rb") as fh:
                 while True:
@@ -381,44 +387,81 @@ class _GraphMLReader:
                     data = rest + block
                     cut = data.rfind(b"\n") + 1 if block else len(data)
                     if cut:
-                        data, rest = self._lifted(data[:cut], fed), data[cut:]
+                        data, rest = self._lifted(data[:cut]), data[cut:]
                     else:  # no line end, so no line to lift: expat gets it as it is
                         rest = b""
+                        self.fed += len(data)
                     parser.Parse(data, not block)
-                    fed += len(data)
                     if not block:
                         break
         except (expat.ExpatError, ValidationError, _Unconfirmed):
             return None
         return None if self.runs else self
 
-    def _lifted(self, chunk: bytes, fed: int) -> bytes:
-        """chunk with each run of canonical edge lines replaced by a
-        placeholder; queues the run's edge columns with the placeholder's offset."""
-        # text before each line, then its source, target and tail; bytes that are
-        # not UTF-8 (a cut inside a character, say) round-trip as lone surrogates
-        parts = re.split(_EDGE_LINE, chunk.decode("utf-8", "surrogateescape"))
-        between, columns, pieces = parts[::4], [parts[k::4] for k in range(1, 4)], []
-        # a run starts at the first line and at every line after other text
-        starts = [i for i in range(len(between) - 1) if between[i] or not i]
-        for start, stop in zip(starts, starts[1:] + [len(between) - 1]):
-            pieces.append(between[start].encode("utf-8", "surrogateescape"))
-            fed += len(pieces[-1])
-            self.runs.append((fed, [column[start:stop] for column in columns]))
-            pieces.append(_MARK)
-            fed += len(_MARK)
-        pieces.append(between[-1].encode("utf-8", "surrogateescape"))
+    def _lifted(self, chunk: bytes) -> bytes:
+        """chunk with each run of canonical edge lines, and each run of
+        attribute-free node lines between them, replaced by a placeholder."""
+        # text before the first edge head, then each head's source and target
+        # and the text after it, its tail candidate; bytes that are not UTF-8
+        # (a cut inside a character, say) round-trip as lone surrogates
+        parts = re.split(_EDGE_HEAD, chunk.decode("utf-8", "surrogateescape"))
+        sources, targets, after = parts[1::3], parts[2::3], parts[3::3]
+        lead = {}  # candidate -> length of the tail line it starts with, None if none
+        for text in set(after):
+            line = re.match(_EDGE_TAIL, text)
+            lead[text] = line.end() if line else None
+        # a candidate that is exactly one tail line keeps its run going
+        broken = {text: end != len(text) for text, end in lead.items()}
+        pieces, text, start = [], [parts[0]], 0
+        for k in [*compress(count(), map(broken.__getitem__, after)), len(after)]:
+            end = lead[after[k]] if k < len(after) else None
+            stop = k + 1 if end else k  # the run's edges are start..stop
+            if stop > start:
+                self._text(pieces, "".join(text))
+                tails = after[start:k] + [after[k][:end]] if end else after[start:k]
+                self._mark(pieces, _PLACEHOLDER, (sources[start:stop], targets[start:stop], tails))
+                text = []
+            if k < len(after):  # a tail line's trailing text, or a head without a tail
+                text.append(after[k][end:] if end else
+                            f'    <edge source="{sources[k]}" target="{targets[k]}">{after[k]}')
+            start = k + 1
+        self._text(pieces, "".join(text))
         return b"".join(pieces)
 
+    def _text(self, pieces: list, text: str) -> None:
+        """Put text, with each run of attribute-free node lines lifted out."""
+        parts = re.split(_NODE_LINE, text)
+        between, ids = parts[::2], parts[1::2]
+        # a run starts at the first line and at every line after other text
+        starts = [i for i in range(len(ids)) if between[i] or not i]
+        for start, stop in zip(starts, starts[1:] + [len(ids)]):
+            self._put(pieces, between[start])
+            self._mark(pieces, _NODE_PLACEHOLDER, ids[start:stop])
+        self._put(pieces, between[-1])
+
+    def _put(self, pieces: list, text: str) -> None:
+        pieces.append(text.encode("utf-8", "surrogateescape"))
+        self.fed += len(pieces[-1])
+
+    def _mark(self, pieces: list, kind: str, run) -> None:
+        """Put kind's placeholder; queue its run with the offset it is fed at."""
+        self.runs.append((self.fed, kind, run))
+        pieces.append(_MARKS[kind])
+        self.fed += len(_MARKS[kind])
+
     def placeholder(self, target, data):
-        if target != _PLACEHOLDER:
+        if target not in _MARKS:
             return  # processing instructions are ignored, as parse() ignores them
-        offset, edges = self.runs.popleft() if self.runs else (None, ())
-        if not (offset == self.parser.CurrentByteIndex and self.depth == 2 and self.in_graph
-                and all(self.keys.get(k) == v for k, v in _EDGE_KEYS.items())
+        offset, kind, run = self.runs.popleft() if self.runs else (None, None, ())
+        if not (offset == self.parser.CurrentByteIndex and self.depth == 2 and self.in_graph):
+            raise _Unconfirmed
+        if kind == _NODE_PLACEHOLDER:
+            self.nodes.extend(run)
+            return
+        if not (all(self.keys.get(k) == v for k, v in _EDGE_KEYS.items())
                 and self.keys.get("e_weight_decimal") not in _EDGE_KEYS.values()):
             raise _Unconfirmed
-        for column, codes, values in zip(self.columns, (self.ids, self.ids, self.tails), edges):
+        for column, codes, values in zip(self.columns, (self.ids, self.ids, self.tails), run):
             column.extend(map(codes.__getitem__, values))
 
     def doctype(self, *args):

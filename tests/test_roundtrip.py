@@ -1,6 +1,7 @@
 """Generated graphs: export/import round-trips, the two constructors, networkx oracles."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +160,7 @@ READER_IDS = st.one_of(
     st.sampled_from(AWKWARD_IDS + ["t\tab", "two\nlines", "c\rr", "p 2 3", "'"]),
     st.text(XML_TEXT, min_size=1, max_size=5))
 EDGE_LINE = "    <edge "
+NODE_LINE = "    <node "
 DOCTYPES = ['<!DOCTYPE graphml [<!ATTLIST edge sign CDATA "x">]>',
             '<!DOCTYPE graphml [<!ATTLIST data key CDATA "e_sign">]>',
             '<!DOCTYPE graphml [<!ENTITY w "1">]>', "<!DOCTYPE graphml>"]
@@ -173,17 +175,19 @@ FORBIDDEN = st.sampled_from([chr(c) for c in range(32) if chr(c) not in "\t\n\r"
 
 
 def _run(draw, lines):
-    """A drawn run of edge lines as a slice [i, j); empty before </graph> if there are none."""
-    edges = [i for i, line in enumerate(lines) if line.startswith(EDGE_LINE)]
-    if not edges:
+    """A drawn run of node lines or of edge lines as a slice [i, j); empty
+    before </graph> if there are none of the drawn kind."""
+    kind = draw(st.sampled_from([NODE_LINE, EDGE_LINE]))
+    at = [i for i, line in enumerate(lines) if line.startswith(kind)]
+    if not at:
         end = lines.index("  </graph>")
         return end, end
-    i = draw(st.sampled_from(edges))
-    return i, draw(st.sampled_from([k + 1 for k in edges if k >= i]))
+    i = draw(st.sampled_from(at))
+    return i, draw(st.sampled_from([k + 1 for k in at if k >= i]))
 
 
 def _wrap(*around):
-    """Put a drawn run of edge lines between a drawn (before, after) pair of lines."""
+    """Put a drawn run of lines between a drawn (before, after) pair of lines."""
     def mangle(draw, lines):
         i, j = _run(draw, lines)
         before, after = draw(st.sampled_from(around))
@@ -207,8 +211,8 @@ def _insert(what, where):
 
 
 def _values(line, edit):
-    """line with edit(value) applied to its source and target values."""
-    return re.sub(r'(source|target)="([^"]*)"', lambda m: f'{m[1]}="{edit(m[2])}"', line)
+    """line with edit(value) applied to its source, target and id values."""
+    return re.sub(r'(source|target|id)="([^"]*)"', lambda m: f'{m[1]}="{edit(m[2])}"', line)
 
 
 def _spliced(draw, raw, what):
@@ -234,15 +238,16 @@ MANGLES = {
     "cdata": _wrap(("<![CDATA[", "]]>")),
     "doctype": _insert(st.sampled_from(DOCTYPES),
                        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'),
-    "forged_placeholder": _insert(st.sampled_from([f"<?{render._PLACEHOLDER}?>",
-                                                   f"<?{render._PLACEHOLDER} 0?>"]), None),
-    "single_quotes": _per_line(lambda draw, line: re.sub(r'(source|target)="([^"\']*)"',
+    "forged_placeholder": _insert(st.sampled_from([
+        f"<?{kind}{data}?>" for kind in (render._PLACEHOLDER, render._NODE_PLACEHOLDER)
+        for data in ("", " 0")]), None),
+    "single_quotes": _per_line(lambda draw, line: re.sub(r'(source|target|id)="([^"\']*)"',
                                                          r"\1='\2'", line)),
     "reordered": _per_line(lambda draw, line: re.sub(r'source=("[^"]*") target=("[^"]*")',
                                                      r"target=\2 source=\1", line)),
     "extra_whitespace": _per_line(lambda draw, line: line.replace(*draw(st.sampled_from(
         [("<edge ", "<edge  "), ('">', '" >'), ("</edge>", "</edge >"), ("<data ", "<data\n"),
-         ("</edge>", "</edge>  ")])))),
+         ("</edge>", "</edge>  "), ("<node ", "<node  "), ('"/>', '" />'), ("/>", "/>  ")])))),
     "raw_whitespace": _per_line(lambda draw, line: _values(line, lambda v: v.replace(
         " ", draw(st.sampled_from(["\t", "\n", "\r", "\r\n"]))))),
     "entity": _per_line(lambda draw, line: _values(line, lambda v: "".join(
@@ -296,19 +301,79 @@ def test_import_matches_the_expat_only_reader(tmp_path, graph, data):
                 (mangle, encoding)
 
 
+def _no_fallback(self):
+    raise AssertionError("whole-file fallback")
+
+
 @EXAMPLES
 @given(graph=graphs(READER_IDS), chunk=CHUNKS)
 def test_plain_exports_are_read_without_the_whole_file_fallback(tmp_path, graph, chunk):
     path = tmp_path / "g.graphml"  # rewritten by every example
     export_graphml(graph, path)
 
-    def fallback(self):
-        raise AssertionError("whole-file fallback")
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(render._GraphMLReader, "parse", fallback)
+        patch.setattr(render._GraphMLReader, "parse", _no_fallback)
         patch.setattr(render, "_CHUNK", chunk)
         assert _reading(import_graphml, path) == _reading(expat_import_graphml, path)
+
+
+# ids that export_graphml writes as they are, so their lines can be lifted
+PLAIN_IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Cn"),
+                                  blacklist_characters='"&<>'), min_size=1, max_size=5)
+
+
+@EXAMPLES
+@given(graph=graphs(PLAIN_IDS), chunk=st.sampled_from([render._CHUNK, 300, 512]))
+def test_plain_node_and_edge_lines_never_reach_expat(tmp_path, graph, chunk):
+    """expat sees only the nodes that carry data: attributes or a layout.
+    Small chunks still hold a whole line (these lines are under 300 bytes);
+    bytes with no line end are passed to expat as they are."""
+    bare = ProjectionGraph(graph.kind, graph.nodes, graph.edges, extra=graph.extra)
+    layout = fr_layout(graph, 1, iterations=0)
+    with_data = sum(map(bool, graph.node_attrs.values()))
+    seen = Counter()
+    start = render._GraphMLReader.start
+
+    def counted(self, tag, attrs):
+        seen[tag.rpartition("}")[2]] += 1
+        start(self, tag, attrs)
+
+    path = tmp_path / "g.graphml"  # rewritten by every example
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render._GraphMLReader, "start", counted)
+        patch.setattr(render._GraphMLReader, "parse", _no_fallback)
+        patch.setattr(render, "_CHUNK", chunk)
+        for exported, with_layout, nodes_seen in ((bare, None, 0), (graph, None, with_data),
+                                                   (graph, layout, graph.n_nodes)):
+            export_graphml(exported, path, with_layout)
+            seen.clear()
+            back = import_graphml(path)
+            assert (seen["node"], seen["edge"]) == (nodes_seen, 0)
+            assert (back.nodes, back.edges, back.node_attrs) == \
+                (exported.nodes, exported.edges, exported.node_attrs)
+
+
+def test_a_realistic_import_read_in_small_chunks_matches_expat(tmp_path, monkeypatch):
+    """Hundreds of nodes, thousands of edges, dozens of weights of both signs
+    and some nodes with data, read in chunks of a few KiB, so that runs of
+    lines and tail candidates cross chunk cuts."""
+    rng = np.random.default_rng(19)
+    n, n_edges = 300, 4000
+    nodes = [f"p{i:05d}" for i in range(n)]
+    iu, iv = np.triu_indices(n, 1)
+    pick = rng.choice(len(iu), n_edges, replace=False)
+    levels = rng.integers(-40, 41, n_edges)  # weights k/6, negative edges below 0
+    graph = ProjectionGraph.from_arrays(
+        "participant", nodes, iu[pick], iv[pick], [Fraction(k, 6) for k in range(-40, 41)],
+        levels + 40, (levels >= 0).astype(np.int8), rng.integers(0, 3, n_edges),
+        node_attrs={u: {"party": f"b{k % 3}"} for k, u in enumerate(nodes) if k % 37 == 5},
+        extra={"n_items": 13})
+    path = tmp_path / "g.graphml"
+    export_graphml(graph, path)
+    monkeypatch.setattr(render._GraphMLReader, "parse", _no_fallback)
+    monkeypatch.setattr(render, "_CHUNK", 3000)
+    assert len(set(levels.tolist())) > 60 and path.stat().st_size > 50 * 3000
+    assert _reading(import_graphml, path) == _reading(expat_import_graphml, path)
 
 
 def _every_awkward_id_graph():
