@@ -368,21 +368,11 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     original_count = len(us)
 
     comps = _grouped_components(graph.nodes, us, vs)
-    if len(comps) >= target_components:
-        return CommunityReport(
-            removed_edges=[],
-            removed_fraction=Fraction(0),
-            final_components=comps,
-            history=[],
-            status="already_satisfied",
-            original_edge_count=original_count,
-        )
-
     budget = (budget_fraction.numerator * original_count) // budget_fraction.denominator
     removed: list[tuple] = []
     history: list[RemovalStep] = []
-    status = "budget_exhausted"
-    while len(removed) < budget:
+    status = "already_satisfied" if len(comps) >= target_components else "budget_exhausted"
+    while status == "budget_exhausted" and len(removed) < budget:
         bet = _betweenness_fast(n, us, vs)
         # values within the float engine's 1e-9 accuracy of the maximum are
         # ties; the first of them is the lexicographically smallest edge
@@ -395,7 +385,6 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
         history.append(RemovalStep(removed[-1], value, [len(c) for c in comps]))
         if len(comps) >= target_components:
             status = "split"
-            break
 
     fraction = Fraction(len(removed), original_count) if original_count else Fraction(0)
     return CommunityReport(

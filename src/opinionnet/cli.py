@@ -25,6 +25,7 @@ from .errors import AlgorithmError, OpinionNetError, ValidationError
 from .ingest import SurveySchema, load_survey
 from .normalize import binarize, renormalize, write_normalized_csv
 from .project import (
+    _check_range,
     binarized_agreement_weights,
     exact_agreement_weights,
     project_attitudes,
@@ -178,6 +179,7 @@ def cmd_project(args) -> int:
     if args.threshold == "auto":
         target = as_fraction(args.target_fraction)
         min_level = None if args.min_level is None else as_fraction(args.min_level)
+        _check_range(weights, "negative threshold", negative)  # before the sweep, not after
         if negative is None:  # the graph comes from the pairs the sweep's last band holds
             selection, graph = _auto_projection(weights, target, min_level, node_attrs)
         else:
@@ -195,8 +197,6 @@ def cmd_project(args) -> int:
         # the sweep's giant at the chosen level is the projection's: the same
         # participants and the same positive edges, so no components pass
         giant = selection.giant_fraction_at_chosen
-        print(f"auto threshold: {format_fraction(threshold)} "
-              f"(giant fraction {format_fraction(giant)})")
     else:
         del outputs["sweep"]
         threshold = as_fraction(args.threshold)
@@ -205,7 +205,10 @@ def cmd_project(args) -> int:
     if graph is None:
         graph = project_participants(weights, threshold, negative_threshold=negative,
                                      node_attrs=node_attrs)
-    if args.threshold != "auto":
+    if args.threshold == "auto":  # once the graph exists: a refused run prints nothing
+        print(f"auto threshold: {format_fraction(threshold)} "
+              f"(giant fraction {format_fraction(giant)})")
+    else:
         giant = connected_components(graph).giant_fraction
     export_graphml(graph, outputs["graphml"])
     export_edgelist(graph, outputs["edges"])

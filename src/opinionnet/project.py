@@ -19,19 +19,20 @@ grow with N. Every product and partial sum is an integer of magnitude at most
 m*D (m items, D the shared denominator), so the product runs on one of three
 dtype rungs: float32 when m*D < 2**24, float64 when m*D < 2**53, and int64
 otherwise. Each rung holds every sum exactly, whatever the BLAS blocking or
-thread count, and blocks stay on it: the pair
-scan compares them with each threshold's exact integer level (a table by
-co-answered count for rescaled weights on incomplete data), which lies within
-+-m*D and so on the rung for any threshold, and casts only the selected
-entries to int64. Positive edges need w >= threshold, negative edges
-(disagreement ties) need w <= negative_threshold. Exact-agreement projections
-at levels m and m-1 on complete data skip the pair scan and sort rows instead.
+thread count, and blocks stay on it. One routine, _tile_pairs, selects
+the pairs of a tile for every pass: it compares the block with a threshold's
+exact integer level (a table by co-answered count for rescaled weights on
+incomplete data), which lies within +-m*D and so on the rung for any
+threshold, and the selected numerators stay on the rung too. Positive edges
+need w >= threshold, negative edges (disagreement ties) need
+w <= negative_threshold. Exact-agreement projections at levels m and m-1 on
+complete data skip the pair scan and sort rows instead.
 The threshold sweep's pass over all pairs also lives here: _sweep_bands scans
 one row of each group of equal rows, on a private copy of the kernel without
 co-answered counts, in bands of weight levels from the top down until the
 caller stops. A band holds only the pairs across its components, compacted
 into a forest when they pass a byte budget, and the levels present are the
-values of the pairs it scans. For `project --threshold auto` the bands also
+values of the pairs it selects. For `project --threshold auto` the bands also
 keep every pair they select, within the same budget, on the kernel with its
 counts; the band that reaches the chosen level then holds the whole graph
 at that level, and _held_pairs expands it back over the equal rows, so the
@@ -455,15 +456,6 @@ def _threshold_level(weights: PairWeights, threshold: Fraction, *, negative: boo
     return np.array(levels, dtype=weights._x.dtype)
 
 
-def _select_block(numer, co, level, *, negative: bool):
-    """Boolean selection of a kernel block, on its rung dtype, against a
-    _threshold_level: one integer, or a table looked up by each pair's
-    co-answered count."""
-    if isinstance(level, np.ndarray):
-        level = level[co.astype(np.min_scalar_type(len(level) - 1))]  # counts <= m
-    return numer <= level if negative else numer >= level
-
-
 def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
     if weights.rescale and co is not None:
         if not co:
@@ -473,42 +465,51 @@ def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
 
 
 def _scan_edges(weights: PairWeights, level, negative_level):
-    """Pairs past either level, from a scan of the upper-triangle tiles.
-
-    Returns index arrays (i, j), their sign codes, numerators and, for
-    rescaled weights on incomplete data, co-answered counts (else None).
+    """Pairs past either level, from a scan of the upper-triangle tiles
+    (_tile_pairs): int32 index arrays (i, j), their sign codes, numerators on
+    the kernel's rung and, for rescaled weights on incomplete data, co-answered
+    counts (else None).
     """
     parts = [part for tile in _upper_tiles(weights.n_participants)
-             for part in _tile_edges(weights, *tile, level, negative_level)]
+             for part in _tile_pairs(weights, *tile, level, negative_level)]
     return tuple(None if column[0] is None else np.concatenate(column) for column in zip(*parts))
 
 
-def _tile_edges(weights: PairWeights, r0: int, r1: int, c0: int, c1: int, level,
-                negative_level) -> list:
-    """One scan tile: rows r0..r1-1 against columns c0..c1-1.
+def _tile_pairs(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, level,
+                negative_level=None) -> list:
+    """The pairs i < j of one scan tile, rows r0..r1-1 against columns
+    c0..c1-1, whose numerators lie at or above a _threshold_level (and at or
+    below negative_level, when given): per sign, int32 (i, j), int8 sign
+    codes, the numerators on the kernel's rung and, for rescaled weights on
+    incomplete data, the co-answered counts (else None).
 
-    Each sign's selection is flattened once; only the selected entries are
-    cast to int64. The tile is freed on return, before the next is computed.
+    A level is one integer, or a table looked up by each pair's co-answered
+    count. Unrescaled weights drop the counts as soon as the product returns,
+    and each sign's selection is flattened once; the tile is freed on return,
+    before the next is computed.
     """
-    numer, co = weights.block_numerators(r0, r1, c0, c1)
-    rescaled = weights.rescale and co is not None
+    numer, co = kernel.block_numerators(r0, r1, c0, c1)
+    co = co if kernel.rescale else None
     parts = []
     for sign, lev in ((POSITIVE, level), (NEGATIVE, negative_level)):
         if lev is None:
             continue
-        sel = _select_block(numer, co, lev, negative=sign == NEGATIVE)
+        if isinstance(lev, np.ndarray):
+            lev = lev[co.astype(np.min_scalar_type(len(lev) - 1))]  # counts <= m
+        sel = numer <= lev if sign == NEGATIVE else numer >= lev
         if c0 == r0:
             sel &= ~np.tri(r1 - r0, dtype=bool)  # each pair once
         flat = np.flatnonzero(sel)
         ii, jj = np.divmod(flat, c1 - c0)
-        parts.append((ii + r0, jj + c0, np.full(len(flat), SIGNS.index(sign), dtype=np.int8),
-                      numer.ravel()[flat].astype(np.int64),
-                      co.ravel()[flat].astype(np.int64) if rescaled else None))
+        parts.append(((ii + r0).astype(np.int32), (jj + c0).astype(np.int32),
+                      np.full(len(flat), SIGNS.index(sign), dtype=np.int8), numer.ravel()[flat],
+                      None if co is None else co.ravel()[flat]))
     return parts
 
 
 def _weight_table(weights: PairWeights, numer: np.ndarray, co) -> tuple[list, np.ndarray]:
-    """Distinct exact weights of a numerator (and co-answered) array, and each entry's code."""
+    """Distinct exact weights of a numerator (and co-answered) array, on any
+    kernel rung (each holds them as exact integers), and each entry's code."""
     if co is None:
         keys, codes = np.unique(numer, return_inverse=True)
         table = [_pair_weight_fraction(weights, k, None) for k in keys.tolist()]
@@ -673,23 +674,6 @@ def _distinct_rows(weights: PairWeights) -> tuple:
     return np.sort(firsts), (own, joined, order[~first])
 
 
-def _band_tile(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, pivot, label) -> tuple:
-    """The pairs of one scan tile at or above a band's pivot: their levels
-    and int32 row pairs (i, j), and the (level, u, v) of those whose ends lie
-    in different components, over the component labels."""
-    numer = kernel.block_numerators(r0, r1, c0, c1)[0]
-    sel = numer >= pivot
-    if c0 == r0:
-        sel &= ~np.tri(r1 - r0, dtype=bool)  # each pair once
-    flat = np.flatnonzero(sel)
-    ii, jj = np.divmod(flat, c1 - c0)
-    values = numer.ravel()[flat]
-    ii, jj = (ii + r0).astype(np.int32), (jj + c0).astype(np.int32)
-    u, v = label[ii], label[jj]
-    apart = u != v
-    return values, (ii, jj), (values[apart], u[apart], v[apart])
-
-
 def _sweep_bands(weights: PairWeights, floor=None, hold=False):
     """The threshold sweep's pass over all pairs of unrescaled weights, in
     bands of numerator levels from the top down to floor (default: the
@@ -705,10 +689,11 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
     item table's diagonal is its row maximum). So a copy joins its first row
     at that level, as one more held pair, and the bands scan the first rows
     only, on a private copy of the kernel, without co-answered counts unless
-    hold. A band is one scan of the upper-triangle tiles at its floor: every
-    selected level is present, and only the pairs across the components at
-    the band's top, each labelled by a root participant, are held
-    (Filter-Kruskal; Osipov, Sanders & Singler 2009). Its end merges them
+    hold. A band is one scan of the upper-triangle tiles at its floor, each
+    tile's pairs selected by _tile_pairs as the projection's scan selects
+    them: every selected level is present, and only the pairs across the
+    components at the band's top, each labelled by a root participant, are
+    held (Filter-Kruskal; Osipov, Sanders & Singler 2009). Its end merges them
     level by level, adding up component sizes (_root_merges). Held pairs past
     SWEEP_HELD_BYTES are compacted into a forest with the same components at
     every level, which the end merges again, and the levels of the selected
@@ -721,6 +706,7 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
     lower bands, which select every pair it does. The kernel copy then keeps
     its co-answered counts on incomplete data, as project_participants' scan
     does: the weights' own kernel computes every pair the graph is built from.
+    _tile_pairs drops those counts as soon as each product returns.
     """
     lowest = _threshold_level(weights, weights.weight_range()[0])
     floor = lowest if floor is None else max(floor, lowest)
@@ -744,19 +730,21 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
         levels, held, level_bytes, held_bytes = [], [no_pairs], 0, 0
         kept, kept_bytes = [] if hold else None, 0
         for tile in _upper_tiles(n):
-            values, ends, pairs = _band_tile(kernel, *tile, pivot, label)
+            (ii, jj, _, values, _), = _tile_pairs(kernel, *tile, pivot)
+            u, v = label[ii], label[jj]
+            apart = u != v  # only pairs across components are held
             levels.append(values)
-            held.append(pairs)
+            held.append((values[apart], u[apart], v[apart]))
             level_bytes += values.nbytes
-            held_bytes += sum(column.nbytes for column in pairs)
+            held_bytes += sum(column.nbytes for column in held[-1])
             if level_bytes > SWEEP_LEVEL_BYTES:
                 levels, level_bytes = [np.unique(np.concatenate(levels))], 0
             if held_bytes > SWEEP_HELD_BYTES:  # the band's end merges this forest again
                 forest, held_bytes = _root_merges(n_all, held)[0], 0
                 held.append(forest)
             if kept is not None:
-                kept.append((values, *ends))
-                kept_bytes += values.nbytes + sum(column.nbytes for column in ends)
+                kept.append((values, ii, jj))
+                kept_bytes += values.nbytes + ii.nbytes + jj.nbytes
                 if kept_bytes > SWEEP_HELD_BYTES:  # so would every lower band's pairs
                     kept = hold = None
         joins = np.flatnonzero((own >= pivot) & (own < top))
@@ -812,6 +800,14 @@ def _held_pairs(held, level: int) -> tuple:
             np.concatenate([np.repeat(numer, reps), self_level[head[a]]]))
 
 
+def _check_range(weights: PairWeights, name: str, value) -> None:
+    """Refuse a threshold (None passes) outside the weight range."""
+    lo, hi = weights.weight_range()
+    if value is not None and not (lo <= value <= hi):
+        raise ValidationError(
+            f"{name} {value} outside representable range [{lo}, {hi}] for {weights.mode}")
+
+
 def project_participants(weights: PairWeights, threshold, negative_threshold=None,
                          node_attrs=None) -> ProjectionGraph:
     """Threshold pairwise weights into a participant graph.
@@ -823,12 +819,8 @@ def project_participants(weights: PairWeights, threshold, negative_threshold=Non
     """
     threshold = as_fraction(threshold)
     neg = None if negative_threshold is None else as_fraction(negative_threshold)
-    lo, hi = weights.weight_range()
-    for name, value in (("threshold", threshold), ("negative threshold", neg)):
-        if value is not None and not (lo <= value <= hi):
-            raise ValidationError(
-                f"{name} {value} outside representable range [{lo}, {hi}] for {weights.mode}"
-            )
+    _check_range(weights, "threshold", threshold)
+    _check_range(weights, "negative threshold", neg)
     if neg is not None and neg >= threshold:
         raise ValidationError(
             f"negative threshold {neg} must be strictly below threshold {threshold}"

@@ -585,8 +585,8 @@ def export_dot(graph: ProjectionGraph, path, layout: LayoutResult | None = None)
 def export_edgelist(graph: ProjectionGraph, path) -> None:
     """Edge list CSV: u,v,weight,weight_decimal,sign,style (exact fraction first)."""
 
-    cells = ['"' + u.replace('"', '""') + '",' if "," in u or '"' in u or "\n" in u else u + ","
-             for u in graph.nodes]
+    cells = ['"' + u.replace('"', '""') + '",'
+             if "," in u or '"' in u or "\n" in u or "\r" in u else u + "," for u in graph.nodes]
     _write_with_edges(
         path, ["u,v,weight,weight_decimal,sign,style"], graph, cells, cells,
         lambda w, sign, style: f"{format_fraction(w)},{float(w)!r},{sign},{style}",

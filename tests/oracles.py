@@ -694,7 +694,7 @@ def per_edge_export_dot(graph: ProjectionGraph, path, layout=None) -> None:
 
 def per_edge_export_edgelist(graph: ProjectionGraph, path) -> None:
     def cell(value: str) -> str:
-        if any(c in value for c in ',"\n'):
+        if any(c in value for c in ',"\n\r'):
             return '"' + value.replace('"', '""') + '"'
         return value
 

@@ -269,6 +269,30 @@ def test_auto_projection_prints_the_largest_component_its_sweep_chose(
     assert bool(extra) == (not graph.positive_mask().all())  # the negative run has both signs
 
 
+@pytest.mark.parametrize("negative, refusal", [("5", "outside representable range"),
+                                               ("3", "strictly below threshold 3")])
+def test_auto_threshold_refuses_a_negative_threshold_before_printing(tmp_path, capsys,
+                                                                      monkeypatch, negative,
+                                                                      refusal):
+    # the one identical pair puts the auto threshold at 3, the top of [-3, 3]
+    ks = [3, 3, 3]
+    schema = write_schema(tmp_path / "schema.json", ks)
+    survey = write_survey(tmp_path / "survey.csv", ks,
+                          [[0, 0, 0], [0, 0, 0], [2, 2, 2], [1, 2, 0]])
+    calls = []
+    kernel = project.PairWeights.block_numerators
+    monkeypatch.setattr(project.PairWeights, "block_numerators",
+                        lambda self, *tile: calls.append(tile) or kernel(self, *tile))
+    code = main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", "score",
+                 "--threshold", "auto", "--negative-threshold", negative,
+                 "--out-prefix", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert refusal in json.loads(captured.err)["error"]["message"]
+    assert (calls == []) == (negative == "5")  # out of range: refused before the sweep
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["schema.json", "survey.csv"]
+
+
 def test_auto_threshold_on_rescaled_weights_exits_2(tmp_path, capsys):
     survey, schema = duplicate_heavy_inputs(tmp_path)
     code = main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", "score",

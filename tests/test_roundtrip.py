@@ -1,5 +1,6 @@
 """Generated graphs: export/import round-trips, the two constructors, networkx oracles."""
 
+import csv
 import re
 from collections import Counter
 from fractions import Fraction
@@ -384,6 +385,15 @@ def _every_awkward_id_graph():
     attrs = {u: {"party": u, "note, <&>": str(k)} for k, u in enumerate(nodes) if k % 2}
     return ProjectionGraph("attitude", nodes, edges, node_attrs=attrs,
                            extra={"n_participants": 40, "attitude_mode": "dual"})
+
+
+def test_an_edge_list_reads_back_through_csv_reader_whatever_its_ids(tmp_path):
+    # ids holding a comma, a quote, a line feed or a carriage return are quoted
+    graph = _every_awkward_id_graph()
+    export_edgelist(graph, tmp_path / "e.csv")
+    with open(tmp_path / "e.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [tuple(row[:2]) for row in rows[1:]] == [(e.u, e.v) for e in graph.edges]
 
 
 @EXAMPLES
