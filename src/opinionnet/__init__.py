@@ -56,7 +56,6 @@ from .analyze import (
 from .render import (
     ColorScheme,
     LayoutResult,
-    export_dot,
     export_edgelist,
     export_graphml,
     fr_layout,
@@ -95,7 +94,6 @@ __all__ = [
     "connected_components",
     "edge_betweenness",
     "exact_agreement_weights",
-    "export_dot",
     "export_edgelist",
     "export_graphml",
     "format_fraction",

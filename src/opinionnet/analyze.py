@@ -8,10 +8,12 @@ Conventions used throughout:
   tie-break is needed.
 * Edge betweenness counts each unordered node pair once, splitting equally
   among all shortest paths. The default engine is a source-blocked Brandes
-  pass over a CSR index in float64, within 1e-9 of exact values. Its
-  summation order is fixed, so its results are identical bit for bit on
-  every run and machine, and equal to those of a plain per-source Brandes
-  pass. exact=True switches to Fraction arithmetic.
+  pass over a CSR index in float64. Its error is relative: each value is
+  within K * 2**-53 of itself (to first order), K = n + 2 + (L - 1)(D + 2)
+  for n nodes, BFS depth at most L and degree at most D, while path counts
+  stay below 2**53. Its summation order is fixed, so its results are
+  identical bit for bit on every run and machine, and equal to those of a
+  plain per-source Brandes pass. exact=True switches to Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -346,11 +348,13 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     """Split the positive subgraph by repeated highest-betweenness removal.
 
     Each iteration recomputes betweenness on the current graph and removes
-    the single highest-betweenness edge; ties (values within 1e-9 of the
-    maximum, the float engine's accuracy) break to the lexicographically
-    smallest (u, v). Stops once the component count reaches the target or the
-    removal budget (a fraction of the original edge count) is exhausted, in
-    which case the partial history is returned with status budget_exhausted.
+    the single highest-betweenness edge; ties (values within an absolute
+    1e-9 of the maximum) break to the lexicographically smallest (u, v).
+    The float engine's error is relative (see the module docstring), so on
+    large graphs it can exceed that tolerance. Stops once the component
+    count reaches the target or the removal budget (a fraction of the
+    original edge count) is exhausted, in which case the partial history is
+    returned with status budget_exhausted.
     A target above the node count can never be reached and is refused.
     """
     if target_components < 1:
@@ -374,8 +378,9 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     status = "already_satisfied" if len(comps) >= target_components else "budget_exhausted"
     while status == "budget_exhausted" and len(removed) < budget:
         bet = _betweenness_fast(n, us, vs)
-        # values within the float engine's 1e-9 accuracy of the maximum are
-        # ties; the first of them is the lexicographically smallest edge
+        # values within an absolute 1e-9 of the maximum are ties (the float
+        # error is relative and can exceed it on large graphs); the first of
+        # them is the lexicographically smallest edge
         k = int(np.flatnonzero(bet >= bet.max() - 1e-9)[0])
         removed.append((graph.nodes[us[k]], graph.nodes[vs[k]]))
         value = float(bet[k])

@@ -297,9 +297,9 @@ class ProjectionGraph:
     ``us`` and ``vs`` into ``nodes`` (``nodes[us[k]] < nodes[vs[k]]``), int8
     ``signs`` into SIGNS and ``styles`` into STYLES, and int32
     ``weight_codes`` into ``weight_table``, the sorted distinct exact
-    weights. ``edges`` is the same data as a list of Edge objects, built on
-    first use. The constructor takes Edge-like objects; ``from_arrays`` takes
-    the columns directly.
+    weights. The graph is read through these columns. The constructor takes
+    Edge-like objects, for graphs built by hand; ``from_arrays`` takes the
+    columns directly.
 
     The canonical order is that of one int64 key per edge,
     ``(rank[u] * n + rank[v]) * 2 + sign`` over the node ids' ranks. Edges are
@@ -309,8 +309,7 @@ class ProjectionGraph:
     """
 
     __slots__ = ("kind", "nodes", "node_attrs", "threshold_used", "negative_threshold_used",
-                 "extra", "us", "vs", "signs", "styles", "weight_codes", "weight_table",
-                 "_edges")
+                 "extra", "us", "vs", "signs", "styles", "weight_codes", "weight_table")
 
     def __init__(self, kind, nodes, edges, node_attrs=None, threshold_used=None,
                  negative_threshold_used=None, extra=None):
@@ -346,7 +345,6 @@ class ProjectionGraph:
         self.negative_threshold_used = (
             None if negative_threshold_used is None else as_fraction(negative_threshold_used)
         )
-        self._edges = None
 
         us = np.asarray(us, dtype=np.int64).reshape(-1)
         vs = np.asarray(vs, dtype=np.int64).reshape(-1)
@@ -400,19 +398,6 @@ class ProjectionGraph:
             column.flags.writeable = False
 
     @property
-    def edges(self) -> list:
-        """The edges as Edge objects in canonical order (built once, then cached)."""
-        if self._edges is None:
-            nodes, table = self.nodes, self.weight_table
-            self._edges = [
-                Edge(nodes[a], nodes[b], table[c], SIGNS[s], STYLES[t])
-                for a, b, c, s, t in zip(self.us.tolist(), self.vs.tolist(),
-                                         self.weight_codes.tolist(), self.signs.tolist(),
-                                         self.styles.tolist())
-            ]
-        return self._edges
-
-    @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
@@ -423,12 +408,6 @@ class ProjectionGraph:
     def positive_mask(self) -> np.ndarray:
         """Boolean mask of the positive edges over the edge columns."""
         return self.signs == SIGNS.index(POSITIVE)
-
-    def positive_edges(self) -> list:
-        return [e for e in self.edges if e.sign == POSITIVE]
-
-    def negative_edges(self) -> list:
-        return [e for e in self.edges if e.sign == NEGATIVE]
 
     def attribute_names(self) -> list:
         names = set()

@@ -550,36 +550,8 @@ class _GraphMLReader:
 
 
 # ---------------------------------------------------------------------------
-# DOT and edge lists
+# Edge lists
 # ---------------------------------------------------------------------------
-
-
-def _dot_quote(s: str) -> str:
-    return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(graph: ProjectionGraph, path, layout: LayoutResult | None = None) -> None:
-    """Graphviz DOT export; edge style mirrors the style class, color the sign."""
-    lines = ["graph G {"]
-    for u in graph.nodes:
-        attrs = graph.node_attrs.get(u, {})
-        parts = [f"{k}={_dot_quote(v)}" for k, v in sorted(attrs.items())]
-        if layout is not None:
-            x, y = layout.positions[u]
-            parts.append(f'pos="{_fmt6(x)},{_fmt6(y)}!"')
-        if parts:
-            lines.append(f"  {_dot_quote(u)} [{', '.join(parts)}];")
-        else:
-            lines.append(f"  {_dot_quote(u)};")
-    quoted = [_dot_quote(u) for u in graph.nodes]
-    _write_with_edges(
-        path, lines, graph, [f"  {q} -- " for q in quoted], [q + " " for q in quoted],
-        lambda w, sign, style: (
-            f'[weight={_dot_quote(format_fraction(w))}, sign="{sign}", '
-            f'style="{style}", color="{_COLORS[sign]}"];'
-        ),
-        ["}"],
-    )
 
 
 def export_edgelist(graph: ProjectionGraph, path) -> None:
@@ -698,9 +670,10 @@ def render_svg(graph: ProjectionGraph, layout: LayoutResult, color_scheme: Color
     screen = [to_screen(u) for u in graph.nodes]
     xs = [_fmt6(x) for x, _ in screen]
     ys = [_fmt6(y) for _, y in screen]
+    quoted = {color: quoteattr(color) for color in set(fills.values())}
     circles = [
         f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '
-        f'fill="{fills[u]}" stroke="#333333" stroke-width="0.5"/>'
+        f'fill={quoted[fills[u]]} stroke="#333333" stroke-width="0.5"/>'
         for u, (x, y) in zip(graph.nodes, screen)
     ]
     _write_with_edges(

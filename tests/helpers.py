@@ -16,6 +16,7 @@ from opinionnet import (
     renormalize,
     score_weights,
 )
+from opinionnet.project import SIGNS, STYLES
 
 
 def make_schema(scale_sizes, attrs=(), missing_token="NA"):
@@ -54,6 +55,16 @@ def graph_from_edges(nodes, pairs, kind="participant", n_items=None, **kwargs):
     if n_items is not None:
         extra["n_items"] = n_items
     return ProjectionGraph(kind=kind, nodes=nodes, edges=edges, extra=extra, **kwargs)
+
+
+def edge_list(graph):
+    """The graph's edges in canonical order as (u, v, weight, sign, style),
+    read from its columns."""
+    nodes, table = graph.nodes, graph.weight_table
+    return [(nodes[a], nodes[b], table[c], SIGNS[s], STYLES[t])
+            for a, b, c, s, t in zip(graph.us.tolist(), graph.vs.tolist(),
+                                     graph.weight_codes.tolist(), graph.signs.tolist(),
+                                     graph.styles.tolist())]
 
 
 def barbell_graph():

@@ -31,6 +31,8 @@ from opinionnet.ingest import MISSING, MISSING_POLICIES, LoadReport, ResponseMat
 from opinionnet.project import POSITIVE, SCORE, SOLID, PairWeights, ProjectionGraph, edge_columns
 from opinionnet.rational import as_fraction, format_fraction
 
+from helpers import edge_list
+
 
 def normalized_value(code: int, scale_size: int) -> Fraction:
     k = scale_size
@@ -667,29 +669,12 @@ def per_edge_export_graphml(graph: ProjectionGraph, path, layout=None) -> None:
             data += [f'<data key="nx">{_fmt17(x)}</data>', f'<data key="ny">{_fmt17(y)}</data>']
         lines.append(f'    <node id={quoteattr(u)}>{"".join(data)}</node>' if data
                      else f'    <node id={quoteattr(u)}/>')
-    lines += [f'    <edge source={quoteattr(e.u)} target={quoteattr(e.v)}>'
-              f'<data key="e_weight">{escape(format_fraction(e.weight))}</data>'
-              f'<data key="e_weight_decimal">{_fmt17(float(e.weight))}</data>'
-              f'<data key="e_sign">{e.sign}</data><data key="e_style">{e.style}</data></edge>'
-              for e in graph.edges]
+    lines += [f'    <edge source={quoteattr(u)} target={quoteattr(v)}>'
+              f'<data key="e_weight">{escape(format_fraction(weight))}</data>'
+              f'<data key="e_weight_decimal">{_fmt17(float(weight))}</data>'
+              f'<data key="e_sign">{sign}</data><data key="e_style">{style}</data></edge>'
+              for u, v, weight, sign, style in edge_list(graph)]
     _write_lines(path, lines + ["  </graph>", "</graphml>"])
-
-
-def per_edge_export_dot(graph: ProjectionGraph, path, layout=None) -> None:
-    from opinionnet.render import _COLORS, _dot_quote, _fmt6
-
-    lines = ["graph G {"]
-    for u in graph.nodes:
-        parts = [f"{k}={_dot_quote(v)}" for k, v in sorted(graph.node_attrs.get(u, {}).items())]
-        if layout is not None:
-            x, y = layout.positions[u]
-            parts.append(f'pos="{_fmt6(x)},{_fmt6(y)}!"')
-        lines.append(f"  {_dot_quote(u)} [{', '.join(parts)}];" if parts
-                     else f"  {_dot_quote(u)};")
-    lines += [f"  {_dot_quote(e.u)} -- {_dot_quote(e.v)} "
-              f'[weight={_dot_quote(format_fraction(e.weight))}, sign="{e.sign}", '
-              f'style="{e.style}", color="{_COLORS[e.sign]}"];' for e in graph.edges]
-    _write_lines(path, lines + ["}"])
 
 
 def per_edge_export_edgelist(graph: ProjectionGraph, path) -> None:
@@ -699,8 +684,8 @@ def per_edge_export_edgelist(graph: ProjectionGraph, path) -> None:
         return value
 
     _write_lines(path, ["u,v,weight,weight_decimal,sign,style"] + [
-        f"{cell(e.u)},{cell(e.v)},{format_fraction(e.weight)},{float(e.weight)!r},{e.sign},"
-        f"{e.style}" for e in graph.edges])
+        f"{cell(u)},{cell(v)},{format_fraction(weight)},{float(weight)!r},{sign},{style}"
+        for u, v, weight, sign, style in edge_list(graph)])
 
 
 def per_edge_render_svg(graph: ProjectionGraph, layout, path, *, width=800, height=800,
@@ -713,10 +698,10 @@ def per_edge_render_svg(graph: ProjectionGraph, layout, path, *, width=800, heig
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
-    for e in graph.edges:
-        (x1, y1), (x2, y2) = to_screen(e.u), to_screen(e.v)
+    for u, v, _, sign, style in edge_list(graph):
+        (x1, y1), (x2, y2) = to_screen(u), to_screen(v)
         lines.append(f'<line x1="{_fmt6(x1)}" y1="{_fmt6(y1)}" x2="{_fmt6(x2)}" y2="{_fmt6(y2)}"'
-                     + _stroke(_COLORS[e.sign], e.style, opacity=0.7))
+                     + _stroke(_COLORS[sign], style, opacity=0.7))
     for u in graph.nodes:
         x, y = to_screen(u)
         lines.append(f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '

@@ -35,6 +35,7 @@ from opinionnet.cli import main
 
 from helpers import (
     barbell_graph,
+    edge_list,
     graph_from_edges,
     index_labels,
     make_matrix,
@@ -103,7 +104,7 @@ def test_criterion_projection_matches_brute_force_oracle(monkeypatch):
         theta = values[len(values) // 2]
         monkeypatch.setattr(project, "SCAN_TILE", rng.randrange(3, 16))
         graph = project_participants(weights, theta)
-        got = {(e.u, e.v) for e in graph.edges}
+        got = {(u, v) for u, v, *_ in edge_list(graph)}
         ids = weights.participant_ids
         expected_edges = {
             (ids[i], ids[j]) for (i, j), (w, _) in oracle.items() if w >= theta
@@ -341,9 +342,9 @@ def test_criterion_attitude_projection():
     # boundary counts realized through actual styled graphs (N = 6)
     rows = [[1, 1]] * 2 + [[0, 1]] * 4
     styled = style_edges(project_attitudes(renormalize(make_matrix(rows, [2, 2]))))
-    (edge,) = [e for e in styled.edges if e.sign == "positive"]
-    assert edge.weight == 2  # exactly N/3
-    assert edge.style == "dotted"
+    [(_, _, weight, _, style)] = [e for e in edge_list(styled) if e[3] == "positive"]
+    assert weight == 2  # exactly N/3
+    assert style == "dotted"
     finish("attitude projection counts and thirds styling", t0, 5.0)
 
 
@@ -469,7 +470,7 @@ def test_criterion_round_trips_survey_and_graphml(tmp_path):
         export_graphml(graph, path)
         back = import_graphml(path)
         assert back.nodes == graph.nodes
-        assert back.edges == graph.edges
+        assert edge_list(back) == edge_list(graph)
         assert back.node_attrs == graph.node_attrs
         assert back.threshold_used == graph.threshold_used
         assert back.negative_threshold_used == graph.negative_threshold_used

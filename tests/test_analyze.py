@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from opinionnet.project import PairWeights
 
 from helpers import (
     barbell_graph,
+    edge_list,
     graph_from_edges,
     make_matrix,
     planted_two_block_graph,
@@ -750,6 +752,53 @@ def test_blocked_betweenness_is_bitwise_past_exact_path_counts():
     assert np.array_equal(_betweenness_fast(n, us, vs), betweenness_per_source(n, us, vs))
 
 
+def _depth_paths_degree(n, us, vs):
+    """Largest BFS depth and shortest-path count over all sources, and the largest degree."""
+    adjacency = [[] for _ in range(n)]
+    for a, b in zip(us.tolist(), vs.tolist()):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    depth = paths = 0
+    for s in range(n):
+        dist, sigma, queue = {s: 0}, {s: 1}, deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in adjacency[x]:
+                if y not in dist:
+                    dist[y], sigma[y] = dist[x] + 1, 0
+                    queue.append(y)
+                if dist[y] == dist[x] + 1:
+                    sigma[y] += sigma[x]
+        depth, paths = max(depth, max(dist.values())), max(paths, max(sigma.values()))
+    return depth, paths, max(map(len, adjacency))
+
+
+def test_float_betweenness_is_within_its_relative_bound_of_the_exact_values():
+    # Every term is positive, so each rounding moves a value by a relative
+    # u = 2**-53 at most, and k roundings by gamma_k = k*u / (1 - k*u) (Higham,
+    # Accuracy and Stability of Numerical Algorithms, ch. 3-4). Path counts
+    # below 2**53 are exact. A term sigma[v] / sigma[w] * (1 + delta[w]) adds
+    # three roundings to those of delta[w], and a dependency delta[v] sums at
+    # most degree such terms, adding degree - 1. A DAG path holds at most
+    # depth - 1 nodes below its source, so one source's term for an edge
+    # carries (depth - 1) * (degree + 2) + 3 roundings, and adding the n
+    # sources in order n - 1 more: |fast - exact| <= gamma_K * exact with
+    # K = n + 2 + (depth - 1) * (degree + 2), 393 here; the measured worst is
+    # about 13 roundings.
+    n = 300
+    us, vs = _random_edge_arrays(np.random.default_rng(83), n, 800)
+    depth, paths, degree = _depth_paths_degree(n, us, vs)
+    assert paths < 2**53
+    k = n + 2 + (depth - 1) * (degree + 2)
+    u = Fraction(1, 2**53)
+    bound = k * u / (1 - k * u)
+    fast = _betweenness_fast(n, us, vs)
+    exact = _betweenness_exact(n, us, vs)
+    worst = max(abs(Fraction(f) - x) / x for f, x in zip(fast.tolist(), exact) if x)
+    assert worst <= bound
+    assert worst > 0  # the bound is tested, not met by exact arithmetic
+
+
 def test_betweenness_ignores_negative_edges():
     graph = ProjectionGraph(
         kind="participant",
@@ -805,7 +854,7 @@ def test_gn_tie_break_is_lexicographic():
 
 def _exact_gn_removals(graph, target_components):
     """Removal order with exact betweenness and the lexicographic tie-break."""
-    edges = [(e.u, e.v) for e in graph.positive_edges()]
+    edges = [(u, v) for u, v, _, sign, _ in edge_list(graph) if sign == "positive"]
     index = {u: i for i, u in enumerate(graph.nodes)}
     removed = []
     while len(components_from_edges(graph.n_nodes, [(index[u], index[v]) for u, v in edges])) \

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from xml.parsers import expat
 
 import pytest
 
@@ -440,6 +441,30 @@ def test_render_color_map_colors_nodes(tmp_path):
     assert 'fill="#1f77b4"' in text
     assert 'fill="#d62728"' in text
     assert 'fill="#ffcc00"' in text
+
+
+@pytest.mark.parametrize("color_map, default_color, fills", [
+    ('D=a"b,R=#fff', "#ffcc00", ['a"b', "#fff", "#ffcc00"]),
+    ("D=#1f77b4", 'x"y', ["#1f77b4", 'x"y', 'x"y']),
+    ("D=<&>", "x\"y'z", ["<&>", "x\"y'z", "x\"y'z"]),
+])
+def test_render_quotes_node_fills(tmp_path, color_map, default_color, fills):
+    # a fill holding a quote or markup is escaped, so the SVG stays well-formed
+    ks = [4] * 3
+    schema = write_schema(tmp_path / "schema.json", ks, attrs=("party",))
+    rows = [{"codes": [0, 0, 0], "attrs": [party]} for party in ("D", "R", "I")]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows, attrs=("party",))
+    assert main(["project", "--survey", str(survey), "--schema", str(schema),
+                 "--mode", "exact", "--threshold", "3",
+                 "--out-prefix", str(tmp_path / "g")]) == 0
+    assert main(["render", "--graph", str(tmp_path / "g.graphml"), "--seed", "1",
+                 "--iterations", "5", "--color-attr", "party", "--color-map", color_map,
+                 "--default-color", default_color, "--out-prefix", str(tmp_path / "fig")]) == 0
+    read = []
+    parser = expat.ParserCreate()
+    parser.StartElementHandler = lambda tag, attrs: tag == "circle" and read.append(attrs["fill"])
+    parser.Parse((tmp_path / "fig.svg").read_bytes(), True)
+    assert read == fills
 
 
 def test_bad_color_map_is_validation_error(tmp_path, capsys):

@@ -30,7 +30,7 @@ import opinionnet.project as project
 from opinionnet.project import SCORE, PairWeights
 from opinionnet.render import export_graphml
 
-from helpers import make_matrix, weights_from_rows
+from helpers import edge_list, make_matrix, weights_from_rows
 from oracles import all_pair_weights, attitude_edges, random_rows, sweep_oracle
 
 
@@ -214,7 +214,7 @@ def test_adjacent_codes_stay_linked_under_scoring():
     assert we.weight(0, 1) == m - 1
     assert ws.weight(0, 1) == m - F(2, 3)
     graph = project_participants(ws, m - 1)
-    assert len(graph.positive_edges()) == 1
+    assert [sign for *_, sign, _ in edge_list(graph)].count("positive") == 1
 
 
 def test_relabeling_invariance():
@@ -228,8 +228,8 @@ def test_relabeling_invariance():
     b = make_matrix([rows[p] for p in perm], ks, ids=[ids[p] for p in perm])
     ga = project_participants(score_weights(renormalize(a)), F(1))
     gb = project_participants(score_weights(renormalize(b)), F(1))
-    edges_a = {(e.u, e.v, e.weight) for e in ga.edges}
-    edges_b = {(e.u, e.v, e.weight) for e in gb.edges}
+    edges_a = {(u, v, weight) for u, v, weight, *_ in edge_list(ga)}
+    edges_b = {(u, v, weight) for u, v, weight, *_ in edge_list(gb)}
     assert edges_a == edges_b
     assert set(ga.nodes) == set(gb.nodes)
 
@@ -254,7 +254,7 @@ def test_threshold_monotonicity():
     thresholds = [F(-4), F(-1), F(0), F(1, 2), F(2), F(3), F(4)]
     previous = None
     for theta in reversed(thresholds):  # descending theta: edge sets grow
-        edges = {(e.u, e.v) for e in project_participants(w, theta).edges}
+        edges = {(u, v) for u, v, *_ in edge_list(project_participants(w, theta))}
         if previous is not None:
             assert previous <= edges
         previous = edges
@@ -274,7 +274,7 @@ def test_projection_at_m_minus_one_exact_agreement():
     ks = [3] * 8
     w = weights_from_rows(rows, ks, "exact_agreement")
     graph = project_participants(w, len(ks) - 1)
-    assert {(e.u, e.v) for e in graph.edges} == {("p000", "p001")}
+    assert {(u, v) for u, v, *_ in edge_list(graph)} == {("p000", "p001")}
     assert graph.threshold_used == 7
 
 
@@ -283,7 +283,7 @@ def test_projection_at_plus_m_links_identical_only():
     rows = [[1] * 13, [1] * 13, [1] * 12 + [2]]
     w = weights_from_rows(rows, ks, "score")
     graph = project_participants(w, 13)
-    assert [(e.u, e.v) for e in graph.edges] == [("p000", "p001")]
+    assert [(u, v) for u, v, *_ in edge_list(graph)] == [("p000", "p001")]
 
 
 def test_threshold_11_5_means_total_difference_at_most_1_5():
@@ -301,9 +301,9 @@ def test_threshold_11_5_means_total_difference_at_most_1_5():
     assert w.weight(0, 2) == 11
     assert w.weight(1, 2) == F(19, 2)
     graph = project_participants(w, "11.5")
-    assert {(e.u, e.v) for e in graph.edges} == {("p000", "p001")}
+    assert {(u, v) for u, v, *_ in edge_list(graph)} == {("p000", "p001")}
     fraction_graph = project_participants(w, "23/2")
-    assert {(e.u, e.v) for e in fraction_graph.edges} == {("p000", "p001")}
+    assert {(u, v) for u, v, *_ in edge_list(fraction_graph)} == {("p000", "p001")}
 
 
 def test_negative_threshold_adds_disagreement_edges():
@@ -311,12 +311,13 @@ def test_negative_threshold_adds_disagreement_edges():
     rows = [[0] * 13, [0] * 13, [4] * 13]
     w = weights_from_rows(rows, ks, "score")
     graph = project_participants(w, 13, negative_threshold=-3)
-    positives = {(e.u, e.v) for e in graph.positive_edges()}
-    negatives = {(e.u, e.v) for e in graph.negative_edges()}
+    positives = {(u, v) for u, v, _, sign, _ in edge_list(graph) if sign == "positive"}
+    negatives = {(u, v) for u, v, _, sign, _ in edge_list(graph) if sign == "negative"}
     assert positives == {("p000", "p001")}
     assert negatives == {("p000", "p002"), ("p001", "p002")}
-    for e in graph.negative_edges():
-        assert e.weight <= -3
+    for _, _, weight, sign, _ in edge_list(graph):
+        if sign == "negative":
+            assert weight <= -3
 
 
 def test_isolated_nodes_retained():
@@ -325,7 +326,7 @@ def test_isolated_nodes_retained():
     w = weights_from_rows(rows, ks, "exact_agreement")
     graph = project_participants(w, 5)
     assert graph.n_nodes == 3
-    assert {(e.u, e.v) for e in graph.edges} == {("p000", "p001")}
+    assert {(u, v) for u, v, *_ in edge_list(graph)} == {("p000", "p001")}
 
 
 def test_threshold_validation():
@@ -367,7 +368,7 @@ def test_bucketed_projection_matches_scan(monkeypatch):
         assert bucketed == [math.ceil(threshold)]
         expected = sorted((f"p{i:03d}", f"p{j:03d}", weight)
                           for (i, j), (weight, _) in oracle.items() if weight >= threshold)
-        assert [(e.u, e.v, e.weight) for e in graph.edges] == expected
+        assert [(u, v, weight) for u, v, weight, *_ in edge_list(graph)] == expected
         assert expected
 
 
@@ -390,13 +391,13 @@ def test_bucketed_projection_with_duplicate_rows_matches_oracle():
         graph = project_participants(w, threshold)
         expected = sorted((f"p{i:03d}", f"p{j:03d}", weight)
                           for (i, j), (weight, _) in oracle.items() if weight >= threshold)
-        assert [(e.u, e.v, e.weight) for e in graph.edges] == expected
+        assert [(u, v, weight) for u, v, weight, *_ in edge_list(graph)] == expected
     assert any(weight == 4 for weight, _ in oracle.values())
     # one item: at threshold m - 1 = 0 the leave-one-out rows are empty and
     # every pair qualifies
     rows = [[0], [1], [0], [2]]
     graph = project_participants(weights_from_rows(rows, [3], "exact_agreement"), 0)
-    assert [(e.u, e.v) for e in graph.edges] == [(f"p{i:03d}", f"p{j:03d}")
+    assert [(u, v) for u, v, *_ in edge_list(graph)] == [(f"p{i:03d}", f"p{j:03d}")
                                                   for i, j in itertools.combinations(range(4), 2)]
 
 
@@ -413,7 +414,7 @@ def test_int64_kernel_matches_oracle_on_huge_denominator(monkeypatch):
         assert w.weight(i, j) == expected
     scan_in_tiles_of(monkeypatch, 5)
     graph = project_participants(w, 0, negative_threshold=-1)
-    got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
+    got = {(u, v): (weight, sign) for u, v, weight, sign, *_ in edge_list(graph)}
     want = {}
     for (i, j), (weight, _) in oracle.items():
         if weight >= 0 or weight <= -1:
@@ -435,7 +436,7 @@ def test_float64_kernel_matches_oracle_past_the_float32_range(monkeypatch):
         assert w.weight(i, j) == expected
     scan_in_tiles_of(monkeypatch, 7)
     graph = project_participants(w, F(1, 2), negative_threshold=-1)
-    got = {(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
+    got = {(u, v): (weight, sign) for u, v, weight, sign, *_ in edge_list(graph)}
     want = {(f"p{i:03d}", f"p{j:03d}"): (weight, "positive" if weight >= F(1, 2) else "negative")
             for (i, j), (weight, _) in oracle.items() if weight >= F(1, 2) or weight <= -1}
     assert got == want and want
@@ -552,7 +553,8 @@ def test_projection_matches_the_oracle_on_every_rung_and_block_size(dtype, mode,
         for side in (1, 7, None):
             scan_in_tiles_of(monkeypatch, side)
             graph = project_participants(w, threshold, negative)
-            assert {(e.u, e.v): (e.weight, e.sign) for e in graph.edges} == expected
+            got = {(u, v): (weight, sign) for u, v, weight, sign, _ in edge_list(graph)}
+            assert got == expected
 
 
 @pytest.mark.parametrize("threshold", [F(1, 2**58), F(-1, 2**58)])
@@ -562,9 +564,9 @@ def test_a_rescaled_threshold_with_a_huge_denominator_is_exact(threshold):
     ks = [5, 5, 5]
     rows = [[0, 0, 0], [0, 0, 0], [1, None, 2], [4, 4, 4]]
     graph = project_participants(weights_from_rows(rows, ks, "score", rescale=True), threshold)
-    assert [(e.u, e.v, e.weight) for e in graph.edges] == [
+    assert [(u, v, weight) for u, v, weight, *_ in edge_list(graph)] == [
         ("p000", "p001", 3), ("p000", "p002", F(3, 4)), ("p001", "p002", F(3, 4))]
-    assert ({(e.u, e.v): (e.weight, e.sign) for e in graph.edges}
+    assert ({(u, v): (weight, sign) for u, v, weight, sign, *_ in edge_list(graph)}
             == _oracle_edges(rows, ks, "score", threshold, None, True))
 
 
@@ -608,7 +610,7 @@ def test_any_rational_threshold_matches_the_oracle_on_every_rung(dtype, mode, re
     else:
         threshold, negative = first, None
     graph = project_participants(w, threshold, negative)
-    assert {(e.u, e.v): (e.weight, e.sign) for e in graph.edges} == {
+    assert {(u, v): (weight, sign) for u, v, weight, sign, *_ in edge_list(graph)} == {
         pair: (weight, "positive" if weight >= threshold else "negative")
         for pair, weight in oracle.items()
         if weight >= threshold or (negative is not None and weight <= negative)}
@@ -685,7 +687,7 @@ def test_block_size_does_not_change_output(monkeypatch):
     default = project_participants(w, F(1, 3), negative_threshold=F(-2))
     scan_in_tiles_of(monkeypatch, 2)
     tiny = project_participants(w, F(1, 3), negative_threshold=F(-2))
-    assert default.edges == tiny.edges
+    assert edge_list(default) == edge_list(tiny)
 
 
 def test_pairwise_missing_score_uses_co_answered():
@@ -708,7 +710,7 @@ def test_rescaled_pairwise_score():
     # co = 3, raw = 3 - 2 = 1 -> rescaled 4/3
     assert w2.weight(0, 1) == F(4, 3)
     graph = project_participants(w2, F(4, 3))
-    assert len(graph.edges) == 1
+    assert graph.n_edges == 1
 
 
 @pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
@@ -757,7 +759,7 @@ def test_rescale_is_identity_on_complete_data():
             assert plain.weight(i, j) == rescaled.weight(i, j)
     ga = project_participants(plain, F(1, 2))
     gb = project_participants(rescaled, F(1, 2))
-    assert [(e.u, e.v, e.weight) for e in ga.edges] == [(e.u, e.v, e.weight) for e in gb.edges]
+    assert [e[:3] for e in edge_list(ga)] == [e[:3] for e in edge_list(gb)]
 
 
 def test_no_co_answered_items_scores_zero():
@@ -786,11 +788,10 @@ def test_attitude_all_positive_is_top_third_solid():
     pos, neg = ag.count("q00", "q01")
     assert pos == n and neg == 0
     graph = style_edges(ag)
-    assert len(graph.edges) == 1
-    edge = graph.edges[0]
-    assert edge.sign == "positive"
-    assert edge.style == "solid"
-    assert edge.weight == n
+    [(_, _, weight, sign, style)] = edge_list(graph)
+    assert sign == "positive"
+    assert style == "solid"
+    assert weight == n
 
 
 def test_attitude_neutral_and_missing_count_for_neither():
@@ -828,7 +829,7 @@ def test_attitude_graph_matches_loop_oracle(mode):
         ag = project_attitudes(renormalize(make_matrix(rows, ks, schema=schema)))
         edges, counts = attitude_edges(rows, ks, ids, mode)
         graph = style_edges(ag, mode=mode)
-        assert [(e.u, e.v, e.weight, e.sign, e.style) for e in graph.edges] == edges
+        assert edge_list(graph) == edges
         assert {pair: ag.count(*pair) for pair in counts} == counts
 
 
@@ -868,7 +869,7 @@ def test_thirds_boundaries_exact():
 def test_styled_attitude_graph_dual_edges():
     rows = [[1, 1], [1, 1], [0, 0]]
     graph = style_edges(project_attitudes(renormalize(make_matrix(rows, [2, 2]))))
-    signs = {(e.sign, e.weight, e.style) for e in graph.edges}
+    signs = {(sign, weight, style) for _, _, weight, sign, style in edge_list(graph)}
     assert signs == {("positive", F(2), "dashed"), ("negative", F(-1), "dotted")}
     assert graph.extra["n_participants"] == 3
 
@@ -876,23 +877,21 @@ def test_styled_attitude_graph_dual_edges():
 def test_styled_attitude_negative_full_is_solid_red():
     rows = [[0, 0]] * 5
     graph = style_edges(project_attitudes(renormalize(make_matrix(rows, [2, 2]))))
-    assert [(e.sign, e.style) for e in graph.edges] == [("negative", "solid")]
-    assert graph.edges[0].weight == -5
+    assert [e[2:] for e in edge_list(graph)] == [(-5, "negative", "solid")]
 
 
 def test_zero_count_pairs_get_no_edge():
     rows = [[1, 1], [0, 1]]  # no co-negative pair on (q00, q01)
     graph = style_edges(project_attitudes(renormalize(make_matrix(rows, [2, 2]))))
-    assert [(e.sign,) for e in graph.edges] == [("positive",)]
+    assert [sign for *_, sign, _ in edge_list(graph)] == ["positive"]
 
 
 def test_attitude_signed_mode_single_edge():
     rows = [[1, 1], [1, 1], [0, 0]]
     graph = style_edges(project_attitudes(renormalize(make_matrix(rows, [2, 2]))), mode="signed")
-    assert len(graph.edges) == 1
-    edge = graph.edges[0]
-    assert edge.weight == 1  # 2 positive - 1 negative
-    assert edge.sign == "positive"
+    [(_, _, weight, sign, _)] = edge_list(graph)
+    assert weight == 1  # 2 positive - 1 negative
+    assert sign == "positive"
 
 
 def test_restyle_participant_graph_by_weight_thirds():
@@ -901,7 +900,7 @@ def test_restyle_participant_graph_by_weight_thirds():
     w = weights_from_rows(rows, ks, "exact_agreement")
     graph = project_participants(w, 2)
     styled = style_edges(graph)
-    by_pair = {(e.u, e.v): e.style for e in styled.edges}
+    by_pair = {(u, v): style for u, v, _, _, style in edge_list(styled)}
     assert by_pair[("p000", "p001")] == "solid"  # weight 6 of 6
     assert by_pair[("p000", "p002")] == "dashed"  # weight 4 of 6
     assert by_pair[("p002", "p003")] == "dotted"  # weight 2 of 6
@@ -918,7 +917,7 @@ def test_graph_canonicalizes_edges():
         nodes=["b", "a", "c"],
         edges=[Edge("c", "a", F(2)), Edge("b", "a", F(1))],
     )
-    assert [(e.u, e.v) for e in graph.edges] == [("a", "b"), ("a", "c")]
+    assert [(u, v) for u, v, *_ in edge_list(graph)] == [("a", "b"), ("a", "c")]
 
 
 def test_graph_rejects_duplicates_self_loops_unknown_nodes():
@@ -950,7 +949,7 @@ def test_attitude_graph_may_carry_both_signs_per_pair():
         edges=[Edge("x", "y", F(3), "positive"), Edge("x", "y", F(-2), "negative")],
         extra={"n_participants": 5},
     )
-    assert len(graph.edges) == 2
+    assert graph.n_edges == 2
 
 
 # ---------------------------------------------------------------------------

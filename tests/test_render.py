@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from xml.etree import ElementTree
 from xml.sax import saxutils
 
 import numpy as np
@@ -16,7 +17,6 @@ from opinionnet import (
     ProjectionGraph,
     ValidationError,
     LayoutResult,
-    export_dot,
     export_edgelist,
     export_graphml,
     fr_layout,
@@ -28,7 +28,7 @@ from opinionnet import (
 from opinionnet import render
 from opinionnet.render import escape, quoteattr
 
-from helpers import graph_from_edges, make_matrix
+from helpers import edge_list, graph_from_edges, make_matrix
 from oracles import expat_import_graphml, fr_positions_add_at
 
 
@@ -82,7 +82,7 @@ def test_same_seed_reproduces_positions_exactly():
 
 def dual_sign_cliques_graph():
     graph, left, right = two_cliques_graph()
-    edges = list(graph.edges)
+    edges = [Edge(*e) for e in edge_list(graph)]
     edges += [Edge(a, b, F(-1), "negative") for a, b in zip(left[1:6], right[2:7])]
     edges += [Edge(left[2], left[9], F(-2), "negative")]  # beside a positive edge
     return ProjectionGraph(kind="participant", nodes=graph.nodes, edges=edges)
@@ -211,7 +211,7 @@ def test_unicode_node_ids_round_trip_graphml(tmp_path):
     export_graphml(graph, path)
     back = import_graphml(path)
     assert back.nodes == graph.nodes
-    assert back.edges == graph.edges
+    assert edge_list(back) == edge_list(graph)
     assert back.node_attrs == graph.node_attrs
 
 
@@ -239,7 +239,7 @@ def test_graphml_round_trip_with_attributes(tmp_path):
     assert back.kind == graph.kind
     assert back.nodes == graph.nodes
     assert back.node_attrs == graph.node_attrs
-    assert back.edges == graph.edges  # exact weights, sign, style
+    assert edge_list(back) == edge_list(graph)  # exact weights, sign, style
     assert back.threshold_used == graph.threshold_used
     assert back.negative_threshold_used == graph.negative_threshold_used
     assert back.extra == graph.extra
@@ -277,7 +277,7 @@ def test_graphml_round_trip_attitude_dual_edges(tmp_path):
     path = tmp_path / "att.graphml"
     export_graphml(graph, path)
     back = import_graphml(path)
-    assert back.edges == graph.edges
+    assert edge_list(back) == edge_list(graph)
     assert back.extra == graph.extra
 
 
@@ -289,7 +289,7 @@ def test_graphml_with_layout_positions_embedded(tmp_path):
     text = path.read_text()
     assert 'attr.name="x"' in text and 'attr.name="y"' in text
     back = import_graphml(path)  # positions ignored, graph intact
-    assert back.edges == graph.edges
+    assert edge_list(back) == edge_list(graph)
     assert back.node_attrs == graph.node_attrs
 
 
@@ -308,7 +308,7 @@ def test_graphml_keeps_node_attributes_named_x_and_y(tmp_path, with_layout):
     for read in (import_graphml, expat_import_graphml):
         back = read(path)
         assert back.node_attrs == graph.node_attrs
-        assert back.edges == graph.edges
+        assert edge_list(back) == edge_list(graph)
 
 
 def test_graphml_deterministic_bytes(tmp_path):
@@ -330,11 +330,11 @@ def _random_graph(n_nodes, n_edges, seed):
         rng.integers(0, 3, len(us)), extra={"mode": "score", "n_items": 10})
 
 
-EXPORTERS = [export_graphml, export_edgelist, export_dot,
+EXPORTERS = [export_graphml, export_edgelist,
              lambda graph, path: render_svg(graph, fr_layout(graph, 1, iterations=0), None, path)]
 
 
-@pytest.mark.parametrize("export", EXPORTERS, ids=["graphml", "edgelist", "dot", "svg"])
+@pytest.mark.parametrize("export", EXPORTERS, ids=["graphml", "edgelist", "svg"])
 def test_exports_are_the_same_bytes_whatever_the_chunk_size(export, tmp_path, monkeypatch):
     graph = _random_graph(40, 300, seed=9)
     export(graph, tmp_path / "whole")
@@ -402,44 +402,12 @@ def test_empty_edge_graph_round_trips(tmp_path):
     export_graphml(graph, path)
     back = import_graphml(path)
     assert back.nodes == ["a", "b"]
-    assert back.edges == []
+    assert back.n_edges == 0
 
 
 # ---------------------------------------------------------------------------
-# DOT and edge list
+# edge list
 # ---------------------------------------------------------------------------
-
-
-def test_dot_styles_mirror_edge_classes(tmp_path):
-    graph = ProjectionGraph(
-        kind="attitude",
-        nodes=["x", "y", "z"],
-        edges=[
-            Edge("x", "y", F(9), "positive", "solid"),
-            Edge("x", "z", F(5), "positive", "dashed"),
-            Edge("y", "z", F(-2), "negative", "dotted"),
-        ],
-        extra={"n_participants": 9},
-    )
-    path = tmp_path / "g.dot"
-    export_dot(graph, path)
-    text = path.read_text()
-    assert 'style="solid"' in text
-    assert 'style="dashed"' in text
-    assert 'style="dotted"' in text
-    assert text.count("#1f77b4") == 2
-    assert text.count("#d62728") == 1
-    assert '"x" -- "y"' in text
-
-
-def test_dot_embeds_layout_positions(tmp_path):
-    graph = sample_graph()
-    layout = fr_layout(graph, seed=3, iterations=10)
-    path = tmp_path / "g.dot"
-    export_dot(graph, path, layout=layout)
-    text = path.read_text()
-    assert 'pos="' in text
-    assert 'party="D"' in text
 
 
 def test_edgelist_fraction_and_decimal_columns(tmp_path):
@@ -480,6 +448,25 @@ def test_svg_party_colors(tmp_path):
     assert 'fill="#1f77b4"' in text
     assert 'fill="#d62728"' in text
     assert 'fill="#ffcc00"' in text
+
+
+def test_svg_strokes_mirror_edge_classes(tmp_path):
+    # blue positive and red negative lines, dashed by style class, in edge order
+    graph = ProjectionGraph(
+        kind="attitude",
+        nodes=["x", "y", "z"],
+        edges=[
+            Edge("x", "y", F(9), "positive", "solid"),
+            Edge("x", "z", F(5), "positive", "dashed"),
+            Edge("y", "z", F(-2), "negative", "dotted"),
+        ],
+        extra={"n_participants": 9},
+    )
+    path = tmp_path / "g.svg"
+    render_svg(graph, fr_layout(graph, seed=3, iterations=10), None, path)
+    lines = ElementTree.parse(path).getroot().iter("{http://www.w3.org/2000/svg}line")
+    strokes = [(line.get("stroke"), line.get("stroke-dasharray")) for line in lines]
+    assert strokes == [("#1f77b4", None), ("#1f77b4", "6,4"), ("#d62728", "1.5,3")]
 
 
 def test_svg_no_red_without_negative_edges(tmp_path):

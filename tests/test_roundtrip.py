@@ -17,7 +17,6 @@ from opinionnet import (
     ProjectionGraph,
     connected_components,
     edge_betweenness,
-    export_dot,
     export_edgelist,
     export_graphml,
     fr_layout,
@@ -28,9 +27,9 @@ from opinionnet import render
 from opinionnet.errors import ValidationError
 from opinionnet.project import SIGNS, STYLES
 
+from helpers import edge_list
 from oracles import (
     expat_import_graphml,
-    per_edge_export_dot,
     per_edge_export_edgelist,
     per_edge_export_graphml,
     per_edge_render_svg,
@@ -81,11 +80,10 @@ def test_exports_survive_import_byte_for_byte(tmp_path_factory, graph):
     export_graphml(graph, tmp / "a.graphml")
     back = import_graphml(tmp / "a.graphml")
     assert back.nodes == graph.nodes
-    assert back.edges == graph.edges
+    assert edge_list(back) == edge_list(graph)
     assert back.node_attrs == graph.node_attrs
     assert back.extra == graph.extra
-    for export, name in ((export_graphml, "g.graphml"), (export_edgelist, "e.csv"),
-                         (export_dot, "d.dot")):
+    for export, name in ((export_graphml, "g.graphml"), (export_edgelist, "e.csv")):
         export(graph, tmp / f"first-{name}")
         export(back, tmp / f"second-{name}")
         assert (tmp / f"first-{name}").read_bytes() == (tmp / f"second-{name}").read_bytes()
@@ -94,25 +92,23 @@ def test_exports_survive_import_byte_for_byte(tmp_path_factory, graph):
 @EXAMPLES
 @given(graph=graphs(), data=st.data())
 def test_edge_constructor_and_array_path_agree(graph, data):
-    edges = data.draw(st.permutations(graph.edges))
+    edges = data.draw(st.permutations(edge_list(graph)))
     index = {u: i for i, u in enumerate(graph.nodes)}
-    flipped = [data.draw(st.booleans()) for _ in edges]
+    ends = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v, *_ in edges]
     twin = ProjectionGraph.from_arrays(
-        graph.kind, graph.nodes,
-        [index[e.v if f else e.u] for e, f in zip(edges, flipped)],
-        [index[e.u if f else e.v] for e, f in zip(edges, flipped)],
-        [e.weight for e in edges], np.arange(len(edges)),  # a table with repeats
-        [SIGNS.index(e.sign) for e in edges], [STYLES.index(e.style) for e in edges],
+        graph.kind, graph.nodes, [index[a] for a, _ in ends], [index[b] for _, b in ends],
+        [w for _, _, w, *_ in edges], np.arange(len(edges)),  # a table with repeats
+        [SIGNS.index(s) for *_, s, _ in edges], [STYLES.index(t) for *_, t in edges],
         node_attrs=graph.node_attrs, extra=graph.extra,
     )
-    assert twin.edges == graph.edges
+    assert edge_list(twin) == edge_list(graph)
     assert twin.weight_table == graph.weight_table
     for a, b in zip(_columns(twin), _columns(graph)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     # the documented invariants of the columns
-    assert list(graph.weight_table) == sorted(set(e.weight for e in graph.edges))
-    assert all(e.u < e.v for e in graph.edges)
-    keys = [(e.u, e.v, e.sign) for e in graph.edges]
+    assert list(graph.weight_table) == sorted(set(weight for _, _, weight, *_ in edge_list(graph)))
+    assert all(u < v for u, v, *_ in edge_list(graph))
+    keys = [(u, v, sign) for u, v, _, sign, *_ in edge_list(graph)]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
@@ -329,7 +325,8 @@ def test_plain_node_and_edge_lines_never_reach_expat(tmp_path, graph, chunk):
     """expat sees only the nodes that carry data: attributes or a layout.
     Small chunks still hold a whole line (these lines are under 300 bytes);
     bytes with no line end are passed to expat as they are."""
-    bare = ProjectionGraph(graph.kind, graph.nodes, graph.edges, extra=graph.extra)
+    bare = ProjectionGraph(graph.kind, graph.nodes, [Edge(*e) for e in edge_list(graph)],
+                           extra=graph.extra)
     layout = fr_layout(graph, 1, iterations=0)
     with_data = sum(map(bool, graph.node_attrs.values()))
     seen = Counter()
@@ -350,8 +347,8 @@ def test_plain_node_and_edge_lines_never_reach_expat(tmp_path, graph, chunk):
             seen.clear()
             back = import_graphml(path)
             assert (seen["node"], seen["edge"]) == (nodes_seen, 0)
-            assert (back.nodes, back.edges, back.node_attrs) == \
-                (exported.nodes, exported.edges, exported.node_attrs)
+            assert (back.nodes, edge_list(back), back.node_attrs) == \
+                (exported.nodes, edge_list(exported), exported.node_attrs)
 
 
 def test_a_realistic_import_read_in_small_chunks_matches_expat(tmp_path, monkeypatch):
@@ -393,7 +390,7 @@ def test_an_edge_list_reads_back_through_csv_reader_whatever_its_ids(tmp_path):
     export_edgelist(graph, tmp_path / "e.csv")
     with open(tmp_path / "e.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    assert [tuple(row[:2]) for row in rows[1:]] == [(e.u, e.v) for e in graph.edges]
+    assert [tuple(row[:2]) for row in rows[1:]] == [(u, v) for u, v, *_ in edge_list(graph)]
 
 
 @EXAMPLES
@@ -407,9 +404,6 @@ def test_exporters_write_the_bytes_of_the_per_edge_formatters(tmp_path, graph, c
         "graphml_layout": (lambda g, p: export_graphml(g, p, layout),
                            lambda g, p: per_edge_export_graphml(g, p, layout)),
         "edgelist": (export_edgelist, per_edge_export_edgelist),
-        "dot": (export_dot, per_edge_export_dot),
-        "dot_layout": (lambda g, p: export_dot(g, p, layout),
-                       lambda g, p: per_edge_export_dot(g, p, layout)),
         "svg": (lambda g, p: render_svg(g, layout, None, p),
                 lambda g, p: per_edge_render_svg(g, layout, p)),
     }
