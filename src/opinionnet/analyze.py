@@ -2,8 +2,8 @@
 
 Conventions used throughout:
 
-* Components and paths are computed over positive edges only by default;
-  negative edges express disagreement, not connection.
+* Components and paths are computed over positive edges only; negative
+  edges express disagreement, not connection.
 * Node ids are compared lexicographically wherever a deterministic order or
   tie-break is needed.
 * Edge betweenness counts each unordered node pair once, splitting equally
@@ -58,19 +58,14 @@ def _grouped_components(nodes, us, vs):
     return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
 
 
-def connected_components(graph: ProjectionGraph, edge_filter: str = "positive_only") -> ComponentReport:
-    """Connected components over the selected edge set; isolated nodes count.
+def connected_components(graph: ProjectionGraph) -> ComponentReport:
+    """Connected components over the positive edges; isolated nodes count.
 
     Components are ordered by size descending, then by smallest member id;
     members are sorted lexicographically.
     """
-    if edge_filter not in ("positive_only", "all"):
-        raise ValidationError(f"unknown edge filter {edge_filter!r}")
-    us, vs = graph.us, graph.vs
-    if edge_filter == "positive_only":
-        positive = graph.positive_mask()
-        us, vs = us[positive], vs[positive]
-    comps = _grouped_components(graph.nodes, us, vs)
+    positive = graph.positive_mask()
+    comps = _grouped_components(graph.nodes, graph.us[positive], graph.vs[positive])
     n = graph.n_nodes
     giant = Fraction(len(comps[0]), n) if comps else Fraction(0)
     return ComponentReport(components=comps, giant_fraction=giant, n_nodes=n)
@@ -424,11 +419,15 @@ class ProfileCensus:
         return Fraction(self.realized_profiles, 3**self.m_binary)
 
     @property
+    def space(self) -> int:
+        """k^m, k the symbols in use: + and -, 0 if any is neutral, ? if any is missing."""
+        symbols = set().union(*self.profiles)
+        return (2 + ("0" in symbols) + ("?" in symbols)) ** self.m_binary
+
+    @property
     def realized_fraction(self) -> Fraction:
-        """Against 2^m when every profile is strictly +/-, else against 3^m."""
-        if self.has_neutral_or_missing:
-            return self.fraction_of_ternary_space
-        return self.fraction_of_binary_space
+        """Against the space of possible profiles, k^m."""
+        return Fraction(self.realized_profiles, self.space)
 
     def to_dict(self) -> dict:
         return {

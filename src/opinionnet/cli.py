@@ -272,8 +272,7 @@ def cmd_census(args) -> int:
     census = profile_census(signs)
     outputs = _outputs(args, census=".census.json")
     _write_json(outputs["census"], census.to_dict())
-    space = 3 ** census.m_binary if census.has_neutral_or_missing else 2 ** census.m_binary
-    print(f"profiles realized: {census.realized_profiles}/{space} "
+    print(f"profiles realized: {census.realized_profiles}/{census.space} "
           f"({float(census.realized_fraction):.4f})")
     _write_manifest(args, "census", {"missing_policy": args.missing_policy}, SURVEY_INPUTS, outputs)
     return 0

@@ -129,13 +129,14 @@ class LoadReport:
 class ResponseMatrix:
     """Validated participants-by-items matrix of ordinal codes.
 
-    Immutable after construction. `codes` holds -1 in missing slots and `mask`
-    is True where a response is present. Safe to share across threads.
+    Immutable after construction. `codes` holds -1 in missing slots, and
+    `mask`, derived from it, is True where a response is present. Safe to
+    share across threads.
     """
 
     __slots__ = ("schema", "participant_ids", "codes", "mask", "attributes", "report")
 
-    def __init__(self, schema, participant_ids, codes, mask=None, attributes=None, report=None):
+    def __init__(self, schema, participant_ids, codes, attributes=None, report=None):
         codes = np.array(codes, dtype=np.int16, copy=True)
         if codes.ndim != 2:
             raise ValidationError("codes must be a 2-D participants-by-items array")
@@ -151,13 +152,7 @@ class ResponseMatrix:
             raise ValidationError("participant id count does not match row count")
         if len(set(participant_ids)) != n:
             raise ValidationError("participant ids must be unique")
-        if mask is None:
-            mask = codes != MISSING
-        else:
-            mask = np.array(mask, dtype=bool, copy=True)
-            if mask.shape != codes.shape:
-                raise ValidationError("mask shape must match codes shape")
-        codes[~mask] = MISSING
+        mask = codes != MISSING
         for j, item in enumerate(schema.items):
             col = codes[:, j][mask[:, j]]
             bad = (col < 0) | (col >= item.scale_size)

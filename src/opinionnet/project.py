@@ -886,47 +886,31 @@ def thirds_style(count, total) -> str | None:
     return SOLID
 
 
-def style_edges(graph, mode: str = "dual") -> ProjectionGraph:
-    """Style every edge by thirds of |weight| over the graph's total: N for
-    attitude graphs, the item count for participant graphs.
+def style_edges(graph: AttitudeGraph, mode: str = "dual") -> ProjectionGraph:
+    """The attitude graph as a ProjectionGraph over its items, each edge styled
+    by thirds of |weight| over N.
 
-    An AttitudeGraph first becomes a ProjectionGraph over its items, built
-    from the nonzero counts of the upper triangle: in dual mode each item pair
-    may carry a positive edge weighted +pos and a negative edge weighted -neg;
-    in signed mode a single edge carries pos - neg. Zero counts (and a zero
-    difference) produce no edge.
+    Edges come from the nonzero counts of the upper triangle: in dual mode
+    each item pair may carry a positive edge weighted +pos and a negative
+    edge weighted -neg; in signed mode a single edge carries pos - neg. Zero
+    counts (and a zero difference) produce no edge.
     """
-    if isinstance(graph, AttitudeGraph):
-        if mode not in ("dual", "signed"):
-            raise ValidationError(f"unknown attitude mode {mode!r}; expected 'dual' or 'signed'")
-        a, b = np.triu_indices(len(graph.items), 1)
-        pos, neg = graph.pos[a, b], graph.neg[a, b]
-        if mode == "dual":
-            a, b, weights = np.tile(a, 2), np.tile(b, 2), np.concatenate([pos, -neg])
-        else:
-            weights = pos - neg
-        keep = np.flatnonzero(weights)
-        table, codes = np.unique(weights[keep], return_inverse=True)
-        graph = ProjectionGraph.from_arrays(
-            "attitude", graph.items, a[keep], b[keep], [Fraction(w) for w in table.tolist()],
-            codes, weights[keep] > 0,  # sign code 1 is positive
-            np.zeros(len(keep), dtype=np.int8), threshold_used=1, negative_threshold_used=-1,
-            extra={"n_participants": graph.n_participants, "attitude_mode": mode})
-    elif not isinstance(graph, ProjectionGraph):
+    if not isinstance(graph, AttitudeGraph):
         raise ValidationError(f"cannot style object of type {type(graph).__name__}")
-    if graph.kind == "attitude":
-        key, lacks = "n_participants", "attitude graph lacks its participant count"
+    if mode not in ("dual", "signed"):
+        raise ValidationError(f"unknown attitude mode {mode!r}; expected 'dual' or 'signed'")
+    a, b = np.triu_indices(len(graph.items), 1)
+    pos, neg = graph.pos[a, b], graph.neg[a, b]
+    if mode == "dual":
+        a, b, weights = np.tile(a, 2), np.tile(b, 2), np.concatenate([pos, -neg])
     else:
-        key, lacks = "n_items", "participant graph lacks its item count"
-    total = graph.extra.get(key)
-    if total is None:
-        raise ValidationError(f"{lacks}; cannot style")
-    by_weight = [STYLES.index(thirds_style(abs(w), total) or DOTTED) for w in graph.weight_table]
+        weights = pos - neg
+    keep = np.flatnonzero(weights)
+    table, codes = np.unique(weights[keep], return_inverse=True)
+    table = [Fraction(w) for w in table.tolist()]
+    styles = [STYLES.index(thirds_style(abs(w), graph.n_participants)) for w in table]
     return ProjectionGraph.from_arrays(
-        graph.kind, graph.nodes, graph.us, graph.vs, graph.weight_table, graph.weight_codes,
-        graph.signs, np.array(by_weight, dtype=np.int8)[graph.weight_codes],
-        node_attrs=graph.node_attrs,
-        threshold_used=graph.threshold_used,
-        negative_threshold_used=graph.negative_threshold_used,
-        extra=graph.extra,
-    )
+        "attitude", graph.items, a[keep], b[keep], table, codes,
+        weights[keep] > 0,  # sign code 1 is positive
+        np.array(styles, dtype=np.int8)[codes], threshold_used=1, negative_threshold_used=-1,
+        extra={"n_participants": graph.n_participants, "attitude_mode": mode})

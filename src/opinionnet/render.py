@@ -1,8 +1,8 @@
 """Deterministic force-directed layout and figure-style exports.
 
 Every exporter is a pure function of its inputs: stable element ordering,
-fixed numeric formatting (SVG coordinates use 6 significant digits, embedded
-layout positions 17), and no timestamps, so identical inputs produce
+fixed numeric formatting (SVG coordinates use 6 significant digits, GraphML
+decimal weights 17), and no timestamps, so identical inputs produce
 byte-identical files.
 """
 
@@ -52,6 +52,20 @@ def quoteattr(text: str) -> str:
     if '"' not in text:
         return f'"{text}"'
     return f"'{text}'" if "'" not in text else '"{}"'.format(text.replace('"', "&quot;"))
+
+
+def _text(text: str) -> str:
+    """Element text; XML would read a raw \\r, or \\r\\n, back as \\n."""
+    return escape(text).replace("\r", "&#13;")
+
+
+def _refuse_non_xml(*groups) -> None:
+    """Raise a ValidationError naming the first string, of (what, strings)
+    groups, with a character XML 1.0 forbids; a clean file costs one search."""
+    bad = "[\\x00-\\x08\\x0b\\x0c\\x0e-\\x1f\\ufffe\\uffff]"  # C0 but tab, LF, CR; FFFE; FFFF
+    if re.search(bad, "".join("".join(strings) for _, strings in groups)):
+        what, x = next((what, x) for what, xs in groups for x in xs if re.search(bad, x))
+        raise ValidationError(f"{what} {x!r} holds a character that XML 1.0 forbids")
 
 
 def _fmt6(x: float) -> str:
@@ -113,15 +127,13 @@ class LayoutResult:
     bounding_box: tuple
 
 
-def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
-              negative_mode: str = "ignore") -> LayoutResult:
+def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500) -> LayoutResult:
     """Force-directed layout: all-pairs repulsion, attraction on positive edges.
 
     Classic spring layout with a linear cooling schedule and seeded initial
     placement on the unit disc; seed and iterations are non-negative ints.
-    Negative edges exert no force by default; negative_mode="repel" makes
-    them push their endpoints apart. Identical (graph, seed, iterations,
-    parameters) reproduce identical positions. O(V^2) per iteration.
+    Negative edges exert no force. Identical (graph, seed, iterations)
+    reproduce identical positions. O(V^2) per iteration.
 
     Summation order: each node's repulsion is summed over the other nodes in
     ascending index order, one at a time, and the node's edge forces are
@@ -129,8 +141,6 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
     these sums, so positions equal those of the (n, n, 2) form that the
     tests keep as their reference bit for bit, whatever the BLAS settings.
     """
-    if negative_mode not in ("ignore", "repel"):
-        raise ValidationError(f"unknown negative edge mode {negative_mode!r}")
     for name, value in (("seed", seed), ("iterations", iterations)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise ValidationError(f"layout {name} must be a non-negative integer, got {value!r}")
@@ -149,17 +159,13 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500, *,
     k = np.sqrt(1.0 / n)
     positive = graph.positive_mask()
     us, vs = graph.us[positive], graph.vs[positive]
-    nus, nvs = graph.us[~positive], graph.vs[~positive]
-    if negative_mode == "ignore":
-        nus, nvs = nus[:0], nvs[:0]
-    # An edge (u, v) exerts (u - v) * |u - v| / k: added at v and subtracted
-    # at u when it attracts, added at u and subtracted at v when it repels.
-    # Each node's displacement is its repulsion, then those edge forces in
-    # edge order, as one bincount per coordinate over `ends`.
-    ends = np.concatenate([np.arange(n), vs, us, nus, nvs])
-    tails = np.concatenate([us, us, nus, nus])
-    heads = np.concatenate([vs, vs, nvs, nvs])
-    sides = np.repeat([1.0, -1.0, 1.0, -1.0], [len(us), len(us), len(nus), len(nus)])
+    # A positive edge (u, v) exerts (u - v) * |u - v| / k, added at v and
+    # subtracted at u. Each node's displacement is its repulsion, then those
+    # edge forces in edge order, as one bincount per coordinate over `ends`.
+    ends = np.concatenate([np.arange(n), vs, us])
+    tails = np.concatenate([us, us])
+    heads = np.concatenate([vs, vs])
+    sides = np.repeat([1.0, -1.0], len(us))
     fx, fy = np.empty(len(ends)), np.empty(len(ends))
     t0 = 0.1
     for it in range(iterations):
@@ -207,14 +213,17 @@ _GRAPH_FIELD_TYPES = {
     "threshold": "string",
     "negative_threshold": "string",
 }
-_LAYOUT_KEYS = ("nx", "ny")  # the node keys of an embedded layout's x and y; never attributes
+# the node keys of the x and y positions that files written by earlier versions
+# embed; never attributes
+_LAYOUT_KEYS = ("nx", "ny")
 
 
-def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = None) -> None:
+def export_graphml(graph: ProjectionGraph, path) -> None:
     """Lossless GraphML export: nodes, attributes, exact weights, sign, style.
 
     Weights are serialized as exact fraction strings alongside a decimal
-    convenience value; a provided layout embeds x/y per node.
+    convenience value. A node id, attribute name or attribute value holding a
+    character that XML 1.0 forbids is refused before anything is written.
     """
     graph_data = {"kind": graph.kind}
     for name in ("mode", "attitude_mode", "n_items", "n_participants"):
@@ -226,14 +235,13 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
         graph_data["negative_threshold"] = format_fraction(graph.negative_threshold_used)
 
     attr_names = graph.attribute_names()
+    _refuse_non_xml(("node id", graph.nodes), ("attribute name", attr_names), ("attribute value",
+                    [str(v) for attrs in graph.node_attrs.values() for v in attrs.values()]))
     key_defs = []  # (key_id, domain, name, type)
     for name in graph_data:
         key_defs.append((f"g_{name}", "graph", name, _GRAPH_FIELD_TYPES[name]))
     for i, name in enumerate(attr_names):
         key_defs.append((f"na{i}", "node", name, "string"))
-    if layout is not None:
-        key_defs.append(("nx", "node", "x", "double"))
-        key_defs.append(("ny", "node", "y", "double"))
     key_defs.extend([
         ("e_weight", "edge", "weight", "string"),
         ("e_weight_decimal", "edge", "weight_decimal", "double"),
@@ -252,20 +260,14 @@ def export_graphml(graph: ProjectionGraph, path, layout: LayoutResult | None = N
         )
     lines.append('  <graph id="G" edgedefault="undirected">')
     for name, value in graph_data.items():
-        lines.append(f'    <data key="g_{name}">{escape(str(value))}</data>')
+        lines.append(f'    <data key="g_{name}">{_text(str(value))}</data>')
     attr_key = {name: f"na{i}" for i, name in enumerate(attr_names)}
     quoted = [quoteattr(u) for u in graph.nodes]
     for u, qu in zip(graph.nodes, quoted):
-        attrs = graph.node_attrs.get(u, {})
-        if not attrs and layout is None:
-            lines.append(f'    <node id={qu}/>')
-            continue
-        data = [f'<data key="{attr_key[name]}">{escape(str(attrs[name]))}</data>'
-                for name in attr_names if name in attrs]
-        if layout is not None:
-            x, y = layout.positions[u]
-            data.append(f'<data key="nx">{_fmt17(x)}</data><data key="ny">{_fmt17(y)}</data>')
-        lines.append(f'    <node id={qu}>{"".join(data)}</node>')
+        attrs = graph.node_attrs[u]
+        data = "".join(f'<data key="{attr_key[name]}">{_text(str(attrs[name]))}</data>'
+                       for name in attr_names if name in attrs)
+        lines.append(f'    <node id={qu}>{data}</node>' if data else f'    <node id={qu}/>')
     _write_with_edges(
         path, lines, graph,
         [f'    <edge source={qu} target=' for qu in quoted], [qu + ">" for qu in quoted],
@@ -631,99 +633,88 @@ def _svg_scale(positions, nodes, width, height, pad):
     return to_screen
 
 
-def _stroke(color, style, stroke_width=1.5, opacity=None) -> str:
+def _svg_head(width: int, height: int) -> list:
+    return ['<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
+
+
+def _stroke(color, style, width, opacity) -> str:
     """The attributes after a <line>'s coordinates, through the closing "/>"."""
-    parts = [f'stroke="{color}" stroke-width="{_fmt6(stroke_width)}"']
     dash = _DASH_PATTERNS[style]
-    if dash:
-        parts.append(f'stroke-dasharray="{dash}"')
-    if opacity is not None:
-        parts.append(f'stroke-opacity="{_fmt6(opacity)}"')
-    return " " + " ".join(parts) + "/>"
-
-
-def _edge_svg(x1, y1, x2, y2, color, style, stroke_width=1.5, opacity=None) -> str:
-    return (f'<line x1="{_fmt6(x1)}" y1="{_fmt6(y1)}" x2="{_fmt6(x2)}" y2="{_fmt6(y2)}"'
-            + _stroke(color, style, stroke_width, opacity))
+    return (f' stroke="{color}" stroke-width="{_fmt6(width)}"'
+            + (f' stroke-dasharray="{dash}"' if dash else "")
+            + f' stroke-opacity="{_fmt6(opacity)}"/>')
 
 
 def render_svg(graph: ProjectionGraph, layout: LayoutResult, color_scheme: ColorScheme | None,
-               path, *, width: int = 800, height: int = 800, node_radius: float = 5.0) -> None:
-    """Render a laid-out graph to SVG 1.1 with deterministic bytes.
+               path) -> None:
+    """Render a laid-out graph to an 800 x 800 SVG 1.1 with deterministic bytes.
 
     Positive edges are blue, negative red; the per-edge style class maps to
-    solid/dashed/dotted strokes. Nodes are filled by the color scheme.
+    solid/dashed/dotted strokes. Nodes are circles of radius 5 filled by the
+    color scheme. A fill holding a character that XML 1.0 forbids is refused.
     """
     missing = [u for u in graph.nodes if u not in layout.positions]
     if missing:
         raise ValidationError(f"layout lacks positions for nodes: {', '.join(sorted(missing))}")
     scheme = color_scheme or ColorScheme()
     fills = scheme.fill_for(graph)
-    to_screen = _svg_scale(layout.positions, graph.nodes, width, height, pad=20 + node_radius)
+    colors = list(dict.fromkeys(fills.values()))  # distinct, in node order
+    _refuse_non_xml(("fill", colors))
+    quoted = {color: quoteattr(color) for color in colors}
+    to_screen = _svg_scale(layout.positions, graph.nodes, 800, 800, pad=25.0)
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
     screen = [to_screen(u) for u in graph.nodes]
     xs = [_fmt6(x) for x, _ in screen]
     ys = [_fmt6(y) for _, y in screen]
-    quoted = {color: quoteattr(color) for color in set(fills.values())}
     circles = [
-        f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '
+        f'<circle cx="{x}" cy="{y}" r="5" '
         f'fill={quoted[fills[u]]} stroke="#333333" stroke-width="0.5"/>'
-        for u, (x, y) in zip(graph.nodes, screen)
+        for u, x, y in zip(graph.nodes, xs, ys)
     ]
     _write_with_edges(
-        path, lines, graph, [f'<line x1="{x}" y1="{y}"' for x, y in zip(xs, ys)],
+        path, _svg_head(800, 800), graph, [f'<line x1="{x}" y1="{y}"' for x, y in zip(xs, ys)],
         [f' x2="{x}" y2="{y}"' for x, y in zip(xs, ys)],
-        lambda w, sign, style: _stroke(_COLORS[sign], style, opacity=0.7),
+        lambda w, sign, style: _stroke(_COLORS[sign], style, 1.5, 0.7),
         circles + ["</svg>"],
     )
 
 
-def render_bipartite_svg(normalized: NormalizedMatrix, path, *,
-                         width: int = 1200, height: int = 700) -> None:
-    """Direct two-layer rendering of the participant-item bipartite graph.
+def render_bipartite_svg(normalized: NormalizedMatrix, path) -> None:
+    """Direct two-layer rendering of the participant-item bipartite graph,
+    1200 x 700.
 
     Items sit on the top rank, participants on the bottom. Each response is
     one edge: blue for positive, red for negative, yellow for neutral; full
-    endorsement (|value| = 1) draws solid, intermediate values dashed.
+    endorsement (|value| = 1) draws solid, intermediate values dashed. An
+    item label holding a character that XML 1.0 forbids is refused.
     """
     n, m = normalized.n_participants, normalized.n_items
     item_ids = normalized.schema.item_ids
+    _refuse_non_xml(("item label", list(item_ids)))
     pad = 60.0
-    item_y, part_y = pad, height - pad
+    item_y, part_y = pad, 700 - pad
 
     def item_x(j):
-        return pad + (width - 2 * pad) * (j + 0.5) / m
+        return pad + (1200 - 2 * pad) * (j + 0.5) / m
 
     def part_x(i):
-        return pad + (width - 2 * pad) * (i + 0.5) / n
+        return pad + (1200 - 2 * pad) * (i + 0.5) / n
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
+    lines = _svg_head(1200, 700)
     d = normalized.denominator
     for i in range(n):
         for j in range(m):
             if not normalized.mask[i, j]:
                 continue
             numer = int(normalized.numerators[i, j])
-            if numer > 0:
-                color = POSITIVE_COLOR
-            elif numer < 0:
-                color = NEGATIVE_COLOR
-            else:
-                color = NEUTRAL_COLOR
+            color = (POSITIVE_COLOR if numer > 0 else NEGATIVE_COLOR) if numer else NEUTRAL_COLOR
             style = SOLID if abs(numer) in (d, 0) else DASHED
-            lines.append(_edge_svg(part_x(i), part_y, item_x(j), item_y, color, style,
-                                   stroke_width=0.8, opacity=0.5))
+            lines.append(f'<line x1="{_fmt6(part_x(i))}" y1="{_fmt6(part_y)}" '
+                         f'x2="{_fmt6(item_x(j))}" y2="{_fmt6(item_y)}"'
+                         + _stroke(color, style, 0.8, 0.5))
     for j, item in enumerate(item_ids):
         x = item_x(j)
         lines.append(

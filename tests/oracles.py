@@ -238,7 +238,7 @@ def betweenness_per_source(n_nodes: int, us: np.ndarray, vs: np.ndarray) -> np.n
     return bet / 2.0
 
 
-def fr_positions_add_at(graph, seed, iterations, negative_mode="ignore"):
+def fr_positions_add_at(graph, seed, iterations):
     """Force-directed positions with the edge forces scattered by np.add.at.
 
     The package's earlier layout loop, kept as the reference for the
@@ -252,7 +252,6 @@ def fr_positions_add_at(graph, seed, iterations, negative_mode="ignore"):
     k = np.sqrt(1.0 / n)
     positive = graph.positive_mask()
     us, vs = graph.us[positive], graph.vs[positive]
-    nus, nvs = graph.us[~positive], graph.vs[~positive]
     t0 = 0.1
     for it in range(iterations):
         t = t0 * (1.0 - it / iterations)
@@ -267,12 +266,6 @@ def fr_positions_add_at(graph, seed, iterations, negative_mode="ignore"):
             pull = dvec * (dlen / k)[:, None]
             np.add.at(disp, vs, pull)
             np.subtract.at(disp, us, pull)
-        if negative_mode == "repel" and len(nus):
-            dvec = pos[nus] - pos[nvs]
-            dlen = np.maximum(np.sqrt((dvec**2).sum(axis=1)), 1e-9)
-            push = dvec * (dlen / k)[:, None]
-            np.add.at(disp, nus, push)
-            np.subtract.at(disp, nvs, push)
         length = np.maximum(np.sqrt((disp**2).sum(axis=1)), 1e-12)
         pos += disp * (np.minimum(length, t) / length)[:, None]
     return pos
@@ -634,7 +627,12 @@ def _write_lines(path, lines) -> None:
 
 
 def per_edge_export_graphml(graph: ProjectionGraph, path, layout=None) -> None:
+    """export_graphml's bytes; with a layout, a file as earlier versions wrote
+    it, with each node's position under the keys nx and ny."""
     from opinionnet.render import _GRAPH_FIELD_TYPES, _fmt17, escape, quoteattr
+
+    def text(value) -> str:  # XML reads a raw \r back as \n
+        return escape(str(value)).replace("\r", "&#13;")
 
     graph_data = {"kind": graph.kind}
     for name in ("mode", "attitude_mode", "n_items", "n_participants"):
@@ -657,12 +655,12 @@ def per_edge_export_graphml(graph: ProjectionGraph, path, layout=None) -> None:
     lines += [f'  <key id={quoteattr(key_id)} for="{domain}" attr.name={quoteattr(name)} '
               f'attr.type="{attr_type}"/>' for key_id, domain, name, attr_type in key_defs]
     lines.append('  <graph id="G" edgedefault="undirected">')
-    lines += [f'    <data key="g_{name}">{escape(str(value))}</data>'
+    lines += [f'    <data key="g_{name}">{text(value)}</data>'
               for name, value in graph_data.items()]
     attr_key = {name: f"na{i}" for i, name in enumerate(attr_names)}
     for u in graph.nodes:
         attrs = graph.node_attrs.get(u, {})
-        data = [f'<data key={quoteattr(attr_key[name])}>{escape(str(attrs[name]))}</data>'
+        data = [f'<data key={quoteattr(attr_key[name])}>{text(attrs[name])}</data>'
                 for name in attr_names if name in attrs]
         if layout is not None:
             x, y = layout.positions[u]
@@ -688,22 +686,21 @@ def per_edge_export_edgelist(graph: ProjectionGraph, path) -> None:
         for u, v, weight, sign, style in edge_list(graph)])
 
 
-def per_edge_render_svg(graph: ProjectionGraph, layout, path, *, width=800, height=800,
-                        node_radius=5.0) -> None:
+def per_edge_render_svg(graph: ProjectionGraph, layout, path) -> None:
     from opinionnet.render import _COLORS, ColorScheme, _fmt6, _stroke, _svg_scale
 
     fills = ColorScheme().fill_for(graph)
-    to_screen = _svg_scale(layout.positions, graph.nodes, width, height, pad=20 + node_radius)
+    to_screen = _svg_scale(layout.positions, graph.nodes, 800, 800, pad=25.0)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
-             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="#ffffff"/>']
+             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" '
+             'height="800" viewBox="0 0 800 800">',
+             '<rect width="800" height="800" fill="#ffffff"/>']
     for u, v, _, sign, style in edge_list(graph):
         (x1, y1), (x2, y2) = to_screen(u), to_screen(v)
         lines.append(f'<line x1="{_fmt6(x1)}" y1="{_fmt6(y1)}" x2="{_fmt6(x2)}" y2="{_fmt6(y2)}"'
-                     + _stroke(_COLORS[sign], style, opacity=0.7))
+                     + _stroke(_COLORS[sign], style, 1.5, 0.7))
     for u in graph.nodes:
         x, y = to_screen(u)
-        lines.append(f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="{_fmt6(node_radius)}" '
+        lines.append(f'<circle cx="{_fmt6(x)}" cy="{_fmt6(y)}" r="5" '
                      f'fill="{fills[u]}" stroke="#333333" stroke-width="0.5"/>')
     _write_lines(path, lines + ["</svg>"])

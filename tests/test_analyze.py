@@ -95,8 +95,6 @@ def test_negative_edges_excluded_by_default():
     )
     positive_only = connected_components(graph)
     assert [len(c) for c in positive_only.components] == [2, 1]
-    with_all = connected_components(graph, edge_filter="all")
-    assert [len(c) for c in with_all.components] == [3]
 
 
 def test_component_ordering_size_then_smallest_id():
@@ -979,6 +977,16 @@ def test_neutral_switches_denominator_to_ternary():
     assert census.has_neutral_or_missing
     assert census.realized_fraction == census.fraction_of_ternary_space == F(2, 9)
     assert census.fraction_of_binary_space == F(2, 4)
+
+
+def test_neutral_and_missing_count_against_four_symbols():
+    # one 3-point item answered 0, 1, 2 and missing: four profiles, -, 0, + and ?
+    census = profile_census(binarize(renormalize(make_matrix([[0], [1], [2], [None]], [3]))))
+    assert census.realized_profiles == census.space == 4
+    assert census.realized_fraction == 1
+    many = [[0, 1], [1, None], [2, 2], [None, 0], [1, 1]]
+    census = profile_census(binarize(renormalize(make_matrix(many, [3, 3]))))
+    assert census.space == 16 and census.realized_fraction == F(5, 16)
 
 
 def test_missing_marks_profile_distinctly():

@@ -403,6 +403,17 @@ def test_census_planted_profiles(tmp_path, capsys):
     assert sum(payload["profiles"].values()) == 100
 
 
+def test_census_space_counts_the_symbols_in_use(tmp_path, capsys):
+    # neutral and missing answers both occur, so a profile symbol is one of four
+    schema = write_schema(tmp_path / "schema.json", [3])
+    survey = write_survey(tmp_path / "survey.csv", [3], [[0], [1], [2], ["NA"]])
+    assert main(["census", "--survey", str(survey), "--schema", str(schema),
+                 "--missing-policy", "keep_pairwise", "--out-prefix", str(tmp_path / "c")]) == 0
+    assert "profiles realized: 4/4 (1.0000)" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "c.census.json").read_text())
+    assert Fraction(payload["realized_fraction"]) <= 1
+
+
 def test_render_bipartite_cli(tmp_path):
     ks = [5, 4]
     schema = write_schema(tmp_path / "schema.json", ks)
@@ -465,6 +476,39 @@ def test_render_quotes_node_fills(tmp_path, color_map, default_color, fills):
     parser.StartElementHandler = lambda tag, attrs: tag == "circle" and read.append(attrs["fill"])
     parser.Parse((tmp_path / "fig.svg").read_bytes(), True)
     assert read == fills
+
+
+def test_carriage_returns_in_attributes_reach_the_color_map(tmp_path):
+    # csv keeps a \r inside a quoted field; the GraphML must carry it to render
+    ks = [4] * 3
+    schema = write_schema(tmp_path / "schema.json", ks, attrs=("party",))
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(b'pid,party,q00,q01,q02\np000,"D\rR",0,0,0\np001,"D\r\nR",0,0,0\n'
+                       b'p002,I,0,0,0\n')
+    assert main(["project", "--survey", str(survey), "--schema", str(schema),
+                 "--mode", "exact", "--threshold", "3", "--out-prefix", str(tmp_path / "g")]) == 0
+    back = import_graphml(tmp_path / "g.graphml")
+    assert [back.node_attrs[u]["party"] for u in back.nodes] == ["D\rR", "D\r\nR", "I"]
+    assert main(["render", "--graph", str(tmp_path / "g.graphml"), "--iterations", "5",
+                 "--color-attr", "party", "--color-map", "D\rR=#000001,D\r\nR=#000002",
+                 "--default-color", "#000003", "--out-prefix", str(tmp_path / "fig")]) == 0
+    fills = re.findall(r'<circle [^>]* fill="([^"]*)"', (tmp_path / "fig.svg").read_text())
+    assert fills == ["#000001", "#000002", "#000003"]
+
+
+@pytest.mark.parametrize("pid", ["a\x01x", "a\x1fx", "a\ufffex"])
+def test_project_refuses_an_id_that_xml_cannot_hold(tmp_path, capsys, pid):
+    ks = [2, 2]
+    schema = write_schema(tmp_path / "schema.json", ks)
+    survey = tmp_path / "survey.csv"
+    survey.write_text(f"pid,q00,q01\n{pid},1,1\nb,1,1\nc,0,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", "exact",
+                 "--threshold", "auto", "--out-prefix", str(out / "run")]) == 2
+    block = json.loads(capsys.readouterr().err)
+    assert block["error"]["type"] == "ValidationError" and block["error"]["exit_code"] == 2
+    assert repr(pid) in block["error"]["message"] and "XML 1.0" in block["error"]["message"]
+    assert list(out.iterdir()) == []
 
 
 def test_bad_color_map_is_validation_error(tmp_path, capsys):

@@ -886,24 +886,20 @@ def test_zero_count_pairs_get_no_edge():
     assert [sign for *_, sign, _ in edge_list(graph)] == ["positive"]
 
 
+def test_style_edges_takes_attitude_graphs_only():
+    ag = project_attitudes(renormalize(make_matrix([[1, 1], [0, 1]], [2, 2])))
+    with pytest.raises(ValidationError, match="cannot style object of type ProjectionGraph"):
+        style_edges(style_edges(ag))
+    with pytest.raises(ValidationError, match="unknown attitude mode 'both'"):
+        style_edges(ag, mode="both")
+
+
 def test_attitude_signed_mode_single_edge():
     rows = [[1, 1], [1, 1], [0, 0]]
     graph = style_edges(project_attitudes(renormalize(make_matrix(rows, [2, 2]))), mode="signed")
     [(_, _, weight, sign, _)] = edge_list(graph)
     assert weight == 1  # 2 positive - 1 negative
     assert sign == "positive"
-
-
-def test_restyle_participant_graph_by_weight_thirds():
-    ks = [4] * 6
-    rows = [[0] * 6, [0] * 6, [0, 0, 0, 0, 1, 1], [1, 1, 1, 1, 1, 1]]
-    w = weights_from_rows(rows, ks, "exact_agreement")
-    graph = project_participants(w, 2)
-    styled = style_edges(graph)
-    by_pair = {(u, v): style for u, v, _, _, style in edge_list(styled)}
-    assert by_pair[("p000", "p001")] == "solid"  # weight 6 of 6
-    assert by_pair[("p000", "p002")] == "dashed"  # weight 4 of 6
-    assert by_pair[("p002", "p003")] == "dotted"  # weight 2 of 6
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from opinionnet import (
     ColorScheme,
     Edge,
     ProjectionGraph,
+    SurveyItem,
+    SurveySchema,
     ValidationError,
     LayoutResult,
     export_edgelist,
@@ -29,7 +31,7 @@ from opinionnet import render
 from opinionnet.render import escape, quoteattr
 
 from helpers import edge_list, graph_from_edges, make_matrix
-from oracles import expat_import_graphml, fr_positions_add_at
+from oracles import expat_import_graphml, fr_positions_add_at, per_edge_export_graphml
 
 
 def F(*args):
@@ -114,15 +116,12 @@ LAYOUT_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("name, negative_mode", [
-    pytest.param(name, mode, id=mode if name == "dual-sign-cliques" else f"{name}-{mode}")
-    for name in LAYOUT_GRAPHS for mode in ("ignore", "repel")
-])
-def test_layout_matches_add_at_scatter_bitwise(name, negative_mode):
+@pytest.mark.parametrize("name", LAYOUT_GRAPHS)
+def test_layout_matches_add_at_scatter_bitwise(name):
     build, iterations = LAYOUT_GRAPHS[name]
     graph = build()
-    layout = fr_layout(graph, seed=13, iterations=iterations, negative_mode=negative_mode)
-    expected = fr_positions_add_at(graph, 13, iterations, negative_mode)
+    layout = fr_layout(graph, seed=13, iterations=iterations)
+    expected = fr_positions_add_at(graph, 13, iterations)
     assert [layout.positions[u] for u in graph.nodes] == [tuple(p) for p in expected.tolist()]
 
 
@@ -215,17 +214,6 @@ def test_unicode_node_ids_round_trip_graphml(tmp_path):
     assert back.node_attrs == graph.node_attrs
 
 
-def test_negative_repel_mode_runs_and_differs():
-    graph = ProjectionGraph(
-        kind="participant",
-        nodes=["a", "b", "c"],
-        edges=[Edge("a", "b", F(5)), Edge("b", "c", F(-5), "negative")],
-    )
-    plain = fr_layout(graph, seed=4, iterations=60)
-    repel = fr_layout(graph, seed=4, iterations=60, negative_mode="repel")
-    assert plain.positions != repel.positions
-
-
 # ---------------------------------------------------------------------------
 # GraphML round-trip
 # ---------------------------------------------------------------------------
@@ -281,34 +269,72 @@ def test_graphml_round_trip_attitude_dual_edges(tmp_path):
     assert back.extra == graph.extra
 
 
-def test_graphml_with_layout_positions_embedded(tmp_path):
-    graph = sample_graph()
-    layout = fr_layout(graph, seed=5, iterations=30)
-    path = tmp_path / "g.graphml"
-    export_graphml(graph, path, layout=layout)
-    text = path.read_text()
-    assert 'attr.name="x"' in text and 'attr.name="y"' in text
-    back = import_graphml(path)  # positions ignored, graph intact
-    assert edge_list(back) == edge_list(graph)
-    assert back.node_attrs == graph.node_attrs
-
-
 @pytest.mark.parametrize("with_layout", [False, True])
 def test_graphml_keeps_node_attributes_named_x_and_y(tmp_path, with_layout):
-    # only the layout's own keys are skipped on import, not every attribute
-    # that shares their names
+    # only the nx and ny keys of the positions that earlier versions embedded
+    # are skipped on import, not every attribute that shares their names
     graph = ProjectionGraph(
         "participant", ["a", "b", "c"], [Edge("a", "b", F(2))],
         node_attrs={"a": {"x": "left", "party": "D"}, "b": {"y": "0.5"},
                     "c": {"x": "right", "y": "top"}},
         threshold_used=F(1), extra={"mode": "exact_agreement", "n_items": 3})
-    layout = fr_layout(graph, seed=1, iterations=5) if with_layout else None
     path = tmp_path / "g.graphml"
-    export_graphml(graph, path, layout=layout)
+    if with_layout:  # the file an earlier version wrote with positions embedded
+        per_edge_export_graphml(graph, path, fr_layout(graph, seed=1, iterations=5))
+    else:
+        export_graphml(graph, path)
     for read in (import_graphml, expat_import_graphml):
         back = read(path)
         assert back.node_attrs == graph.node_attrs
         assert edge_list(back) == edge_list(graph)
+
+
+def test_graphml_text_keeps_carriage_returns(tmp_path):
+    # XML reads a raw \r, or \r\n, in element text back as \n
+    graph = ProjectionGraph(
+        "participant", ["a", "b", "c"], [Edge("a", "b", F(1))],
+        node_attrs={"a": {"note": "x\ry"}, "b": {"note": "p\r\nq"}, "c": {"note": "\r"}},
+        extra={"mode": "m\r", "n_items": 3})
+    path = tmp_path / "g.graphml"
+    export_graphml(graph, path)
+    for read in (import_graphml, expat_import_graphml):
+        back = read(path)
+        assert back.node_attrs == graph.node_attrs
+        assert back.extra == graph.extra
+
+
+@pytest.mark.parametrize("nodes, attrs, named", [
+    (["a", "b\x01", "c\x02"], {}, "node id 'b\\x01'"),
+    (["a", "b"], {"a": {"ok": "1", "bad\x1f": "2"}}, "attribute name 'bad\\x1f'"),
+    (["a", "b"], {"a": {"n": "v"}, "b": {"n": "v\x0bw"}}, "attribute value 'v\\x0bw'"),
+    (["a", "b\uffff"], {}, "node id 'b\\uffff'"),
+    (["a", "b"], {"a": {"n": "\ufffe"}}, "attribute value '\\ufffe'"),
+])
+def test_graphml_refuses_characters_xml_forbids(tmp_path, nodes, attrs, named):
+    graph = ProjectionGraph("participant", nodes, [Edge("a", nodes[1], F(1))], node_attrs=attrs)
+    path = tmp_path / "g.graphml"
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        export_graphml(graph, path)
+    assert not path.exists()
+    allowed = ProjectionGraph("participant", ["a", "t\tab", "l\nf", "c\rr"],
+                              [Edge("a", "c\rr", F(1))], node_attrs={"a": {"n\t": "v\n\r"}})
+    export_graphml(allowed, path)  # tab, line feed and carriage return are XML characters
+    assert import_graphml(path).nodes == allowed.nodes
+
+
+def test_svgs_refuse_fills_and_labels_xml_forbids(tmp_path):
+    graph = sample_graph()
+    layout = fr_layout(graph, seed=1, iterations=5)
+    scheme = ColorScheme(attribute="party", mapping={"D": "#000", "R": "r\x08"},
+                         default_color="\x00")
+    with pytest.raises(ValidationError, match=re.escape("fill 'r\\x08'")):
+        render_svg(graph, layout, scheme, tmp_path / "g.svg")
+    schema = SurveySchema(items=(SurveyItem("q0", 2), SurveyItem("q\x7f\x1b", 2)),
+                          id_column="pid")
+    matrix = renormalize(make_matrix([[0, 1]], [2, 2], schema=schema))
+    with pytest.raises(ValidationError, match=re.escape("item label 'q\\x7f\\x1b'")):
+        render_bipartite_svg(matrix, tmp_path / "b.svg")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_graphml_deterministic_bytes(tmp_path):
