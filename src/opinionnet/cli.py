@@ -62,7 +62,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _temporary(args, final: Path) -> Path:
     """A temporary path beside final; args.pending maps it to final until
-    _move_into_place moves it there, and main removes it if the command fails."""
+    _move_into_place moves it there, and main removes it if the command fails.
+    A final path that is one of the command's input files is refused."""
+    for name in ("survey", "schema", "graph"):
+        source = getattr(args, name, None)
+        if source and final.exists() and Path(source).exists() and os.path.samefile(final, source):
+            raise ValidationError(f"output {final} is the --{name} input; it would be replaced")
     temp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
     args.pending[temp] = final
     return temp

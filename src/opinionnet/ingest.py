@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,14 +80,6 @@ class SurveySchema:
     def n_items(self) -> int:
         return len(self.items)
 
-    def to_dict(self) -> dict:
-        return {
-            "id_column": self.id_column,
-            "attribute_columns": list(self.attribute_columns),
-            "missing_token": self.missing_token,
-            "items": [{"id": it.item_id, "scale": it.scale_size} for it in self.items],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "SurveySchema":
         try:
@@ -114,9 +107,6 @@ class SurveySchema:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValidationError(f"schema file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 @dataclass
@@ -192,12 +182,6 @@ class ResponseMatrix:
     def has_missing(self) -> bool:
         return not bool(self.mask.all())
 
-    def code_at(self, participant: int, item: int):
-        """Code at (row, column), or None when missing."""
-        if not self.mask[participant, item]:
-            return None
-        return int(self.codes[participant, item])
-
     def node_attributes(self) -> dict:
         """Per-participant attribute mapping, keyed by participant id."""
         cols = self.schema.attribute_columns
@@ -208,7 +192,7 @@ class ResponseMatrix:
 
     def equals(self, other: "ResponseMatrix") -> bool:
         return (
-            self.schema.to_dict() == other.schema.to_dict()
+            self.schema == other.schema
             and self.participant_ids == other.participant_ids
             and np.array_equal(self.mask, other.mask)
             and np.array_equal(self.codes, other.codes)
@@ -359,19 +343,27 @@ def _item_codes(rows: list, schema: SurveySchema, item_pos: list) -> np.ndarray:
     return codes
 
 
+def quote_cell(text: str) -> str:
+    """A CSV cell that csv.reader reads back as text: quoted, its quotes doubled,
+    when it holds a comma, a quote, a line feed or a carriage return. Without a
+    carriage return these are the csv module's writer bytes; that writer quotes
+    a bare one only from Python 3.13."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(csv_path, header, rows) -> None:
+    """Write the header and rows of text cells as UTF-8 CSV, a line feed ending each row."""
+    with Path(csv_path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(quote_cell, row)) + "\n" for row in chain([header], rows))
+
+
 def write_survey(matrix: ResponseMatrix, csv_path) -> None:
     """Write a ResponseMatrix as CSV in the loader's layout (id, attributes, items)."""
     schema = matrix.schema
-    path = Path(csv_path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([schema.id_column, *schema.attribute_columns, *schema.item_ids])
-        for i, pid in enumerate(matrix.participant_ids):
-            row = [pid]
-            row.extend(matrix.attributes[c][i] for c in schema.attribute_columns)
-            for j in range(matrix.n_items):
-                if matrix.mask[i, j]:
-                    row.append(str(int(matrix.codes[i, j])))
-                else:
-                    row.append(schema.missing_token)
-            writer.writerow(row)
+    attributes = [matrix.attributes[c] for c in schema.attribute_columns]
+    write_csv(csv_path, [schema.id_column, *schema.attribute_columns, *schema.item_ids], (
+        [pid, *(column[i] for column in attributes),
+         *(schema.missing_token if code == MISSING else str(code) for code in codes)]
+        for i, (pid, codes) in enumerate(zip(matrix.participant_ids, matrix.codes.tolist()))))

@@ -8,15 +8,13 @@ midpoint. Values are stored as integer numerators over one shared denominator
 
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import ResponseMatrix
+from .ingest import ResponseMatrix, write_csv
 
 
 def scale_values(scale_size: int) -> tuple[Fraction, ...]:
@@ -124,11 +122,6 @@ class SignMatrix:
     def has_missing(self) -> bool:
         return not bool(self.mask.all())
 
-    def sign_at(self, participant: int, item: int):
-        if not self.mask[participant, item]:
-            return None
-        return int(self.signs[participant, item])
-
 
 def binarize(normalized: NormalizedMatrix) -> SignMatrix:
     """Collapse normalized values to {-1, 0, +1}; missing entries stay missing.
@@ -144,13 +137,7 @@ def binarize(normalized: NormalizedMatrix) -> SignMatrix:
 def write_normalized_csv(normalized: NormalizedMatrix, csv_path) -> None:
     """Debugging dump of normalized values as exact fraction strings."""
     schema = normalized.schema
-    path = Path(csv_path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([schema.id_column, *schema.item_ids])
-        for i, pid in enumerate(normalized.participant_ids):
-            row = [pid]
-            for j in range(normalized.n_items):
-                value = normalized.value_at(i, j)
-                row.append(schema.missing_token if value is None else str(value))
-            writer.writerow(row)
+    write_csv(csv_path, [schema.id_column, *schema.item_ids], (
+        [pid, *(schema.missing_token if value is None else str(value)
+                for value in normalized.row_values(i))]
+        for i, pid in enumerate(normalized.participant_ids)))

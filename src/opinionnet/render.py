@@ -19,6 +19,7 @@ from xml.parsers import expat
 import numpy as np
 
 from .errors import ValidationError
+from .ingest import quote_cell
 from .normalize import NormalizedMatrix
 from .project import (
     DASHED,
@@ -558,9 +559,7 @@ class _GraphMLReader:
 
 def export_edgelist(graph: ProjectionGraph, path) -> None:
     """Edge list CSV: u,v,weight,weight_decimal,sign,style (exact fraction first)."""
-
-    cells = ['"' + u.replace('"', '""') + '",'
-             if "," in u or '"' in u or "\n" in u or "\r" in u else u + "," for u in graph.nodes]
+    cells = [quote_cell(u) + "," for u in graph.nodes]
     _write_with_edges(
         path, ["u,v,weight,weight_decimal,sign,style"], graph, cells, cells,
         lambda w, sign, style: f"{format_fraction(w)},{float(w)!r},{sign},{style}",

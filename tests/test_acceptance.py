@@ -431,9 +431,11 @@ def test_criterion_round_trips_survey_and_graphml(tmp_path):
         ks = [rng.randrange(2, 8) for _ in range(m)]
         n = rng.randrange(1, 25)
         rows = random_rows(rng, n, ks, missing_rate=0.2 if trial % 2 else 0.0)
-        attr_pool = ["D", "R", "I", "none", 'quote"d', "comma, value", ""]
+        # line breaks of each kind inside quoted fields, a bare \r included
+        breaks = ["", "\r", "\r\n", "\n"]
+        attr_pool = ["D", "R", "I", "none", 'quote"d', "comma, value", "", "D\rR", "\r\n", "a\nb"]
         attributes = {"grp": [rng.choice(attr_pool) for _ in range(n)]}
-        matrix = make_matrix(rows, ks, ids=[f"id {i},{trial}" for i in range(n)],
+        matrix = make_matrix(rows, ks, ids=[f"id {i},{trial}" + rng.choice(breaks) for i in range(n)],
                              attributes=attributes)
         path = tmp_path / f"survey_{trial}.csv"
         write_survey(matrix, path)

@@ -566,6 +566,46 @@ def test_inspect_dump_normalized(tmp_path, capsys):
     assert lines[2] == "p001,0,-1/3"
 
 
+def test_inspect_dump_keeps_a_carriage_return_in_a_quoted_id(tmp_path, capsys):
+    schema = write_schema(tmp_path / "schema.json", [5, 4])
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(b'pid,q00,q01\n"a\rb",0,3\n"c\r\nd",2,NA\n')
+    out_csv = tmp_path / "norm.csv"
+    assert main(["inspect", "--survey", str(survey), "--schema", str(schema),
+                 "--missing-policy", "keep_pairwise", "--dump-normalized", str(out_csv)]) == 0
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["pid", "q00", "q01"], ["a\rb", "-1", "1"], ["c\r\nd", "0", "NA"]]
+
+
+# each output path names one of the command's inputs; the survey and the
+# schema files are written under those names, and the prefix is "p"
+OVERWRITES = {
+    "dump-normalized-is-the-survey": (
+        ["inspect", "--dump-normalized", "s.csv"], "s.csv", "schema.json"),
+    "edge-list-is-the-survey": (
+        ["project", "--mode", "exact", "--threshold", "1", "--out-prefix", "p"],
+        "p.edges.csv", "schema.json"),
+    "manifest-is-the-schema": (
+        ["project", "--mode", "exact", "--threshold", "1", "--out-prefix", "p"],
+        "s.csv", "p.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITES))
+def test_an_output_that_would_replace_an_input_is_refused(tmp_path, capsys, monkeypatch, case):
+    argv, survey_name, schema_name = OVERWRITES[case]
+    monkeypatch.chdir(tmp_path)
+    write_schema(tmp_path / schema_name, [4, 4])
+    write_survey(tmp_path / survey_name, [4, 4], [[0, 1], [1, 1], [3, 2]])
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main([*argv, "--survey", survey_name, "--schema", schema_name]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValidationError" and error["exit_code"] == 2
+    assert "would be replaced" in error["message"]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_a_failed_normalized_dump_leaves_no_file_behind(tmp_path, capsys, monkeypatch):
     schema = write_schema(tmp_path / "schema.json", [5, 4])
     survey = write_survey(tmp_path / "survey.csv", [5, 4], [[0, 3], [2, 1]])

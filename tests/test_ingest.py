@@ -1,9 +1,13 @@
 import csv
 import io
+import json
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinionnet import (
     ResponseMatrix,
@@ -13,6 +17,7 @@ from opinionnet import (
     load_survey,
     write_survey,
 )
+from opinionnet.ingest import quote_cell
 
 from helpers import make_matrix, make_schema
 from oracles import loop_load_survey
@@ -40,8 +45,8 @@ def test_keep_pairwise_retains_masked_missing(tmp_path):
     mx = load_survey(f, schema, missing_policy="keep_pairwise")
     assert mx.n_participants == 2
     assert mx.has_missing
-    assert mx.code_at(1, 1) is None
-    assert mx.code_at(1, 0) == 1
+    assert not mx.mask[1, 1] and mx.codes[1, 1] == -1
+    assert mx.mask[1, 0] and mx.codes[1, 0] == 1
     assert mx.report.rows_dropped == 0
     assert mx.report.missing_cells == 1
 
@@ -113,11 +118,11 @@ def test_missing_token_compared_after_trimming(tmp_path):
     schema = make_schema([4, 4])
     f = write(tmp_path / "s.csv", "pid,q00,q01\na, NA ,2\n")
     mx = load_survey(f, schema, missing_policy="keep_pairwise")
-    assert mx.code_at(0, 0) is None
+    assert not mx.mask[0, 0]
     # codes may be padded too
     f2 = write(tmp_path / "s2.csv", "pid,q00,q01\na, 1 ,2\n")
     mx2 = load_survey(f2, schema)
-    assert mx2.code_at(0, 0) == 1
+    assert mx2.codes[0, 0] == 1
 
 
 def test_quoted_fields_and_attribute_passthrough(tmp_path):
@@ -144,11 +149,12 @@ def test_wellcome_style_schema_on_synthetic_rows(tmp_path):
 
 def test_round_trip_preserves_matrix(tmp_path):
     schema = make_schema([4, 5, 2], attrs=("party", "region"))
-    rows = [[0, 4, 1], [3, None, 0], [1, 2, None]]
+    rows = [[0, 4, 1], [3, None, 0], [1, 2, None], [2, 0, 0]]
     mx = make_matrix(
         rows, [4, 5, 2],
-        ids=["x, 1", 'y "q"', "z"],
-        attributes={"party": ["D", "R", ""], "region": ["north", "south, east", "west"]},
+        ids=["x, 1", 'y "q"', "z", "a\rb\r\nc\nd"],  # a bare \r is quoted too
+        attributes={"party": ["D", "R", "", "D\rR"],
+                    "region": ["north", "south, east", "west", "\r"]},
         schema=schema,
     )
     out = tmp_path / "round.csv"
@@ -197,8 +203,13 @@ def test_schema_rejects_no_items():
 def test_schema_json_round_trip(tmp_path):
     schema = make_schema([4, 5], attrs=("party",), missing_token="-9")
     path = tmp_path / "schema.json"
-    schema.to_json(path)
-    assert SurveySchema.from_json(path).to_dict() == schema.to_dict()
+    path.write_text(json.dumps({
+        "id_column": schema.id_column,
+        "attribute_columns": list(schema.attribute_columns),
+        "missing_token": schema.missing_token,
+        "items": [{"id": item.item_id, "scale": item.scale_size} for item in schema.items],
+    }), encoding="utf-8")
+    assert SurveySchema.from_json(path) == schema
 
 
 def test_matrix_constructor_validates():
@@ -222,7 +233,7 @@ def test_crlf_line_endings(tmp_path):
     f.write_bytes(b"pid,q00,q01\r\na,1,2\r\nb,0,3\r\n")
     mx = load_survey(f, schema)
     assert mx.participant_ids == ("a", "b")
-    assert mx.code_at(1, 1) == 3
+    assert mx.codes[1, 1] == 3
 
 
 def test_unicode_ids_and_attributes_round_trip(tmp_path):
@@ -233,6 +244,32 @@ def test_unicode_ids_and_attributes_round_trip(tmp_path):
     write_survey(mx, out)
     back = load_survey(out, schema)
     assert back.equals(mx)
+
+
+# any text that load_survey reads from a UTF-8 file: no lone surrogate, and no
+# NUL before Python 3.11, whose csv.reader refuses it; the sampled characters
+# are the ones that need quoting
+CELL_TEXT = st.text(st.one_of(
+    st.sampled_from(list(',"\n\r a')),
+    st.characters(blacklist_categories=("Cs",),
+                  blacklist_characters="\x00" if sys.version_info < (3, 11) else ""),
+), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(CELL_TEXT, min_size=2, max_size=5))  # an id and at least one item
+def test_quoted_cells_read_back_through_csv_reader(cells):
+    line = ",".join(map(quote_cell, cells)) + "\n"
+    assert list(csv.reader(io.StringIO(line, newline=""))) == [cells]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(CELL_TEXT.filter(lambda text: "\r" not in text), min_size=2, max_size=5))
+def test_quoted_cells_without_carriage_returns_are_csv_writer_bytes(cells):
+    # so the files written before csv.writer was dropped keep their bytes
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    assert ",".join(map(quote_cell, cells)) + "\n" == buffer.getvalue()
 
 
 def _random_survey_bytes(rng, schema):

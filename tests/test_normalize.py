@@ -66,13 +66,13 @@ def test_reversing_codes_negates_values_exactly():
 def test_binarize_positive_value():
     # +1/3 on a 4-point scale
     sm = binarize(renormalize(make_matrix([[2]], [4])))
-    assert sm.sign_at(0, 0) == 1
+    assert sm.signs[0, 0] == 1
 
 
 def test_binarize_neutral_midpoint():
     # 0 at the 5-point midpoint
     sm = binarize(renormalize(make_matrix([[2]], [5])))
-    assert sm.sign_at(0, 0) == 0
+    assert sm.mask[0, 0] and sm.signs[0, 0] == 0
 
 
 def test_binarize_componentwise():
@@ -80,20 +80,20 @@ def test_binarize_componentwise():
     nm = renormalize(make_matrix([[0, 1, 3]], [4, 3, 5]))
     assert nm.row_values(0) == [F(-1), F(0), F(1, 2)]
     sm = binarize(nm)
-    assert [sm.sign_at(0, j) for j in range(3)] == [-1, 0, 1]
+    assert sm.signs[0].tolist() == [-1, 0, 1]
 
 
 def test_binarize_missing_preserved():
     sm = binarize(renormalize(make_matrix([[None, 1]], [4, 4])))
-    assert sm.sign_at(0, 0) is None
-    assert sm.sign_at(0, 1) is not None
+    assert sm.mask[0].tolist() == [False, True]
+    assert sm.signs[0, 0] == 0  # a missing slot holds no sign
 
 
 def test_sign_depends_only_on_midpoint_position():
     for k in range(2, 10):
         for c in range(k):
             nm = renormalize(make_matrix([[c], [c]], [k]))
-            sign = binarize(nm).sign_at(0, 0)
+            sign = binarize(nm).signs[0, 0]
             assert sign == sign_of(c, k)
             midpoint = Fraction(k - 1, 2)
             expected = (c > midpoint) - (c < midpoint)
