@@ -34,11 +34,13 @@ from .project import (
     Edge,
     PairWeights,
     ProjectionGraph,
+    ThresholdSelection,
     binarized_agreement_weights,
     exact_agreement_weights,
     project_attitudes,
     project_participants,
     score_weights,
+    select_threshold,
     style_edges,
     thirds_style,
 )
@@ -46,12 +48,10 @@ from .analyze import (
     CommunityReport,
     ComponentReport,
     ProfileCensus,
-    ThresholdSelection,
     connected_components,
     edge_betweenness,
     girvan_newman,
     profile_census,
-    select_threshold,
 )
 from .render import (
     ColorScheme,

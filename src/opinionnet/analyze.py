@@ -1,4 +1,4 @@
-"""Component structure, threshold selection, edge betweenness, and communities.
+"""Component structure, edge betweenness, communities, and the profile census.
 
 Conventions used throughout:
 
@@ -24,11 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoGiantComponentError, ValidationError
+from .errors import ValidationError
 from .normalize import SignMatrix
-from .project import (POSITIVE, SIGNS, PairWeights, ProjectionGraph, _component_roots,
-                      _held_pairs, _participant_graph, _sweep_bands, _threshold_level,
-                      project_participants)
+from .project import ProjectionGraph, _component_roots
 from .rational import as_fraction, format_fraction
 
 
@@ -69,89 +67,6 @@ def connected_components(graph: ProjectionGraph) -> ComponentReport:
     n = graph.n_nodes
     giant = Fraction(len(comps[0]), n) if comps else Fraction(0)
     return ComponentReport(components=comps, giant_fraction=giant, n_nodes=n)
-
-
-@dataclass
-class ThresholdSelection:
-    """Result of the descending weight-level sweep."""
-
-    chosen_threshold: Fraction
-    giant_fraction_at_chosen: Fraction
-    sweep: list
-    target_fraction: Fraction
-
-
-def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
-                     min_level=None) -> ThresholdSelection:
-    """Highest weight level whose edge set reaches the target giant component.
-
-    Descends through the distinct weight values present, adding all edges at
-    each level, and stops at the first (hence highest) level where the largest
-    component covers at least target_fraction of the participants. Levels are
-    distinct values, so ties cannot occur. min_level bounds the descent; if
-    the target is never reached the sweep so far is raised with the error.
-
-    The levels and the largest component at each come from
-    project._sweep_bands, one band of levels at a time, and only while the
-    target is not reached. A band merges its pairs across components into
-    the earlier bands' components, level by level (Kruskal 1956; single
-    linkage, Gower & Ross 1969), and ties may join in any order. The bands
-    run on a copy of the kernel without co-answered counts and hold no pairs
-    for a graph; _auto_projection is the sweep that does.
-    """
-    return _sweep(weights, target_fraction, min_level)[0]
-
-
-def _auto_projection(weights: PairWeights, target_fraction, min_level, node_attrs) -> tuple:
-    """select_threshold, and project_participants at the chosen level, in one
-    pass over all pairs: (selection, graph).
-
-    The sweep's bands run on the weights' own kernel, co-answered counts
-    included on incomplete data, as project_participants' scan does, and
-    each band also holds its pairs at or above its floor while they fit
-    project.SWEEP_HELD_BYTES. The band that reaches the target holds every
-    pair at or above the chosen level, so the graph is built from those, with
-    each copy of a scanned row expanded back (project._held_pairs). Past the
-    budget the graph comes from project_participants' scan instead. Either
-    way it equals project_participants(weights, chosen).
-    """
-    selection, (level, held) = _sweep(weights, target_fraction, min_level, True)
-    threshold = selection.chosen_threshold
-    if held is None:
-        return selection, project_participants(weights, threshold, node_attrs=node_attrs)
-    ii, jj, numer = _held_pairs(held, level)
-    signs = np.full(len(ii), SIGNS.index(POSITIVE), dtype=np.int8)
-    return selection, _participant_graph(weights, ii, jj, signs, numer, None, threshold, None,
-                                         node_attrs)
-
-
-def _sweep(weights: PairWeights, target_fraction, min_level, hold=False) -> tuple:
-    """select_threshold's sweep, down the (level, largest component) pairs of
-    _sweep_bands: the selection, and the chosen numerator level with what its
-    band held (None without hold)."""
-    target = as_fraction(target_fraction)
-    if not (0 < target <= 1):
-        raise ValidationError(f"target fraction {target} must lie in (0, 1]")
-    if weights.rescale:
-        raise ValidationError("automatic threshold selection is not supported for "
-                              "rescaled pairwise weights")
-    n = weights.n_participants
-    d = weights.denominator
-    floor = None if min_level is None else _threshold_level(weights, as_fraction(min_level))
-
-    sweep: list[tuple[Fraction, Fraction]] = []
-    for levels, held in _sweep_bands(weights, floor, hold):
-        for level_numer, largest in levels:  # descending
-            level, frac = Fraction(level_numer, d), Fraction(largest, n)
-            sweep.append((level, frac))
-            if largest * target.denominator >= target.numerator * n:
-                return ThresholdSelection(level, frac, sweep, target), (level_numer, held)
-
-    raise NoGiantComponentError(
-        f"no weight level reached a giant component of {format_fraction(target)} "
-        f"of the {n} participants",
-        sweep,
-    )
 
 
 def _betweenness_fast(n_nodes: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -19,18 +19,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analyze import (_auto_projection, connected_components, girvan_newman, profile_census,
-                      select_threshold)
+from .analyze import connected_components, girvan_newman, profile_census
 from .errors import AlgorithmError, OpinionNetError, ValidationError
-from .ingest import SurveySchema, load_survey
+from .ingest import SurveySchema, load_survey, write_csv
 from .normalize import binarize, renormalize, write_normalized_csv
 from .project import (
-    _check_range,
+    _auto_projection,
     binarized_agreement_weights,
     exact_agreement_weights,
     project_attitudes,
     project_participants,
     score_weights,
+    select_threshold,  # not called here: bench/layers.py traces the sweep by this name
     style_edges,
 )
 from .rational import as_fraction, format_fraction
@@ -61,13 +61,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _temporary(args, final: Path) -> Path:
-    """A temporary path beside final; args.pending maps it to final until
-    _move_into_place moves it there, and main removes it if the command fails.
-    A final path that is one of the command's input files is refused."""
+    """A temporary path beside final, in final's directory, made if missing;
+    args.pending maps it to final until _move_into_place moves it there, and
+    main removes it if the command fails. A final path that is one of the
+    command's input files is refused."""
     for name in ("survey", "schema", "graph"):
         source = getattr(args, name, None)
         if source and final.exists() and Path(source).exists() and os.path.samefile(final, source):
             raise ValidationError(f"output {final} is the --{name} input; it would be replaced")
+    final.parent.mkdir(parents=True, exist_ok=True)
     temp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
     args.pending[temp] = final
     return temp
@@ -82,9 +84,8 @@ def _move_into_place(args, temps) -> list:
 
 def _outputs(args, **suffixes) -> dict:
     """Temporary paths for the files named `--out-prefix` plus each suffix,
-    each beside its file; makes their directory. See _temporary."""
+    each beside its file. See _temporary."""
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     return {name: _temporary(args, prefix.with_name(prefix.name + suffix))
             for name, suffix in suffixes.items()}
 
@@ -178,47 +179,29 @@ def cmd_project(args) -> int:
         "rescale": args.rescale,
         "exclude_neutral_pairs": args.exclude_neutral_pairs,
     }
-    negative = None if args.negative_threshold is None else as_fraction(args.negative_threshold)
     node_attrs = matrix.node_attributes()
-    graph = None
-    if args.threshold == "auto":
-        target = as_fraction(args.target_fraction)
-        min_level = None if args.min_level is None else as_fraction(args.min_level)
-        _check_range(weights, "negative threshold", negative)  # before the sweep, not after
-        if negative is None:  # the graph comes from the pairs the sweep's last band holds
-            selection, graph = _auto_projection(weights, target, min_level, node_attrs)
-        else:
-            selection = select_threshold(weights, target_fraction=target, min_level=min_level)
-        threshold = selection.chosen_threshold
+    if args.threshold == "auto":  # a refused run prints nothing: the graph exists first
+        selection, graph = _auto_projection(weights, args.target_fraction, args.min_level,
+                                            args.negative_threshold, node_attrs)
         parameters["target_fraction"] = args.target_fraction
         parameters["min_level"] = args.min_level
-        parameters["resolved_threshold"] = format_fraction(threshold)
-        rows = ["threshold,giant_fraction,giant_fraction_decimal"]
-        rows += [
-            f"{format_fraction(level)},{format_fraction(frac)},{repr(float(frac))}"
-            for level, frac in selection.sweep
-        ]
-        outputs["sweep"].write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_csv(outputs["sweep"], ["threshold", "giant_fraction", "giant_fraction_decimal"],
+                  ([format_fraction(level), format_fraction(frac), repr(float(frac))]
+                   for level, frac in selection.sweep))
         # the sweep's giant at the chosen level is the projection's: the same
         # participants and the same positive edges, so no components pass
         giant = selection.giant_fraction_at_chosen
-    else:
-        del outputs["sweep"]
-        threshold = as_fraction(args.threshold)
-        parameters["resolved_threshold"] = format_fraction(threshold)
-
-    if graph is None:
-        graph = project_participants(weights, threshold, negative_threshold=negative,
-                                     node_attrs=node_attrs)
-    if args.threshold == "auto":  # once the graph exists: a refused run prints nothing
-        print(f"auto threshold: {format_fraction(threshold)} "
+        print(f"auto threshold: {format_fraction(graph.threshold_used)} "
               f"(giant fraction {format_fraction(giant)})")
     else:
+        del outputs["sweep"]
+        graph = project_participants(weights, args.threshold, args.negative_threshold, node_attrs)
         giant = connected_components(graph).giant_fraction
+    threshold = parameters["resolved_threshold"] = format_fraction(graph.threshold_used)
     export_graphml(graph, outputs["graphml"])
     export_edgelist(graph, outputs["edges"])
     print(f"projected {graph.n_nodes} participants: {_sign_counts(graph)} "
-          f"at threshold {format_fraction(threshold)}")
+          f"at threshold {threshold}")
     print(f"largest component: {format_fraction(giant)} of nodes")
     _write_manifest(args, "project", parameters, SURVEY_INPUTS, outputs)
     return 0
@@ -290,8 +273,10 @@ def _parse_color_map(arg: str | None) -> dict:
     for part in arg.split(","):
         if "=" not in part:
             raise ValidationError(f"bad color mapping entry {part!r}; expected VALUE=COLOR")
-        value, color = part.split("=", 1)
-        mapping[value.strip()] = color.strip()
+        value, color = (side.strip() for side in part.split("=", 1))
+        if not color:  # an empty value is legal, an empty fill is not a paint
+            raise ValidationError(f"bad color mapping entry {part!r}; its color is empty")
+        mapping[value] = color
     return mapping
 
 
@@ -419,14 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pending = {}  # temporary output -> its file; see _temporary
     try:
         try:
             args = build_parser().parse_args(argv)
-            args.pending = {}  # temporary output -> its file; see _outputs
+            args.pending = pending
             try:
                 return args.func(args)
             finally:
-                for temp in args.pending:  # what a failed command wrote is removed
+                for temp in pending:  # what a failed command wrote is removed
                     temp.unlink(missing_ok=True)
                 sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         except OSError as exc:  # e.g. an output prefix under a regular file, or a full disk
@@ -436,8 +422,9 @@ def main(argv=None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
                 raise ValidationError("standard output closed before the run finished") from exc
-            raise ValidationError(f"cannot access {exc.filename or 'a file'}: "
-                                  f"{exc.strerror or exc}") from exc
+            finals = {str(temp): final for temp, final in pending.items()}
+            name = finals.get(exc.filename, exc.filename) or "a file"  # never a temporary
+            raise ValidationError(f"cannot access {name}: {exc.strerror or exc}") from exc
     except OpinionNetError as exc:
         block = {"error": {"type": type(exc).__name__, "message": str(exc),
                            "exit_code": exc.exit_code}}

@@ -29,14 +29,15 @@ w <= negative_threshold. Exact-agreement projections at levels m and m-1 on
 complete data skip the pair scan and sort rows instead.
 The threshold sweep's pass over all pairs also lives here: _sweep_bands scans
 one row of each group of equal rows, on a private copy of the kernel without
-co-answered counts, in bands of weight levels from the top down until the
-caller stops. A band holds only the pairs across its components, compacted
-into a forest when they pass a byte budget, and the levels present are the
-values of the pairs it selects. For `project --threshold auto` the bands also
-keep every pair they select, within the same budget, on the kernel with its
-counts; the band that reaches the chosen level then holds the whole graph
-at that level, and _held_pairs expands it back over the equal rows, so the
-graph needs no second scan. Past the budget, the graph comes from the scan.
+co-answered counts, in bands of weight levels from the top down until
+select_threshold stops. A band holds only the pairs across its components,
+compacted into a forest when they pass a byte budget, and the levels present
+are the values of the pairs it selects. For `project --threshold auto` without
+a negative threshold, _auto_projection's bands also keep every pair they
+select, within the same budget, on the kernel with its counts; the band that
+reaches the chosen level then holds the whole graph at that level, and
+_held_pairs expands it back over the equal rows, so the graph needs no second
+scan. Past the budget, the graph comes from the scan.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NoGiantComponentError, ValidationError
 from .ingest import ResponseMatrix
 from .normalize import NormalizedMatrix, SignMatrix
-from .rational import as_fraction
+from .rational import as_fraction, format_fraction
 
 EXACT_AGREEMENT = "exact_agreement"
 SCORE = "score"
@@ -777,6 +778,93 @@ def _held_pairs(held, level: int) -> tuple:
     self_level[joined] = own
     return (np.concatenate([us, a]), np.concatenate([vs, b]),
             np.concatenate([np.repeat(numer, reps), self_level[head[a]]]))
+
+
+@dataclass
+class ThresholdSelection:
+    """Result of the descending weight-level sweep."""
+
+    chosen_threshold: Fraction
+    giant_fraction_at_chosen: Fraction
+    sweep: list
+    target_fraction: Fraction
+
+
+def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
+                     min_level=None) -> ThresholdSelection:
+    """Highest weight level whose edge set reaches the target giant component.
+
+    Descends through the distinct weight values present, adding all edges at
+    each level, and stops at the first (hence highest) level where the largest
+    component covers at least target_fraction of the participants. Levels are
+    distinct values, so ties cannot occur. min_level bounds the descent; if
+    the target is never reached the sweep so far is raised with the error.
+
+    The levels and the largest component at each come from _sweep_bands, one
+    band of levels at a time, and only while the target is not reached. A
+    band merges its pairs across components into the earlier bands'
+    components, level by level (Kruskal 1956; single linkage, Gower & Ross
+    1969), and ties may join in any order. The bands run on a copy of the
+    kernel without co-answered counts and hold no pairs for a graph;
+    _auto_projection is the sweep that does.
+    """
+    return _sweep(weights, target_fraction, min_level)[0]
+
+
+def _auto_projection(weights: PairWeights, target_fraction, min_level, negative_threshold,
+                     node_attrs) -> tuple:
+    """select_threshold, then project_participants at the chosen level and the
+    negative threshold, refused before the sweep if out of range: (selection, graph).
+
+    Without a negative threshold this is one pass over all pairs: the sweep's
+    bands run on the weights' own kernel, co-answered counts included on
+    incomplete data, as project_participants' scan does, and each holds its
+    pairs at or above its floor while they fit SWEEP_HELD_BYTES. The band
+    that reaches the target holds every pair at or above the chosen level, so
+    the graph is built from those, with each copy of a scanned row expanded
+    back (_held_pairs). Past the budget the graph comes from the scan; so it
+    does with a negative threshold, after select_threshold's count-free sweep.
+    Either way it equals project_participants(weights, chosen, negative_threshold).
+    """
+    neg = None if negative_threshold is None else as_fraction(negative_threshold)
+    _check_range(weights, "negative threshold", neg)
+    selection, (level, held) = _sweep(weights, target_fraction, min_level, neg is None)
+    threshold = selection.chosen_threshold
+    if held is None:
+        return selection, project_participants(weights, threshold, neg, node_attrs)
+    ii, jj, numer = _held_pairs(held, level)
+    signs = np.full(len(ii), SIGNS.index(POSITIVE), dtype=np.int8)
+    return selection, _participant_graph(weights, ii, jj, signs, numer, None, threshold, None,
+                                         node_attrs)
+
+
+def _sweep(weights: PairWeights, target_fraction, min_level, hold=False) -> tuple:
+    """select_threshold's sweep, down the (level, largest component) pairs of
+    _sweep_bands: the selection, and the chosen numerator level with what its
+    band held (None without hold)."""
+    target = as_fraction(target_fraction)
+    if not (0 < target <= 1):
+        raise ValidationError(f"target fraction {target} must lie in (0, 1]")
+    if weights.rescale:
+        raise ValidationError("automatic threshold selection is not supported for "
+                              "rescaled pairwise weights")
+    n = weights.n_participants
+    d = weights.denominator
+    floor = None if min_level is None else _threshold_level(weights, as_fraction(min_level))
+
+    sweep: list[tuple[Fraction, Fraction]] = []
+    for levels, held in _sweep_bands(weights, floor, hold):
+        for level_numer, largest in levels:  # descending
+            level, frac = Fraction(level_numer, d), Fraction(largest, n)
+            sweep.append((level, frac))
+            if largest * target.denominator >= target.numerator * n:
+                return ThresholdSelection(level, frac, sweep, target), (level_numer, held)
+
+    raise NoGiantComponentError(
+        f"no weight level reached a giant component of {format_fraction(target)} "
+        f"of the {n} participants",
+        sweep,
+    )
 
 
 def _check_range(weights: PairWeights, name: str, value) -> None:

@@ -25,10 +25,10 @@ from xml.parsers import expat
 import numpy as np
 
 from opinionnet import thirds_style
-from opinionnet.analyze import ThresholdSelection
 from opinionnet.errors import NoGiantComponentError, ValidationError
 from opinionnet.ingest import MISSING, MISSING_POLICIES, LoadReport, ResponseMatrix, SurveySchema
-from opinionnet.project import POSITIVE, SCORE, SOLID, PairWeights, ProjectionGraph, edge_columns
+from opinionnet.project import (POSITIVE, SCORE, SOLID, PairWeights, ProjectionGraph,
+                                ThresholdSelection, edge_columns)
 from opinionnet.rational import as_fraction, format_fraction
 
 from helpers import edge_list

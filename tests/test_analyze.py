@@ -320,7 +320,7 @@ def test_banded_sweep_matches_the_full_row_reference(mode, missing_rate, kind, m
 def _counted_bands(monkeypatch) -> list:
     """Record how many bands each sweep scans, and how many compactions run."""
     counts = {"bands": 0, "compactions": 0}
-    bands, merges = analyze._sweep_bands, project._root_merges
+    bands, merges = project._sweep_bands, project._root_merges
 
     def counted_bands(*args):
         for band in bands(*args):
@@ -331,7 +331,7 @@ def _counted_bands(monkeypatch) -> list:
         counts["compactions"] += 1
         return merges(*args)
 
-    monkeypatch.setattr(analyze, "_sweep_bands", counted_bands)
+    monkeypatch.setattr(project, "_sweep_bands", counted_bands)
     monkeypatch.setattr(project, "_root_merges", counted_merges)
     return counts
 
@@ -371,13 +371,13 @@ def _graph_state(graph):
 def _scans(monkeypatch) -> list:
     """Record each projection scan that _auto_projection falls back to."""
     scans = []
-    original = analyze.project_participants
+    original = project.project_participants
 
     def counted(*args, **kwargs):
         scans.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(analyze, "project_participants", counted)
+    monkeypatch.setattr(project, "project_participants", counted)
     return scans
 
 
@@ -389,10 +389,10 @@ def _assert_fused_matches_the_scan(w, target, min_level=None):
         expected = select_threshold(w, target, min_level=min_level)
     except NoGiantComponentError as exc:
         with pytest.raises(NoGiantComponentError) as excinfo:
-            analyze._auto_projection(w, target, min_level, attrs)
+            project._auto_projection(w, target, min_level, None, attrs)
         assert excinfo.value.sweep == exc.sweep
         return None
-    selection, graph = analyze._auto_projection(w, target, min_level, attrs)
+    selection, graph = project._auto_projection(w, target, min_level, None, attrs)
     assert selection == expected
     reference = project_participants(w, expected.chosen_threshold, node_attrs=attrs)
     assert _graph_state(graph) == _graph_state(reference)
@@ -457,15 +457,8 @@ def test_fused_auto_projection_scans_when_the_pairs_pass_the_budget(mode, missin
     assert len(scans) == 2
 
 
-def test_fused_auto_projection_is_one_pass_with_counts_on_incomplete_data(monkeypatch):
-    # one sample block and one band of tiles, as select_threshold alone; the
-    # band's tiles run on the weights' own kernel, counts included, as the
-    # scan they replace does, while select_threshold's run without counts
-    rng = random.Random(201)
-    ks = [4, 5, 3, 7, 6, 5, 4, 6]
-    rows = random_rows(rng, 201, ks, missing_rate=0.1)
-    w = weights_from_rows(rows, ks, "score")
-    monkeypatch.setattr(project, "SCAN_TILE", 16)
+def _kernel_calls(monkeypatch) -> list:
+    """Record the cells of every kernel call, and whether it returned counts."""
     calls = []
     original = PairWeights.block_numerators
 
@@ -475,13 +468,54 @@ def test_fused_auto_projection_is_one_pass_with_counts_on_incomplete_data(monkey
         return numer, co
 
     monkeypatch.setattr(PairWeights, "block_numerators", counted)
-    selection, graph = analyze._auto_projection(w, F(1, 2), None, None)
+    return calls
+
+
+def _incomplete_score_weights(monkeypatch):
+    """Score weights of 201 distinct rows, a tenth of their cells missing,
+    scanned in tiles of 16."""
+    rng = random.Random(201)
+    ks = [4, 5, 3, 7, 6, 5, 4, 6]
+    rows = random_rows(rng, 201, ks, missing_rate=0.1)
+    monkeypatch.setattr(project, "SCAN_TILE", 16)
+    return weights_from_rows(rows, ks, "score")
+
+
+def test_fused_auto_projection_is_one_pass_with_counts_on_incomplete_data(monkeypatch):
+    # one sample block and one band of tiles, as select_threshold alone; the
+    # band's tiles run on the weights' own kernel, counts included, as the
+    # scan they replace does, while select_threshold's run without counts
+    w = _incomplete_score_weights(monkeypatch)
+    calls = _kernel_calls(monkeypatch)
+    selection, graph = project._auto_projection(w, F(1, 2), None, None, None)
     fused, calls[:] = list(calls), []
     assert select_threshold(w, F(1, 2)) == selection
     assert [cells for cells, _ in fused] == [cells for cells, _ in calls] == _one_band_cells(201, 16)
     assert [with_counts for _, with_counts in fused] == [False] + [True] * (len(fused) - 1)
     assert not any(with_counts for _, with_counts in calls)
     assert graph.n_edges > 0
+
+
+def test_auto_projection_with_a_negative_threshold_sweeps_without_counts_then_scans(
+        monkeypatch):
+    # no band holds the negative edges, so the sweep runs as select_threshold
+    # alone, without counts and holding no pairs, and one scan of tiles with
+    # counts builds the graph
+    w = _incomplete_score_weights(monkeypatch)
+
+    def not_called(*args):
+        raise AssertionError("a negative threshold's graph comes from the scan")
+
+    monkeypatch.setattr(project, "_held_pairs", not_called)
+    calls = _kernel_calls(monkeypatch)
+    selection, graph = project._auto_projection(w, F(1, 2), None, -2, None)
+    band = _one_band_cells(201, 16)
+    assert [cells for cells, _ in calls] == band + band[1:]
+    assert [with_counts for _, with_counts in calls] == [False] * len(band) + [True] * len(band[1:])
+    assert select_threshold(w, F(1, 2)) == selection
+    reference = project_participants(w, selection.chosen_threshold, -2)
+    assert _graph_state(graph) == _graph_state(reference)
+    assert 0 < int(graph.positive_mask().sum()) < graph.n_edges  # both signs
 
 
 def _bench_survey(n=3000):

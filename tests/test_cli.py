@@ -206,8 +206,8 @@ def test_auto_projection_writes_the_same_files_from_held_pairs_as_from_a_scan(tm
                                                                            monkeypatch):
     survey, schema = duplicate_heavy_inputs(tmp_path)
     scans = []
-    fallback = analyze.project_participants
-    monkeypatch.setattr(analyze, "project_participants",
+    fallback = project.project_participants
+    monkeypatch.setattr(project, "project_participants",
                         lambda *a, **k: scans.append(a[1]) or fallback(*a, **k))
     fused = _auto_run(tmp_path, survey, schema, mode)
     assert scans == []
@@ -215,9 +215,9 @@ def test_auto_projection_writes_the_same_files_from_held_pairs_as_from_a_scan(tm
     assert _auto_run(tmp_path, survey, schema, mode) == fused
     assert len(scans) == 1
 
-    def sweep_then_scan(weights, target, min_level, node_attrs):  # two passes, as before
+    def sweep_then_scan(weights, target, min_level, negative, node_attrs):  # two passes
         selection = select_threshold(weights, target, min_level=min_level)
-        return selection, project_participants(weights, selection.chosen_threshold,
+        return selection, project_participants(weights, selection.chosen_threshold, negative,
                                                node_attrs=node_attrs)
 
     monkeypatch.setattr(cli, "_auto_projection", sweep_then_scan)
@@ -230,7 +230,7 @@ def test_auto_projection_with_a_negative_threshold_sweeps_then_scans(tmp_path, m
     def not_called(*args):
         raise AssertionError("a negative threshold needs the scan")
 
-    monkeypatch.setattr(cli, "_auto_projection", not_called)
+    monkeypatch.setattr(project, "_held_pairs", not_called)
     written = _auto_run(tmp_path, survey, schema, "score", "--negative-threshold", "-2")
     matrix = load_survey(survey, SurveySchema.from_json(schema), missing_policy="keep_pairwise")
     weights = score_weights(renormalize(matrix))
@@ -520,6 +520,29 @@ def test_bad_color_map_is_validation_error(tmp_path, capsys):
     assert "VALUE=COLOR" in capsys.readouterr().err
 
 
+def test_an_empty_color_in_the_color_map_is_refused(tmp_path, capsys):
+    # an empty fill is not a paint; an empty attribute value may still be mapped
+    ks = [4] * 3
+    schema = write_schema(tmp_path / "schema.json", ks, attrs=("party",))
+    rows = [{"codes": [0, 0, 0], "attrs": [party]} for party in ("D", "", "I")]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows, attrs=("party",))
+    assert main(["project", "--survey", str(survey), "--schema", str(schema),
+                 "--mode", "exact", "--threshold", "3",
+                 "--out-prefix", str(tmp_path / "g")]) == 0
+    render = ["render", "--graph", str(tmp_path / "g.graphml"), "--iterations", "5",
+              "--color-attr", "party", "--default-color", "#000003",
+              "--out-prefix", str(tmp_path / "fig")]
+    capsys.readouterr()
+    for color_map in ("D=", "D=#000002,I= "):
+        assert main([*render, "--color-map", color_map]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError" and "its color is empty" in error["message"]
+        assert not list(tmp_path.glob("fig*"))
+    assert main([*render, "--color-map", "=#000001,D=#000002"]) == 0
+    fills = re.findall(r'<circle [^>]* fill="([^"]*)"', (tmp_path / "fig.svg").read_text())
+    assert fills == ["#000002", "#000001", "#000003"]
+
+
 def test_pipeline_reruns_are_byte_identical(tmp_path):
     survey, schema = two_block_inputs(tmp_path, n_per_block=8, m=6)
     for name in ("r1", "r2"):
@@ -557,7 +580,7 @@ def test_failure_error_block_reports_sweep(tmp_path, capsys):
 def test_inspect_dump_normalized(tmp_path, capsys):
     schema = write_schema(tmp_path / "schema.json", [5, 4])
     survey = write_survey(tmp_path / "survey.csv", [5, 4], [[0, 3], [2, 1]])
-    out_csv = tmp_path / "norm.csv"
+    out_csv = tmp_path / "new" / "norm.csv"  # its directory is made
     code = main(["inspect", "--survey", str(survey), "--schema", str(schema),
                  "--dump-normalized", str(out_csv)])
     assert code == 0
@@ -623,6 +646,8 @@ def test_a_failed_normalized_dump_leaves_no_file_behind(tmp_path, capsys, monkey
     block = json.loads(capsys.readouterr().err)
     assert block["error"]["type"] == "ValidationError" and block["error"]["exit_code"] == 2
     assert os.strerror(errno.ENOSPC) in block["error"]["message"]
+    assert f"cannot access {out / 'norm.csv'}:" in block["error"]["message"]  # not its temporary
+    assert ".tmp" not in block["error"]["message"]
     assert list(out.iterdir()) == []  # no partial dump, no temporary file
 
     (out / "norm.csv").write_bytes(b"an earlier dump\n")
@@ -871,6 +896,8 @@ def test_a_failed_write_leaves_no_output_under_the_prefix(tmp_path, capsys, monk
     block = json.loads(capsys.readouterr().err)
     assert block["error"]["type"] == "ValidationError" and block["error"]["exit_code"] == 2
     assert os.strerror(errno.ENOSPC) in block["error"]["message"]
+    assert f"cannot access {out / 'run.edges.csv'}:" in block["error"]["message"]
+    assert ".tmp" not in block["error"]["message"]
     assert list(out.iterdir()) == []  # no manifest, no partial output, no temporary file
 
     # a failed rerun leaves the files of the run before it as they were
