@@ -319,7 +319,6 @@ class ProfileCensus:
     m_binary: int
     n_participants: int
     profiles: dict
-    has_neutral_or_missing: bool
 
     @property
     def realized_profiles(self) -> int:
@@ -332,6 +331,10 @@ class ProfileCensus:
     @property
     def fraction_of_ternary_space(self) -> Fraction:
         return Fraction(self.realized_profiles, 3**self.m_binary)
+
+    @property
+    def has_neutral_or_missing(self) -> bool:
+        return bool(set().union(*self.profiles) & {"0", "?"})
 
     @property
     def space(self) -> int:
@@ -367,10 +370,5 @@ def profile_census(signs: SignMatrix) -> ProfileCensus:
     for row in chars:
         profile = row.tobytes().decode("ascii")
         counts[profile] = counts.get(profile, 0) + 1
-    neutral_or_missing = bool(((signs.signs == 0) & signs.mask).any() or signs.has_missing)
-    return ProfileCensus(
-        m_binary=signs.n_items,
-        n_participants=signs.n_participants,
-        profiles=counts,
-        has_neutral_or_missing=neutral_or_missing,
-    )
+    return ProfileCensus(m_binary=signs.n_items, n_participants=signs.n_participants,
+                         profiles=counts)

@@ -12,6 +12,7 @@ manifest last, so a failed command leaves no output behind. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -62,13 +63,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _temporary(args, final: Path) -> Path:
     """A temporary path beside final, in final's directory, made if missing;
-    args.pending maps it to final until _move_into_place moves it there, and
-    main removes it if the command fails. A final path that is one of the
-    command's input files is refused."""
+    args.pending maps it to final until _move_into_place moves it there. If
+    the command fails, main removes it and the directories args.made lists.
+    A final path that is one of the command's input files is refused."""
     for name in ("survey", "schema", "graph"):
         source = getattr(args, name, None)
         if source and final.exists() and Path(source).exists() and os.path.samefile(final, source):
             raise ValidationError(f"output {final} is the --{name} input; it would be replaced")
+    args.made += [directory for directory in final.parents if not directory.exists()]
     final.parent.mkdir(parents=True, exist_ok=True)
     temp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
     args.pending[temp] = final
@@ -82,19 +84,18 @@ def _move_into_place(args, temps) -> list:
     return [args.pending.pop(temp) for temp in temps]
 
 
-def _outputs(args, **suffixes) -> dict:
-    """Temporary paths for the files named `--out-prefix` plus each suffix,
-    each beside its file. See _temporary."""
+def _output(args, name: str, suffix: str) -> Path:
+    """The temporary path of the file `--out-prefix` plus suffix (see
+    _temporary), recorded under name in args.outputs, in the order written."""
     prefix = Path(args.out_prefix)
-    return {name: _temporary(args, prefix.with_name(prefix.name + suffix))
-            for name, suffix in suffixes.items()}
+    args.outputs[name] = _temporary(args, prefix.with_name(prefix.name + suffix))
+    return args.outputs[name]
 
 
-def _write_manifest(args, command: str, parameters: dict, input_names, outputs: dict) -> None:
-    """Record digests of the named input arguments and of the outputs plus
-    parameters, move every output into place, the manifest last, then print
-    one `wrote` line. No timestamps, so a rerun with identical inputs
-    produces an identical manifest."""
+def _write_manifest(args, command: str, parameters: dict, input_names) -> None:
+    """Record the digests of the named input arguments and of the recorded
+    outputs, with the parameters; move every output into place, the manifest
+    last, and print one `wrote` line. No timestamps: reruns match byte for byte."""
     def entry(path):
         return {"file": Path(args.pending.get(path, path)).name, "sha256": _sha256(path)}
 
@@ -103,11 +104,10 @@ def _write_manifest(args, command: str, parameters: dict, input_names, outputs: 
         "command": command,
         "parameters": parameters,
         "inputs": {name: entry(getattr(args, name)) for name in input_names},
-        "outputs": {name: entry(path) for name, path in outputs.items()},
+        "outputs": {name: entry(path) for name, path in args.outputs.items()},
     }
-    path = _outputs(args, manifest=".manifest.json")["manifest"]
-    _write_json(path, manifest)
-    print("wrote " + ", ".join(map(str, _move_into_place(args, [*outputs.values(), path]))))
+    _write_json(_output(args, "manifest", ".manifest.json"), manifest)
+    print("wrote " + ", ".join(map(str, _move_into_place(args, [*args.outputs.values()]))))
 
 
 def _sign_counts(graph) -> str:
@@ -170,7 +170,6 @@ def _weights_for_mode(args, matrix):
 def cmd_project(args) -> int:
     _, matrix = _load_inputs(args)
     weights = _weights_for_mode(args, matrix)
-    outputs = _outputs(args, sweep=".sweep.csv", graphml=".graphml", edges=".edges.csv")
     parameters = {
         "mode": args.mode,
         "missing_policy": args.missing_policy,
@@ -185,7 +184,8 @@ def cmd_project(args) -> int:
                                             args.negative_threshold, node_attrs)
         parameters["target_fraction"] = args.target_fraction
         parameters["min_level"] = args.min_level
-        write_csv(outputs["sweep"], ["threshold", "giant_fraction", "giant_fraction_decimal"],
+        write_csv(_output(args, "sweep", ".sweep.csv"),
+                  ["threshold", "giant_fraction", "giant_fraction_decimal"],
                   ([format_fraction(level), format_fraction(frac), repr(float(frac))]
                    for level, frac in selection.sweep))
         # the sweep's giant at the chosen level is the projection's: the same
@@ -194,16 +194,15 @@ def cmd_project(args) -> int:
         print(f"auto threshold: {format_fraction(graph.threshold_used)} "
               f"(giant fraction {format_fraction(giant)})")
     else:
-        del outputs["sweep"]
         graph = project_participants(weights, args.threshold, args.negative_threshold, node_attrs)
         giant = connected_components(graph).giant_fraction
     threshold = parameters["resolved_threshold"] = format_fraction(graph.threshold_used)
-    export_graphml(graph, outputs["graphml"])
-    export_edgelist(graph, outputs["edges"])
+    export_graphml(graph, _output(args, "graphml", ".graphml"))
+    export_edgelist(graph, _output(args, "edges", ".edges.csv"))
     print(f"projected {graph.n_nodes} participants: {_sign_counts(graph)} "
           f"at threshold {threshold}")
     print(f"largest component: {format_fraction(giant)} of nodes")
-    _write_manifest(args, "project", parameters, SURVEY_INPUTS, outputs)
+    _write_manifest(args, "project", parameters, SURVEY_INPUTS)
     return 0
 
 
@@ -211,13 +210,12 @@ def cmd_attitudes(args) -> int:
     _, matrix = _load_inputs(args)
     normalized = renormalize(matrix)
     graph = style_edges(project_attitudes(normalized), mode=args.attitude_mode)
-    outputs = _outputs(args, graphml=".graphml", edges=".edges.csv")
-    export_graphml(graph, outputs["graphml"])
-    export_edgelist(graph, outputs["edges"])
+    export_graphml(graph, _output(args, "graphml", ".graphml"))
+    export_edgelist(graph, _output(args, "edges", ".edges.csv"))
     print(f"attitude graph over {graph.n_nodes} items: {_sign_counts(graph)}")
     _write_manifest(args, "attitudes",
                     {"attitude_mode": args.attitude_mode, "missing_policy": args.missing_policy},
-                    SURVEY_INPUTS, outputs)
+                    SURVEY_INPUTS)
     return 0
 
 
@@ -228,8 +226,7 @@ def cmd_communities(args) -> int:
         target_components=args.target,
         max_removed_fraction=as_fraction(args.max_removed_fraction),
     )
-    outputs = _outputs(args, report=".communities.json")
-    _write_json(outputs["report"], report.to_dict())
+    _write_json(_output(args, "report", ".communities.json"), report.to_dict())
     sizes = [len(c) for c in report.final_components]
     print(f"status: {report.status}")
     print(f"removed {len(report.removed_edges)} of {report.original_edge_count} edges "
@@ -244,10 +241,10 @@ def cmd_communities(args) -> int:
             print(f"{i:>4}  {edge:<35} {step.betweenness:>11.2f}  {comps}")
         if len(report.history) > len(shown):
             print(f"      ... {len(report.history) - len(shown)} more removals in "
-                  f"{args.pending[outputs['report']]}")
+                  f"{args.pending[args.outputs['report']]}")
     _write_manifest(args, "communities",
                     {"target": args.target, "max_removed_fraction": args.max_removed_fraction},
-                    ("graph",), outputs)
+                    ("graph",))
     if report.status == "budget_exhausted":
         raise AlgorithmError(f"removal budget exhausted after {len(report.removed_edges)} "
                              f"removals at {len(sizes)} components; the target is {args.target}")
@@ -258,11 +255,10 @@ def cmd_census(args) -> int:
     _, matrix = _load_inputs(args)
     signs = binarize(renormalize(matrix))
     census = profile_census(signs)
-    outputs = _outputs(args, census=".census.json")
-    _write_json(outputs["census"], census.to_dict())
+    _write_json(_output(args, "census", ".census.json"), census.to_dict())
     print(f"profiles realized: {census.realized_profiles}/{census.space} "
           f"({float(census.realized_fraction):.4f})")
-    _write_manifest(args, "census", {"missing_policy": args.missing_policy}, SURVEY_INPUTS, outputs)
+    _write_manifest(args, "census", {"missing_policy": args.missing_policy}, SURVEY_INPUTS)
     return 0
 
 
@@ -281,12 +277,11 @@ def _parse_color_map(arg: str | None) -> dict:
 
 
 def cmd_render(args) -> int:
-    outputs = _outputs(args, svg=".svg")
     if args.bipartite:
         if not (args.survey and args.schema):
             raise ValidationError("--bipartite rendering needs --survey and --schema")
         _, matrix = _load_inputs(args)
-        render_bipartite_svg(renormalize(matrix), outputs["svg"])
+        render_bipartite_svg(renormalize(matrix), _output(args, "svg", ".svg"))
         inputs = SURVEY_INPUTS
         parameters = {"bipartite": True, "missing_policy": args.missing_policy}
     else:
@@ -299,7 +294,7 @@ def cmd_render(args) -> int:
             mapping=_parse_color_map(args.color_map),
             default_color=args.default_color,
         )
-        render_svg(graph, layout, scheme, outputs["svg"])
+        render_svg(graph, layout, scheme, _output(args, "svg", ".svg"))
         inputs = ("graph",)
         parameters = {
             "bipartite": False,
@@ -309,7 +304,7 @@ def cmd_render(args) -> int:
             "color_map": args.color_map,
             "default_color": args.default_color,
         }
-    _write_manifest(args, "render", parameters, inputs, outputs)
+    _write_manifest(args, "render", parameters, inputs)
     return 0
 
 
@@ -408,12 +403,17 @@ def main(argv=None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            args.pending = pending
+            args.pending, args.made, args.outputs = pending, [], {}
             try:
                 return args.func(args)
-            finally:
-                for temp in pending:  # what a failed command wrote is removed
+            except BaseException:
+                for temp in pending:  # what a failed command wrote is removed,
                     temp.unlink(missing_ok=True)
+                for directory in args.made:  # then the directories made for it, deepest
+                    with contextlib.suppress(OSError):  # first, each only while empty
+                        directory.rmdir()
+                raise
+            finally:
                 sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         except OSError as exc:  # e.g. an output prefix under a regular file, or a full disk
             if isinstance(exc, BrokenPipeError) and exc.filename is None:

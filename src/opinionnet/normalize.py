@@ -58,10 +58,6 @@ class NormalizedMatrix:
     def schema(self):
         return self.source.schema
 
-    @property
-    def has_missing(self) -> bool:
-        return not bool(self.mask.all())
-
     def value_at(self, participant: int, item: int):
         """Exact normalized value, or None when missing."""
         if not self.mask[participant, item]:
@@ -117,10 +113,6 @@ class SignMatrix:
     @property
     def participant_ids(self):
         return self.source.participant_ids
-
-    @property
-    def has_missing(self) -> bool:
-        return not bool(self.mask.all())
 
 
 def binarize(normalized: NormalizedMatrix) -> SignMatrix:

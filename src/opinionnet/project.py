@@ -109,7 +109,6 @@ class PairWeights:
         self.participant_ids = tuple(participant_ids)
         self.n_items = int(n_items)
         self.denominator = int(denominator)
-        self.rescale = bool(rescale)
         self.count_neutral_pairs = bool(count_neutral_pairs)
         self._features = np.ascontiguousarray(features, dtype=np.int64)
         self._mask = np.ascontiguousarray(mask, dtype=bool)
@@ -129,6 +128,7 @@ class PairWeights:
             self._y[:, at:at + len(vals)] = onehot @ self._item_table(vals).astype(dtype)
             at += len(vals)
         self._m = None if self._mask.all() else self._mask.astype(dtype)
+        self.rescale = bool(rescale) and self._m is not None  # the identity on complete data
 
     def _item_table(self, values: np.ndarray) -> np.ndarray:
         """Numerator contributed by one co-answered item, per pair of values."""
@@ -189,8 +189,6 @@ class PairWeights:
 
 def exact_agreement_weights(matrix: ResponseMatrix) -> PairWeights:
     """Per pair, the number of items both answered identically."""
-    if matrix.n_participants < 2:
-        raise ValidationError("exact agreement needs at least 2 participants")
     return PairWeights(
         EXACT_AGREEMENT,
         matrix.participant_ids,
@@ -208,8 +206,6 @@ def score_weights(normalized: NormalizedMatrix, *, rescale_to_full: bool = False
     co-answered count; rescale_to_full instead stretches such scores back to
     the full -m..+m range (weight * m / co_answered).
     """
-    if normalized.n_participants < 2:
-        raise ValidationError("score weights need at least 2 participants")
     return PairWeights(
         SCORE,
         normalized.participant_ids,
@@ -227,8 +223,6 @@ def binarized_agreement_weights(signs: SignMatrix, *, count_neutral_pairs: bool 
     Two neutral answers to the same item count as agreement (it is an
     identical response); pass count_neutral_pairs=False to exclude them.
     """
-    if signs.n_participants < 2:
-        raise ValidationError("binarized agreement needs at least 2 participants")
     return PairWeights(
         BINARIZED_AGREEMENT,
         signs.participant_ids,
@@ -429,7 +423,7 @@ def _threshold_level(weights: PairWeights, threshold: Fraction, *, negative: boo
     """
     d, m = weights.denominator, weights.n_items
     rounding = math.floor if negative else math.ceil
-    if not (weights.rescale and weights.has_missing):  # rescale is the identity on complete data
+    if not weights.rescale:
         return rounding(threshold * d)
     levels = [rounding(threshold * c * d / m) for c in range(m + 1)]
     levels[0] = -int(threshold < 0) if negative else int(threshold > 0)
@@ -437,7 +431,7 @@ def _threshold_level(weights: PairWeights, threshold: Fraction, *, negative: boo
 
 
 def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
-    if weights.rescale and co is not None:
+    if weights.rescale:
         if not co:
             return Fraction(0)
         return Fraction(weights.n_items * int(numer), int(co) * weights.denominator)

@@ -642,6 +642,17 @@ def test_rescaled_weights_refuse_auto_selection():
         select_threshold(w)
 
 
+def test_rescaled_weights_on_complete_data_select_the_unrescaled_threshold():
+    # rescaling is the identity when no answer is missing, so nothing is refused
+    ks = [4, 5, 3]
+    rows = random_rows(random.Random(102), 30, ks)
+    rescaled = weights_from_rows(rows, ks, "score", rescale=True)
+    assert not rescaled.rescale
+    for target in (F(1, 2), F(1)):
+        assert select_threshold(rescaled, target) == select_threshold(
+            weights_from_rows(rows, ks, "score"), target)
+
+
 def test_auto_threshold_sweeps_more_levels_than_flags_could_track():
     # the scales of the int64 kernel test: D is about 1.3e16, so 2*m*D + 1
     # score levels would need exbibytes of level flags; the sweep takes its
@@ -1003,6 +1014,13 @@ def test_three_profiles_among_hundred():
     assert census.realized_profiles == 3
     assert census.realized_fraction == F(3, 256)
     assert sum(census.profiles.values()) == 100
+
+
+def test_a_missing_answer_counts_as_neutral_or_missing():
+    matrix = make_matrix([[1, 0], [None, 1]], [2, 2])
+    census = profile_census(binarize(renormalize(matrix)))
+    assert set(census.profiles) == {"+-", "?+"}
+    assert census.has_neutral_or_missing and census.to_dict()["has_neutral_or_missing"]
 
 
 def test_neutral_switches_denominator_to_ternary():

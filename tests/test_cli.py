@@ -34,7 +34,7 @@ from opinionnet import analyze, cli, project
 from opinionnet.cli import main
 from opinionnet.rational import format_fraction
 
-from helpers import barbell_graph
+from helpers import barbell_graph, graph_from_edges
 from oracles import all_pair_weights, random_rows, sweep_oracle
 
 
@@ -84,6 +84,16 @@ def test_inspect_summary_line(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "N=50, m=13, scales: 10×4pt, 3×5pt" in out
+    assert "attributes:" not in out
+
+
+def test_inspect_names_the_attribute_columns(tmp_path, capsys):
+    ks = [4, 4]
+    schema = write_schema(tmp_path / "schema.json", ks, attrs=("party", "region"))
+    rows = [{"codes": [0, 1], "attrs": ["D", "N"]}, {"codes": [1, 1], "attrs": ["R", "S"]}]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows, attrs=("party", "region"))
+    assert main(["inspect", "--survey", str(survey), "--schema", str(schema)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "attributes: party, region"
 
 
 def test_inspect_json_mode(tmp_path, capsys):
@@ -305,6 +315,18 @@ def test_auto_threshold_on_rescaled_weights_exits_2(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["schema.json", "survey.csv"]
 
 
+def test_auto_threshold_with_rescale_on_complete_data_is_the_unrescaled_run(tmp_path, capsys):
+    # drop_participant leaves no answer missing, so rescaling changes no weight
+    survey, schema = duplicate_heavy_inputs(tmp_path)
+    argv = ["project", "--survey", str(survey), "--schema", str(schema), "--mode", "score",
+            "--threshold", "auto"]
+    assert main([*argv, "--out-prefix", str(tmp_path / "plain")]) == 0
+    assert main([*argv, "--rescale", "--out-prefix", str(tmp_path / "rescaled")]) == 0
+    for suffix in (".graphml", ".edges.csv", ".sweep.csv"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        assert (tmp_path / f"rescaled{suffix}").read_bytes() == plain, suffix
+
+
 def test_project_exit_code_3_when_no_giant_component(tmp_path, capsys):
     # three blocks pairwise fully different: nothing above level 0 reaches 1/2
     ks = [4, 4]
@@ -313,11 +335,12 @@ def test_project_exit_code_3_when_no_giant_component(tmp_path, capsys):
     survey = write_survey(tmp_path / "survey.csv", ks, rows)
     code = main(["project", "--survey", str(survey), "--schema", str(schema),
                  "--mode", "exact", "--threshold", "auto", "--min-level", "1",
-                 "--out-prefix", str(tmp_path / "fail")])
+                 "--out-prefix", str(tmp_path / "fresh" / "deeper" / "fail")])
     captured = capsys.readouterr()
     assert code == 3
     block = json.loads(captured.err)
     assert block["error"]["type"] == "NoGiantComponentError"
+    assert not (tmp_path / "fresh").exists()  # no output was requested, no directory made
 
 
 def test_attitudes_single_item_is_validation_error(tmp_path, capsys):
@@ -431,6 +454,16 @@ def test_render_requires_graph_or_bipartite(tmp_path, capsys):
     assert "render needs --graph" in capsys.readouterr().err
 
 
+def test_bipartite_render_refuses_a_missing_survey_before_making_a_directory(tmp_path, capsys):
+    schema = write_schema(tmp_path / "schema.json", [4, 4])
+    code = main(["render", "--bipartite", "--schema", str(schema),
+                 "--out-prefix", str(tmp_path / "new" / "fig")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "--bipartite rendering needs --survey and --schema"
+    assert not (tmp_path / "new").exists()
+
+
 def test_render_color_map_colors_nodes(tmp_path):
     ks = [4] * 3
     schema = write_schema(tmp_path / "schema.json", ks, attrs=("party",))
@@ -508,7 +541,7 @@ def test_project_refuses_an_id_that_xml_cannot_hold(tmp_path, capsys, pid):
     block = json.loads(capsys.readouterr().err)
     assert block["error"]["type"] == "ValidationError" and block["error"]["exit_code"] == 2
     assert repr(pid) in block["error"]["message"] and "XML 1.0" in block["error"]["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # nor the directory the command made for its outputs
 
 
 def test_bad_color_map_is_validation_error(tmp_path, capsys):
@@ -543,6 +576,26 @@ def test_an_empty_color_in_the_color_map_is_refused(tmp_path, capsys):
     assert fills == ["#000002", "#000001", "#000003"]
 
 
+def test_a_failed_render_removes_the_directories_it_made(tmp_path, capsys):
+    # the unmapped nodes are found after the SVG's path is requested
+    ks = [4] * 3
+    schema = write_schema(tmp_path / "schema.json", ks, attrs=("party",))
+    rows = [{"codes": [0, 0, 0], "attrs": [party]} for party in ("D", "R", "I")]
+    survey = write_survey(tmp_path / "survey.csv", ks, rows, attrs=("party",))
+    assert main(["project", "--survey", str(survey), "--schema", str(schema),
+                 "--mode", "exact", "--threshold", "3",
+                 "--out-prefix", str(tmp_path / "g")]) == 0
+    (tmp_path / "kept").mkdir()  # a directory that was there before the run stays
+    for prefix in (tmp_path / "new" / "sub" / "fig", tmp_path / "kept" / "sub" / "fig"):
+        capsys.readouterr()
+        assert main(["render", "--graph", str(tmp_path / "g.graphml"), "--iterations", "5",
+                     "--color-attr", "party", "--color-map", "D=#000000", "--default-color", "",
+                     "--out-prefix", str(prefix)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+    assert not (tmp_path / "new").exists()
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
 def test_pipeline_reruns_are_byte_identical(tmp_path):
     survey, schema = two_block_inputs(tmp_path, n_per_block=8, m=6)
     for name in ("r1", "r2"):
@@ -562,6 +615,20 @@ def test_communities_prints_removal_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "step  removed edge" in out
     assert "a0 -- b0" in out
+
+
+def test_communities_names_the_report_that_holds_the_removals_it_does_not_print(
+        tmp_path, capsys):
+    # a path of 13 nodes splits into 13 components after 12 removals, 10 shown
+    nodes = [f"n{i:02d}" for i in range(13)]
+    graph_path = tmp_path / "path.graphml"
+    export_graphml(graph_from_edges(nodes, list(zip(nodes, nodes[1:]))), graph_path)
+    prefix = tmp_path / "out" / "c"
+    assert main(["communities", "--graph", str(graph_path), "--target", "13",
+                 "--out-prefix", str(prefix)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"      ... 2 more removals in {prefix}.communities.json"
+    assert (tmp_path / "out" / "c.communities.json").exists()
 
 
 def test_failure_error_block_reports_sweep(tmp_path, capsys):
@@ -627,6 +694,19 @@ def test_an_output_that_would_replace_an_input_is_refused(tmp_path, capsys, monk
     assert error["type"] == "ValidationError" and error["exit_code"] == 2
     assert "would be replaced" in error["message"]
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_a_fixed_threshold_run_does_not_refuse_the_sweep_file_it_never_writes(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_schema(tmp_path / "schema.json", [4, 4])
+    write_survey(tmp_path / "x.sweep.csv", [4, 4], [[0, 1], [1, 1], [3, 2]])
+    survey = (tmp_path / "x.sweep.csv").read_bytes()
+    assert main(["project", "--mode", "exact", "--threshold", "1", "--survey", "x.sweep.csv",
+                 "--schema", "schema.json", "--out-prefix", "x"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "wrote x.graphml, x.edges.csv, x.manifest.json")
+    assert (tmp_path / "x.sweep.csv").read_bytes() == survey
 
 
 def test_a_failed_normalized_dump_leaves_no_file_behind(tmp_path, capsys, monkeypatch):
@@ -898,7 +978,7 @@ def test_a_failed_write_leaves_no_output_under_the_prefix(tmp_path, capsys, monk
     assert os.strerror(errno.ENOSPC) in block["error"]["message"]
     assert f"cannot access {out / 'run.edges.csv'}:" in block["error"]["message"]
     assert ".tmp" not in block["error"]["message"]
-    assert list(out.iterdir()) == []  # no manifest, no partial output, no temporary file
+    assert not out.exists()  # no manifest, no partial output, no temporary file, no directory
 
     # a failed rerun leaves the files of the run before it as they were
     monkeypatch.setattr(cli, "export_edgelist", export)
@@ -1042,7 +1122,9 @@ def test_help_and_version_still_exit_0(capsys, argv):
     (('"scale": 4', '"scale": "3"'), ["'q00'", "'3'"]),
     (('"scale": 4', '"scale": true'), ["'q00'", "True"]),
     (('"attribute_columns": []', '"attribute_columns": "ab"'), ["attribute_columns", "'ab'"]),
-], ids=["float", "string", "bool", "string-columns"])
+    (('"id_column": "pid"', '"id_column": ""'), ["must name an id column"]),
+    (('"id": "q00"', '"id": ""'), ["item ids must be non-empty"]),
+], ids=["float", "string", "bool", "string-columns", "empty-id-column", "empty-item-id"])
 def test_schema_values_are_validated_not_coerced(tmp_path, capsys, edit, named):
     survey, schema = two_block_inputs(tmp_path)
     text = schema.read_text()

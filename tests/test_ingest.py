@@ -105,6 +105,8 @@ def test_missing_file(tmp_path):
     schema = make_schema([4])
     with pytest.raises(ValidationError, match="not found"):
         load_survey(tmp_path / "absent.csv", schema)
+    with pytest.raises(ValidationError, match="schema file not found"):
+        SurveySchema.from_json(tmp_path / "absent.json")
 
 
 def test_all_rows_dropped_is_an_error(tmp_path):
@@ -218,6 +220,32 @@ def test_matrix_constructor_validates():
         ResponseMatrix(schema, ["a", "a"], np.array([[1], [2]], dtype=np.int16))
     with pytest.raises(ValidationError, match="out-of-range"):
         ResponseMatrix(schema, ["a"], np.array([[9]], dtype=np.int16))
+
+
+@pytest.mark.parametrize("codes, ids, attributes, named", [
+    ([1, 2], ["a"], None, "2-D"),
+    (np.zeros((0, 1)), [], None, "at least one participant and one item"),
+    ([[1, 2]], ["a"], None, "2 item columns but schema declares 1"),
+    ([[1]], ["a", "b"], None, "id count does not match"),
+    ([[1]], ["a"], {"region": ["N"]}, "cover exactly the schema's attribute columns"),
+    ([[1]], ["a"], {"party": ["D", "R"]}, "'party' has 2 values for 1 rows"),
+])
+def test_matrix_constructor_refuses_a_malformed_matrix(codes, ids, attributes, named):
+    schema = make_schema([4], attrs=("party",))
+    with pytest.raises(ValidationError, match=named):
+        ResponseMatrix(schema, ids, codes, attributes=attributes)
+
+
+def test_load_survey_refuses_an_unknown_missing_policy(tmp_path):
+    f = write(tmp_path / "s.csv", "pid,q00\na,1\n")
+    with pytest.raises(ValidationError, match="unknown missing policy 'bogus'"):
+        load_survey(f, make_schema([4]), missing_policy="bogus")
+
+
+def test_a_cell_over_the_csv_field_limit_is_malformed_csv(tmp_path):
+    f = write(tmp_path / "s.csv", f"pid,q00\na,1\nb,{'1' * (csv.field_size_limit() + 1)}\n")
+    with pytest.raises(ValidationError, match="malformed CSV near data row 2"):
+        load_survey(f, make_schema([4]))
 
 
 def test_duplicate_header_column_rejected(tmp_path):

@@ -28,6 +28,7 @@ from opinionnet import (
 
 import opinionnet.project as project
 from opinionnet.project import SCORE, PairWeights
+from opinionnet.rational import as_fraction
 from opinionnet.render import export_graphml
 
 from helpers import edge_list, make_matrix, weights_from_rows
@@ -748,6 +749,28 @@ def test_banded_sweep_leaves_the_weights_untouched():
             assert old.dtype == new.dtype and (old == new).all()
 
 
+@pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
+def test_every_mode_refuses_a_single_participant_alike(mode):
+    with pytest.raises(ValidationError, match="^pairwise weights need at least 2 participants$"):
+        weights_from_rows([[0, 1]], [4, 4], mode)
+
+
+@pytest.mark.parametrize("pair, named", [((1, 1), "no self-pairs"),
+                                         ((0, 3), "out of range"), ((-1, 0), "out of range")])
+def test_single_pair_lookups_refuse_a_self_pair_or_an_index_out_of_range(pair, named):
+    w = weights_from_rows([[0, 1], [1, 1], [2, 0]], [4, 4], "score")
+    for lookup in (w.weight, w.co_answered):
+        with pytest.raises(ValidationError, match=named):
+            lookup(*pair)
+
+
+def test_as_fraction_reads_a_float_by_its_shortest_decimal_and_refuses_non_numbers():
+    assert as_fraction(0.1) == F(1, 10)
+    for value in (True, [1]):
+        with pytest.raises(ValidationError, match="cannot interpret"):
+            as_fraction(value)
+
+
 def test_rescale_is_identity_on_complete_data():
     rng = random.Random(101)
     ks = [4, 5, 3]
@@ -979,6 +1002,12 @@ def _edge_rows(seed):
     return [(a, b, rng.randrange(3), sign, rng.randrange(3))
             for a, b in itertools.combinations(range(len(CANONICAL_NODES)), 2)
             for sign in (0, 1) if rng.random() < 0.7]
+
+
+@pytest.mark.parametrize("u, v", [(0, 5), (-1, 2)])
+def test_from_arrays_refuses_an_unknown_node_index(u, v):
+    with pytest.raises(ValidationError, match="unknown node index"):
+        _from_rows([(u, v, 0, 0, 0)])
 
 
 def test_from_arrays_gives_equal_columns_for_canonical_index_ordered_and_shuffled_edges(

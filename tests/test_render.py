@@ -162,6 +162,11 @@ def test_local_xml_escapes_match_saxutils(text):
     assert quoteattr(text) == saxutils.quoteattr(text)
 
 
+def test_layout_refuses_an_empty_graph():
+    with pytest.raises(ValidationError, match="at least one node"):
+        fr_layout(ProjectionGraph(kind="participant", nodes=[], edges=[]), seed=1)
+
+
 def test_different_seed_moves_nodes():
     graph, _, _ = two_cliques_graph()
     a = fr_layout(graph, seed=1, iterations=40)
@@ -405,6 +410,19 @@ def test_import_rejects_garbage(tmp_path):
         import_graphml(bad)
     with pytest.raises(ValidationError, match="not found"):
         import_graphml(tmp_path / "missing.graphml")
+
+
+@pytest.mark.parametrize("body, named", [
+    ('<key id="k" for="node" attr.name="party" attr.type="string"/>', "no <graph> element"),
+    ('<graph id="G" edgedefault="undirected"><node id="a"/><node/></graph>',
+     "a node in .* has no id"),
+])
+def test_import_refuses_graphml_without_a_graph_or_a_node_id(tmp_path, body, named):
+    path = tmp_path / "bad.graphml"
+    path.write_text('<?xml version="1.0" encoding="UTF-8"?>\n'
+                    f'<graphml xmlns="http://graphml.graphdrawing.org/xmlns">{body}</graphml>\n')
+    with pytest.raises(ValidationError, match=named):
+        import_graphml(path)
 
 
 def test_import_reads_data_text_up_to_the_first_child_element(tmp_path):
