@@ -266,6 +266,9 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     original edge count) is exhausted, in which case the partial history is
     returned with status budget_exhausted.
     A target above the node count can never be reached and is refused.
+    Every component counts, isolated nodes included: on a projection that
+    leaves a participant isolated, a target of 2 is met before any removal,
+    so pass the giant component's subgraph to split the giant.
     """
     if target_components < 1:
         raise ValidationError("target component count must be at least 1")

@@ -67,6 +67,17 @@ class SurveySchema:
             raise ValidationError(
                 "id column, attribute columns, and item columns must be pairwise disjoint"
             )
+        token = self.missing_token
+        if not isinstance(token, str):
+            raise ValidationError(f"missing token {token!r} is not a string")
+        if token != token.strip():  # cells are trimmed before the comparison
+            raise ValidationError(f"missing token {token!r} has surrounding whitespace, "
+                                  f"so no trimmed cell can match it")
+        shadowed = _cell_code(token, MAX_SCALE_SIZE, None)  # negative unless a code
+        for item in self.items:
+            if 0 <= shadowed < item.scale_size:
+                raise ValidationError(f"missing token {token!r} is a valid code of item "
+                                      f"{item.item_id!r}, whose answers it would make missing")
 
     @property
     def item_ids(self) -> tuple[str, ...]:
@@ -85,7 +96,7 @@ class SurveySchema:
         try:
             items = tuple(SurveyItem(str(entry["id"]), entry["scale"]) for entry in data["items"])
             columns = data.get("attribute_columns", [])
-            id_column, missing_token = str(data["id_column"]), str(data.get("missing_token", "NA"))
+            id_column, missing_token = str(data["id_column"]), data.get("missing_token", "NA")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed schema descriptor: {exc}") from exc
         for item in items:

@@ -96,8 +96,8 @@ class PairWeights:
     matrix product Y[rows] @ X[cols].T, and co-answered counts are M @ M.T
     over the answer mask M. Both come back in the kernel's dtype rung, every
     entry an exact integer. Weights are never materialized for all pairs up
-    front; consumers either ask for single pairs (exact Fractions) or stream
-    numerator blocks.
+    front: the pair scan and the sweep stream numerator blocks, and only the
+    distinct weights of the pairs they keep become exact Fractions.
     """
 
     def __init__(self, mode, participant_ids, features, mask, n_items, denominator,
@@ -153,24 +153,6 @@ class PairWeights:
         if self.mode == SCORE:
             return Fraction(-m), Fraction(m)
         return Fraction(0), Fraction(m)
-
-    def co_answered(self, u: int, v: int) -> int:
-        """Number of items answered by both members of the pair."""
-        self._check_pair(u, v)
-        return int((self._mask[u] & self._mask[v]).sum())
-
-    def weight(self, u: int, v: int) -> Fraction:
-        """Exact weight of one unordered pair."""
-        self._check_pair(u, v)
-        numer, co = self.block_numerators(u, u + 1, v, v + 1)
-        return _pair_weight_fraction(self, numer[0, 0], None if co is None else co[0, 0])
-
-    def _check_pair(self, u: int, v: int) -> None:
-        n = self.n_participants
-        if u == v:
-            raise ValidationError("no self-pairs")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"pair index out of range: ({u}, {v})")
 
     def block_numerators(self, r0: int, r1: int, c0: int, c1: int):
         """Weight numerators (and co-answered counts) for rows x cols.
@@ -430,14 +412,6 @@ def _threshold_level(weights: PairWeights, threshold: Fraction, *, negative: boo
     return np.array(levels, dtype=weights._x.dtype)
 
 
-def _pair_weight_fraction(weights: PairWeights, numer: int, co) -> Fraction:
-    if weights.rescale:
-        if not co:
-            return Fraction(0)
-        return Fraction(weights.n_items * int(numer), int(co) * weights.denominator)
-    return Fraction(int(numer), weights.denominator)
-
-
 def _scan_edges(weights: PairWeights, level, negative_level):
     """Pairs past either level, from a scan of the upper-triangle tiles
     (_tile_pairs): int32 index arrays (i, j), their sign codes, numerators on
@@ -482,14 +456,17 @@ def _tile_pairs(kernel: PairWeights, r0: int, r1: int, c0: int, c1: int, level,
 
 
 def _weight_table(weights: PairWeights, numer: np.ndarray, co) -> tuple[list, np.ndarray]:
-    """Distinct exact weights of a numerator (and co-answered) array, on any
-    kernel rung (each holds them as exact integers), and each entry's code."""
+    """Distinct exact weights of a numerator array, on any kernel rung (each
+    holds them as exact integers), and each entry's code. Given co-answered
+    counts, the weights are rescaled: m * numer / (co * D), 0 where co is 0."""
+    d = weights.denominator
     if co is None:
         keys, codes = np.unique(numer, return_inverse=True)
-        table = [_pair_weight_fraction(weights, k, None) for k in keys.tolist()]
+        table = [Fraction(int(k), d) for k in keys.tolist()]
     else:
         keys, codes = np.unique(np.column_stack([numer, co]), axis=0, return_inverse=True)
-        table = [_pair_weight_fraction(weights, k, c) for k, c in keys.tolist()]
+        table = [Fraction(weights.n_items * int(k), int(c) * d) if c else Fraction(0)
+                 for k, c in keys.tolist()]
     return table, codes.reshape(-1)
 
 
@@ -928,16 +905,6 @@ class AttitudeGraph:
     n_participants: int
     pos: np.ndarray
     neg: np.ndarray
-
-    def count(self, a: str, b: str) -> tuple[int, int]:
-        """(co-positive, co-negative) counts of two distinct items, in either order."""
-        for item in (a, b):
-            if item not in self.items:
-                raise ValidationError(f"unknown item id {item!r}")
-        if a == b:
-            raise ValidationError(f"no self-pairs: item {a!r} paired with itself")
-        i, j = self.items.index(a), self.items.index(b)
-        return int(self.pos[i, j]), int(self.neg[i, j])
 
 
 def project_attitudes(normalized: NormalizedMatrix) -> AttitudeGraph:

@@ -13,6 +13,7 @@ from opinionnet import (
     binarize,
     binarized_agreement_weights,
     exact_agreement_weights,
+    project_participants,
     renormalize,
     score_weights,
 )
@@ -46,6 +47,18 @@ def weights_from_rows(rows, scale_sizes, mode, count_neutral_pairs=True, rescale
         return score_weights(normalized, rescale_to_full=rescale)
     return binarized_agreement_weights(binarize(normalized),
                                        count_neutral_pairs=count_neutral_pairs)
+
+
+def pair_weights(weights):
+    """Every pair's exact weight, {(i, j): weight} for participant indices
+    i < j, read from the projection at the bottom of the weight range, where
+    every pair is an edge."""
+    graph = project_participants(weights, weights.weight_range()[0])
+    n = weights.n_participants
+    assert graph.n_edges == n * (n - 1) // 2
+    table = graph.weight_table
+    return {(min(a, b), max(a, b)): table[k] for a, b, k in
+            zip(graph.us.tolist(), graph.vs.tolist(), graph.weight_codes.tolist())}
 
 
 def graph_from_edges(nodes, pairs, kind="participant", n_items=None, **kwargs):

@@ -1124,7 +1124,13 @@ def test_help_and_version_still_exit_0(capsys, argv):
     (('"attribute_columns": []', '"attribute_columns": "ab"'), ["attribute_columns", "'ab'"]),
     (('"id_column": "pid"', '"id_column": ""'), ["must name an id column"]),
     (('"id": "q00"', '"id": ""'), ["item ids must be non-empty"]),
-], ids=["float", "string", "bool", "string-columns", "empty-id-column", "empty-item-id"])
+    # answers coded 1 would silently read as missing
+    (('"missing_token": "NA"', '"missing_token": "1"'), ["'1'", "valid code", "'q00'"]),
+    # cells are trimmed before the comparison, so this token never matches
+    (('"missing_token": "NA"', '"missing_token": " NA"'), ["' NA'", "whitespace"]),
+    (('"missing_token": "NA"', '"missing_token": null'), ["None", "not a string"]),
+], ids=["float", "string", "bool", "string-columns", "empty-id-column", "empty-item-id",
+        "token-is-a-code", "token-never-matches", "token-not-a-string"])
 def test_schema_values_are_validated_not_coerced(tmp_path, capsys, edit, named):
     survey, schema = two_block_inputs(tmp_path)
     text = schema.read_text()

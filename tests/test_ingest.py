@@ -246,6 +246,10 @@ def test_a_cell_over_the_csv_field_limit_is_malformed_csv(tmp_path):
     f = write(tmp_path / "s.csv", f"pid,q00\na,1\nb,{'1' * (csv.field_size_limit() + 1)}\n")
     with pytest.raises(ValidationError, match="malformed CSV near data row 2"):
         load_survey(f, make_schema([4]))
+    # and in the header
+    f = write(tmp_path / "h.csv", f"pid,q00,{'x' * (csv.field_size_limit() + 1)}\na,1,2\n")
+    with pytest.raises(ValidationError, match="malformed CSV header in .*h.csv: field larger"):
+        load_survey(f, make_schema([4]))
 
 
 def test_duplicate_header_column_rejected(tmp_path):

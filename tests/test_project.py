@@ -31,7 +31,7 @@ from opinionnet.project import SCORE, PairWeights
 from opinionnet.rational import as_fraction
 from opinionnet.render import export_graphml
 
-from helpers import edge_list, make_matrix, weights_from_rows
+from helpers import edge_list, make_matrix, pair_weights, weights_from_rows
 from oracles import all_pair_weights, attitude_edges, random_rows, sweep_oracle
 
 
@@ -57,17 +57,17 @@ def test_exact_identical_rows_reach_item_count():
     row = [1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 4, 4, 4]
     ks = [4] * 10 + [5] * 3
     w = weights_from_rows([row, list(row)], ks, "exact_agreement")
-    assert w.weight(0, 1) == 13
+    assert pair_weights(w)[0, 1] == 13
 
 
 def test_exact_counts_equal_coordinates():
     w = weights_from_rows([[1, 2, 3], [1, 2, 4]], [5, 5, 5], "exact_agreement")
-    assert w.weight(0, 1) == 2
+    assert pair_weights(w)[0, 1] == 2
 
 
 def test_exact_minimal_link_weight_one():
     w = weights_from_rows([[0, 0, 0], [0, 1, 1]], [4, 4, 4], "exact_agreement")
-    assert w.weight(0, 1) == 1
+    assert pair_weights(w)[0, 1] == 1
 
 
 def test_exact_requires_two_participants():
@@ -84,7 +84,7 @@ def test_score_identical_rows_reach_plus_m():
     ks = [4] * 10 + [5] * 3
     row = [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 0, 2, 4]
     w = weights_from_rows([row, list(row)], ks, "score")
-    assert w.weight(0, 1) == 13
+    assert pair_weights(w)[0, 1] == 13
 
 
 def test_score_opposite_extremes_reach_minus_m():
@@ -92,22 +92,22 @@ def test_score_opposite_extremes_reach_minus_m():
     low = [0] * 13
     high = [k - 1 for k in ks]
     w = weights_from_rows([low, high], ks, "score")
-    assert w.weight(0, 1) == -13
+    assert pair_weights(w)[0, 1] == -13
 
 
 def test_score_direct_arithmetic():
     # two 5-point items: (-1, 1/2) vs (-1/2, 1/2) differ by 1/2 in total
     w = weights_from_rows([[0, 3], [1, 3]], [5, 5], "score")
-    assert w.weight(0, 1) == F(3, 2)
+    assert pair_weights(w)[0, 1] == F(3, 2)
 
 
 def test_score_minimum_needs_extremes_on_every_item():
     # one non-extreme answer caps the per-item difference below 2
     ks = [5] * 4
     w = weights_from_rows([[0, 0, 0, 1], [4, 4, 4, 4]], ks, "score")
-    assert w.weight(0, 1) > -4
+    assert pair_weights(w)[0, 1] > -4
     w2 = weights_from_rows([[0, 0, 0, 0], [4, 4, 4, 4]], ks, "score")
-    assert w2.weight(0, 1) == -4
+    assert pair_weights(w2)[0, 1] == -4
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +118,13 @@ def test_score_minimum_needs_extremes_on_every_item():
 def test_binarized_counts_equal_signs():
     # signs (+1,+1,-1) vs (+1,+1,+1) -> 2
     w = weights_from_rows([[1, 1, 0], [1, 1, 1]], [2, 2, 2], "binarized_agreement")
-    assert w.weight(0, 1) == 2
+    assert pair_weights(w)[0, 1] == 2
 
 
 def test_binarized_same_side_codes_agree():
     # 4-point codes 3 and 2 normalize to 1 and 1/3: both positive
     w = weights_from_rows([[3], [2]], [4], "binarized_agreement")
-    assert w.weight(0, 1) == 1
+    assert pair_weights(w)[0, 1] == 1
 
 
 def test_binarized_neutral_pair_rule_and_its_flip():
@@ -132,14 +132,14 @@ def test_binarized_neutral_pair_rule_and_its_flip():
     rows = [[1, 2], [1, 0]]
     ks = [3, 3]
     w = weights_from_rows(rows, ks, "binarized_agreement")
-    assert w.weight(0, 1) == 1
+    assert pair_weights(w)[0, 1] == 1
     # flipping the rule must flip the oracle the same way
     w_off = weights_from_rows(rows, ks, "binarized_agreement", count_neutral_pairs=False)
-    assert w_off.weight(0, 1) == 0
+    assert pair_weights(w_off)[0, 1] == 0
     oracle_on = all_pair_weights(rows, ks, "binarized_agreement", True)[(0, 1)][0]
     oracle_off = all_pair_weights(rows, ks, "binarized_agreement", False)[(0, 1)][0]
-    assert w.weight(0, 1) == oracle_on
-    assert w_off.weight(0, 1) == oracle_off
+    assert pair_weights(w)[0, 1] == oracle_on
+    assert pair_weights(w_off)[0, 1] == oracle_off
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +149,17 @@ def test_binarized_neutral_pair_rule_and_its_flip():
 
 @pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
 def test_symmetry_by_full_enumeration(mode):
+    # the scan reads only the tiles on and above the diagonal, so a pair's
+    # numerator and weight must not depend on which participant comes first
     rng = random.Random(17)
     ks = [2, 3, 4, 5, 5]
     rows = random_rows(rng, 30, ks, missing_rate=0.1)
     w = weights_from_rows(rows, ks, mode)
-    for i in range(30):
-        for j in range(i + 1, 30):
-            assert w.weight(i, j) == w.weight(j, i)
+    numer, co = w.block_numerators(0, 30, 0, 30)
+    assert (numer == numer.T).all()
+    assert co is not None and (co == co.T).all()
+    backward = pair_weights(weights_from_rows(rows[::-1], ks, mode))
+    assert {(29 - j, 29 - i): weight for (i, j), weight in backward.items()} == pair_weights(w)
 
 
 @pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
@@ -164,11 +168,12 @@ def test_weights_match_oracle(mode):
     for missing_rate in (0.0, 0.2):
         ks = [rng.randrange(2, 8) for _ in range(rng.randrange(2, 8))]
         rows = random_rows(rng, 18, ks, missing_rate=missing_rate)
-        w = weights_from_rows(rows, ks, mode)
         oracle = all_pair_weights(rows, ks, mode)
-        for (i, j), (expected, co) in oracle.items():
-            assert w.weight(i, j) == expected
-            assert w.co_answered(i, j) == co
+        assert pair_weights(weights_from_rows(rows, ks, mode)) == {
+            pair: weight for pair, (weight, _) in oracle.items()}
+        if mode == "score":  # co-answered counts reach an output through rescaled weights
+            assert pair_weights(weights_from_rows(rows, ks, mode, rescale=True)) == {
+                pair: weight * len(ks) / co if co else 0 for pair, (weight, co) in oracle.items()}
 
 
 def test_weight_ranges():
@@ -177,14 +182,11 @@ def test_weight_ranges():
     rows = random_rows(rng, 20, ks, missing_rate=0.15)
     m = len(ks)
     for mode in ("exact_agreement", "score", "binarized_agreement"):
-        w = weights_from_rows(rows, ks, mode)
-        for i in range(20):
-            for j in range(i + 1, 20):
-                value = w.weight(i, j)
-                if mode == "score":
-                    assert -m <= value <= m
-                else:
-                    assert 0 <= value <= m
+        for value in pair_weights(weights_from_rows(rows, ks, mode)).values():
+            if mode == "score":
+                assert -m <= value <= m
+            else:
+                assert 0 <= value <= m
 
 
 def test_dominance_full_score_iff_identical_iff_full_agreement():
@@ -192,14 +194,12 @@ def test_dominance_full_score_iff_identical_iff_full_agreement():
     ks = [4, 4, 5, 3]
     rows = random_rows(rng, 12, ks)
     rows.append(list(rows[0]))  # force one identical pair
-    ws = weights_from_rows(rows, ks, "score")
-    we = weights_from_rows(rows, ks, "exact_agreement")
+    ws = pair_weights(weights_from_rows(rows, ks, "score"))
+    we = pair_weights(weights_from_rows(rows, ks, "exact_agreement"))
     m = len(ks)
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            assert (ws.weight(i, j) == m) == (we.weight(i, j) == m)
-            assert (ws.weight(i, j) == m) == (rows[i] == rows[j])
+    for i, j in ws:
+        assert (ws[i, j] == m) == (we[i, j] == m)
+        assert (ws[i, j] == m) == (rows[i] == rows[j])
 
 
 def test_adjacent_codes_stay_linked_under_scoring():
@@ -212,8 +212,8 @@ def test_adjacent_codes_stay_linked_under_scoring():
     m = len(ks)
     we = weights_from_rows([base, near], ks, "exact_agreement")
     ws = weights_from_rows([base, near], ks, "score")
-    assert we.weight(0, 1) == m - 1
-    assert ws.weight(0, 1) == m - F(2, 3)
+    assert pair_weights(we)[0, 1] == m - 1
+    assert pair_weights(ws)[0, 1] == m - F(2, 3)
     graph = project_participants(ws, m - 1)
     assert [sign for *_, sign, _ in edge_list(graph)].count("positive") == 1
 
@@ -240,11 +240,9 @@ def test_exact_agreement_never_exceeds_binarized():
     rng = random.Random(103)
     ks = [3, 4, 5, 7]
     rows = random_rows(rng, 20, ks, missing_rate=0.1)
-    we = weights_from_rows(rows, ks, "exact_agreement")
-    wb = weights_from_rows(rows, ks, "binarized_agreement")
-    for i in range(20):
-        for j in range(i + 1, 20):
-            assert we.weight(i, j) <= wb.weight(i, j)
+    we = pair_weights(weights_from_rows(rows, ks, "exact_agreement"))
+    wb = pair_weights(weights_from_rows(rows, ks, "binarized_agreement"))
+    assert all(we[pair] <= wb[pair] for pair in we)
 
 
 def test_threshold_monotonicity():
@@ -298,9 +296,9 @@ def test_threshold_11_5_means_total_difference_at_most_1_5():
     for j in range(4, 8):
         delta4[j] = 3  # four half-steps: diff 2, score 11
     w = weights_from_rows([base, delta3, delta4], ks, "score")
-    assert w.weight(0, 1) == F(23, 2)
-    assert w.weight(0, 2) == 11
-    assert w.weight(1, 2) == F(19, 2)
+    assert pair_weights(w)[0, 1] == F(23, 2)
+    assert pair_weights(w)[0, 2] == 11
+    assert pair_weights(w)[1, 2] == F(19, 2)
     graph = project_participants(w, "11.5")
     assert {(u, v) for u, v, *_ in edge_list(graph)} == {("p000", "p001")}
     fraction_graph = project_participants(w, "23/2")
@@ -411,8 +409,7 @@ def test_int64_kernel_matches_oracle_on_huge_denominator(monkeypatch):
     w = weights_from_rows(rows, ks, "score")
     assert w.n_items * w.denominator >= 2**53
     oracle = all_pair_weights(rows, ks, "score")
-    for (i, j), (expected, _) in oracle.items():
-        assert w.weight(i, j) == expected
+    assert pair_weights(w) == {pair: weight for pair, (weight, _) in oracle.items()}
     scan_in_tiles_of(monkeypatch, 5)
     graph = project_participants(w, 0, negative_threshold=-1)
     got = {(u, v): (weight, sign) for u, v, weight, sign, *_ in edge_list(graph)}
@@ -433,8 +430,7 @@ def test_float64_kernel_matches_oracle_past_the_float32_range(monkeypatch):
     assert 2**24 <= w.n_items * w.denominator < 2**53
     assert w._x.dtype == w._y.dtype == np.float64
     oracle = all_pair_weights(rows, ks, "score")
-    for (i, j), (expected, _) in oracle.items():
-        assert w.weight(i, j) == expected
+    assert pair_weights(w) == {pair: weight for pair, (weight, _) in oracle.items()}
     scan_in_tiles_of(monkeypatch, 7)
     graph = project_participants(w, F(1, 2), negative_threshold=-1)
     got = {(u, v): (weight, sign) for u, v, weight, sign, *_ in edge_list(graph)}
@@ -458,10 +454,11 @@ def test_kernel_dtype_rung_at_its_bounds(n_items, denominator, dtype):
                     n_items, d)
     assert w._x.dtype == w._y.dtype == dtype
     assert [a.tobytes() for a in _stacked_encodings(w)] == [w._x.tobytes(), w._y.tobytes()]
+    weights = pair_weights(w)
     for i, j in itertools.combinations(range(len(features)), 2):
         expected = F(sum(d - abs(int(a) - int(b)) for a, b in zip(features[i], features[j])), d)
-        assert w.weight(i, j) == expected
-    assert w.weight(0, 1) == -n_items
+        assert weights[i, j] == expected
+    assert weights[0, 1] == -n_items
     # whole blocks come back on the rung, every entry exact
     numer, co = w.block_numerators(0, 4, 0, 4)
     assert numer.dtype == dtype and co is None
@@ -695,9 +692,9 @@ def test_pairwise_missing_score_uses_co_answered():
     ks = [5, 5, 5]
     rows = [[0, None, 4], [0, 2, None]]
     w = weights_from_rows(rows, ks, "score")
-    # only item 0 is co-answered: weight = 1 - 0 = 1
-    assert w.co_answered(0, 1) == 1
-    assert w.weight(0, 1) == 1
+    # only item 0 is co-answered: weight = 1 - 0 = 1, rescaled 3 * 1 / 1 = 3
+    assert pair_weights(w)[0, 1] == 1
+    assert pair_weights(weights_from_rows(rows, ks, "score", rescale=True))[0, 1] == 3
 
 
 def test_rescaled_pairwise_score():
@@ -705,11 +702,11 @@ def test_rescaled_pairwise_score():
     rows = [[0, 0, None, 4], [0, 4, 2, None]]
     w = weights_from_rows(rows, ks, "score", rescale=True)
     # co = 2, raw = 2 - 2 = 0 -> rescaled 4 * 0 / 2 = 0
-    assert w.weight(0, 1) == 0
+    assert pair_weights(w)[0, 1] == 0
     rows2 = [[0, 0, 0, None], [0, 0, 4, None]]
     w2 = weights_from_rows(rows2, ks, "score", rescale=True)
     # co = 3, raw = 3 - 2 = 1 -> rescaled 4/3
-    assert w2.weight(0, 1) == F(4, 3)
+    assert pair_weights(w2)[0, 1] == F(4, 3)
     graph = project_participants(w2, F(4, 3))
     assert graph.n_edges == 1
 
@@ -755,15 +752,6 @@ def test_every_mode_refuses_a_single_participant_alike(mode):
         weights_from_rows([[0, 1]], [4, 4], mode)
 
 
-@pytest.mark.parametrize("pair, named", [((1, 1), "no self-pairs"),
-                                         ((0, 3), "out of range"), ((-1, 0), "out of range")])
-def test_single_pair_lookups_refuse_a_self_pair_or_an_index_out_of_range(pair, named):
-    w = weights_from_rows([[0, 1], [1, 1], [2, 0]], [4, 4], "score")
-    for lookup in (w.weight, w.co_answered):
-        with pytest.raises(ValidationError, match=named):
-            lookup(*pair)
-
-
 def test_as_fraction_reads_a_float_by_its_shortest_decimal_and_refuses_non_numbers():
     assert as_fraction(0.1) == F(1, 10)
     for value in (True, [1]):
@@ -777,9 +765,7 @@ def test_rescale_is_identity_on_complete_data():
     rows = random_rows(rng, 12, ks)
     plain = weights_from_rows(rows, ks, "score")
     rescaled = weights_from_rows(rows, ks, "score", rescale=True)
-    for i in range(12):
-        for j in range(i + 1, 12):
-            assert plain.weight(i, j) == rescaled.weight(i, j)
+    assert pair_weights(plain) == pair_weights(rescaled)
     ga = project_participants(plain, F(1, 2))
     gb = project_participants(rescaled, F(1, 2))
     assert [e[:3] for e in edge_list(ga)] == [e[:3] for e in edge_list(gb)]
@@ -788,9 +774,9 @@ def test_rescale_is_identity_on_complete_data():
 def test_no_co_answered_items_scores_zero():
     ks = [4, 4]
     rows = [[0, None], [None, 1]]
-    w = weights_from_rows(rows, ks, "score")
-    assert w.co_answered(0, 1) == 0
-    assert w.weight(0, 1) == 0
+    # and so does its rescaled weight, which is not m * 0 / 0
+    for rescale in (False, True):
+        assert pair_weights(weights_from_rows(rows, ks, "score", rescale=rescale))[0, 1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -801,15 +787,13 @@ def test_no_co_answered_items_scores_zero():
 def test_attitude_counts_by_definition():
     # values (+1,+1), (+1,-1), (-1,-1) on two items
     ag = project_attitudes(renormalize(make_matrix([[1, 1], [1, 0], [0, 0]], [2, 2])))
-    pos, neg = ag.count("q00", "q01")
-    assert (pos, neg) == (1, 1)
+    assert (ag.pos[0, 1], ag.neg[0, 1]) == (1, 1)
 
 
 def test_attitude_all_positive_is_top_third_solid():
     n = 9
     ag = project_attitudes(renormalize(make_matrix([[1, 1]] * n, [2, 2])))
-    pos, neg = ag.count("q00", "q01")
-    assert pos == n and neg == 0
+    assert ag.pos[0, 1] == n and ag.neg[0, 1] == 0
     graph = style_edges(ag)
     [(_, _, weight, sign, style)] = edge_list(graph)
     assert sign == "positive"
@@ -820,8 +804,7 @@ def test_attitude_all_positive_is_top_third_solid():
 def test_attitude_neutral_and_missing_count_for_neither():
     rows = [[2, 4], [None, 4], [4, 4]]
     ag = project_attitudes(renormalize(make_matrix(rows, [5, 5])))
-    pos, neg = ag.count("q00", "q01")
-    assert (pos, neg) == (1, 0)
+    assert (ag.pos[0, 1], ag.neg[0, 1]) == (1, 0)
 
 
 def test_attitude_pos_plus_neg_bounded_by_n():
@@ -829,8 +812,9 @@ def test_attitude_pos_plus_neg_bounded_by_n():
     ks = [5, 4, 3, 5]
     rows = random_rows(rng, 50, ks, missing_rate=0.1)
     ag = project_attitudes(renormalize(make_matrix(rows, ks)))
-    for a, b in itertools.combinations(sorted(ag.items), 2):
-        pos, neg = ag.count(a, b)
+    assert (ag.pos == ag.pos.T).all() and (ag.neg == ag.neg.T).all()
+    for a, b in itertools.combinations(range(len(ks)), 2):
+        pos, neg = ag.pos[a, b], ag.neg[a, b]
         assert 0 <= pos <= 50
         assert 0 <= neg <= 50
         assert pos + neg <= 50
@@ -853,20 +837,9 @@ def test_attitude_graph_matches_loop_oracle(mode):
         edges, counts = attitude_edges(rows, ks, ids, mode)
         graph = style_edges(ag, mode=mode)
         assert edge_list(graph) == edges
-        assert {pair: ag.count(*pair) for pair in counts} == counts
-
-
-def test_attitude_count_names_unknown_ids_and_self_pairs():
-    rng = random.Random(41)
-    ks = [3, 5, 4, 2, 7]
-    ag = project_attitudes(renormalize(make_matrix(random_rows(rng, 30, ks, missing_rate=0.1), ks)))
-    for a, b in itertools.permutations(ag.items, 2):
-        assert ag.count(a, b) == ag.count(b, a)
-    for pair in (("q00", "nope"), ("nope", "q00")):
-        with pytest.raises(ValidationError, match="unknown item id 'nope'"):
-            ag.count(*pair)
-    with pytest.raises(ValidationError, match="'q01' paired with itself"):
-        ag.count("q01", "q01")
+        index = {item: i for i, item in enumerate(ag.items)}
+        assert {(a, b): (ag.pos[index[a], index[b]], ag.neg[index[a], index[b]])
+                for a, b in counts} == counts
 
 
 def test_attitude_needs_two_items():

@@ -385,6 +385,12 @@ def test_a_realistic_import_read_in_small_chunks_matches_expat(tmp_path, monkeyp
     monkeypatch.setattr(render, "_CHUNK", 3000)
     assert len(set(levels.tolist())) > 60 and path.stat().st_size > 50 * 3000
     assert _reading(import_graphml, path) == _reading(expat_import_graphml, path)
+    # a foreign processing instruction between two lifted edge lines is
+    # ignored, as expat's reader ignores it, and the lift still confirms
+    lines = path.read_text(encoding="utf-8").split("\n")
+    at = [k for k, line in enumerate(lines) if line.startswith("    <edge ")][2000]
+    path.write_text("\n".join(lines[:at] + ["<?foo bar?>"] + lines[at:]), encoding="utf-8")
+    assert _reading(import_graphml, path) == _reading(expat_import_graphml, path)
 
 
 def test_an_edge_list_reads_back_through_csv_reader_whatever_its_ids(tmp_path):
