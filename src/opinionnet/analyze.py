@@ -30,11 +30,16 @@ from .project import ProjectionGraph, _component_roots
 from .rational import as_fraction, format_fraction
 
 
-BETWEENNESS_BLOCK_BYTES = 2 * 2**20  # working set of one block of BFS sources
-# 8-byte words per (source, node): dist, sigma, delta, per-level sums; and per
-# (source, edge): its contribution, the stored DAG entries, level temporaries
+BETWEENNESS_BLOCK_BYTES = 3 * 2**20  # working set of one block of BFS sources
+# 8-byte words per (source, node): sigma, delta, slot, the stored frontiers, a
+# dense level's sums and heads; and per (source, edge): its contribution, its
+# DAG entry (head, tail sigma, contribution slot, tail code), and a level's
+# candidates (CSR position, head, the head's sigma)
 _NODE_WORDS = 6
 _EDGE_WORDS = 8
+# a level whose DAG entries number at least this share of the block's
+# (source, node) keys sums over the whole block; a sparser one over its heads
+_DENSE_LEVEL_SHARE = 0.25
 
 
 @dataclass
@@ -54,6 +59,12 @@ def _grouped_components(nodes, us, vs):
     for i in sorted(range(len(nodes)), key=nodes.__getitem__):
         groups.setdefault(root[i], []).append(nodes[i])
     return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+
+
+def _component_sizes(n_nodes, us, vs) -> list:
+    """Component sizes over the edges (us, vs), largest first."""
+    sizes = np.bincount(_component_roots(n_nodes, us, vs))
+    return np.sort(sizes[sizes > 0])[::-1].tolist()
 
 
 def connected_components(graph: ProjectionGraph) -> ComponentReport:
@@ -79,7 +90,8 @@ def _betweenness_fast(n_nodes: int, us: np.ndarray, vs: np.ndarray) -> np.ndarra
     (source, node) keys. Each level expands only the frontier's out-edges,
     and a source stops once it has reached its whole component, so the
     edge work per source is O(E) (Brandes 2001; the edge variant, Brandes
-    2008), plus O(n) bookkeeping per level.
+    2008). A level costs what it touches: a dense one sums over the whole
+    block, a sparse one over compact codes of its own heads (_brandes_block).
 
     The summation order is that of a plain per-source pass, so the result
     equals it bit for bit: sigma[w] and delta[u] add their DAG edges in
@@ -95,71 +107,104 @@ def _betweenness_fast(n_nodes: int, us: np.ndarray, vs: np.ndarray) -> np.ndarra
     tails = np.concatenate([us, vs]).astype(np.int64)
     heads = np.concatenate([vs, us]).astype(np.int64)
     out_edges = np.argsort(tails, kind="stable")  # directed ids by tail, index order within
-    out_step = heads[out_edges] - tails[out_edges]  # head key minus tail key
-    first_out = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n_nodes), out=first_out[1:])
+    degree = np.bincount(tails, minlength=n_nodes)
+    first_out = np.cumsum(degree) - degree
+    csr = (first_out, degree,
+           heads[out_edges] - tails[out_edges],  # head key minus tail key
+           out_edges % n_edges,  # the undirected edge
+           out_edges)
     root = _component_roots(n_nodes, us, vs)
     reach = np.bincount(root, minlength=n_nodes)[root]  # component size of each source
     per_source = 8 * (_NODE_WORDS * n_nodes + _EDGE_WORDS * n_edges)
-    block = max(1, BETWEENNESS_BLOCK_BYTES // per_source)
+    block = min(n_nodes, max(1, BETWEENNESS_BLOCK_BYTES // per_source))
+    rows = np.empty((block + 1, n_edges))  # row 0 holds the running sums
     for s0 in range(0, n_nodes, block):
         s1 = min(s0 + block, n_nodes)
-        contrib = _brandes_block(s0, s1, reach[s0:s1] - 1, n_nodes, n_edges,
-                                 out_edges, out_step, first_out)
-        for row in contrib:  # one source at a time, ascending
-            bet += row
+        part = rows[:s1 - s0 + 1]
+        part[0] = bet
+        part[1:] = 0.0
+        _brandes_block(s0, s1, reach[s0:s1] - 1, n_nodes, csr, part[1:].reshape(-1))
+        # row by row along axis 0, so each edge adds the sources in ascending
+        # order (with a single edge numpy may sum pairwise, but its values are
+        # then exact)
+        np.add.reduce(part, axis=0, out=bet)
     return bet / 2.0
 
 
-def _brandes_block(s0: int, s1: int, unreached: np.ndarray, n_nodes: int, n_edges: int,
-                   out_edges: np.ndarray, out_step: np.ndarray,
-                   first_out: np.ndarray) -> np.ndarray:
-    """Edge contributions of sources s0..s1-1, one row of n_edges per source.
+def _dense_level(entries: int, keys: int) -> bool:
+    """Whether a level of this many DAG entries sums over all of its block's keys."""
+    return entries >= _DENSE_LEVEL_SHARE * keys
 
-    unreached[r] counts the nodes source s0 + r still has to reach; a row
-    stops expanding once it reaches its whole component.
+
+def _brandes_block(s0: int, s1: int, unreached: np.ndarray, n_nodes: int, csr: tuple,
+                   contrib: np.ndarray) -> None:
+    """Write the edge contributions of sources s0..s1-1 into contrib, a zeroed
+    flat array of one row of n_edges per source.
+
+    csr holds, per node, its first CSR position and its degree, and per CSR
+    position the head key minus the tail key, the undirected edge and the
+    directed edge. unreached[r] counts the nodes source s0 + r still has to
+    reach; a row stops expanding once it reaches its whole component.
+
+    A level whose DAG entries number at least _DENSE_LEVEL_SHARE of the
+    block's keys sums its path counts over the whole block; a sparser one
+    gives each distinct head a slot (the entry a scatter kept for it) and
+    sums over those slots. Either way each head adds its entries in the order
+    they come, grouped by tail in CSR order; only the order of the tails
+    differs, which no sum sees (see _betweenness_fast).
     """
+    first_out, degree, out_step, out_eid, out_edges = csr
+    n_edges = len(out_eid) // 2
     size = (s1 - s0) * n_nodes  # key = row * n_nodes + node
-    dist = np.full(size, -1, dtype=np.int64)
-    sigma = np.zeros(size)
-    frontier = np.arange(s1 - s0) * (n_nodes + 1) + s0
-    dist[frontier] = 0
-    sigma[frontier] = 1.0
-    levels = []  # per depth: the DAG edges as (ukey, wkey, CSR position)
-    depth = 0
+    sigma = np.zeros(size)  # 0 until reached
+    slot = np.empty(size, dtype=np.int64)  # code of each tail, then of each new head
+    row = np.flatnonzero(unreached > 0)
+    node = row + s0
+    frontier = row * n_nodes + node
+    front_sigma = np.ones(row.size)
+    sigma[frontier] = front_sigma
+    levels = []  # per depth: (heads, tail sigmas, contribution slots, tail codes, tails)
     while frontier.size:
-        node = frontier % n_nodes
-        first = first_out[node]
-        deg = first_out[node + 1] - first
-        pos = np.repeat(first - (np.cumsum(deg) - deg), deg)
-        pos += np.arange(len(pos))  # the frontier's out-edges, grouped by tail
-        wkey = np.repeat(frontier, deg)
+        first, deg = first_out[node], degree[node]
+        slot[frontier] = np.arange(frontier.size)  # tails and new heads are distinct keys
+        pos = (first + deg - deg.cumsum()).repeat(deg)
+        pos += np.arange(pos.size)  # the frontier's out-edges, grouped by tail
+        wkey = frontier.repeat(deg)
         wkey += out_step[pos]
-        dag = np.flatnonzero(dist[wkey] < 0)  # heads not reached before this depth
+        dag = (sigma[wkey] == 0).nonzero()[0]  # heads not reached before this depth
         wkey, pos = wkey[dag], pos[dag]
-        ukey = wkey - out_step[pos]
-        depth += 1
-        dist[wkey] = depth
-        sums = np.bincount(wkey, weights=sigma[ukey], minlength=size)
+        tail = slot[wkey - out_step[pos]]
+        su = front_sigma[tail]
+        dense = _dense_level(wkey.size, size)
+        if dense:
+            code = wkey
+        else:
+            slot[wkey] = np.arange(wkey.size)  # one representative entry per head
+            code = slot[wkey]
+        sums = np.bincount(code, weights=su, minlength=size if dense else wkey.size)
         if sums.max() >= 2.0**53:
             # sums of integers below 2**53 are exact in any order; above, add
             # each head's terms in directed-edge index order
-            order = np.argsort(wkey * (2 * n_edges) + out_edges[pos])
-            sums = np.bincount(wkey[order], weights=sigma[ukey[order]], minlength=size)
-        sigma += sums
-        levels.append((ukey, wkey, pos))
-        frontier = np.flatnonzero(sums)
-        rows = frontier // n_nodes
-        unreached -= np.bincount(rows, minlength=s1 - s0)
-        frontier = frontier[unreached[rows] > 0]
+            order = np.argsort(code * (2 * n_edges) + out_edges[pos])
+            sums = np.bincount(code[order], weights=su[order], minlength=sums.size)
+        reps = (sums > 0).nonzero()[0]  # a bool mask: nonzero() on floats is far slower
+        heads = reps if dense else wkey[reps]
+        front_sigma = sums[reps]
+        sigma[heads] = front_sigma
+        levels.append((wkey, su, (row * n_edges)[tail] + out_eid[pos], tail, frontier))
+        row = heads // n_nodes
+        node = heads - row * n_nodes
+        unreached -= np.bincount(row, minlength=s1 - s0)
+        going = unreached[row] > 0
+        frontier = heads
+        if not going.all():
+            frontier, row, node, front_sigma = (a[going] for a in (heads, row, node, front_sigma))
 
     delta = np.zeros(size)
-    contrib = np.zeros((s1 - s0) * n_edges)
-    for ukey, wkey, pos in reversed(levels):
-        c = sigma[ukey] / sigma[wkey] * (1.0 + delta[wkey])
-        contrib[ukey // n_nodes * n_edges + out_edges[pos] % n_edges] = c
-        delta += np.bincount(ukey, weights=c, minlength=size)  # each tail in index order
-    return contrib.reshape(s1 - s0, n_edges)
+    for wkey, su, cslot, tail, tails in reversed(levels):
+        c = su / sigma[wkey] * (1.0 + delta[wkey])
+        contrib[cslot] = c
+        delta[tails] = np.bincount(tail, weights=c, minlength=tails.size)  # each tail in index order
 
 
 def _betweenness_exact(n_nodes: int, us, vs) -> list:
@@ -284,11 +329,11 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     us, vs = graph.us[positive], graph.vs[positive]
     original_count = len(us)
 
-    comps = _grouped_components(graph.nodes, us, vs)
     budget = (budget_fraction.numerator * original_count) // budget_fraction.denominator
     removed: list[tuple] = []
     history: list[RemovalStep] = []
-    status = "already_satisfied" if len(comps) >= target_components else "budget_exhausted"
+    satisfied = len(_component_sizes(n, us, vs)) >= target_components
+    status = "already_satisfied" if satisfied else "budget_exhausted"
     while status == "budget_exhausted" and len(removed) < budget:
         bet = _betweenness_fast(n, us, vs)
         # values within an absolute 1e-9 of the maximum are ties (the float
@@ -299,16 +344,16 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
         value = float(bet[k])
         us = np.delete(us, k)
         vs = np.delete(vs, k)
-        comps = _grouped_components(graph.nodes, us, vs)
-        history.append(RemovalStep(removed[-1], value, [len(c) for c in comps]))
-        if len(comps) >= target_components:
+        sizes = _component_sizes(n, us, vs)
+        history.append(RemovalStep(removed[-1], value, sizes))
+        if len(sizes) >= target_components:
             status = "split"
 
     fraction = Fraction(len(removed), original_count) if original_count else Fraction(0)
     return CommunityReport(
         removed_edges=removed,
         removed_fraction=fraction,
-        final_components=comps,
+        final_components=_grouped_components(graph.nodes, us, vs),
         history=history,
         status=status,
         original_edge_count=original_count,

@@ -50,10 +50,14 @@ class SurveySchema:
         object.__setattr__(self, "attribute_columns", tuple(self.attribute_columns))
         if not self.items:
             raise ValidationError("schema must declare at least one item")
+        if not isinstance(self.id_column, str):  # a JSON null or number names no column
+            raise ValidationError(f"id column {self.id_column!r} is not a string")
         if not self.id_column:
             raise ValidationError("schema must name an id column")
         seen = set()
         for item in self.items:
+            if not isinstance(item.item_id, str):
+                raise ValidationError(f"item id {item.item_id!r} is not a string")
             if not item.item_id:
                 raise ValidationError("item ids must be non-empty")
             if item.item_id in seen:
@@ -94,9 +98,9 @@ class SurveySchema:
     @classmethod
     def from_dict(cls, data: dict) -> "SurveySchema":
         try:
-            items = tuple(SurveyItem(str(entry["id"]), entry["scale"]) for entry in data["items"])
+            items = tuple(SurveyItem(entry["id"], entry["scale"]) for entry in data["items"])
             columns = data.get("attribute_columns", [])
-            id_column, missing_token = str(data["id_column"]), data.get("missing_token", "NA")
+            id_column, missing_token = data["id_column"], data.get("missing_token", "NA")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed schema descriptor: {exc}") from exc
         for item in items:

@@ -12,6 +12,7 @@ from opinionnet import (
     SurveySchema,
     binarize,
     binarized_agreement_weights,
+    connected_components,
     exact_agreement_weights,
     project_participants,
     renormalize,
@@ -68,6 +69,19 @@ def graph_from_edges(nodes, pairs, kind="participant", n_items=None, **kwargs):
     if n_items is not None:
         extra["n_items"] = n_items
     return ProjectionGraph(kind=kind, nodes=nodes, edges=edges, extra=extra, **kwargs)
+
+
+def giant_subgraph(graph):
+    """The subgraph induced by the largest component, nodes in graph order."""
+    index = {u: i for i, u in enumerate(graph.nodes)}
+    inside = np.zeros(graph.n_nodes, dtype=bool)
+    inside[[index[u] for u in connected_components(graph).components[0]]] = True
+    keep = inside[graph.us] & inside[graph.vs]
+    renumbered = np.cumsum(inside) - 1
+    return ProjectionGraph.from_arrays(
+        "participant", [graph.nodes[i] for i in np.flatnonzero(inside)],
+        renumbered[graph.us[keep]], renumbered[graph.vs[keep]], graph.weight_table,
+        graph.weight_codes[keep], graph.signs[keep], graph.styles[keep])
 
 
 def edge_list(graph):

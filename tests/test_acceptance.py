@@ -12,7 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from opinionnet import (
@@ -39,6 +38,7 @@ from opinionnet.cli import main
 from helpers import (
     barbell_graph,
     edge_list,
+    giant_subgraph,
     graph_from_edges,
     index_labels,
     make_matrix,
@@ -519,16 +519,7 @@ def test_criterion_girvan_newman_on_the_auto_giant_recovers_planted_blocs(tmp_pa
         weights = score_weights(renormalize(matrix))
         threshold = select_threshold(weights, F(1, 2)).chosen_threshold
         graph = project_participants(weights, threshold, node_attrs=matrix.node_attributes())
-        giant = connected_components(graph).components[0]
-        index = {u: i for i, u in enumerate(graph.nodes)}
-        inside = np.zeros(graph.n_nodes, dtype=bool)
-        inside[[index[u] for u in giant]] = True
-        keep = inside[graph.us] & inside[graph.vs]
-        renumbered = np.cumsum(inside) - 1
-        subgraph = ProjectionGraph.from_arrays(
-            "participant", [graph.nodes[i] for i in np.flatnonzero(inside)],
-            renumbered[graph.us[keep]], renumbered[graph.vs[keep]], graph.weight_table,
-            graph.weight_codes[keep], graph.signs[keep], graph.styles[keep])
+        subgraph = giant_subgraph(graph)
         report = girvan_newman(subgraph, target_components=2)
         assert report.status == "split"
         planted = [graph.node_attrs[u]["bloc"] for u in subgraph.nodes]

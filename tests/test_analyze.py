@@ -1,8 +1,10 @@
 import itertools
 import random
+import tempfile
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from opinionnet import (
     connected_components,
     edge_betweenness,
     girvan_newman,
+    load_survey,
     profile_census,
     project_participants,
     renormalize,
+    score_weights,
     select_threshold,
 )
 
@@ -29,11 +33,13 @@ from opinionnet.project import PairWeights
 from helpers import (
     barbell_graph,
     edge_list,
+    giant_subgraph,
     graph_from_edges,
     make_matrix,
     planted_two_block_graph,
     weights_from_rows,
 )
+from paper_survey import write_bloc_survey
 from oracles import (
     MAX_SWEEP_LEVELS,
     all_pair_weights,
@@ -763,7 +769,27 @@ def _bitwise_cases():
     return cases
 
 
-def test_blocked_betweenness_is_bitwise_per_source():
+@pytest.fixture(params=[None, 0.0, float("inf")], ids=["default", "dense", "compact"])
+def level_form(request, monkeypatch):
+    """The default per-level rule, or every level in one form."""
+    if request.param is not None:
+        monkeypatch.setattr(analyze, "_DENSE_LEVEL_SHARE", request.param)
+
+
+def _recorded_level_forms(monkeypatch) -> list:
+    """Each level's choice (True for dense) in the betweenness passes that follow."""
+    forms = []
+    choose = analyze._dense_level
+
+    def recorded(entries, keys):
+        forms.append(choose(entries, keys))
+        return forms[-1]
+
+    monkeypatch.setattr(analyze, "_dense_level", recorded)
+    return forms
+
+
+def test_blocked_betweenness_is_bitwise_per_source(level_form):
     # several components, isolated nodes, no edges, edges in a permuted,
     # non-canonical order and orientation
     for n, us, vs in _bitwise_cases():
@@ -771,7 +797,8 @@ def test_blocked_betweenness_is_bitwise_per_source():
 
 
 @pytest.mark.parametrize("sources_per_block", [1, 3])
-def test_blocked_betweenness_is_bitwise_for_any_block_size(monkeypatch, sources_per_block):
+def test_blocked_betweenness_is_bitwise_for_any_block_size(monkeypatch, level_form,
+                                                           sources_per_block):
     for n, us, vs in _bitwise_cases():
         per_source = 8 * (analyze._NODE_WORDS * n + analyze._EDGE_WORDS * len(us))
         monkeypatch.setattr(analyze, "BETWEENNESS_BLOCK_BYTES", sources_per_block * per_source)
@@ -780,7 +807,7 @@ def test_blocked_betweenness_is_bitwise_for_any_block_size(monkeypatch, sources_
         assert np.array_equal(_betweenness_fast(n, us, vs), betweenness_per_source(n, us, vs))
 
 
-def test_blocked_betweenness_is_bitwise_past_exact_path_counts():
+def test_blocked_betweenness_is_bitwise_past_exact_path_counts(level_form):
     # 50 layers of 6 nodes, each node linked to 3 of the layer before: shortest
     # path counts pass 2**53, where the order of each sum changes its rounding
     rng = np.random.default_rng(67)
@@ -793,6 +820,22 @@ def test_blocked_betweenness_is_bitwise_past_exact_path_counts():
     vs = np.array([pairs[i][1 - i % 2] for i in order])
     n = width * depth
     assert np.array_equal(_betweenness_fast(n, us, vs), betweenness_per_source(n, us, vs))
+
+
+def test_one_pass_takes_both_level_forms_and_stays_bitwise(monkeypatch):
+    # a 60-clique joined to a 40-node path: a block of clique sources reaches
+    # the clique in one dense level, then walks the path one sparse level at
+    # a time
+    k, tail = 60, 40
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    pairs += [(i, i + 1) for i in range(k - 1, k + tail - 1)]
+    order = np.random.default_rng(71).permutation(len(pairs))
+    us = np.array([pairs[i][0] for i in order])
+    vs = np.array([pairs[i][1] for i in order])
+    forms = _recorded_level_forms(monkeypatch)
+    fast = _betweenness_fast(k + tail, us, vs)
+    assert set(forms) == {True, False}
+    assert np.array_equal(fast, betweenness_per_source(k + tail, us, vs))
 
 
 def _depth_paths_degree(n, us, vs):
@@ -945,15 +988,41 @@ def _planted():
     return planted_two_block_graph(random.Random(991))[0]
 
 
-@pytest.mark.parametrize("build", [_hypercube_q4, _grid_4x4, _planted],
-                         ids=["q4", "grid4x4", "planted"])
+def _paper_giant():
+    """The giant of the auto projection of a 400-row, two-bloc survey (s = 1.5)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocs.csv"
+        matrix = load_survey(path, write_bloc_survey(path, 1, 400, 1.5))
+    weights = score_weights(renormalize(matrix))
+    return giant_subgraph(
+        project_participants(weights, select_threshold(weights, F(1, 2)).chosen_threshold))
+
+
+def _remaining_component_sizes(graph, removed):
+    """Component sizes after each removal, by the union-find oracle."""
+    index = {u: i for i, u in enumerate(graph.nodes)}
+    edges = [(index[u], index[v]) for u, v, _, sign, _ in edge_list(graph) if sign == "positive"]
+    sizes = []
+    for edge in removed:
+        edges.remove((index[edge[0]], index[edge[1]]))
+        sizes.append([len(c) for c in components_from_edges(graph.n_nodes, edges)])
+    return sizes
+
+
+@pytest.mark.parametrize("build", [_hypercube_q4, _grid_4x4, _planted, _paper_giant],
+                         ids=["q4", "grid4x4", "planted", "paper_giant"])
 def test_gn_history_matches_per_source_engine(monkeypatch, build):
     graph = build()
+    forms = _recorded_level_forms(monkeypatch)
     report = girvan_newman(graph, target_components=2)
+    if build is _paper_giant:
+        assert False in forms  # its sparse levels take the compact form
     monkeypatch.setattr(analyze, "_betweenness_fast", betweenness_per_source)
     reference = girvan_newman(graph, target_components=2)
     assert [(h.edge, h.betweenness) for h in report.history] == \
         [(h.edge, h.betweenness) for h in reference.history]
+    assert [h.component_sizes for h in report.history] == \
+        _remaining_component_sizes(graph, report.removed_edges)
     assert report.final_components == reference.final_components
 
 

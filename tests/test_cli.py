@@ -117,6 +117,24 @@ def test_inspect_empty_data_is_validation_error(tmp_path, capsys):
     assert "no data rows" in block["error"]["message"]
 
 
+@pytest.mark.parametrize("field, value", [("id_column", None), ("id", 7)])
+def test_inspect_refuses_a_non_string_schema_id(tmp_path, capsys, field, value):
+    # the survey has columns named None and 7, which a stringified id would read
+    schema = json.loads(write_schema(tmp_path / "schema.json", [4]).read_text())
+    if field == "id_column":
+        schema["id_column"] = value
+    else:
+        schema["items"][0]["id"] = value
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    survey = tmp_path / "survey.csv"
+    survey.write_text("pid,None,7,q00\na,b,1,1\n")
+    code = main(["inspect", "--survey", str(survey), "--schema", str(tmp_path / "schema.json")])
+    assert code == 2
+    block = json.loads(capsys.readouterr().err)
+    assert block["error"]["type"] == "ValidationError" and block["error"]["exit_code"] == 2
+    assert f"{value!r} is not a string" in block["error"]["message"]
+
+
 def test_inspect_surfaces_drop_count(tmp_path, capsys):
     schema = write_schema(tmp_path / "schema.json", [4, 4])
     survey = tmp_path / "survey.csv"

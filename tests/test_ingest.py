@@ -197,6 +197,18 @@ def test_schema_rejects_overlapping_columns():
         SurveySchema(items=(SurveyItem("q", 4),), id_column="pid", attribute_columns=("q",))
 
 
+@pytest.mark.parametrize("id_column, item_id, named", [
+    (None, "q0", "id column None is not a string"),
+    (7, "q0", "id column 7 is not a string"),
+    ("pid", 7, "item id 7 is not a string"),
+    ("pid", None, "item id None is not a string"),
+])
+def test_schema_descriptor_refuses_a_non_string_id(id_column, item_id, named):
+    # a null or number would otherwise name a column "None" or "7"
+    with pytest.raises(ValidationError, match=named):
+        SurveySchema.from_dict({"id_column": id_column, "items": [{"id": item_id, "scale": 4}]})
+
+
 def test_schema_rejects_no_items():
     with pytest.raises(ValidationError, match="at least one item"):
         SurveySchema(items=(), id_column="pid")
