@@ -26,7 +26,6 @@ from .normalize import (
     SignMatrix,
     binarize,
     renormalize,
-    scale_values,
     write_normalized_csv,
 )
 from .project import (
@@ -107,7 +106,6 @@ __all__ = [
     "renormalize",
     "render_bipartite_svg",
     "render_svg",
-    "scale_values",
     "score_weights",
     "select_threshold",
     "style_edges",

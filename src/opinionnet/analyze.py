@@ -19,7 +19,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +48,6 @@ class ComponentReport:
 
     components: list
     giant_fraction: Fraction
-    n_nodes: int
 
 
 def _grouped_components(nodes, us, vs):
@@ -75,9 +74,8 @@ def connected_components(graph: ProjectionGraph) -> ComponentReport:
     """
     positive = graph.positive_mask()
     comps = _grouped_components(graph.nodes, graph.us[positive], graph.vs[positive])
-    n = graph.n_nodes
-    giant = Fraction(len(comps[0]), n) if comps else Fraction(0)
-    return ComponentReport(components=comps, giant_fraction=giant, n_nodes=n)
+    giant = Fraction(len(comps[0]), graph.n_nodes) if comps else Fraction(0)
+    return ComponentReport(components=comps, giant_fraction=giant)
 
 
 def _betweenness_fast(n_nodes: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -280,9 +278,9 @@ class CommunityReport:
     removed_edges: list
     removed_fraction: Fraction
     final_components: list
-    history: list = field(default_factory=list)
-    status: str = "split"
-    original_edge_count: int = 0
+    history: list
+    status: str
+    original_edge_count: int
 
     def to_dict(self) -> dict:
         return {

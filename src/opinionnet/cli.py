@@ -168,6 +168,11 @@ def _weights_for_mode(args, matrix):
 
 
 def cmd_project(args) -> int:
+    # each weight option serves one mode; in another it would change nothing
+    if args.rescale and args.mode != "score":
+        raise ValidationError("--rescale applies to --mode score only")
+    if args.exclude_neutral_pairs and args.mode != "binarized":
+        raise ValidationError("--exclude-neutral-pairs applies to --mode binarized only")
     _, matrix = _load_inputs(args)
     weights = _weights_for_mode(args, matrix)
     parameters = {
@@ -277,6 +282,19 @@ def _parse_color_map(arg: str | None) -> dict:
 
 
 def cmd_render(args) -> int:
+    mapping = _parse_color_map(args.color_map)
+    # each branch refuses the options that only the other reads
+    if args.bipartite:
+        unread = {"--graph": args.graph, "--color-attr": args.color_attr,
+                  "--color-map": args.color_map}
+    else:
+        unread = {"--survey": args.survey, "--schema": args.schema}
+    for name, value in unread.items():
+        if value is not None:
+            raise ValidationError(f"render {'with' if args.bipartite else 'without'} --bipartite "
+                                  f"does not take {name}")
+    if args.color_map is not None and args.color_attr is None:
+        raise ValidationError("--color-map needs --color-attr, the attribute it maps")
     if args.bipartite:
         if not (args.survey and args.schema):
             raise ValidationError("--bipartite rendering needs --survey and --schema")
@@ -291,7 +309,7 @@ def cmd_render(args) -> int:
         layout = fr_layout(graph, seed=args.seed, iterations=args.iterations)
         scheme = ColorScheme(
             attribute=args.color_attr,
-            mapping=_parse_color_map(args.color_map),
+            mapping=mapping,
             default_color=args.default_color,
         )
         render_svg(graph, layout, scheme, _output(args, "svg", ".svg"))

@@ -193,10 +193,6 @@ class ResponseMatrix:
     def n_items(self) -> int:
         return self.codes.shape[1]
 
-    @property
-    def has_missing(self) -> bool:
-        return not bool(self.mask.all())
-
     def node_attributes(self) -> dict:
         """Per-participant attribute mapping, keyed by participant id."""
         cols = self.schema.attribute_columns
@@ -204,15 +200,6 @@ class ResponseMatrix:
             pid: {c: self.attributes[c][i] for c in cols}
             for i, pid in enumerate(self.participant_ids)
         }
-
-    def equals(self, other: "ResponseMatrix") -> bool:
-        return (
-            self.schema == other.schema
-            and self.participant_ids == other.participant_ids
-            and np.array_equal(self.mask, other.mask)
-            and np.array_equal(self.codes, other.codes)
-            and self.attributes == other.attributes
-        )
 
 
 def load_survey(csv_path, schema: SurveySchema, missing_policy: str = "drop_participant") -> ResponseMatrix:

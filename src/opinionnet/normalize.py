@@ -15,14 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import ResponseMatrix, write_csv
-
-
-def scale_values(scale_size: int) -> tuple[Fraction, ...]:
-    """The normalized scale points for a k-point item, low to high."""
-    if scale_size < 2:
-        raise ValidationError("scales need at least 2 points")
-    k = scale_size
-    return tuple(Fraction(2 * c - (k - 1), k - 1) for c in range(k))
+from .rational import format_fraction
 
 
 class NormalizedMatrix:
@@ -57,15 +50,6 @@ class NormalizedMatrix:
     @property
     def schema(self):
         return self.source.schema
-
-    def value_at(self, participant: int, item: int):
-        """Exact normalized value, or None when missing."""
-        if not self.mask[participant, item]:
-            return None
-        return Fraction(int(self.numerators[participant, item]), self.denominator)
-
-    def row_values(self, participant: int) -> list:
-        return [self.value_at(participant, j) for j in range(self.n_items)]
 
 
 def renormalize(matrix: ResponseMatrix) -> NormalizedMatrix:
@@ -127,9 +111,14 @@ def binarize(normalized: NormalizedMatrix) -> SignMatrix:
 
 
 def write_normalized_csv(normalized: NormalizedMatrix, csv_path) -> None:
-    """Debugging dump of normalized values as exact fraction strings."""
+    """Debugging dump of normalized values as exact fraction strings; a missing
+    cell holds the schema's missing token. Each distinct value is formatted once."""
     schema = normalized.schema
-    write_csv(csv_path, [schema.id_column, *schema.item_ids], (
-        [pid, *(schema.missing_token if value is None else str(value)
-                for value in normalized.row_values(i))]
-        for i, pid in enumerate(normalized.participant_ids)))
+    numerators = normalized.numerators
+    distinct, codes = np.unique(numerators, return_inverse=True)
+    text = np.array([format_fraction(Fraction(k, normalized.denominator))
+                     for k in distinct.tolist()] + [schema.missing_token], dtype=object)
+    codes = codes.reshape(numerators.shape)
+    codes[~normalized.mask] = len(distinct)
+    write_csv(csv_path, [schema.id_column, *schema.item_ids],
+              ([pid, *row] for pid, row in zip(normalized.participant_ids, text[codes].tolist())))

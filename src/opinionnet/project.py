@@ -758,7 +758,6 @@ class ThresholdSelection:
     chosen_threshold: Fraction
     giant_fraction_at_chosen: Fraction
     sweep: list
-    target_fraction: Fraction
 
 
 def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
@@ -829,7 +828,7 @@ def _sweep(weights: PairWeights, target_fraction, min_level, hold=False) -> tupl
             level, frac = Fraction(level_numer, d), Fraction(largest, n)
             sweep.append((level, frac))
             if largest * target.denominator >= target.numerator * n:
-                return ThresholdSelection(level, frac, sweep, target), (level_numer, held)
+                return ThresholdSelection(level, frac, sweep), (level_numer, held)
 
     raise NoGiantComponentError(
         f"no weight level reached a giant component of {format_fraction(target)} "

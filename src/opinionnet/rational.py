@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -10,9 +11,10 @@ from .errors import ValidationError
 def as_fraction(value) -> Fraction:
     """Coerce a threshold-like value to an exact Fraction.
 
-    Strings accept decimals and fractions ("11.5", "23/2", "-3"). Floats are
-    converted through their shortest decimal repr, so 11.5 means 23/2 and
-    0.1 means 1/10.
+    Strings accept decimals and fractions ("11.5", "23/2", "-3"). Floats, and
+    other real numbers such as numpy's float32, are converted through their
+    shortest decimal repr, so 11.5 means 23/2 and 0.1 means 1/10. Integers,
+    numpy's int64 among them, are taken as they are; booleans are refused.
     """
     if isinstance(value, Fraction):
         return value
@@ -27,6 +29,11 @@ def as_fraction(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse {value!r} as a rational number") from exc
+    # numpy's integers and floats; its bool_ is neither Integral nor Real
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
+    if isinstance(value, numbers.Real):
+        return as_fraction(str(value))
     raise ValidationError(f"cannot interpret {value!r} as a rational number")
 
 

@@ -125,7 +125,6 @@ class LayoutResult:
     positions: dict
     seed: int
     iterations: int
-    bounding_box: tuple
 
 
 def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500) -> LayoutResult:
@@ -149,8 +148,7 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500) -> Layou
     if n < 1:
         raise ValidationError("layout needs at least one node")
     if n == 1:
-        return LayoutResult({graph.nodes[0]: (0.0, 0.0)}, seed, iterations,
-                            (0.0, 0.0, 0.0, 0.0))
+        return LayoutResult({graph.nodes[0]: (0.0, 0.0)}, seed, iterations)
 
     rng = np.random.default_rng(seed)
     radius = np.sqrt(rng.random(n))
@@ -196,9 +194,8 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500) -> Layou
         x += gx * step
         y += gy * step
 
-    bbox = (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
     positions = dict(zip(graph.nodes, zip(x.tolist(), y.tolist())))
-    return LayoutResult(positions, seed, iterations, bbox)
+    return LayoutResult(positions, seed, iterations)
 
 
 # ---------------------------------------------------------------------------

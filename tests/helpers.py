@@ -39,6 +39,22 @@ def make_matrix(rows, scale_sizes, ids=None, attributes=None, schema=None):
     return ResponseMatrix(schema, ids, codes, attributes=attributes)
 
 
+def normalized_values(normalized):
+    """Every normalized value as an exact Fraction, None where missing, one
+    list per participant, read from the numerators over the denominator."""
+    d = normalized.denominator
+    return [[Fraction(k, d) if present else None for k, present in zip(row, mask)]
+            for row, mask in zip(normalized.numerators.tolist(), normalized.mask.tolist())]
+
+
+def same_matrix(a, b):
+    """Whether two ResponseMatrix objects hold the same schema, ids, codes,
+    mask and attributes."""
+    return (a.schema == b.schema and a.participant_ids == b.participant_ids
+            and np.array_equal(a.codes, b.codes) and np.array_equal(a.mask, b.mask)
+            and a.attributes == b.attributes)
+
+
 def weights_from_rows(rows, scale_sizes, mode, count_neutral_pairs=True, rescale=False):
     matrix = make_matrix(rows, scale_sizes)
     if mode == "exact_agreement":

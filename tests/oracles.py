@@ -485,7 +485,7 @@ def full_row_select_threshold(weights: PairWeights, target_fraction=Fraction(1, 
         frac = Fraction(largest, n)
         sweep.append((level, frac))
         if largest * target.denominator >= target.numerator * n:
-            return ThresholdSelection(level, frac, sweep, target)
+            return ThresholdSelection(level, frac, sweep)
 
     raise NoGiantComponentError(
         f"no weight level reached a giant component of {format_fraction(target)} "

@@ -482,6 +482,37 @@ def test_bipartite_render_refuses_a_missing_survey_before_making_a_directory(tmp
     assert not (tmp_path / "new").exists()
 
 
+# options that one render branch reads and the other would ignore, and the
+# option each refusal names; paths are relative to the test's directory
+SURVEY_OPTIONS = ["--survey", "s.csv", "--schema", "schema.json"]
+RENDER_UNREAD = {
+    "bipartite-with-graph": (["--bipartite", *SURVEY_OPTIONS, "--graph", "g.graphml"], "--graph"),
+    "bipartite-with-color-attr": (["--bipartite", *SURVEY_OPTIONS, "--color-attr", "party"],
+                                  "--color-attr"),
+    "bipartite-with-color-map": (["--bipartite", *SURVEY_OPTIONS, "--color-map", "D=#ff0000"],
+                                 "--color-map"),
+    "graph-with-survey": (["--graph", "g.graphml", "--survey", "s.csv"], "--survey"),
+    "graph-with-schema": (["--graph", "g.graphml", "--schema", "schema.json"], "--schema"),
+    "color-map-without-color-attr": (["--graph", "g.graphml", "--color-map", "D=#ff0000"],
+                                     "--color-attr"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_UNREAD))
+def test_render_refuses_an_option_it_would_not_read(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_schema(tmp_path / "schema.json", [4, 4], attrs=("party",))
+    write_survey(tmp_path / "s.csv", [4, 4], [{"codes": [0, 1], "attrs": ["D"]},
+                                             {"codes": [1, 0], "attrs": ["R"]}], attrs=("party",))
+    export_graphml(barbell_graph(), tmp_path / "g.graphml")
+    argv, named = RENDER_UNREAD[case]
+    assert main(["render", *argv, "--out-prefix", "new/fig"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValidationError" and named in error["message"], error
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["g.graphml", "s.csv",
+                                                                "schema.json"]
+
+
 def test_render_color_map_colors_nodes(tmp_path):
     ks = [4] * 3
     schema = write_schema(tmp_path / "schema.json", ks, attrs=("party",))
@@ -686,6 +717,21 @@ def test_inspect_dump_keeps_a_carriage_return_in_a_quoted_id(tmp_path, capsys):
     assert rows == [["pid", "q00", "q01"], ["a\rb", "-1", "1"], ["c\r\nd", "0", "NA"]]
 
 
+def test_inspect_dump_normalized_bytes(tmp_path, capsys):
+    # 4-, 5- and 7-point items share the denominator 12; missing cells kept
+    # pairwise take the schema's token, and ids holding a comma or a quote
+    # are quoted
+    schema = write_schema(tmp_path / "schema.json", [4, 5, 7], missing_token="-9")
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(b'pid,q00,q01,q02\n"x,1",0,4,6\n"say ""hi""",3,-9,3\n'
+                       b'p3,-9,2,-9\np4,2,1,0\np5,1,3,5\n')
+    out_csv = tmp_path / "norm.csv"
+    assert main(["inspect", "--survey", str(survey), "--schema", str(schema),
+                 "--missing-policy", "keep_pairwise", "--dump-normalized", str(out_csv)]) == 0
+    assert out_csv.read_bytes() == (b'pid,q00,q01,q02\n"x,1",-1,1,1\n"say ""hi""",1,-9,0\n'
+                                    b'p3,-9,0,-9\np4,1/3,-1/2,-1\np5,-1/3,1/2,2/3\n')
+
+
 # each output path names one of the command's inputs; the survey and the
 # schema files are written under those names, and the prefix is "p"
 OVERWRITES = {
@@ -874,6 +920,19 @@ def test_attitudes_signed_mode_via_cli(tmp_path):
     dual = edgelist_bytes(style_edges(attitudes, mode="dual"), tmp_path / "dual.csv")
     assert written == signed != dual
     assert b"q00,q01,1,1.0,positive,dotted" in written
+
+
+@pytest.mark.parametrize("mode,option", [("exact", "--rescale"), ("binarized", "--rescale"),
+                                         ("exact", "--exclude-neutral-pairs"),
+                                         ("score", "--exclude-neutral-pairs")])
+def test_project_refuses_a_weight_option_of_another_mode(tmp_path, capsys, mode, option):
+    survey, schema = two_block_inputs(tmp_path)
+    code = main(["project", "--survey", str(survey), "--schema", str(schema), "--mode", mode,
+                 option, "--threshold", "1", "--out-prefix", str(tmp_path / "new" / "p")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValidationError" and error["message"].startswith(option), error
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["schema.json", "survey.csv"]
 
 
 def test_project_exclude_neutral_pairs_via_cli(tmp_path):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from opinionnet import ValidationError, binarize, renormalize, scale_values, write_normalized_csv
+from opinionnet import ValidationError, binarize, renormalize, write_normalized_csv
 
-from helpers import make_matrix
+from helpers import make_matrix, normalized_values
 from oracles import normalized_value, sign_of
 
 
@@ -13,42 +13,48 @@ def F(*args):
     return Fraction(*args)
 
 
+def scale_points(k):
+    """The normalized points of a k-point item, low to high, read from the
+    renormalized codes 0..k-1."""
+    return [row[0] for row in normalized_values(renormalize(make_matrix([[c] for c in range(k)],
+                                                                        [k])))]
+
+
 def test_five_point_scale_values():
-    assert scale_values(5) == (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
+    assert scale_points(5) == [F(-1), F(-1, 2), F(0), F(1, 2), F(1)]
 
 
 def test_four_point_scale_values():
-    assert scale_values(4) == (F(-1), F(-1, 3), F(1, 3), F(1))
+    assert scale_points(4) == [F(-1), F(-1, 3), F(1, 3), F(1)]
 
 
 def test_two_point_scale_values():
-    assert scale_values(2) == (F(-1), F(1))
+    assert scale_points(2) == [F(-1), F(1)]
 
 
 def test_three_point_midpoint_is_zero():
-    assert scale_values(3)[1] == 0
+    assert scale_points(3)[1] == 0
 
 
 def test_renormalize_is_exact_per_entry():
     rng = random.Random(11)
     ks = [2, 3, 4, 5, 6, 7]
     rows = [[rng.randrange(k) for k in ks] for _ in range(25)]
-    nm = renormalize(make_matrix(rows, ks))
+    values = normalized_values(renormalize(make_matrix(rows, ks)))
     for i, row in enumerate(rows):
         for j, (c, k) in enumerate(zip(row, ks)):
-            assert nm.value_at(i, j) == Fraction(2 * c - (k - 1), k - 1)
+            assert values[i][j] == Fraction(2 * c - (k - 1), k - 1)
 
 
 def test_value_set_symmetric_about_zero():
     for k in range(2, 12):
-        values = scale_values(k)
-        assert values == tuple(sorted(-v for v in values))
+        values = scale_points(k)
+        assert values == sorted(-v for v in values)
 
 
 def test_missing_preserved():
     nm = renormalize(make_matrix([[0, None], [1, 1]], [4, 4]))
-    assert nm.value_at(0, 1) is None
-    assert nm.value_at(0, 0) == -1
+    assert normalized_values(nm)[0] == [-1, None]
 
 
 def test_reversing_codes_negates_values_exactly():
@@ -56,11 +62,9 @@ def test_reversing_codes_negates_values_exactly():
     ks = [2, 4, 5, 7]
     rows = [[rng.randrange(k) for k in ks] for _ in range(40)]
     flipped = [[k - 1 - c for c, k in zip(row, ks)] for row in rows]
-    a = renormalize(make_matrix(rows, ks))
-    b = renormalize(make_matrix(flipped, ks))
-    for i in range(len(rows)):
-        for j in range(len(ks)):
-            assert a.value_at(i, j) == -b.value_at(i, j)
+    a = normalized_values(renormalize(make_matrix(rows, ks)))
+    b = normalized_values(renormalize(make_matrix(flipped, ks)))
+    assert a == [[-v for v in row] for row in b]
 
 
 def test_binarize_positive_value():
@@ -78,7 +82,7 @@ def test_binarize_neutral_midpoint():
 def test_binarize_componentwise():
     # values (-1, 0, 1/2) -> signs (-1, 0, +1)
     nm = renormalize(make_matrix([[0, 1, 3]], [4, 3, 5]))
-    assert nm.row_values(0) == [F(-1), F(0), F(1, 2)]
+    assert normalized_values(nm) == [[F(-1), F(0), F(1, 2)]]
     sm = binarize(nm)
     assert sm.signs[0].tolist() == [-1, 0, 1]
 
@@ -104,10 +108,10 @@ def test_renormalize_matches_oracle_everywhere():
     rng = random.Random(3)
     ks = [rng.randrange(2, 8) for _ in range(9)]
     rows = [[rng.randrange(k) for k in ks] for _ in range(30)]
-    nm = renormalize(make_matrix(rows, ks))
+    values = normalized_values(renormalize(make_matrix(rows, ks)))
     for i, row in enumerate(rows):
         for j, (c, k) in enumerate(zip(row, ks)):
-            assert nm.value_at(i, j) == normalized_value(c, k)
+            assert values[i][j] == normalized_value(c, k)
 
 
 def test_normalized_csv_dump(tmp_path):
@@ -118,11 +122,6 @@ def test_normalized_csv_dump(tmp_path):
     assert lines[0] == "pid,q00,q01"
     assert lines[1] == "p000,-1,0"
     assert lines[2] == "p001,NA,1"
-
-
-def test_scale_values_rejects_single_point():
-    with pytest.raises(ValidationError):
-        scale_values(1)
 
 
 def test_denominator_overflow_guard():

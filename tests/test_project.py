@@ -759,6 +759,19 @@ def test_as_fraction_reads_a_float_by_its_shortest_decimal_and_refuses_non_numbe
             as_fraction(value)
 
 
+def test_as_fraction_takes_numpy_integers_and_floats_and_refuses_numpy_bools():
+    assert as_fraction(np.int64(3)) == 3 and as_fraction(np.uint8(7)) == 7
+    assert as_fraction(np.float32(0.5)) == F(1, 2)
+    assert as_fraction(np.float32(0.1)) == F(1, 10)  # float32's shortest decimal
+    with pytest.raises(ValidationError, match="cannot interpret"):
+        as_fraction(np.bool_(True))
+    with pytest.raises(ValidationError, match="cannot parse"):
+        as_fraction(np.float32("nan"))
+    weights = weights_from_rows([[0, 1, 2], [0, 1, 1], [2, 2, 0]], [3, 3, 3], "exact_agreement")
+    assert edge_list(project_participants(weights, np.int64(2))) == \
+        edge_list(project_participants(weights, 2))
+
+
 def test_rescale_is_identity_on_complete_data():
     rng = random.Random(101)
     ks = [4, 5, 3]

@@ -79,7 +79,6 @@ def test_same_seed_reproduces_positions_exactly():
     a = fr_layout(graph, seed=42, iterations=80)
     b = fr_layout(graph, seed=42, iterations=80)
     assert a.positions == b.positions
-    assert a.bounding_box == b.bounding_box
 
 
 def dual_sign_cliques_graph():
@@ -553,8 +552,7 @@ def test_svg_unmapped_value_without_default_lists_nodes(tmp_path):
 
 def test_svg_layout_must_cover_all_nodes(tmp_path):
     graph = ProjectionGraph(kind="participant", nodes=["a", "b"], edges=[])
-    layout = LayoutResult(positions={"a": (0.0, 0.0)}, seed=0, iterations=0,
-                          bounding_box=(0, 0, 0, 0))
+    layout = LayoutResult(positions={"a": (0.0, 0.0)}, seed=0, iterations=0)
     with pytest.raises(ValidationError, match="lacks positions.*b"):
         render_svg(graph, layout, None, tmp_path / "x.svg")
 
