@@ -47,6 +47,16 @@ from .render import (
 
 MODE_ALIASES = {"exact": "exact_agreement", "score": "score", "binarized": "binarized_agreement"}
 SURVEY_INPUTS = ("survey", "schema")
+# the value of each option a run was not given; parsing leaves such options
+# out (see _Parser), so a run can refuse one it was given but would not read
+DEFAULTS = {
+    "missing_policy": "drop_participant", "json": False, "dump_normalized": None,
+    "target_fraction": "1/2", "min_level": None, "negative_threshold": None, "rescale": False,
+    "exclude_neutral_pairs": False, "attitude_mode": "dual", "target": 2,
+    "max_removed_fraction": "1", "graph": None, "survey": None, "schema": None,
+    "bipartite": False, "seed": 7, "iterations": 500, "color_attr": None, "color_map": None,
+    "default_color": "#999999",
+}
 
 
 def _sha256(path: Path) -> str:
@@ -67,7 +77,7 @@ def _temporary(args, final: Path) -> Path:
     the command fails, main removes it and the directories args.made lists.
     A final path that is one of the command's input files is refused."""
     for name in ("survey", "schema", "graph"):
-        source = getattr(args, name, None)
+        source = getattr(args, name)
         if source and final.exists() and Path(source).exists() and os.path.samefile(final, source):
             raise ValidationError(f"output {final} is the --{name} input; it would be replaced")
     args.made += [directory for directory in final.parents if not directory.exists()]
@@ -108,6 +118,14 @@ def _write_manifest(args, command: str, parameters: dict, input_names) -> None:
     }
     _write_json(_output(args, "manifest", ".manifest.json"), manifest)
     print("wrote " + ", ".join(map(str, _move_into_place(args, [*args.outputs.values()]))))
+
+
+def _refuse_unread(args, run: str, *options) -> None:
+    """Refuse the first of options that this run was given, at whatever value:
+    the run would not read it, and its manifest must not record it as applied."""
+    for option in options:
+        if option[2:].replace("-", "_") in args.given:
+            raise ValidationError(f"{option} is not read by {run}")
 
 
 def _sign_counts(graph) -> str:
@@ -168,11 +186,11 @@ def _weights_for_mode(args, matrix):
 
 
 def cmd_project(args) -> int:
-    # each weight option serves one mode; in another it would change nothing
-    if args.rescale and args.mode != "score":
-        raise ValidationError("--rescale applies to --mode score only")
-    if args.exclude_neutral_pairs and args.mode != "binarized":
-        raise ValidationError("--exclude-neutral-pairs applies to --mode binarized only")
+    weight_options = {"score": "--rescale", "binarized": "--exclude-neutral-pairs"}
+    _refuse_unread(args, f"project --mode {args.mode}",
+                   *(option for mode, option in weight_options.items() if mode != args.mode))
+    if args.threshold != "auto":
+        _refuse_unread(args, "project at a fixed --threshold", "--target-fraction", "--min-level")
     _, matrix = _load_inputs(args)
     weights = _weights_for_mode(args, matrix)
     parameters = {
@@ -283,19 +301,9 @@ def _parse_color_map(arg: str | None) -> dict:
 
 def cmd_render(args) -> int:
     mapping = _parse_color_map(args.color_map)
-    # each branch refuses the options that only the other reads
     if args.bipartite:
-        unread = {"--graph": args.graph, "--color-attr": args.color_attr,
-                  "--color-map": args.color_map}
-    else:
-        unread = {"--survey": args.survey, "--schema": args.schema}
-    for name, value in unread.items():
-        if value is not None:
-            raise ValidationError(f"render {'with' if args.bipartite else 'without'} --bipartite "
-                                  f"does not take {name}")
-    if args.color_map is not None and args.color_attr is None:
-        raise ValidationError("--color-map needs --color-attr, the attribute it maps")
-    if args.bipartite:
+        _refuse_unread(args, "render --bipartite", "--graph", "--seed", "--iterations",
+                       "--color-attr", "--color-map", "--default-color")
         if not (args.survey and args.schema):
             raise ValidationError("--bipartite rendering needs --survey and --schema")
         _, matrix = _load_inputs(args)
@@ -303,25 +311,22 @@ def cmd_render(args) -> int:
         inputs = SURVEY_INPUTS
         parameters = {"bipartite": True, "missing_policy": args.missing_policy}
     else:
+        _refuse_unread(args, "render without --bipartite", "--survey", "--schema",
+                       "--missing-policy")
+        if args.color_attr is None:  # every node takes the default fill, so '' would give none
+            _refuse_unread(args, "render without --color-attr", "--color-map",
+                           *(["--default-color"] if args.default_color is None else []))
         if not args.graph:
             raise ValidationError("render needs --graph FILE (or --bipartite with survey+schema)")
         graph = import_graphml(args.graph)
         layout = fr_layout(graph, seed=args.seed, iterations=args.iterations)
-        scheme = ColorScheme(
-            attribute=args.color_attr,
-            mapping=mapping,
-            default_color=args.default_color,
-        )
+        scheme = ColorScheme(attribute=args.color_attr, mapping=mapping,
+                             default_color=args.default_color)
         render_svg(graph, layout, scheme, _output(args, "svg", ".svg"))
         inputs = ("graph",)
-        parameters = {
-            "bipartite": False,
-            "seed": args.seed,
-            "iterations": args.iterations,
-            "color_attr": args.color_attr,
-            "color_map": args.color_map,
-            "default_color": args.default_color,
-        }
+        parameters = {"bipartite": False, "seed": args.seed, "iterations": args.iterations,
+                      "color_attr": args.color_attr, "color_map": args.color_map,
+                      "default_color": args.default_color}
     _write_manifest(args, "render", parameters, inputs)
     return 0
 
@@ -329,13 +334,15 @@ def cmd_render(args) -> int:
 def _add_survey_args(sub, required=True):
     sub.add_argument("--survey", required=required, help="survey CSV file")
     sub.add_argument("--schema", required=required, help="schema JSON file")
-    sub.add_argument("--missing-policy", dest="missing_policy",
-                     choices=["drop_participant", "keep_pairwise"],
-                     default="drop_participant")
+    sub.add_argument("--missing-policy", choices=["drop_participant", "keep_pairwise"])
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a ValidationError, so it prints the JSON error block."""
+    """Leaves out of the namespace an option not given (main fills it in from
+    DEFAULTS); reports a usage error as a ValidationError, so it prints the JSON error block."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("inspect", help="summarize a survey file against its schema")
     _add_survey_args(p)
     p.add_argument("--json", action="store_true", help="print the summary as JSON")
-    p.add_argument("--dump-normalized", dest="dump_normalized", default=None,
+    p.add_argument("--dump-normalized",
                    help="also write normalized values (exact fractions) to this CSV")
     p.set_defaults(func=cmd_inspect)
 
@@ -362,55 +369,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", required=True,
                    help="agreement threshold as a decimal or fraction (e.g. 11.5 or 23/2), "
                         "or 'auto' to pick the highest level forming a giant component")
-    p.add_argument("--target-fraction", dest="target_fraction", default="1/2",
+    p.add_argument("--target-fraction",
                    help="giant-component target for --threshold auto (default 1/2)")
-    p.add_argument("--min-level", dest="min_level", default=None,
-                   help="lowest level the auto sweep may descend to")
-    p.add_argument("--negative-threshold", dest="negative_threshold", default=None,
+    p.add_argument("--min-level", help="lowest level the auto sweep may descend to")
+    p.add_argument("--negative-threshold",
                    help="add disagreement edges for weights at or below this value")
     p.add_argument("--rescale", action="store_true",
                    help="score mode with pairwise missing data: stretch scores back to the "
                         "full range (weight * m / co_answered)")
-    p.add_argument("--exclude-neutral-pairs", dest="exclude_neutral_pairs", action="store_true",
+    p.add_argument("--exclude-neutral-pairs", action="store_true",
                    help="binarized mode: do not count two neutral answers as agreement")
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_project)
 
     p = subs.add_parser("attitudes", help="project items into a co-endorsement graph")
     _add_survey_args(p)
-    p.add_argument("--attitude-mode", dest="attitude_mode", choices=["dual", "signed"],
-                   default="dual")
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
+    p.add_argument("--attitude-mode", choices=["dual", "signed"])
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_attitudes)
 
     p = subs.add_parser("communities", help="split a projected graph by edge betweenness")
     p.add_argument("--graph", required=True, help="GraphML file from 'project'")
-    p.add_argument("--target", type=int, default=2, help="component count to reach (default 2)")
-    p.add_argument("--max-removed-fraction", dest="max_removed_fraction", default="1",
+    p.add_argument("--target", type=int, help="component count to reach (default 2)")
+    p.add_argument("--max-removed-fraction",
                    help="removal budget as a fraction of the edge count (default 1)")
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_communities)
 
     p = subs.add_parser("census", help="tally binarized response profiles")
     _add_survey_args(p)
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_census)
 
     p = subs.add_parser("render", help="render a graph (or the raw bipartite survey) to SVG")
-    p.add_argument("--graph", default=None, help="GraphML file to lay out and draw")
+    p.add_argument("--graph", help="GraphML file to lay out and draw")
     _add_survey_args(p, required=False)
     p.add_argument("--bipartite", action="store_true",
                    help="draw the two-layer participant-item graph directly")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--color-attr", dest="color_attr", default=None,
-                   help="node attribute to color by")
-    p.add_argument("--color-map", dest="color_map", default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--color-attr", help="node attribute to color by")
+    p.add_argument("--color-map",
                    help="comma-separated VALUE=COLOR pairs, e.g. 'D=#1f77b4,R=#d62728'")
-    p.add_argument("--default-color", dest="default_color", default="#999999",
-                   type=lambda color: color or None,
-                   help="fill for unmapped values (empty string to make them an error)")
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
+    p.add_argument("--default-color", type=lambda color: color or None,
+                   help="fill for unmapped values, or for every node without --color-attr "
+                        "('' makes an unmapped value an error)")
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_render)
 
     return parser
@@ -420,7 +424,8 @@ def main(argv=None) -> int:
     pending = {}  # temporary output -> its file; see _temporary
     try:
         try:
-            args = build_parser().parse_args(argv)
+            given = vars(build_parser().parse_args(argv))
+            args = argparse.Namespace(**{**DEFAULTS, **given}, given=given)
             args.pending, args.made, args.outputs = pending, [], {}
             try:
                 return args.func(args)

@@ -575,7 +575,7 @@ class ColorScheme:
 
     Every node must carry the attribute; values not in the mapping fall back
     to default_color when given, otherwise the offending nodes are reported.
-    With attribute=None all nodes take default_color.
+    With attribute=None all nodes take default_color, which must then be given.
     """
 
     attribute: str | None = None
@@ -585,11 +585,12 @@ class ColorScheme:
     def __post_init__(self):
         if self.mapping is None:
             self.mapping = {}
+        if self.attribute is None and self.default_color is None:
+            raise ValidationError("a ColorScheme without an attribute needs a default_color")
 
     def fill_for(self, graph: ProjectionGraph) -> dict:
         if self.attribute is None:
-            color = self.default_color or "#999999"
-            return {u: color for u in graph.nodes}
+            return {u: self.default_color for u in graph.nodes}
         missing = [u for u in graph.nodes if self.attribute not in graph.node_attrs.get(u, {})]
         if missing:
             raise ValidationError(

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -513,6 +514,113 @@ def test_render_refuses_an_option_it_would_not_read(tmp_path, capsys, monkeypatc
                                                                 "schema.json"]
 
 
+# a value for each option of project and render: its default where it has
+# one, since a run refuses an option it does not read even at that value
+GIVEN = {
+    "--survey": ["s.csv"], "--schema": ["schema.json"], "--missing-policy": ["drop_participant"],
+    "--negative-threshold": ["0"], "--rescale": [], "--exclude-neutral-pairs": [],
+    "--target-fraction": ["1/2"], "--min-level": ["0"], "--graph": ["g.graphml"],
+    "--seed": ["7"], "--iterations": ["500"], "--color-attr": ["party"],
+    "--color-map": ["D=#1f77b4"], "--default-color": ["#999999"],
+}
+PROJECT = ["project", "--survey", "s.csv", "--schema", "schema.json"]
+PROJECT_READS = ["--missing-policy", "--negative-threshold"]
+SWEEP = ["--target-fraction", "--min-level"]
+# each run: its argv, the options it reads beyond those, and the options
+# (with the value given, where it is not GIVEN's) that it does not read
+RUNS = {
+    "project-exact-fixed": ([*PROJECT, "--mode", "exact", "--threshold", "1"], PROJECT_READS,
+                            ["--rescale", "--exclude-neutral-pairs", *SWEEP]),
+    "project-exact-auto": ([*PROJECT, "--mode", "exact", "--threshold", "auto"],
+                           [*PROJECT_READS, *SWEEP], ["--rescale", "--exclude-neutral-pairs"]),
+    "project-score-fixed": ([*PROJECT, "--mode", "score", "--threshold", "1"],
+                            [*PROJECT_READS, "--rescale"], ["--exclude-neutral-pairs", *SWEEP]),
+    "project-score-auto": ([*PROJECT, "--mode", "score", "--threshold", "auto"],
+                           [*PROJECT_READS, "--rescale", *SWEEP], ["--exclude-neutral-pairs"]),
+    "project-binarized-fixed": ([*PROJECT, "--mode", "binarized", "--threshold", "1"],
+                                [*PROJECT_READS, "--exclude-neutral-pairs"], ["--rescale", *SWEEP]),
+    "project-binarized-auto": ([*PROJECT, "--mode", "binarized", "--threshold", "auto"],
+                               [*PROJECT_READS, "--exclude-neutral-pairs", *SWEEP], ["--rescale"]),
+    "render-bipartite": (["render", "--bipartite", "--survey", "s.csv", "--schema", "schema.json"],
+                         ["--missing-policy"], ["--graph", "--seed", "--iterations", "--color-attr",
+                                                "--color-map", "--default-color"]),
+    "render-graph-colored": (["render", "--graph", "g.graphml", "--color-attr", "party"],
+                             ["--seed", "--iterations", "--color-map", "--default-color"],
+                             ["--survey", "--schema", "--missing-policy"]),
+    "render-graph-plain": (["render", "--graph", "g.graphml"],
+                           ["--seed", "--iterations", "--default-color"],
+                           ["--survey", "--schema", "--missing-policy", "--color-map",
+                            ("--default-color", "")]),
+}
+
+
+@pytest.fixture
+def option_inputs(tmp_path, monkeypatch):
+    """A survey with a party column, its schema and a projection of it, in
+    the test's working directory, which the run must leave as it is."""
+    monkeypatch.chdir(tmp_path)
+    write_schema(tmp_path / "schema.json", [4] * 3, attrs=("party",))
+    write_survey(tmp_path / "s.csv", [4] * 3, [
+        {"codes": codes, "attrs": [party]} for codes, party in
+        [([0, 0, 1], "D"), ([0, 1, 1], "D"), ([3, 3, 2], "R"), ([3, 2, 2], "R"), ([1, 1, 2], "I")]
+    ], attrs=("party",))
+    assert main([*PROJECT, "--mode", "exact", "--threshold", "1", "--out-prefix", "g"]) == 0
+    return sorted(path.name for path in tmp_path.iterdir())
+
+
+def option_argv(option):
+    """The option at its GIVEN value, or an (option, value) pair as it stands."""
+    return list(option) if isinstance(option, tuple) else [option, *GIVEN[option]]
+
+
+UNREAD = {f"{run}:{shlex.join(option_argv(option))}": (run, option)
+          for run, (_, _, unread) in RUNS.items() for option in unread}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_a_run_refuses_each_option_it_does_not_read(option_inputs, tmp_path, capsys, case):
+    run, option = UNREAD[case]
+    argv = [*RUNS[run][0], *option_argv(option), "--out-prefix", "new/run"]
+    capsys.readouterr()
+    assert main(argv) == 2, argv
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValidationError" and error["exit_code"] == 2, error
+    assert error["message"].startswith(f"{option_argv(option)[0]} is not read by "), error
+    assert sorted(path.name for path in tmp_path.iterdir()) == option_inputs
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_a_run_takes_each_option_it_reads(option_inputs, capsys, run):
+    argv, reads, _ = RUNS[run]
+    capsys.readouterr()
+    given = [*argv, *(part for option in reads for part in option_argv(option))]
+    assert main([*given, "--out-prefix", "run"]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_each_run_classifies_every_option_of_its_command(run):
+    # a new option of project or render must be listed as read or unread by each run
+    argv, reads, unread = RUNS[run]
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if action.dest == "command")
+    declared = {string for action in subparsers.choices[argv[0]]._actions
+                if action.dest != "help" for string in action.option_strings}
+    classified = {part for part in argv if part.startswith("--")} | {"--out-prefix"}
+    classified |= {option_argv(option)[0] for option in [*reads, *unread]}
+    # giving --bipartite or --color-attr to a run over a graph makes another run
+    assert declared - classified <= {"--bipartite", "--color-attr"}
+    assert classified <= declared
+
+
+def test_an_abbreviated_option_counts_as_given(option_inputs, capsys):
+    # argparse takes --iter for --iterations; render --bipartite does not read it
+    capsys.readouterr()
+    assert main([*RUNS["render-bipartite"][0], "--iter", "9", "--out-prefix", "run"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("--iterations ")
+    assert main(["render", "--graph", "g.graphml", "--iter", "3", "--out-prefix", "run"]) == 0
+    assert json.loads(Path("run.manifest.json").read_text())["parameters"]["iterations"] == 3
+
+
 def test_render_color_map_colors_nodes(tmp_path):
     ks = [4] * 3
     schema = write_schema(tmp_path / "schema.json", ks, attrs=("party",))
@@ -730,6 +838,52 @@ def test_inspect_dump_normalized_bytes(tmp_path, capsys):
                  "--missing-policy", "keep_pairwise", "--dump-normalized", str(out_csv)]) == 0
     assert out_csv.read_bytes() == (b'pid,q00,q01,q02\n"x,1",-1,1,1\n"say ""hi""",1,-9,0\n'
                                     b'p3,-9,0,-9\np4,1/3,-1/2,-1\np5,-1/3,1/2,2/3\n')
+
+
+# runs that leave every option they read at its default (the signed attitude
+# mode aside), each with the parameters its manifest records and the sha256
+# of the manifest's bytes, which hold every input's and output's digest
+DEFAULT_MANIFESTS = {
+    "attitudes-dual": (
+        ["attitudes", "--survey", "s.csv", "--schema", "schema.json"],
+        {"attitude_mode": "dual", "missing_policy": "drop_participant"},
+        "1d6e41feb2aaf5e8619caa40a3cddd48e963692a19cf284b70f2cbbec2b8fe66"),
+    "attitudes-signed": (
+        ["attitudes", "--survey", "s.csv", "--schema", "schema.json",
+         "--attitude-mode", "signed"],
+        {"attitude_mode": "signed", "missing_policy": "drop_participant"},
+        "443366031a7f6272610a6914ef090b6653d863c368944831edb6fe6e19db509f"),
+    "census": (
+        ["census", "--survey", "s.csv", "--schema", "schema.json"],
+        {"missing_policy": "drop_participant"},
+        "f1a8564cdd203a819bf23c4eb098f9222154b0b757eed700668d9dac0c3ee40c"),
+    "render-bipartite": (
+        ["render", "--bipartite", "--survey", "s.csv", "--schema", "schema.json"],
+        {"bipartite": True, "missing_policy": "drop_participant"},
+        "707300771feefc52306271f84374300c4355f4f235f165e7bdf819585d07785e"),
+    "render-graph": (
+        ["render", "--graph", "g.graphml"],
+        {"bipartite": False, "seed": 7, "iterations": 500, "color_attr": None,
+         "color_map": None, "default_color": "#999999"},
+        "a1406b9089908d29cd7d29f817393aed9549832f10a6c3f2921f2299e0fc550a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULT_MANIFESTS))
+def test_default_valued_manifests_bytes(tmp_path, monkeypatch, case):
+    # the defaults a run records are the ones it ran with, byte for byte
+    monkeypatch.chdir(tmp_path)
+    write_schema(tmp_path / "schema.json", [4, 5, 3], attrs=("party",))
+    write_survey(tmp_path / "s.csv", [4, 5, 3], [
+        {"codes": codes, "attrs": [party]} for codes, party in
+        [([0, 4, 2], "D"), ([3, 0, 0], "R"), ([1, 2, 1], "I"), ([0, 4, 1], "D"), ([3, 1, 0], "R")]
+    ], attrs=("party",))
+    export_graphml(barbell_graph(), tmp_path / "g.graphml")
+    argv, parameters, sha256 = DEFAULT_MANIFESTS[case]
+    assert main([*argv, "--out-prefix", "run"]) == 0
+    written = (tmp_path / "run.manifest.json").read_bytes()
+    assert json.loads(written)["parameters"] == parameters
+    assert hashlib.sha256(written).hexdigest() == sha256, written.decode()
 
 
 # each output path names one of the command's inputs; the survey and the

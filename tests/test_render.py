@@ -550,6 +550,15 @@ def test_svg_unmapped_value_without_default_lists_nodes(tmp_path):
         render_svg(graph, layout, scheme, tmp_path / "x.svg")
 
 
+def test_color_scheme_without_an_attribute_needs_a_default_color():
+    # with no attribute every node takes the default fill, so there must be one
+    with pytest.raises(ValidationError, match="without an attribute needs a default_color"):
+        ColorScheme(default_color=None)
+    graph = ProjectionGraph(kind="participant", nodes=["a", "b"], edges=[])
+    assert ColorScheme(default_color="#000001").fill_for(graph) == {"a": "#000001",
+                                                                    "b": "#000001"}
+
+
 def test_svg_layout_must_cover_all_nodes(tmp_path):
     graph = ProjectionGraph(kind="participant", nodes=["a", "b"], edges=[])
     layout = LayoutResult(positions={"a": (0.0, 0.0)}, seed=0, iterations=0)
