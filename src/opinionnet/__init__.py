@@ -23,7 +23,6 @@ from .ingest import (
 )
 from .normalize import (
     NormalizedMatrix,
-    SignMatrix,
     binarize,
     renormalize,
     write_normalized_csv,
@@ -82,7 +81,6 @@ __all__ = [
     "ProfileCensus",
     "ProjectionGraph",
     "ResponseMatrix",
-    "SignMatrix",
     "SurveyItem",
     "SurveySchema",
     "ThresholdSelection",

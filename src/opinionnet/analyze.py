@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .normalize import SignMatrix
+from .normalize import NormalizedMatrix
 from .project import ProjectionGraph, _component_roots
 from .rational import as_fraction, format_fraction
 
@@ -407,14 +407,14 @@ class ProfileCensus:
         }
 
 
-def profile_census(signs: SignMatrix) -> ProfileCensus:
+def profile_census(normalized: NormalizedMatrix) -> ProfileCensus:
     """Count each distinct full sign profile ('+', '-', '0', '?' for missing)."""
     lut = np.array([ord("-"), ord("0"), ord("+")], dtype=np.uint8)
-    chars = lut[signs.signs.astype(np.int64) + 1].astype(np.uint8)
-    chars[~signs.mask] = ord("?")
+    chars = lut[np.sign(normalized.numerators) + 1]
+    chars[~normalized.mask] = ord("?")
     counts: dict[str, int] = {}
     for row in chars:
         profile = row.tobytes().decode("ascii")
         counts[profile] = counts.get(profile, 0) + 1
-    return ProfileCensus(m_binary=signs.n_items, n_participants=signs.n_participants,
+    return ProfileCensus(m_binary=normalized.n_items, n_participants=normalized.n_participants,
                          profiles=counts)

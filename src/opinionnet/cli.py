@@ -276,8 +276,7 @@ def cmd_communities(args) -> int:
 
 def cmd_census(args) -> int:
     _, matrix = _load_inputs(args)
-    signs = binarize(renormalize(matrix))
-    census = profile_census(signs)
+    census = profile_census(binarize(renormalize(matrix)))
     _write_json(_output(args, "census", ".census.json"), census.to_dict())
     print(f"profiles realized: {census.realized_profiles}/{census.space} "
           f"({float(census.realized_fraction):.4f})")

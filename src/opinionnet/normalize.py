@@ -75,49 +75,29 @@ def renormalize(matrix: ResponseMatrix) -> NormalizedMatrix:
     return NormalizedMatrix(matrix, numerators, matrix.mask, denominator)
 
 
-class SignMatrix:
-    """Responses reduced to sign: -1 below the scale midpoint, +1 above, 0 at it."""
-
-    __slots__ = ("source", "signs", "mask")
-
-    def __init__(self, source: NormalizedMatrix, signs, mask):
-        self.source = source
-        self.signs = np.asarray(signs, dtype=np.int8)
-        self.mask = mask
-        self.signs.setflags(write=False)
-
-    @property
-    def n_participants(self) -> int:
-        return self.signs.shape[0]
-
-    @property
-    def n_items(self) -> int:
-        return self.signs.shape[1]
-
-    @property
-    def participant_ids(self):
-        return self.source.participant_ids
-
-
-def binarize(normalized: NormalizedMatrix) -> SignMatrix:
-    """Collapse normalized values to {-1, 0, +1}; missing entries stay missing.
+def binarize(normalized: NormalizedMatrix) -> NormalizedMatrix:
+    """Renormalize onto the three-point scale: -1 below the midpoint, +1 above,
+    0 at it, over denominator 1; missing entries stay missing.
 
     Neutral (0) occurs only on odd scales and keeps its own class rather than
-    being forced to a side.
+    being forced to a side. A binarized matrix binarizes to itself.
     """
-    signs = np.sign(normalized.numerators).astype(np.int8)
-    signs = np.where(normalized.mask, signs, np.int8(0)).astype(np.int8)
-    return SignMatrix(normalized, signs, normalized.mask)
+    return NormalizedMatrix(normalized.source, np.sign(normalized.numerators), normalized.mask, 1)
 
 
 def write_normalized_csv(normalized: NormalizedMatrix, csv_path) -> None:
     """Debugging dump of normalized values as exact fraction strings; a missing
-    cell holds the schema's missing token. Each distinct value is formatted once."""
+    cell holds the schema's missing token. Each distinct value is formatted once.
+    A token that is also the text of a value is refused: a reader could not
+    tell a missing cell from that value."""
     schema = normalized.schema
     numerators = normalized.numerators
     distinct, codes = np.unique(numerators, return_inverse=True)
-    text = np.array([format_fraction(Fraction(k, normalized.denominator))
-                     for k in distinct.tolist()] + [schema.missing_token], dtype=object)
+    values = [format_fraction(Fraction(k, normalized.denominator)) for k in distinct.tolist()]
+    if schema.missing_token in values:
+        raise ValidationError(f"missing token {schema.missing_token!r} is also a normalized "
+                              "value in the dump, so a missing cell could not be told from it")
+    text = np.array(values + [schema.missing_token], dtype=object)
     codes = codes.reshape(numerators.shape)
     codes[~normalized.mask] = len(distinct)
     write_csv(csv_path, [schema.id_column, *schema.item_ids],

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import NoGiantComponentError, ValidationError
 from .ingest import ResponseMatrix
-from .normalize import NormalizedMatrix, SignMatrix
+from .normalize import NormalizedMatrix
 from .rational import as_fraction, format_fraction
 
 EXACT_AGREEMENT = "exact_agreement"
@@ -199,18 +199,20 @@ def score_weights(normalized: NormalizedMatrix, *, rescale_to_full: bool = False
     )
 
 
-def binarized_agreement_weights(signs: SignMatrix, *, count_neutral_pairs: bool = True) -> PairWeights:
+def binarized_agreement_weights(normalized: NormalizedMatrix, *,
+                                count_neutral_pairs: bool = True) -> PairWeights:
     """Per pair, the number of items answered on the same side of the midpoint.
 
-    Two neutral answers to the same item count as agreement (it is an
-    identical response); pass count_neutral_pairs=False to exclude them.
+    Reads the sign of each value, so a matrix and its binarized form give the
+    same weights. Two neutral answers to the same item count as agreement (it
+    is an identical response); pass count_neutral_pairs=False to exclude them.
     """
     return PairWeights(
         BINARIZED_AGREEMENT,
-        signs.participant_ids,
-        signs.signs.astype(np.int64),
-        signs.mask,
-        signs.n_items,
+        normalized.participant_ids,
+        np.sign(normalized.numerators),
+        normalized.mask,
+        normalized.n_items,
         1,
         count_neutral_pairs=count_neutral_pairs,
     )

@@ -575,7 +575,8 @@ class ColorScheme:
 
     Every node must carry the attribute; values not in the mapping fall back
     to default_color when given, otherwise the offending nodes are reported.
-    With attribute=None all nodes take default_color, which must then be given.
+    With attribute=None all nodes take default_color, which must then be given,
+    and there is nothing to map. An empty color is not a paint and is refused.
     """
 
     attribute: str | None = None
@@ -587,6 +588,14 @@ class ColorScheme:
             self.mapping = {}
         if self.attribute is None and self.default_color is None:
             raise ValidationError("a ColorScheme without an attribute needs a default_color")
+        if self.attribute is None and self.mapping:
+            raise ValidationError("a ColorScheme without an attribute has no values to map")
+        for value, color in self.mapping.items():
+            if color == "":
+                raise ValidationError(f"the color mapped to {value!r} is empty")
+        if self.default_color == "":
+            raise ValidationError("default_color is empty; pass None to make an unmapped "
+                                  "value an error")
 
     def fill_for(self, graph: ProjectionGraph) -> dict:
         if self.attribute is None:

@@ -838,6 +838,59 @@ def test_one_pass_takes_both_level_forms_and_stays_bitwise(monkeypatch):
     assert np.array_equal(fast, betweenness_per_source(k + tail, us, vs))
 
 
+def _betweenness_per_component(n, us, vs, fast):
+    """fast over each component's induced subgraph, its nodes renumbered in
+    ascending order and its edges kept in their order, scattered back."""
+    bet = np.zeros(len(us))
+    for members in components_from_edges(n, zip(us.tolist(), vs.tolist())):
+        local = np.full(n, -1)
+        local[sorted(members)] = np.arange(len(members))
+        inside = local[us] >= 0
+        bet[inside] = fast(len(members), local[us[inside]], local[vs[inside]])
+    return bet
+
+
+def _interleaved_components():
+    """A 7-cycle with a chord, a 4-star, a path of 3, one edge and two isolated
+    nodes, their ids interleaved by a permutation and the edges shuffled."""
+    pairs = [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)]
+    pairs += [(7, 8), (7, 9), (7, 10), (11, 12), (12, 13), (14, 15)]  # 16 and 17 isolated
+    rng = np.random.default_rng(89)
+    ids = rng.permutation(18)
+    order = rng.permutation(len(pairs))
+    return 18, ids[[pairs[i][i % 2] for i in order]], ids[[pairs[i][1 - i % 2] for i in order]]
+
+
+@pytest.mark.parametrize("sources_per_block", [None, 1, 3], ids=["default", "1", "3"])
+def test_betweenness_per_component_is_bitwise_the_whole_graph_pass(monkeypatch, level_form,
+                                                                    sources_per_block):
+    def fast(n, us, vs):
+        if sources_per_block is not None:
+            per_source = 8 * (analyze._NODE_WORDS * n + analyze._EDGE_WORDS * len(us))
+            monkeypatch.setattr(analyze, "BETWEENNESS_BLOCK_BYTES", sources_per_block * per_source)
+        return _betweenness_fast(n, us, vs)
+
+    for n, us, vs in [_interleaved_components(), *_bitwise_cases()]:
+        whole = fast(n, us, vs)
+        assert np.array_equal(whole.view(np.int64),
+                              _betweenness_per_component(n, us, vs, fast).view(np.int64))
+
+
+def test_betweenness_per_component_is_bitwise_on_a_paper_projection():
+    # the auto projection of a 400-row two-bloc survey at s = 1.0: 166 components
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocs.csv"
+        matrix = load_survey(path, write_bloc_survey(path, 2, 400, 1.0))
+    weights = score_weights(renormalize(matrix))
+    graph = project_participants(weights, select_threshold(weights, F(1, 2)).chosen_threshold)
+    assert len(connected_components(graph).components) == 166
+    positive = graph.positive_mask()
+    us, vs = graph.us[positive], graph.vs[positive]
+    whole = _betweenness_fast(graph.n_nodes, us, vs)
+    assert np.array_equal(whole.view(np.int64), _betweenness_per_component(
+        graph.n_nodes, us, vs, _betweenness_fast).view(np.int64))
+
+
 def _depth_paths_degree(n, us, vs):
     """Largest BFS depth and shortest-path count over all sources, and the largest degree."""
     adjacency = [[] for _ in range(n)]

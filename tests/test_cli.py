@@ -840,6 +840,24 @@ def test_inspect_dump_normalized_bytes(tmp_path, capsys):
                                     b'p3,-9,0,-9\np4,1/3,-1/2,-1\np5,-1/3,1/2,2/3\n')
 
 
+def test_inspect_refuses_a_dump_whose_missing_token_is_a_value(tmp_path, capsys):
+    # -1 is no code, so the schema takes it as its token; but a's first answer
+    # normalizes to the value -1, which the dump could not tell from a's missing one
+    schema = write_schema(tmp_path / "schema.json", [3, 3], missing_token="-1")
+    survey = tmp_path / "survey.csv"
+    survey.write_text("pid,q00,q01\na,0,-1\nb,2,1\n")
+    dump = tmp_path / "new" / "d.csv"
+    assert main(["inspect", "--survey", str(survey), "--schema", str(schema),
+                 "--missing-policy", "keep_pairwise", "--dump-normalized", str(dump)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ValidationError" and "'-1'" in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.json", "survey.csv"]
+    # dropping a leaves only the values 1 and 0, so the same token dumps as it is
+    assert main(["inspect", "--survey", str(survey), "--schema", str(schema),
+                 "--dump-normalized", str(dump)]) == 0
+    assert dump.read_bytes() == b"pid,q00,q01\nb,1,0\n"
+
+
 # runs that leave every option they read at its default (the signed attitude
 # mode aside), each with the parameters its manifest records and the sha256
 # of the manifest's bytes, which hold every input's and output's digest

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from opinionnet import ValidationError, binarize, renormalize, write_normalized_csv
+from opinionnet import (
+    NormalizedMatrix,
+    ValidationError,
+    binarize,
+    binarized_agreement_weights,
+    profile_census,
+    renormalize,
+    write_normalized_csv,
+)
 
-from helpers import make_matrix, normalized_values
-from oracles import normalized_value, sign_of
+from helpers import make_matrix, make_schema, normalized_values, pair_weights
+from oracles import normalized_value, random_rows, sign_of
 
 
 def F(*args):
@@ -70,13 +79,13 @@ def test_reversing_codes_negates_values_exactly():
 def test_binarize_positive_value():
     # +1/3 on a 4-point scale
     sm = binarize(renormalize(make_matrix([[2]], [4])))
-    assert sm.signs[0, 0] == 1
+    assert sm.numerators[0, 0] == 1
 
 
 def test_binarize_neutral_midpoint():
     # 0 at the 5-point midpoint
     sm = binarize(renormalize(make_matrix([[2]], [5])))
-    assert sm.mask[0, 0] and sm.signs[0, 0] == 0
+    assert sm.mask[0, 0] and sm.numerators[0, 0] == 0
 
 
 def test_binarize_componentwise():
@@ -84,24 +93,57 @@ def test_binarize_componentwise():
     nm = renormalize(make_matrix([[0, 1, 3]], [4, 3, 5]))
     assert normalized_values(nm) == [[F(-1), F(0), F(1, 2)]]
     sm = binarize(nm)
-    assert sm.signs[0].tolist() == [-1, 0, 1]
+    assert sm.numerators[0].tolist() == [-1, 0, 1]
 
 
 def test_binarize_missing_preserved():
     sm = binarize(renormalize(make_matrix([[None, 1]], [4, 4])))
     assert sm.mask[0].tolist() == [False, True]
-    assert sm.signs[0, 0] == 0  # a missing slot holds no sign
+    assert sm.numerators[0, 0] == 0  # a missing slot holds no sign
 
 
 def test_sign_depends_only_on_midpoint_position():
     for k in range(2, 10):
         for c in range(k):
             nm = renormalize(make_matrix([[c], [c]], [k]))
-            sign = binarize(nm).signs[0, 0]
+            sign = binarize(nm).numerators[0, 0]
             assert sign == sign_of(c, k)
             midpoint = Fraction(k - 1, 2)
             expected = (c > midpoint) - (c < midpoint)
             assert sign == expected
+
+
+def test_binarize_is_a_normalized_matrix_over_denominator_one():
+    matrix = make_matrix([[0, 2, None], [3, 1, 4]], [4, 3, 5])
+    binarized = binarize(renormalize(matrix))
+    assert type(binarized) is NormalizedMatrix
+    assert binarized.denominator == 1
+    assert binarized.source is matrix
+    assert binarized.participant_ids == matrix.participant_ids
+    assert normalized_values(binarized) == [[-1, 1, None], [1, 0, 1]]
+
+
+def test_binarize_binarizes_a_binarized_matrix_to_itself():
+    rows = random_rows(random.Random(11), 30, [2, 3, 4, 5, 7], missing_rate=0.2)
+    once = binarize(renormalize(make_matrix(rows, [2, 3, 4, 5, 7])))
+    twice = binarize(once)
+    assert twice.source is once.source and twice.denominator == 1
+    assert np.array_equal(twice.numerators, once.numerators)
+    assert np.array_equal(twice.mask, once.mask)
+
+
+@pytest.mark.parametrize("missing_rate", [0.0, 0.2])
+def test_binarized_weights_and_census_read_either_matrix_alike(missing_rate):
+    ks = [2, 3, 4, 5, 6, 7]
+    rows = random_rows(random.Random(7), 40, ks, missing_rate=missing_rate)
+    normalized = renormalize(make_matrix(rows, ks))
+    binarized = binarize(normalized)
+    assert normalized.denominator > 1
+    for count in (True, False):
+        assert (pair_weights(binarized_agreement_weights(normalized, count_neutral_pairs=count))
+                == pair_weights(binarized_agreement_weights(binarized,
+                                                            count_neutral_pairs=count)))
+    assert profile_census(normalized).to_dict() == profile_census(binarized).to_dict()
 
 
 def test_renormalize_matches_oracle_everywhere():
@@ -122,6 +164,17 @@ def test_normalized_csv_dump(tmp_path):
     assert lines[0] == "pid,q00,q01"
     assert lines[1] == "p000,-1,0"
     assert lines[2] == "p001,NA,1"
+
+
+@pytest.mark.parametrize("token", ["-1", "1/2", "-1/3"])
+def test_normalized_csv_dump_refuses_a_token_that_is_a_value(tmp_path, token):
+    # the values -1, -1/3, 1/3, 1 and -1, -1/2, 0, 1/2, 1 of a 4- and a 5-point item
+    schema = make_schema([4, 5], missing_token=token)
+    nm = renormalize(make_matrix([[0, 3], [1, None], [3, 4]], [4, 5], schema=schema))
+    out = tmp_path / "norm.csv"
+    with pytest.raises(ValidationError, match=f"missing token {token!r}"):
+        write_normalized_csv(nm, out)
+    assert not out.exists()
 
 
 def test_denominator_overflow_guard():

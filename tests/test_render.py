@@ -559,6 +559,24 @@ def test_color_scheme_without_an_attribute_needs_a_default_color():
                                                                     "b": "#000001"}
 
 
+def test_color_scheme_without_an_attribute_takes_no_mapping():
+    with pytest.raises(ValidationError, match="without an attribute has no values to map"):
+        ColorScheme(mapping={"D": "#f00"})
+    assert ColorScheme(mapping={}).mapping == {}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"attribute": "party", "mapping": {"D": ""}}, "color mapped to 'D' is empty"),
+    ({"attribute": "party", "mapping": {"D": "#f00", "": ""}}, "color mapped to '' is empty"),
+    ({"attribute": "party", "default_color": ""}, "default_color is empty"),
+    ({"default_color": ""}, "default_color is empty"),
+])
+def test_color_scheme_refuses_an_empty_color(kwargs, message):
+    # an empty fill is not a paint; a value mapped to one would be drawn unfilled
+    with pytest.raises(ValidationError, match=message):
+        ColorScheme(**kwargs)
+
+
 def test_svg_layout_must_cover_all_nodes(tmp_path):
     graph = ProjectionGraph(kind="participant", nodes=["a", "b"], edges=[])
     layout = LayoutResult(positions={"a": (0.0, 0.0)}, seed=0, iterations=0)
