@@ -28,13 +28,13 @@ need w >= threshold, negative edges (disagreement ties) need
 w <= negative_threshold. Exact-agreement projections at levels m and m-1 on
 complete data skip the pair scan and sort rows instead.
 The threshold sweep's pass over all pairs also lives here: _sweep_bands scans
-one row of each group of equal rows, on a private copy of the kernel without
-co-answered counts, in bands of weight levels from the top down until
+the kernel over one row of each group of equal rows (PairWeights.subset),
+without co-answered counts, in bands of weight levels from the top down until
 select_threshold stops. A band holds only the pairs across its components,
 compacted into a forest when they pass a byte budget, and the levels present
 are the values of the pairs it selects. For `project --threshold auto` without
 a negative threshold, _auto_projection's bands also keep every pair they
-select, within the same budget, on the kernel with its counts; the band that
+select, within the same budget, with the kernel's counts; the band that
 reaches the chosen level then holds the whole graph at that level, and
 _held_pairs expands it back over the equal rows, so the graph needs no second
 scan. Past the budget, the graph comes from the scan.
@@ -127,8 +127,9 @@ class PairWeights:
             # one table value per entry: exact on the rung
             self._y[:, at:at + len(vals)] = onehot @ self._item_table(vals).astype(dtype)
             at += len(vals)
-        self._m = None if self._mask.all() else self._mask.astype(dtype)
-        self.rescale = bool(rescale) and self._m is not None  # the identity on complete data
+        self.has_missing = not self._mask.all()
+        self._m = self._mask.astype(dtype) if self.has_missing else None
+        self.rescale = bool(rescale) and self.has_missing  # the identity on complete data
 
     def _item_table(self, values: np.ndarray) -> np.ndarray:
         """Numerator contributed by one co-answered item, per pair of values."""
@@ -144,10 +145,6 @@ class PairWeights:
     def n_participants(self) -> int:
         return self._x.shape[0]
 
-    @property
-    def has_missing(self) -> bool:
-        return self._m is not None
-
     def weight_range(self) -> tuple[Fraction, Fraction]:
         m = self.n_items
         if self.mode == SCORE:
@@ -158,15 +155,33 @@ class PairWeights:
         """Weight numerators (and co-answered counts) for rows x cols.
 
         Returns (numer, co) in the kernel's rung dtype (float32, float64 or
-        int64), every entry an exact integer; co is None for complete
-        matrices. For score mode numer/denominator is the weight (numer =
-        co*D - total difference); for the agreement modes the numerator is
-        the integer weight itself.
+        int64), every entry an exact integer; co is None for complete rows and
+        count-free subsets. For score mode numer/denominator is the weight
+        (numer = co*D - total difference); for the agreement modes the
+        numerator is the integer weight itself.
         """
         numer = self._y[r0:r1] @ self._x[c0:c1].T
         if self._m is None:
             return numer, None
         return numer, self._m[r0:r1] @ self._m[c0:c1].T
+
+    def subset(self, rows, *, counts=True, columns=None) -> "PairWeights":
+        """The kernel over some of these rows, in their order, indexed from this
+        encoding: each pair keeps its numerators, rung and levels. Every row
+        field, has_missing and rescale follow the rows; every row in order
+        shares each array. Without counts, or given columns (a slice of these
+        rows, kept as a view, for the blocks' columns), no co-answered counts."""
+        keep = slice(None) if np.array_equal(rows, np.arange(len(self._y))) else rows
+        sub = copy.copy(self)
+        sub.participant_ids = tuple(np.array(self.participant_ids, dtype=object)[keep])
+        sub._features, sub._mask, sub._y = self._features[keep], self._mask[keep], self._y[keep]
+        sub._x = self._x[keep if columns is None else columns]
+        sub.has_missing = not sub._mask.all()
+        sub.rescale = self.rescale and sub.has_missing
+        sub._m = self._m[keep] if counts and columns is None and sub.has_missing else None
+        if sub.rescale and sub._m is None:
+            raise ValidationError("rescaled weights need their co-answered counts")
+        return sub
 
 
 def exact_agreement_weights(matrix: ResponseMatrix) -> PairWeights:
@@ -594,9 +609,7 @@ def _band_pivots(kernel: PairWeights, lowest) -> np.ndarray:
     n = kernel.n_participants
     size = min(max(1, SCAN_TILE ** 2 // n), n)
     rows = np.arange(size) * n // size
-    sample = copy.copy(kernel)
-    sample._y, sample._m = kernel._y[rows], None
-    numer = sample.block_numerators(0, size, 0, n)[0].ravel()
+    numer = kernel.subset(rows, columns=slice(None)).block_numerators(0, size, 0, n)[0].ravel()
     numer[np.arange(size) * n + rows] = lowest - 1
     ranks = []
     rank = max(1, int(2 * size * FIRST_BAND_PAIRS_PER_ROW))
@@ -612,7 +625,7 @@ def _distinct_rows(weights: PairWeights) -> tuple:
     """The rows the sweep scans, ascending, and each other row as a copy:
     (self-level, its first row, the copy), from one stable lexsort of the
     answers and missing pattern. Copies stay rows of their own when they are
-    fewer than a quarter of the rows, too few to pay for a private encoding."""
+    fewer than a quarter of the rows, too few to pay for a subset kernel."""
     features = weights._features
     ranked = np.where(weights._mask, features, features.min() - 1)  # missing: a value of its own
     order = np.lexsort(ranked.T)  # stable: equal rows by index
@@ -640,10 +653,10 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
     pairs with every row as its first row does, and no pair of that row
     weighs more than its pair with the copy, their shared self-level (every
     item table's diagonal is its row maximum). So a copy joins its first row
-    at that level, as one more held pair, and the bands scan the first rows
-    only, on a private copy of the kernel, without co-answered counts unless
-    hold. A band is one scan of the upper-triangle tiles at its floor, each
-    tile's pairs selected by _tile_pairs as the projection's scan selects
+    at that level, as one more held pair, and the bands scan the kernel over
+    the first rows only (PairWeights.subset), without co-answered counts
+    unless hold. A band is one scan of the upper-triangle tiles at its floor,
+    each tile's pairs selected by _tile_pairs as the projection's scan selects
     them: every selected level is present, and only the pairs across the
     components at the band's top, each labelled by a root participant, are
     held (Filter-Kruskal; Osipov, Sanders & Singler 2009). Its end merges them
@@ -656,21 +669,14 @@ def _sweep_bands(weights: PairWeights, floor=None, hold=False):
     With hold, a band also keeps every pair it selects as (level, i, j) over
     the scanned rows, 12 B per pair on the float32 rung, until they pass
     SWEEP_HELD_BYTES; a band that passes it keeps none, and neither do the
-    lower bands, which select every pair it does. The kernel copy then keeps
-    its co-answered counts on incomplete data, as project_participants' scan
-    does: the weights' own kernel computes every pair the graph is built from.
-    _tile_pairs drops those counts as soon as each product returns.
+    lower bands, which select every pair it does. The subset then computes
+    co-answered counts on incomplete data, as project_participants' scan does,
+    and _tile_pairs drops them as soon as each product returns.
     """
     lowest = _threshold_level(weights, weights.weight_range()[0])
     floor = lowest if floor is None else max(floor, lowest)
     rows, copies = _distinct_rows(weights)
-    kernel = copy.copy(weights)
-    if not hold:
-        kernel._m = None
-    if len(rows) < weights.n_participants:
-        kernel._x, kernel._y = weights._x[rows], weights._y[rows]
-        kernel._m = None if kernel._m is None else kernel._m[rows]
-
+    kernel = weights.subset(rows, counts=hold)
     n, n_all = len(rows), weights.n_participants
     label = rows.astype(np.int32)  # each row's component, as a participant, at the band's top
     no_pairs = (np.empty(0, kernel._x.dtype), label[:0], label[:0])  # (level, u, v) over labels
@@ -776,9 +782,8 @@ def select_threshold(weights: PairWeights, target_fraction=Fraction(1, 2), *,
     band of levels at a time, and only while the target is not reached. A
     band merges its pairs across components into the earlier bands'
     components, level by level (Kruskal 1956; single linkage, Gower & Ross
-    1969), and ties may join in any order. The bands run on a copy of the
-    kernel without co-answered counts and hold no pairs for a graph;
-    _auto_projection is the sweep that does.
+    1969), and ties may join in any order. Its bands compute no co-answered
+    counts and hold no pairs for a graph; _auto_projection's do.
     """
     return _sweep(weights, target_fraction, min_level)[0]
 
@@ -789,13 +794,13 @@ def _auto_projection(weights: PairWeights, target_fraction, min_level, negative_
     negative threshold, refused before the sweep if out of range: (selection, graph).
 
     Without a negative threshold this is one pass over all pairs: the sweep's
-    bands run on the weights' own kernel, co-answered counts included on
-    incomplete data, as project_participants' scan does, and each holds its
-    pairs at or above its floor while they fit SWEEP_HELD_BYTES. The band
-    that reaches the target holds every pair at or above the chosen level, so
-    the graph is built from those, with each copy of a scanned row expanded
-    back (_held_pairs). Past the budget the graph comes from the scan; so it
-    does with a negative threshold, after select_threshold's count-free sweep.
+    bands compute co-answered counts on incomplete data, as
+    project_participants' scan does, and each holds its pairs at or above its
+    floor while they fit SWEEP_HELD_BYTES. The band that reaches the target
+    holds every pair at or above the chosen level, so the graph is built from
+    those, with each copy of a scanned row expanded back (_held_pairs). Past
+    the budget the graph comes from the scan; so it does with a negative
+    threshold, after select_threshold's count-free sweep.
     Either way it equals project_participants(weights, chosen, negative_threshold).
     """
     neg = None if negative_threshold is None else as_fraction(negative_threshold)

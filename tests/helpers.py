@@ -55,8 +55,9 @@ def same_matrix(a, b):
             and a.attributes == b.attributes)
 
 
-def weights_from_rows(rows, scale_sizes, mode, count_neutral_pairs=True, rescale=False):
-    matrix = make_matrix(rows, scale_sizes)
+def weights_from_rows(rows, scale_sizes, mode, count_neutral_pairs=True, rescale=False,
+                      ids=None):
+    matrix = make_matrix(rows, scale_sizes, ids=ids)
     if mode == "exact_agreement":
         return exact_agreement_weights(matrix)
     normalized = renormalize(matrix)

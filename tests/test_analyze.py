@@ -36,6 +36,7 @@ from helpers import (
     giant_subgraph,
     graph_from_edges,
     make_matrix,
+    pair_weights,
     planted_two_block_graph,
     weights_from_rows,
 )
@@ -522,6 +523,133 @@ def test_auto_projection_with_a_negative_threshold_sweeps_without_counts_then_sc
     reference = project_participants(w, selection.chosen_threshold, -2)
     assert _graph_state(graph) == _graph_state(reference)
     assert 0 < int(graph.positive_mask().sum()) < graph.n_edges  # both signs
+
+
+SUBSET_MODES = [("exact_agreement", False, True), ("score", False, True),
+                ("binarized_agreement", False, True), ("binarized_agreement", False, False),
+                ("score", True, True)]
+
+
+def _subset_survey(rng, missing_rate):
+    """40 rows of five items and 17 of their indices, out of order. No row of
+    the subset answers the top half of the first item's scale, which an
+    outside row answers at its top value."""
+    ks = [5, 4, 3, 7, 5]
+    rows = random_rows(rng, 40, ks, missing_rate=missing_rate)
+    subset = rng.sample(range(40), 17)
+    for i in subset:
+        if rows[i][0] is not None:
+            rows[i][0] = rng.randrange(3)
+    rows[min(set(range(40)) - set(subset))][0] = 4
+    return rows, ks, subset
+
+
+@pytest.mark.parametrize("mode,rescale,count_neutral_pairs", SUBSET_MODES)
+@pytest.mark.parametrize("missing_rate", [0.0, 0.03])
+def test_a_subset_kernel_is_the_kernel_of_its_rows_alone(mode, rescale, count_neutral_pairs,
+                                                          missing_rate):
+    rows, ks, subset = _subset_survey(random.Random(f"subset:{missing_rate}"), missing_rate)
+    w = weights_from_rows(rows, ks, mode, count_neutral_pairs, rescale)
+    assert not w._x[subset].any(axis=0).all()  # a one-hot column all zero over the subset
+    sub = w.subset(subset)
+    alone = weights_from_rows([rows[i] for i in subset], ks, mode, count_neutral_pairs, rescale,
+                              ids=[w.participant_ids[i] for i in subset])
+    assert (sub.participant_ids, sub.n_participants) == (alone.participant_ids, len(subset))
+    assert (sub.has_missing, sub.rescale) == (alone.has_missing, alone.rescale) == (
+        missing_rate > 0, rescale and missing_rate > 0)
+    assert sub._x.dtype == alone._x.dtype
+    lo, hi = w.weight_range()
+    for threshold, negative in ((lo, None), ((lo + hi) / 2, None), (hi, None),
+                                ((lo + hi) / 2, lo + (hi - lo) / 4)):
+        assert (_graph_state(project_participants(sub, threshold, negative))
+                == _graph_state(project_participants(alone, threshold, negative)))
+    # one row is a kernel too: its pair with itself is its self-level
+    one = w.subset(subset[:1])
+    assert one.n_participants == 1
+    assert one.block_numerators(0, 1, 0, 1)[0].tolist() == [
+        [w.block_numerators(subset[0], subset[0] + 1, subset[0], subset[0] + 1)[0].item()]]
+    # every row in order shares each array of the pooled kernel
+    every = w.subset(np.arange(w.n_participants))
+    assert every.participant_ids == w.participant_ids
+    assert all(np.shares_memory(a, b) for a, b in (
+        (every._x, w._x), (every._y, w._y), (every._features, w._features),
+        (every._mask, w._mask)))
+    assert every._m is w._m or np.shares_memory(every._m, w._m)
+
+
+def test_a_count_free_subset_keeps_its_missing_answers():
+    # two equal rows that share a missing answer weigh m - 1: the bucketed
+    # path, which assumes complete data, would count the shared gap as an
+    # agreement and list them at m
+    rng = random.Random(61)
+    ks = [4, 5, 3, 7, 6]
+    m = len(ks)
+    rows = random_rows(rng, 60, ks, missing_rate=0.1)
+    rows[7] = rows[3] = [1, 2, None, 4, 0]
+    incomplete = [i for i, row in enumerate(rows) if None in row and i not in (3, 7)]
+    subset = [7, *incomplete[::-1][:8], 3]  # incomplete rows, out of order
+    w = weights_from_rows(rows, ks, "exact_agreement")
+    sub = w.subset(subset, counts=False)
+    alone = weights_from_rows([rows[i] for i in subset], ks, "exact_agreement",
+                              ids=[w.participant_ids[i] for i in subset])
+    numer, co = sub.block_numerators(0, len(subset), 0, len(subset))
+    assert co is None and sub.has_missing and not sub.rescale
+    for level in (m, m - 1):
+        assert (_graph_state(project_participants(sub, level))
+                == _graph_state(project_participants(alone, level)))
+    assert project_participants(sub, m - 1).weight_table == (m - 1,)
+    # a rescaled kernel needs its counts on incomplete rows, and on complete
+    # rows rescaling is the identity, so a count-free subset of those is fine
+    rescaled = weights_from_rows(rows, ks, "score", rescale=True)
+    for kwargs in ({"counts": False}, {"columns": slice(None)}):
+        with pytest.raises(ValidationError, match="^rescaled weights need their co-answered"):
+            rescaled.subset(subset, **kwargs)
+    complete = [i for i, row in enumerate(rows) if None not in row]
+    plain = rescaled.subset(complete, counts=False)
+    assert not plain.has_missing and not plain.rescale
+    assert plain.block_numerators(0, 2, 0, 2)[1] is None
+
+
+def _reference_pivots(w, scanned, lowest):
+    """The sweep's band floors rebuilt from the exact weights of every pair
+    of the scanned rows: about SCAN_TILE**2 sampled rows against every row,
+    a sampled row's pair with itself below the lowest level."""
+    weights, n = pair_weights(w), len(scanned)
+    size = min(max(1, project.SCAN_TILE ** 2 // n), n)
+    sample = [k * n // size for k in range(size)]
+    numer = sorted(lowest - 1 if a == b else int(weights[tuple(sorted(
+        (scanned[a], scanned[b])))] * w.denominator) for a in sample for b in range(n))
+    floors, rank = set(), max(1, 2 * size * project.FIRST_BAND_PAIRS_PER_ROW)
+    while rank < size * (n - 1):
+        floors.add(numer[len(numer) - rank])
+        rank *= project.BAND_GROWTH
+    return sorted((f for f in floors if f > lowest), reverse=True)
+
+
+@pytest.mark.parametrize("mode,missing_rate,kind", [
+    ("score", 0.03, "duplicates"), ("exact_agreement", 0.03, "duplicates"),
+    ("score", 0.03, "uniform"), ("binarized_agreement", 0.0, "uniform"),
+    ("score", 0.0, "identical")])
+def test_band_pivots_match_the_exact_pair_weights_of_their_sample(mode, missing_rate, kind,
+                                                                 monkeypatch):
+    # the pivots of the kernel the fused sweep scans: the distinct rows (a
+    # subset when copies abound) with their counts on incomplete data; the
+    # sample's one kernel call computes no counts
+    w = _banded_weights(mode, missing_rate, kind)
+    monkeypatch.setattr(project, "SCAN_TILE", 37)
+    scanned = project._distinct_rows(w)[0]
+    assert (len(scanned) < w.n_participants) == (kind != "uniform")
+    lowest = project._threshold_level(w, w.weight_range()[0])
+    kernel = w.subset(scanned, counts=True)
+    assert kernel.has_missing == (kernel.block_numerators(0, 1, 0, 1)[1] is not None) == (
+        missing_rate > 0)
+    reference = _reference_pivots(w, scanned.tolist(), lowest)
+    calls = _kernel_calls(monkeypatch)
+    pivots = project._band_pivots(kernel, lowest)
+    n = len(scanned)
+    assert calls == [(min(max(1, 37 ** 2 // n), n) * n, False)]
+    assert pivots.tolist() == reference
+    assert len(reference) >= (kind != "identical")
 
 
 def _bench_survey(n=3000):

@@ -713,7 +713,7 @@ def test_rescaled_pairwise_score():
 
 @pytest.mark.parametrize("mode", ["exact_agreement", "score", "binarized_agreement"])
 def test_banded_sweep_drops_counts_not_numerators(mode):
-    # the sweep's banded pass runs on a kernel copy without co-answered counts;
+    # the sweep's banded pass runs on a subset kernel without co-answered counts;
     # on incomplete data its selections are still those of the exact weights
     rng = random.Random(55)
     ks = [4, 5, 3, 7]
@@ -730,7 +730,7 @@ def test_banded_sweep_drops_counts_not_numerators(mode):
 
 
 def test_banded_sweep_leaves_the_weights_untouched():
-    # the pass scans its own kernel copy without counts, of the distinct rows
+    # the pass scans a subset kernel without counts, of the distinct rows
     # when copies abound: the caller's kernel keeps its rows and its counts
     rng = random.Random(56)
     ks = [4, 5, 3, 7]
