@@ -78,6 +78,11 @@ def _fmt17(x: float) -> str:
 
 
 _EDGE_CHUNK = 4096  # edge lines formatted and written at a time
+# bytes of each (side + 1, n) float64 plane of fr_layout's repulsion, so side
+# = this // (8 n) - 1 rows j at a time and every n up to 180 is one block.
+# Measured on a 2-core x86-64 machine at n = 3,000: 128 KiB and 512 KiB run
+# an iteration 25% slower than 256 KiB
+LAYOUT_PLANE_BYTES = 256 << 10
 
 
 def _write_with_edges(path, before, graph: ProjectionGraph, sources, targets, tail,
@@ -133,13 +138,16 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500) -> Layou
     Classic spring layout with a linear cooling schedule and seeded initial
     placement on the unit disc; seed and iterations are non-negative ints.
     Negative edges exert no force. Identical (graph, seed, iterations)
-    reproduce identical positions. O(V^2) per iteration.
+    reproduce identical positions. O(V^2) time per iteration; O(B V + E)
+    memory, where the repulsion works on B rows of node pairs at a time and
+    B = LAYOUT_PLANE_BYTES // (8 V) - 1 (at least 1, at most V).
 
     Summation order: each node's repulsion is summed over the other nodes in
     ascending index order, one at a time, and the node's edge forces are
     then added in edge order. No BLAS call and no pairwise reduction touches
     these sums, so positions equal those of the (n, n, 2) form that the
-    tests keep as their reference bit for bit, whatever the BLAS settings.
+    tests keep as their reference bit for bit, whatever the BLAS settings
+    and the block size.
     """
     for name, value in (("seed", seed), ("iterations", iterations)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
@@ -153,48 +161,74 @@ def fr_layout(graph: ProjectionGraph, seed: int, iterations: int = 500) -> Layou
     rng = np.random.default_rng(seed)
     radius = np.sqrt(rng.random(n))
     angle = rng.random(n) * (2.0 * np.pi)
-    x, y = radius * np.cos(angle), radius * np.sin(angle)
+    pos = np.stack([radius * np.cos(angle), radius * np.sin(angle)])  # rows x and y
 
     k = np.sqrt(1.0 / n)
     positive = graph.positive_mask()
     us, vs = graph.us[positive], graph.vs[positive]
+    e = len(us)
     # A positive edge (u, v) exerts (u - v) * |u - v| / k, added at v and
     # subtracted at u. Each node's displacement is its repulsion, then those
-    # edge forces in edge order, as one bincount per coordinate over `ends`.
+    # edge forces in edge order: one bincount over `ends`, whose y half keys
+    # bins n..2n-1, sums the rows of `force`.
     ends = np.concatenate([np.arange(n), vs, us])
-    tails = np.concatenate([us, us])
-    heads = np.concatenate([vs, vs])
-    sides = np.repeat([1.0, -1.0], len(us))
-    fx, fy = np.empty(len(ends)), np.empty(len(ends))
+    ends = np.concatenate([ends, ends + n])
+    force = np.empty((2, n + 2 * e))
+    repulsion, pull, push = force[:, :n], force[:, n:n + e], force[:, n + e:]
+    d, d2 = np.empty((2, e)), np.empty((2, e))
+    g2 = np.empty((2, n))  # the squared displacements, then their length and step
+    # The repulsion of `side` nodes j at a time: b[:, j, i] = pos[:, i] -
+    # pos[:, j] in the rows of a (side + 1, n) plane per coordinate. Summing
+    # over the rows of a C-contiguous plane adds them in ascending order, so
+    # with each block's rows after the running sums in row 0, every node adds
+    # j = 0, 1, ... one at a time. The diagonal's b is 0, so its weight does
+    # not matter.
+    side = min(n, max(1, LAYOUT_PLANE_BYTES // (8 * n) - 1))
+    b, sq = np.empty((2, side + 1, n)), np.empty((2, side, n))
+    blocks = []  # (pos of the block's j, its term rows, its squares, the rows it sums, j0)
+    for j0 in range(0, n, side):
+        m, lead = min(side, n - j0), 1 if j0 else 0
+        blocks.append((pos[:, j0:j0 + m, None], b[:, lead:lead + m], sq[:, :m],
+                       b[:, :lead + m], j0))
     t0 = 0.1
     for it in range(iterations):
         t = t0 * (1.0 - it / iterations)
-        # bx[j, i] = x_i - x_j; summing axis 0 of a C-contiguous array adds
-        # the rows j in ascending order. The diagonal's bx is 0, so its
-        # weight does not matter.
-        bx = x - x[:, None]
-        by = y - y[:, None]
-        w = bx * bx
-        w += by * by
-        np.maximum(w, 1e-12, out=w)
-        np.divide(k * k, w, out=w)
-        bx *= w
-        by *= w
-        bx.sum(axis=0, out=fx[:n])
-        by.sum(axis=0, out=fy[:n])
-        dx = x[tails] - x[heads]
-        dy = y[tails] - y[heads]
-        scale = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-9) / k * sides
-        np.multiply(dx, scale, out=fx[n:])
-        np.multiply(dy, scale, out=fy[n:])
-        gx = np.bincount(ends, weights=fx, minlength=n)
-        gy = np.bincount(ends, weights=fy, minlength=n)
-        length = np.maximum(np.sqrt(gx * gx + gy * gy), 1e-12)
-        step = np.minimum(length, t) / length
-        x += gx * step
-        y += gy * step
+        for pos_j, terms, squares, summed, j0 in blocks:
+            if j0:
+                b[:, 0] = repulsion
+            np.subtract(pos[:, None, :], pos_j, out=terms)
+            np.multiply(terms, terms, out=squares)
+            w = squares[0]
+            w += squares[1]
+            np.maximum(w, 1e-12, out=w)
+            np.divide(k * k, w, out=w)
+            terms *= w
+            summed.sum(axis=1, out=repulsion)
+        # each edge's force once; (-s) * d is -(s * d) exactly, so each end u
+        # gets the negation of what its end v gets. take's "clip" leaves the
+        # in-range indices as they are, where "raise" would buffer its out
+        np.take(pos, us, axis=1, out=d, mode="clip")
+        d -= np.take(pos, vs, axis=1, out=d2, mode="clip")
+        np.multiply(d, d, out=d2)
+        scale = d2[0]
+        scale += d2[1]
+        np.sqrt(scale, out=scale)
+        np.maximum(scale, 1e-9, out=scale)
+        scale /= k
+        np.multiply(d, scale, out=pull)
+        np.negative(pull, out=push)
+        g = np.bincount(ends, weights=force.ravel(), minlength=2 * n).reshape(2, n)
+        np.multiply(g, g, out=g2)
+        length, step = g2
+        length += step
+        np.sqrt(length, out=length)
+        np.maximum(length, 1e-12, out=length)
+        np.minimum(length, t, out=step)
+        step /= length
+        g *= step
+        pos += g
 
-    positions = dict(zip(graph.nodes, zip(x.tolist(), y.tolist())))
+    positions = dict(zip(graph.nodes, zip(pos[0].tolist(), pos[1].tolist())))
     return LayoutResult(positions, seed, iterations)
 
 
@@ -709,31 +743,29 @@ def render_bipartite_svg(normalized: NormalizedMatrix, path) -> None:
     def part_x(i):
         return pad + (1200 - 2 * pad) * (i + 0.5) / n
 
-    lines = _svg_head(1200, 700)
     d = normalized.denominator
-    for i in range(n):
-        for j in range(m):
-            if not normalized.mask[i, j]:
-                continue
-            numer = int(normalized.numerators[i, j])
+    strokes = {}  # numerator -> its line's attributes after the coordinates, and line end
+
+    def stroke(numer):
+        if numer not in strokes:
             color = (POSITIVE_COLOR if numer > 0 else NEGATIVE_COLOR) if numer else NEUTRAL_COLOR
             style = SOLID if abs(numer) in (d, 0) else DASHED
-            lines.append(f'<line x1="{_fmt6(part_x(i))}" y1="{_fmt6(part_y)}" '
-                         f'x2="{_fmt6(item_x(j))}" y2="{_fmt6(item_y)}"'
-                         + _stroke(color, style, 0.8, 0.5))
-    for j, item in enumerate(item_ids):
-        x = item_x(j)
-        lines.append(
-            f'<rect x="{_fmt6(x - 5)}" y="{_fmt6(item_y - 5)}" width="10" height="10" '
-            f'fill="#222222"/>'
-        )
-        lines.append(
-            f'<text x="{_fmt6(x)}" y="{_fmt6(item_y - 12)}" font-size="11" '
-            f'text-anchor="middle">{escape(item)}</text>'
-        )
-    for i in range(n):
-        lines.append(
-            f'<circle cx="{_fmt6(part_x(i))}" cy="{_fmt6(part_y)}" r="2.5" fill="#555555"/>'
-        )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            strokes[numer] = _stroke(color, style, 0.8, 0.5) + "\n"
+        return strokes[numer]
+
+    ends = [f'x2="{_fmt6(item_x(j))}" y2="{_fmt6(item_y)}"' for j in range(m)]
+    with open(path, "w", encoding="utf-8") as out:  # one participant's lines at a time
+        out.writelines(line + "\n" for line in _svg_head(1200, 700))
+        for i in range(n):
+            start = f'<line x1="{_fmt6(part_x(i))}" y1="{_fmt6(part_y)}" '
+            out.write("".join(start + end + stroke(numer) for end, numer, present in zip(
+                ends, normalized.numerators[i].tolist(), normalized.mask[i].tolist()) if present))
+        for j, item in enumerate(item_ids):
+            x = item_x(j)
+            out.write(f'<rect x="{_fmt6(x - 5)}" y="{_fmt6(item_y - 5)}" width="10" height="10" '
+                      f'fill="#222222"/>\n'
+                      f'<text x="{_fmt6(x)}" y="{_fmt6(item_y - 12)}" font-size="11" '
+                      f'text-anchor="middle">{escape(item)}</text>\n')
+        out.writelines(f'<circle cx="{_fmt6(part_x(i))}" cy="{_fmt6(part_y)}" r="2.5" '
+                       f'fill="#555555"/>\n' for i in range(n))
+        out.write("</svg>\n")

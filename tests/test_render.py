@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -122,6 +123,36 @@ def test_layout_matches_add_at_scatter_bitwise(name):
     layout = fr_layout(graph, seed=13, iterations=iterations)
     expected = fr_positions_add_at(graph, 13, iterations)
     assert [layout.positions[u] for u in graph.nodes] == [tuple(p) for p in expected.tolist()]
+
+
+def negative_only_graph():
+    nodes = [f"n{i}" for i in range(9)]
+    return ProjectionGraph(kind="participant", nodes=nodes, edges=[
+        Edge(nodes[i], nodes[(i + 4) % 9], F(-1), "negative") for i in range(9)])
+
+
+@pytest.mark.parametrize("side", [1, 3, 7])
+@pytest.mark.parametrize("name", [*LAYOUT_GRAPHS, "negative-only"])
+def test_layout_in_row_blocks_matches_add_at_scatter_bitwise(name, side, monkeypatch):
+    # blocks of `side` rows j; 7 divides none of the node counts (20, 2, 12, 300, 9)
+    build, iterations = LAYOUT_GRAPHS.get(name, (negative_only_graph, 30))
+    graph = build()
+    monkeypatch.setattr(render, "LAYOUT_PLANE_BYTES", (side + 1) * 8 * graph.n_nodes)
+    layout = fr_layout(graph, seed=13, iterations=iterations)
+    expected = fr_positions_add_at(graph, 13, iterations)
+    assert [layout.positions[u] for u in graph.nodes] == [tuple(p) for p in expected.tolist()]
+
+
+def test_layout_iteration_holds_a_few_row_blocks_not_n_by_n_planes():
+    # (n, n) float64 planes at n = 3,000 take 72 MB each
+    graph = _random_graph(3_000, 6_000, seed=3)
+    tracemalloc.start()
+    try:
+        fr_layout(graph, seed=1, iterations=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
@@ -598,6 +629,39 @@ def test_bipartite_svg_colors_and_dashes(tmp_path):
     assert "stroke-dasharray" in text
     assert text.count("<circle") == 2  # one dot per participant
     assert text.count("<rect") == 3  # background + one marker per item
+
+
+def _bipartite_matrix(n, seed):
+    """n participants on eight items of 2 to 7 points, a tenth of the answers
+    missing; two item labels need escaping."""
+    scales = [2, 3, 4, 5, 7, 7, 7, 7]
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 7, (n, len(scales))) % scales
+    rows = [[None if gone else c for c, gone in zip(row, missing)]
+            for row, missing in zip(codes.tolist(), (rng.random(codes.shape) < 0.1).tolist())]
+    labels = ["q<0>", "a & b", *map("q{}".format, range(2, 8))]
+    schema = SurveySchema(items=tuple(map(SurveyItem, labels, scales)), id_column="pid")
+    return renormalize(make_matrix(rows, scales, schema=schema))
+
+
+def test_bipartite_svg_bytes_are_pinned(tmp_path):
+    # the digest of the file as the whole-file writer wrote it
+    path = tmp_path / "bip.svg"
+    render_bipartite_svg(_bipartite_matrix(50, seed=32), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "26bc843f6cf36a1e532fa7949681bf0e0f5685b81dfaaaa283c18de8eefca55d"
+
+
+def test_bipartite_svg_holds_less_memory_than_the_file_it_writes(tmp_path):
+    matrix = _bipartite_matrix(4_000, seed=40)
+    path = tmp_path / "bip.svg"
+    tracemalloc.start()
+    try:
+        render_bipartite_svg(matrix, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_bipartite_svg_skips_missing_responses(tmp_path):
