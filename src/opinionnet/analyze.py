@@ -51,13 +51,13 @@ class ComponentReport:
 
 
 def _grouped_components(nodes, us, vs):
-    """Components of the edges (us, vs): members in id order, largest first, then by first id."""
-    root = _component_roots(len(nodes), us, vs)
+    """Components of the edges (us, vs) as lists of node indices: members in id
+    order, largest first, then by first id."""
+    root = _component_roots(len(nodes), us, vs).tolist()
     groups: dict[int, list] = {}
-    root = root.tolist()
     for i in sorted(range(len(nodes)), key=nodes.__getitem__):
-        groups.setdefault(root[i], []).append(nodes[i])
-    return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+        groups.setdefault(root[i], []).append(i)
+    return sorted(groups.values(), key=lambda c: (-len(c), nodes[c[0]]))
 
 
 def _component_sizes(n_nodes, us, vs) -> list:
@@ -73,7 +73,8 @@ def connected_components(graph: ProjectionGraph) -> ComponentReport:
     members are sorted lexicographically.
     """
     positive = graph.positive_mask()
-    comps = _grouped_components(graph.nodes, graph.us[positive], graph.vs[positive])
+    comps = [[graph.nodes[i] for i in c]
+             for c in _grouped_components(graph.nodes, graph.us[positive], graph.vs[positive])]
     giant = Fraction(len(comps[0]), graph.n_nodes) if comps else Fraction(0)
     return ComponentReport(components=comps, giant_fraction=giant)
 
@@ -298,20 +299,23 @@ class CommunityReport:
 
 def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
                   max_removed_fraction=Fraction(1)) -> CommunityReport:
-    """Split the positive subgraph by repeated highest-betweenness removal.
+    """Split the largest component of the positive subgraph by repeated
+    highest-betweenness removal; every other component stays as it is.
 
-    Each iteration recomputes betweenness on the current graph and removes
-    the single highest-betweenness edge; ties (values within an absolute
-    1e-9 of the maximum) break to the lexicographically smallest (u, v).
-    The float engine's error is relative (see the module docstring), so on
-    large graphs it can exceed that tolerance. Stops once the component
-    count reaches the target or the removal budget (a fraction of the
-    original edge count) is exhausted, in which case the partial history is
-    returned with status budget_exhausted.
-    A target above the node count can never be reached and is refused.
-    Every component counts, isolated nodes included: on a projection that
-    leaves a participant isolated, a target of 2 is met before any removal,
-    so pass the giant component's subgraph to split the giant.
+    The largest component is the first in connected_components' order (by
+    size, then by smallest id): Girvan and Newman split one connected graph,
+    and a projection near percolation leaves small components and isolated
+    nodes around its giant. Each iteration recomputes betweenness on that
+    component's current edges, over its own nodes, and removes the single
+    highest-betweenness edge; ties (values within an absolute 1e-9 of the
+    maximum) break to the lexicographically smallest (u, v). The float
+    engine's error is relative (see the module docstring), so on large
+    graphs it can exceed that tolerance. Stops once the component is in
+    target_components parts or the removal budget (a fraction of the whole
+    graph's edge count) is exhausted, in which case the partial history is
+    returned with status budget_exhausted. A target above the component's
+    node count can never be reached and is refused. The final components and
+    each step's component sizes cover the whole graph.
     """
     if target_components < 1:
         raise ValidationError("target component count must be at least 1")
@@ -319,39 +323,44 @@ def girvan_newman(graph: ProjectionGraph, target_components: int = 2,
     if not (0 <= budget_fraction <= 1):
         raise ValidationError("max removed fraction must lie in [0, 1]")
 
-    n = graph.n_nodes
-    if target_components > n:  # removing every edge leaves n components, and no more
-        raise ValidationError(f"target component count {target_components} exceeds the "
-                              f"graph's {n} nodes, so no split can reach it")
     positive = graph.positive_mask()  # canonical (u, v) order
     us, vs = graph.us[positive], graph.vs[positive]
     original_count = len(us)
+    comps = _grouped_components(graph.nodes, us, vs)
+    largest = np.sort(comps[0]) if comps else np.arange(0)  # its node indices
+    if target_components > largest.size:  # removing all its edges leaves that many parts
+        raise ValidationError(f"target component count {target_components} exceeds the "
+                              f"{largest.size} nodes of the largest component")
+    split = np.isin(us, largest)
+    kept_us, kept_vs = us[~split], vs[~split]  # the other components' edges
+    us, vs = np.searchsorted(largest, us[split]), np.searchsorted(largest, vs[split])
+    kept_sizes = [len(c) for c in comps[1:]]
 
     budget = (budget_fraction.numerator * original_count) // budget_fraction.denominator
     removed: list[tuple] = []
     history: list[RemovalStep] = []
-    satisfied = len(_component_sizes(n, us, vs)) >= target_components
-    status = "already_satisfied" if satisfied else "budget_exhausted"
+    status = "already_satisfied" if target_components == 1 else "budget_exhausted"
     while status == "budget_exhausted" and len(removed) < budget:
-        bet = _betweenness_fast(n, us, vs)
+        bet = _betweenness_fast(largest.size, us, vs)
         # values within an absolute 1e-9 of the maximum are ties (the float
         # error is relative and can exceed it on large graphs); the first of
         # them is the lexicographically smallest edge
         k = int(np.flatnonzero(bet >= bet.max() - 1e-9)[0])
-        removed.append((graph.nodes[us[k]], graph.nodes[vs[k]]))
+        removed.append((graph.nodes[largest[us[k]]], graph.nodes[largest[vs[k]]]))
         value = float(bet[k])
-        us = np.delete(us, k)
-        vs = np.delete(vs, k)
-        sizes = _component_sizes(n, us, vs)
-        history.append(RemovalStep(removed[-1], value, sizes))
-        if len(sizes) >= target_components:
+        us, vs = np.delete(us, k), np.delete(vs, k)
+        parts = _component_sizes(largest.size, us, vs)
+        history.append(RemovalStep(removed[-1], value, sorted(parts + kept_sizes, reverse=True)))
+        if len(parts) >= target_components:
             status = "split"
 
     fraction = Fraction(len(removed), original_count) if original_count else Fraction(0)
+    final = _grouped_components(graph.nodes, np.concatenate([kept_us, largest[us]]),
+                                np.concatenate([kept_vs, largest[vs]]))
     return CommunityReport(
         removed_edges=removed,
         removed_fraction=fraction,
-        final_components=_grouped_components(graph.nodes, us, vs),
+        final_components=[[graph.nodes[i] for i in c] for c in final],
         history=history,
         status=status,
         original_edge_count=original_count,

@@ -270,7 +270,7 @@ def cmd_communities(args) -> int:
                     ("graph",))
     if report.status == "budget_exhausted":
         raise AlgorithmError(f"removal budget exhausted after {len(report.removed_edges)} "
-                             f"removals at {len(sizes)} components; the target is {args.target}")
+                             f"removals before the largest component was in {args.target} parts")
     return 0
 
 
@@ -389,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("communities", help="split a projected graph by edge betweenness")
     p.add_argument("--graph", required=True, help="GraphML file from 'project'")
-    p.add_argument("--target", type=int, help="component count to reach (default 2)")
+    p.add_argument("--target", type=int,
+                   help="parts to split the largest component into (default 2)")
     p.add_argument("--max-removed-fraction",
                    help="removal budget as a fraction of the edge count (default 1)")
     p.add_argument("--out-prefix", required=True)

@@ -26,7 +26,6 @@ from opinionnet import (
     project_attitudes,
     project_participants,
     renormalize,
-    score_weights,
     select_threshold,
     style_edges,
     thirds_style,
@@ -37,7 +36,6 @@ from opinionnet.cli import main
 from helpers import (
     barbell_graph,
     edge_list,
-    giant_subgraph,
     graph_from_edges,
     index_labels,
     make_matrix,
@@ -49,6 +47,7 @@ from helpers import (
 )
 from oracles import (
     all_pair_weights,
+    components_from_edges,
     edge_betweenness_by_path_enumeration,
     rand_index,
     random_rows,
@@ -493,15 +492,13 @@ def test_criterion_round_trips_survey_and_graphml(tmp_path):
 
 def test_criterion_girvan_newman_on_the_auto_giant_recovers_planted_blocs(tmp_path):
     """A two-bloc survey of 400 participants (8 items on 7-point scales,
-    separation s = 1.5) is projected in score mode at the auto threshold
-    (target 1/2). GN then splits the giant component in two, and the Rand
-    index of its halves against the planted blocs is at least 0.95 on each of
-    seeds 1-5. Measured: 1.000, 0.990, 0.995, 0.995 and 1.000, after 1 to 4
-    removals.
-
-    GN runs on the giant alone: the projection leaves isolated participants,
-    and girvan_newman counts every component, so on the whole graph a target
-    of 2 is already satisfied with no removal.
+    separation s = 1.5) goes through the CLI as a user runs it: `project
+    --mode score --threshold auto` (target 1/2), then `communities --target
+    2`, which splits the largest component in two. The giant is found from
+    the written edge list by union-find, and the planted labels are read from
+    the survey's `bloc` column. The Rand index of the split against them,
+    over the giant's nodes, is at least 0.95 on each of seeds 1-5. Measured:
+    1.000, 0.990, 0.995, 0.995 and 1.000, after 1 to 4 removals.
 
     Seed 2 is a case of its own. Its giant is one bloc (all 200 of its nodes
     are B; the A bloc is not in it), so the Rand index is that of the split
@@ -513,18 +510,35 @@ def test_criterion_girvan_newman_on_the_auto_giant_recovers_planted_blocs(tmp_pa
     t0 = time.perf_counter()
     results = {}
     for seed in range(1, 6):
-        path = tmp_path / f"blocs_{seed}.csv"
-        matrix = load_survey(path, write_bloc_survey(path, seed, 400, 1.5))
-        weights = score_weights(renormalize(matrix))
-        threshold = select_threshold(weights, F(1, 2)).chosen_threshold
-        graph = project_participants(weights, threshold, node_attrs=matrix.node_attributes())
-        subgraph = giant_subgraph(graph)
-        report = girvan_newman(subgraph, target_components=2)
-        assert report.status == "split"
-        planted = [graph.node_attrs[u]["bloc"] for u in subgraph.nodes]
-        found = index_labels(report.final_components, subgraph.nodes)
-        results[seed] = (rand_index(planted, found), [len(c) for c in report.final_components],
-                         sorted(set(planted)))
+        survey, schema = tmp_path / f"blocs_{seed}.csv", tmp_path / f"blocs_{seed}.json"
+        written = write_bloc_survey(survey, seed, 400, 1.5)
+        schema.write_text(json.dumps({
+            "id_column": written.id_column,
+            "attribute_columns": list(written.attribute_columns),
+            "items": [{"id": q, "scale": k} for q, k in zip(written.item_ids, written.scale_sizes)],
+        }))
+        projected, split = tmp_path / f"projected_{seed}", tmp_path / f"split_{seed}"
+        assert main(["project", "--survey", str(survey), "--schema", str(schema), "--mode",
+                     "score", "--threshold", "auto", "--out-prefix", str(projected)]) == 0
+        assert main(["communities", "--graph", f"{projected}.graphml", "--target", "2",
+                     "--out-prefix", str(split)]) == 0
+        with open(survey, newline="", encoding="utf-8") as f:
+            planted_by = {row["pid"]: row["bloc"] for row in csv.DictReader(f)}
+        ids = sorted(planted_by)
+        index = {u: i for i, u in enumerate(ids)}
+        with open(f"{projected}.edges.csv", newline="", encoding="utf-8") as f:
+            edges = [(index[row["u"]], index[row["v"]]) for row in csv.DictReader(f)
+                     if row["sign"] == "positive"]
+        # largest first, then by smallest id
+        giant = min(components_from_edges(len(ids), edges), key=lambda c: (-len(c), min(c)))
+        report = json.loads(split.with_suffix(".communities.json").read_text())
+        assert report["status"] == "split"
+        group = {u: k for k, component in enumerate(report["final_components"]) for u in component}
+        planted = [planted_by[ids[i]] for i in giant]
+        found = [group[ids[i]] for i in giant]
+        assert len(set(found)) == 2  # the giant is in two parts
+        results[seed] = (rand_index(planted, found),
+                         sorted(map(found.count, set(found)), reverse=True), sorted(set(planted)))
     assert all(rand >= F(95, 100) for rand, _, _ in results.values()), results
     assert results[2][1:] == ([199, 1], ["B"])
     finish("GN on the auto giant recovers planted blocs (5 seeds)", t0, 20.0)

@@ -33,7 +33,6 @@ from opinionnet.project import PairWeights
 from helpers import (
     barbell_graph,
     edge_list,
-    giant_subgraph,
     graph_from_edges,
     make_matrix,
     pair_weights,
@@ -815,12 +814,19 @@ def test_target_fraction_one_demands_full_connectivity():
 
 def test_unreachable_target_component_count_is_refused():
     graph = graph_from_edges(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    with pytest.raises(ValidationError, match="count 4 exceeds the graph's 3 nodes"):
+    with pytest.raises(ValidationError, match="count 4 exceeds the 3 nodes of the largest"):
         girvan_newman(graph, target_components=4)
     report = girvan_newman(graph, target_components=3)  # the node count is reachable
     assert report.status == "split"
     assert len(report.removed_edges) == 2  # every edge got removed
     assert [len(c) for c in report.final_components] == [1, 1, 1]
+    # six nodes, but the largest component has three, so it splits into three at most
+    graph = graph_from_edges([f"n{i}" for i in range(6)], [("n0", "n1"), ("n1", "n2"), ("n3", "n4")])
+    with pytest.raises(ValidationError, match="count 4 exceeds the 3 nodes of the largest"):
+        girvan_newman(graph, target_components=4)
+    report = girvan_newman(graph, target_components=3)
+    assert report.status == "split"
+    assert report.final_components == [["n3", "n4"], ["n0"], ["n1"], ["n2"], ["n5"]]
 
 
 # ---------------------------------------------------------------------------
@@ -1170,13 +1176,13 @@ def _planted():
 
 
 def _paper_giant():
-    """The giant of the auto projection of a 400-row, two-bloc survey (s = 1.5)."""
+    """The auto projection of a 400-row, two-bloc survey (s = 1.5): a giant
+    among small components and isolated nodes, the giant being what GN splits."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "blocs.csv"
         matrix = load_survey(path, write_bloc_survey(path, 1, 400, 1.5))
     weights = score_weights(renormalize(matrix))
-    return giant_subgraph(
-        project_participants(weights, select_threshold(weights, F(1, 2)).chosen_threshold))
+    return project_participants(weights, select_threshold(weights, F(1, 2)).chosen_threshold)
 
 
 def _remaining_component_sizes(graph, removed):
@@ -1207,14 +1213,86 @@ def test_gn_history_matches_per_source_engine(monkeypatch, build):
     assert report.final_components == reference.final_components
 
 
-def test_gn_disconnected_input_returns_immediately():
-    nodes = [f"t{i}" for i in range(6)]
+def test_gn_disconnected_input_splits_the_largest_component():
+    # two 3-node paths tie for largest; the one holding the smallest id, t0,
+    # is split though it comes second in node order, and the other stays whole
+    nodes = ["t3", "t4", "t5", "t0", "t1", "t2"]
     pairs = [("t0", "t1"), ("t1", "t2"), ("t3", "t4"), ("t4", "t5")]
     report = girvan_newman(graph_from_edges(nodes, pairs), target_components=2)
+    assert report.status == "split"
+    assert report.removed_edges == [("t0", "t1")]  # both of its edges tie
+    assert report.removed_fraction == F(1, 4)  # of the whole graph's edges
+    assert [h.component_sizes for h in report.history] == [[3, 2, 1]]
+    assert report.final_components == [["t3", "t4", "t5"], ["t1", "t2"], ["t0"]]
+
+
+def test_gn_target_one_is_already_satisfied():
+    graph = graph_from_edges(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    report = girvan_newman(graph, target_components=1)
     assert report.status == "already_satisfied"
     assert report.removed_edges == []
     assert report.removed_fraction == 0
     assert report.history == []
+    assert report.final_components == connected_components(graph).components
+
+
+def _largest_component_gn(graph, target_components):
+    """(edge, betweenness) history of GN on the largest component (by size,
+    then smallest id), each pass taken by the per-source engine over the whole
+    graph in its own numbering, the candidates being that component's edges."""
+    n, nodes = graph.n_nodes, graph.nodes
+    index = {u: i for i, u in enumerate(nodes)}
+    edges = [(index[u], index[v]) for u, v, _, sign, _ in edge_list(graph) if sign == "positive"]
+    largest = set(min(components_from_edges(n, edges),
+                      key=lambda c: (-len(c), min(nodes[i] for i in c))))
+    others = len(components_from_edges(n, edges)) - 1
+    history = []
+    while len(components_from_edges(n, edges)) - others < target_components:
+        bet = betweenness_per_source(n, np.array([a for a, _ in edges]),
+                                     np.array([b for _, b in edges]))
+        inside = [k for k, (a, _) in enumerate(edges) if a in largest]
+        top = max(bet[k] for k in inside)
+        k = next(k for k in inside if bet[k] >= top - 1e-9)  # canonical order: the smallest edge
+        a, b = edges.pop(k)
+        history.append(((nodes[a], nodes[b]), float(bet[k])))
+    return history
+
+
+def test_gn_on_the_largest_component_is_bitwise_per_source():
+    # three blocks of 8 joined by two edges each (the component split), a
+    # random component of the same size with larger ids, components of 5, 3
+    # and 2 nodes, and isolated nodes, in shuffled node order
+    rng = random.Random(33)
+    split = [f"k{i:02d}" for i in range(24)]
+    pairs = set()
+    for b in range(3):
+        block = split[8 * b:8 * b + 8]
+        pairs.update(zip(block, block[1:]))
+        pairs.update((u, v) for u, v in itertools.combinations(block, 2) if rng.random() < 0.5)
+    for b in range(2):
+        for _ in range(2):
+            pairs.add((rng.choice(split[8 * b:8 * b + 8]), rng.choice(split[8 * b + 8:8 * b + 16])))
+    whole = [f"x{i:02d}" for i in range(24)]
+    pairs.update(zip(whole, whole[1:]))
+    pairs.update(tuple(sorted(rng.sample(whole, 2))) for _ in range(20))
+    for size in (5, 3, 2):
+        small = [f"s{size}_{i}" for i in range(size)]
+        pairs.update(zip(small, small[1:]))
+    nodes = split + whole + [f"s{size}_{i}" for size in (5, 3, 2) for i in range(size)]
+    nodes += ["a0", "z0", "z1"]  # isolated
+    rng.shuffle(nodes)
+    graph = graph_from_edges(nodes, sorted(pairs))
+    assert [len(c) for c in connected_components(graph).components] == [24, 24, 5, 3, 2, 1, 1, 1]
+
+    report = girvan_newman(graph, target_components=3)
+    assert report.status == "split"
+    assert [(h.edge, h.betweenness) for h in report.history] == _largest_component_gn(graph, 3)
+    assert [h.component_sizes for h in report.history] == \
+        _remaining_component_sizes(graph, report.removed_edges)
+    counts = [len(h.component_sizes) for h in report.history]
+    assert counts.index(9) < len(counts) - 1  # removals go on after the first split
+    assert whole in report.final_components  # the other 24-node component stays whole
+    assert report.removed_fraction == F(len(report.removed_edges), len(pairs))
 
 
 def test_gn_budget_exhaustion_reports_partial_history():

@@ -1297,7 +1297,34 @@ def test_communities_target_above_node_count_exits_2(tmp_path, capsys):
     block = json.loads(capsys.readouterr().err)
     assert code == 2
     assert block["error"]["type"] == "ValidationError"
-    assert "9 exceeds the graph's 8 nodes" in block["error"]["message"]
+    assert "9 exceeds the 8 nodes of the largest component" in block["error"]["message"]
+    assert not (tmp_path / "comm.communities.json").exists()
+
+
+def test_communities_target_above_the_largest_component_exits_2(tmp_path, capsys):
+    # six nodes, but --target counts the parts of the 3-node largest component
+    graph_path = tmp_path / "paths.graphml"
+    export_graphml(graph_from_edges([f"n{i}" for i in range(6)],
+                                    [("n0", "n1"), ("n1", "n2"), ("n3", "n4")]), graph_path)
+    code = main(["communities", "--graph", str(graph_path), "--target", "4",
+                 "--out-prefix", str(tmp_path / "comm")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"]["type"] == "ValidationError"
+    assert "4 exceeds the 3 nodes of the largest component" in block["error"]["message"]
+    assert not (tmp_path / "comm.communities.json").exists()
+
+
+def test_communities_on_a_graph_with_no_nodes_exits_2(tmp_path, capsys):
+    graph_path = tmp_path / "empty.graphml"
+    export_graphml(graph_from_edges([], []), graph_path)
+    code = main(["communities", "--graph", str(graph_path), "--target", "1",
+                 "--out-prefix", str(tmp_path / "comm")])
+    block = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert block["error"] == {"exit_code": 2, "type": "ValidationError",
+                              "message": "target component count 1 exceeds the 0 nodes of "
+                                         "the largest component"}
     assert not (tmp_path / "comm.communities.json").exists()
 
 
